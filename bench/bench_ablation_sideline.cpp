@@ -1,4 +1,4 @@
-//===- bench/bench_ablation_sideline.cpp - Sideline vs synchronous -----------===//
+//===- bench/bench_ablation_sideline.cpp - Sideline vs inline optimization -===//
 //
 // Part of the RIO-DYN reproduction of "An Infrastructure for Adaptive
 // Dynamic Optimization" (CGO 2003).
@@ -7,19 +7,20 @@
 ///
 /// \file
 /// Ablation D (DESIGN.md): the paper's Section 3.4 sideline-optimization
-/// proposal quantified. A synchronous client pays its transformation on
-/// the application's critical path; the sideline defers it to a concurrent
-/// optimizer, paying only the replacement's relink cost. The crossover is
-/// the optimizer's expense: for a cheap transformation (redundant load
-/// removal) sideline ~ synchronous; as the per-trace analysis cost grows,
-/// the sideline's advantage grows with it — most on workloads whose traces
-/// die young (gcc, perlbmk).
+/// proposal quantified. An inline client pays its transformation on the
+/// application's critical path; the sideline defers it to a concurrent
+/// optimizer, paying only the publication cost. The crossover is the
+/// optimizer's expense: for a cheap transformation (redundant load
+/// removal) sideline ~ inline; as the per-trace analysis cost grows, the
+/// sideline's advantage grows with it — most on workloads whose traces die
+/// young (gcc, perlbmk).
 ///
-/// A second sweep compares off / sync sideline / async sideline across
-/// the indirect-branch-heavy trio (virtual dispatch, return tree,
-/// interpreter): asynchronous publication charges SidelinePublishCost
-/// instead of FragmentReplaceCost, so once steady state is reached the
-/// async run must not cost more simulated cycles than the sync one.
+/// The costed optimizer charges cycles, so it is not sideline-safe: the
+/// sideline runs it on the application thread at each publication point
+/// and refunds every cycle it charged. The bench asserts both halves of
+/// that contract: the sideline's cycles are identical at every extra
+/// per-trace cost, and at the heaviest cost the sideline beats the inline
+/// client on every workload.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,8 +28,7 @@
 #include "harness/Experiment.h"
 #include "support/OutStream.h"
 
-#include <cstdlib>
-#include <string>
+#include <iterator>
 
 using namespace rio;
 
@@ -46,189 +46,25 @@ public:
   }
 };
 
-double runOnce(const Program &Prog, unsigned ExtraCost, bool Sideline,
-               uint64_t NativeCycles) {
+/// Simulated cycles of one run of \p Prog, or 0 if it did not exit.
+uint64_t runOnce(const Program &Prog, unsigned ExtraCost, bool Sideline) {
   Machine M;
   if (!loadProgram(M, Prog))
-    return -1;
+    return 0;
   CostedOptimizer Opt;
   Opt.ExtraCyclesPerTrace = ExtraCost;
+  RunResult R;
   if (!Sideline) {
     Runtime RT(M, RuntimeConfig::full(), &Opt);
-    RunResult R = RT.run();
-    return R.Status == RunStatus::Exited
-               ? double(R.Cycles) / double(NativeCycles)
-               : -1;
-  }
-  SidelineOptimizer Side(Opt);
-  Runtime RT(M, RuntimeConfig::full(), &Side);
-  RunResult R = runWithSideline(RT, Side);
-  return R.Status == RunStatus::Exited
-             ? double(R.Cycles) / double(NativeCycles)
-             : -1;
-}
-
-/// Virtual dispatch over a mostly-monomorphic type vector.
-std::string vdispatchSource(int Outer) {
-  return R"(
-    .entry main
-    types: .word 0 0 0 0 0 0 0 4 0 0 0 8 0 0 4 0
-    vtable: .word m0 m1 m2
-    main:
-      mov esi, 0
-      mov ebp, )" + std::to_string(Outer) + R"(
-    outer:
-      mov ebx, 0
-    inner:
-      mov ecx, [types+ebx]
-      jmp [vtable+ecx]
-    m0:
-      add esi, 1
-      jmp mret
-    m1:
-      add esi, 17
-      jmp mret
-    m2:
-      add esi, 257
-      jmp mret
-    mret:
-      add ebx, 4
-      cmp ebx, 64
-      jnz inner
-      and esi, 0xFFFFFF
-      dec ebp
-      jnz outer
-      mov ebx, esi
-      mov eax, 2
-      int 0x80
-      mov ebx, 0
-      mov eax, 1
-      int 0x80
-  )";
-}
-
-/// Three-level call tree: seven returns per iteration, three ret sites.
-std::string rettreeSource(int Iters) {
-  return R"(
-    .entry main
-    main:
-      mov esi, 0
-      mov edi, )" + std::to_string(Iters) + R"(
-    loop:
-      call a
-      and esi, 0xFFFFFF
-      dec edi
-      jnz loop
-      mov ebx, esi
-      mov eax, 2
-      int 0x80
-      mov ebx, 0
-      mov eax, 1
-      int 0x80
-    a:
-      call b
-      call b
-      add esi, 5
-      ret
-    b:
-      call leaf
-      call leaf
-      add esi, 7
-      ret
-    leaf:
-      add esi, 3
-      ret
-  )";
-}
-
-/// Switch-dispatch interpreter over a 64-slot bytecode vector.
-std::string interpSource(int Outer) {
-  std::string Code = "code: .word";
-  int Slot = 0;
-  int Remaining[] = {38, 12, 6, 6, 1, 1};
-  while (Slot < 63) {
-    int Pick = (Slot * 5 + 3) % 6;
-    for (int Try = 0; Try != 6; ++Try, Pick = (Pick + 1) % 6)
-      if (Remaining[Pick] > 0)
-        break;
-    --Remaining[Pick];
-    Code += " " + std::to_string(Pick * 4);
-    ++Slot;
-  }
-  Code += " 24\n";
-  return R"(
-    .entry main
-  )" + Code + R"(
-    optable: .word op0 op1 op2 op3 op4 op5 oploop
-    main:
-      mov esi, 0
-      mov edi, )" + std::to_string(Outer) + R"(
-      mov ebx, 0
-    fetch:
-      mov ecx, [code+ebx]
-      add ebx, 4
-      jmp [optable+ecx]
-    op0:
-      add esi, 1
-      jmp fetch
-    op1:
-      add esi, 17
-      jmp fetch
-    op2:
-      add esi, 257
-      jmp fetch
-    op3:
-      add esi, 4097
-      jmp fetch
-    op4:
-      add esi, 65537
-      jmp fetch
-    op5:
-      and esi, 0xFFFFFF
-      jmp fetch
-    oploop:
-      mov ebx, 0
-      dec edi
-      jnz fetch
-      and esi, 0xFFFFFF
-      mov ebx, esi
-      mov eax, 2
-      int 0x80
-      mov ebx, 0
-      mov eax, 1
-      int 0x80
-  )";
-}
-
-/// One run of \p Prog in the given sideline mode (-1 = no sideline at
-/// all), returning total simulated cycles; aborts on any transparency or
-/// execution failure.
-uint64_t runMode(const char *Name, const Program &Prog, int Mode,
-                 const std::string &Expected) {
-  Machine M;
-  if (!loadProgram(M, Prog)) {
-    errs().printf("%s: program too large\n", Name);
-    std::abort();
-  }
-  RlrClient Inner;
-  RunResult R;
-  if (Mode < 0) {
-    Runtime RT(M, RuntimeConfig::full());
     R = RT.run();
   } else {
-    SidelineOptimizer Side(Inner,
-                           Mode ? SidelineMode::Async : SidelineMode::Sync);
+    SidelineOptimizer Side(Opt);
     RuntimeConfig Config = RuntimeConfig::full();
-    if (Mode)
-      Config.SidelinePump = &Side;
+    Config.SidelinePump = &Side;
     Runtime RT(M, Config, &Side);
     R = runWithSideline(RT, Side);
   }
-  if (R.Status != RunStatus::Exited || M.output() != Expected) {
-    errs().printf("%s: mode %d not transparent\n", Name, Mode);
-    std::abort();
-  }
-  return R.Cycles;
+  return R.Status == RunStatus::Exited ? R.Cycles : 0;
 }
 
 } // namespace
@@ -236,9 +72,18 @@ uint64_t runMode(const char *Name, const Program &Prog, int Mode,
 int main() {
   const unsigned Costs[] = {0, 5000, 25000, 100000};
   const char *Benches[] = {"gcc", "perlbmk", "mgrid"};
+  constexpr unsigned NumBenches = std::size(Benches);
+  const unsigned HeavyCost = Costs[std::size(Costs) - 1];
+
+  Program Progs[NumBenches];
+  uint64_t NativeCycles[NumBenches];
+  for (unsigned B = 0; B != NumBenches; ++B) {
+    Progs[B] = buildWorkload(*findWorkload(Benches[B]), 0);
+    NativeCycles[B] = runNativeProgram(Progs[B]).Cycles;
+  }
 
   OutStream &OS = outs();
-  OS.printf("Ablation D: synchronous vs sideline optimization "
+  OS.printf("Ablation D: inline vs sideline optimization "
             "(normalized time; optimizer = load removal + N extra "
             "cycles/trace)\n\n");
   OS.printf("%-24s", "extra cycles/trace");
@@ -246,51 +91,41 @@ int main() {
     OS.printf(" %10s", Name);
   OS.printf("\n");
 
+  uint64_t FreeSideline[NumBenches] = {};
+  int Failures = 0;
   for (unsigned Cost : Costs) {
+    uint64_t Cycles[2][NumBenches];
     for (int Side = 0; Side != 2; ++Side) {
-      OS.printf("%9u %-13s", Cost, Side ? "(sideline)" : "(sync)");
-      for (const char *Name : Benches) {
-        const Workload *W = findWorkload(Name);
-        Program Prog = buildWorkload(*W, 0);
-        Outcome Native = runNativeProgram(Prog);
+      OS.printf("%9u %-13s", Cost, Side ? "(sideline)" : "(inline)");
+      for (unsigned B = 0; B != NumBenches; ++B) {
+        Cycles[Side][B] = runOnce(Progs[B], Cost, Side != 0);
         OS.printf(" %10.3f",
-                  runOnce(Prog, Cost, Side != 0, Native.Cycles));
+                  double(Cycles[Side][B]) / double(NativeCycles[B]));
+        if (!Cycles[Side][B]) {
+          errs().printf("%s: run did not exit\n", Benches[B]);
+          ++Failures;
+        }
       }
       OS.printf("\n");
     }
-  }
-
-  // Sweep 2: off vs sync sideline vs async sideline on the
-  // indirect-branch-heavy trio. Steady state is the whole (short) run
-  // here; async publication must never cost more than sync replacement.
-  struct Spec {
-    const char *Name;
-    std::string Source;
-  };
-  const Spec Specs[] = {{"vdispatch", vdispatchSource(600)},
-                        {"rettree", rettreeSource(1300)},
-                        {"interp", interpSource(80)}};
-  OS.printf("\nsync vs async sideline publication (simulated cycles; "
-            "optimizer = load removal)\n\n");
-  OS.printf("%-12s %12s %12s %12s\n", "workload", "off", "sync", "async");
-  for (const Spec &S : Specs) {
-    Program Prog;
-    std::string Error;
-    if (!assemble(S.Source, Prog, Error)) {
-      errs().printf("%s: assembly failed: %s\n", S.Name, Error.c_str());
-      return 1;
-    }
-    Outcome Native = runNativeProgram(Prog);
-    uint64_t Off = runMode(S.Name, Prog, -1, Native.Output);
-    uint64_t Sync = runMode(S.Name, Prog, 0, Native.Output);
-    uint64_t Async = runMode(S.Name, Prog, 1, Native.Output);
-    OS.printf("%-12s %12llu %12llu %12llu\n", S.Name,
-              (unsigned long long)Off, (unsigned long long)Sync,
-              (unsigned long long)Async);
-    if (Async > Sync) {
-      errs().printf("%s: async steady-state cycles exceed sync\n", S.Name);
-      return 1;
+    for (unsigned B = 0; B != NumBenches; ++B) {
+      // The sideline refunds the costed optimizer in full.
+      if (Cost == 0)
+        FreeSideline[B] = Cycles[1][B];
+      else if (Cycles[1][B] != FreeSideline[B]) {
+        errs().printf("%s: sideline cycles moved with the optimizer's cost "
+                      "(%llu at 0, %llu at %u)\n",
+                      Benches[B], (unsigned long long)FreeSideline[B],
+                      (unsigned long long)Cycles[1][B], Cost);
+        ++Failures;
+      }
+      if (Cost == HeavyCost && Cycles[1][B] >= Cycles[0][B]) {
+        errs().printf("%s: sideline does not beat inline at %u "
+                      "cycles/trace\n",
+                      Benches[B], Cost);
+        ++Failures;
+      }
     }
   }
-  return 0;
+  return Failures ? 1 : 0;
 }

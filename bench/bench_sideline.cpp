@@ -1,4 +1,4 @@
-//===- bench/bench_sideline.cpp - Asynchronous sideline publication wins -----===//
+//===- bench/bench_sideline.cpp - Sideline publication vs off ----------------===//
 //
 // Part of the RIO-DYN reproduction of "An Infrastructure for Adaptive
 // Dynamic Optimization" (CGO 2003).
@@ -6,25 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Measures what asynchronous sideline re-optimization buys over the
-/// synchronous sideline (paper Section 3.4). Three indirect-branch-heavy
-/// workloads run three ways:
+/// Measures sideline re-optimization (paper Section 3.4) against running
+/// without it. Three indirect-branch-heavy workloads run two ways:
 ///
 ///   * off   — no client, no sideline: the raw runtime floor;
-///   * sync  — sideline queue drained on the app thread at quantum
-///             boundaries; every replacement charges FragmentReplaceCost;
 ///   * async — a host worker thread optimizes decoded traces while the
 ///             app runs; publication swaps the link graph at a safe point
 ///             for SidelinePublishCost and moves suspended threads onto
 ///             the new version by on-stack replacement.
 ///
 /// The bench hard-asserts the subsystem's contract on the simulated
-/// clock: all three modes are output-transparent, the async schedule is
-/// deterministic for the fixed seed (two runs, bit-identical cycles), and
-/// async steady-state cycles beat sync outright on at least two of the
-/// three workloads (publication is 300 cycles cheaper per trace; the
-/// virtual completion latency can return a sliver of that on a workload
-/// with very few traces).
+/// clock: both runs are output-transparent, the sideline publishes at
+/// least one version per workload, and its schedule is deterministic for
+/// the fixed seed (two runs, bit-identical cycles).
 ///
 /// Simulated cycles and publication counts are exact and diffable across
 /// commits; bench_compare.py gates them hard. Host wall clock of each
@@ -184,9 +178,9 @@ std::string interpSource(int Outer) {
 }
 
 struct Sample {
-  std::string Config;  ///< <workload>_{off,sync,async}
+  std::string Config;  ///< <workload>_{off,async}
   uint64_t Cycles = 0; ///< simulated, full run — exact, gated
-  uint64_t Published = 0;  ///< versions published (0 for off/sync)
+  uint64_t Published = 0;  ///< versions published (0 for off)
   uint64_t StaleDrops = 0; ///< queued work invalidated before publication
   uint64_t Traces = 0;     ///< traces built
   uint64_t HostNs = 0;     ///< host wall clock, informational only
@@ -203,35 +197,28 @@ void die(const std::string &Msg) {
   std::abort();
 }
 
-enum class Mode { Off, Sync, Async };
-
-Sample runOnce(const std::string &Name, const Program &Prog, Mode Which,
+Sample runOnce(const std::string &Name, const Program &Prog, bool Sideline,
                const std::string &Expected) {
   Sample Out;
-  Out.Config = Name + (Which == Mode::Off     ? "_off"
-                       : Which == Mode::Sync  ? "_sync"
-                                              : "_async");
+  Out.Config = Name + (Sideline ? "_async" : "_off");
   Machine M;
   if (!loadProgram(M, Prog))
     die(Name + ": program too large");
   RlrClient Inner;
   uint64_t T0 = nowNs();
   RunResult R;
-  if (Which == Mode::Off) {
+  if (!Sideline) {
     Runtime RT(M, RuntimeConfig::full());
     R = RT.run();
     Out.Traces = RT.stats().get("traces_built");
   } else {
-    SidelineOptimizer Sideline(Inner,
-                               Which == Mode::Async ? SidelineMode::Async
-                                                    : SidelineMode::Sync);
+    SidelineOptimizer Side(Inner);
     RuntimeConfig Config = RuntimeConfig::full();
-    if (Which == Mode::Async)
-      Config.SidelinePump = &Sideline;
-    Runtime RT(M, Config, &Sideline);
-    R = runWithSideline(RT, Sideline);
-    Out.Published = Sideline.versionsPublished();
-    Out.StaleDrops = Sideline.staleDrops();
+    Config.SidelinePump = &Side;
+    Runtime RT(M, Config, &Side);
+    R = runWithSideline(RT, Side);
+    Out.Published = Side.versionsPublished();
+    Out.StaleDrops = Side.staleDrops();
     Out.Traces = RT.stats().get("traces_built");
   }
   Out.HostNs = nowNs() - T0;
@@ -270,10 +257,10 @@ bool writeJson(const char *Path, const std::vector<Sample> &Samples) {
 int main(int Argc, char **Argv) {
   const char *OutPath = Argc > 1 ? Argv[1] : "BENCH_sideline.json";
   OutStream &OS = outs();
-  OS.printf("Asynchronous sideline re-optimization (simulated cycles; "
+  OS.printf("Sideline re-optimization (simulated cycles; "
             "client = redundant load removal)\n\n");
-  OS.printf("%-10s %12s %12s %12s %6s %6s\n", "workload", "off", "sync",
-            "async", "pub", "drop");
+  OS.printf("%-10s %12s %12s %6s %6s\n", "workload", "off", "async", "pub",
+            "drop");
 
   struct Spec {
     const char *Name;
@@ -284,7 +271,6 @@ int main(int Argc, char **Argv) {
                         {"interp", interpSource(80)}};
 
   std::vector<Sample> Samples;
-  int AsyncWins = 0;
   for (const Spec &S : Specs) {
     Program Prog;
     std::string Error;
@@ -294,35 +280,25 @@ int main(int Argc, char **Argv) {
     if (Native.Status != RunStatus::Exited)
       die(std::string(S.Name) + ": native run failed");
 
-    Sample Off = runOnce(S.Name, Prog, Mode::Off, Native.Output);
-    Sample Sync = runOnce(S.Name, Prog, Mode::Sync, Native.Output);
-    Sample Async = runOnce(S.Name, Prog, Mode::Async, Native.Output);
+    Sample Off = runOnce(S.Name, Prog, false, Native.Output);
+    Sample Async = runOnce(S.Name, Prog, true, Native.Output);
 
-    // The virtual-completion schedule is seeded: a second async run must
-    // land on the identical simulated cycle count.
-    Sample Again = runOnce(S.Name, Prog, Mode::Async, Native.Output);
+    // The virtual-completion schedule is seeded: a second sideline run
+    // must land on the identical simulated cycle count.
+    Sample Again = runOnce(S.Name, Prog, true, Native.Output);
     if (Again.Cycles != Async.Cycles || Again.Published != Async.Published)
-      die(std::string(S.Name) + ": async schedule is not deterministic");
-
-    if (Sync.Published != 0)
-      die(std::string(S.Name) + ": sync sideline published versions");
+      die(std::string(S.Name) + ": sideline schedule is not deterministic");
     if (Async.Published == 0)
-      die(std::string(S.Name) + ": async sideline published nothing");
-    AsyncWins += Async.Cycles < Sync.Cycles;
+      die(std::string(S.Name) + ": sideline published nothing");
 
-    OS.printf("%-10s %12llu %12llu %12llu %6llu %6llu\n", S.Name,
-              (unsigned long long)Off.Cycles, (unsigned long long)Sync.Cycles,
+    OS.printf("%-10s %12llu %12llu %6llu %6llu\n", S.Name,
+              (unsigned long long)Off.Cycles,
               (unsigned long long)Async.Cycles,
               (unsigned long long)Async.Published,
               (unsigned long long)Async.StaleDrops);
     Samples.push_back(std::move(Off));
-    Samples.push_back(std::move(Sync));
     Samples.push_back(std::move(Async));
   }
-
-  OS.printf("\nasync beat sync outright on %d of 3 workloads\n", AsyncWins);
-  if (AsyncWins < 2)
-    die("async steady-state cycles must beat sync on at least 2 workloads");
 
   if (!writeJson(OutPath, Samples)) {
     errs().printf("cannot write %s\n", OutPath);

@@ -18,12 +18,12 @@
 ///     -threads               use the multi-thread scheduler
 ///     -shared                one shared code cache for all threads
 ///                            (default: thread-private caches)
-///     -sideline              defer trace optimization to the sideline
-///     -sideline-async        run the sideline on a real host worker thread
-///                            (implies -sideline; publication stays
-///                            deterministic via a seeded virtual-completion
-///                            schedule)
-///     -sideline-seed <n>     seed for the async completion schedule
+///     -sideline              defer trace optimization to the sideline: a
+///                            real host worker thread, with publication kept
+///                            deterministic by a seeded virtual-completion
+///                            schedule
+///     -sideline-async        synonym for -sideline
+///     -sideline-seed <n>     seed for the sideline's completion schedule
 ///     -stats                 print runtime statistics
 ///     -trace <file>          record runtime events; write Chrome trace JSON
 ///     -profile               cycle-sampled profile, printed after the run
@@ -107,10 +107,10 @@ void printHelp() {
       "  -threads               use the multi-thread scheduler\n"
       "  -shared                one shared code cache for all threads "
       "(implies -threads)\n"
-      "  -sideline              defer trace optimization to the sideline\n"
-      "  -sideline-async        run the sideline on a real host worker "
-      "thread (implies -sideline)\n"
-      "  -sideline-seed <n>     seed for the async completion schedule\n"
+      "  -sideline              defer trace optimization to the sideline's "
+      "host worker thread\n"
+      "  -sideline-async        synonym for -sideline\n"
+      "  -sideline-seed <n>     seed for the sideline's completion schedule\n"
       "  -traceopt[=p,...]      trace optimizer on trace bodies; pass list\n"
       "                         from loads,consts,dse,strength (default "
       "all)\n"
@@ -171,7 +171,6 @@ int main(int argc, char **argv) {
   OutStream &OS = outs();
   bool Native = false, Threads = false, Shared = false, UseSideline = false,
        Stats = false;
-  bool AsyncSideline = false;
   uint64_t SidelineSeed = 0x5eed51deull;
   bool DumpAsm = false, Profile = false, IbInline = false;
   bool TraceOpt = false, TraceOptSpeculate = false;
@@ -197,10 +196,8 @@ int main(int argc, char **argv) {
       Threads = true;
     else if (Arg == "-shared")
       Threads = Shared = true;
-    else if (Arg == "-sideline")
+    else if (Arg == "-sideline" || Arg == "-sideline-async")
       UseSideline = true;
-    else if (Arg == "-sideline-async")
-      UseSideline = AsyncSideline = true;
     else if (Arg == "-sideline-seed" && I + 1 < argc)
       SidelineSeed = std::strtoull(argv[++I], nullptr, 0);
     else if (Arg.rfind("-sideline-seed=", 0) == 0)
@@ -303,8 +300,7 @@ int main(int argc, char **argv) {
   // Speculation publishes through the sideline's reopt queue; without a
   // sideline there is no publication point to revalidate and guard at.
   if (TraceOptSpeculate && !UseSideline) {
-    OS.printf("error: -traceopt-speculate needs -sideline (or "
-              "-sideline-async)\n");
+    OS.printf("error: -traceopt-speculate needs -sideline\n");
     return usage();
   }
   if (TraceOpt && Native) {
@@ -545,11 +541,9 @@ int main(int argc, char **argv) {
     R = Runner.run();
   } else if (UseSideline) {
     Sideline = std::make_unique<SidelineOptimizer>(
-        ClientPtr ? *ClientPtr : SidelineFallback,
-        AsyncSideline ? SidelineMode::Async : SidelineMode::Sync,
+        ClientPtr ? *ClientPtr : SidelineFallback, SidelineMode::Async,
         SidelineSeed);
-    if (AsyncSideline)
-      Config.SidelinePump = Sideline.get();
+    Config.SidelinePump = Sideline.get();
     RT = std::make_unique<Runtime>(M, Config, Sideline.get());
     // The cache codec serializes a runtime with a client attached only
     // when that client is persist-safe (pure transformations, no host

@@ -28,7 +28,7 @@ Three schemas are recognized by their fields:
     and only displayed.
 
   * sideline (bench_sideline): entries carry {"config", "cycles",
-    "published", ...}. The async schedule is seeded and the clock is
+    "published", ...}. The sideline schedule is seeded and the clock is
     simulated, so cycles and publication counts are bit-identical across
     runs and gated with a zero threshold; host_ns is wall clock and only
     displayed.

@@ -92,13 +92,13 @@ public:
     return EndTrace::Default;
   }
 
-  /// True if this client's onTrace may run on the asynchronous sideline
-  /// worker thread (core/Sideline.h, SidelineMode::Async). Safe means: the
-  /// hook mutates only the passed InstrList and the client's own state, and
-  /// reads at most immutable Runtime facts (machine().runtimeBase()); it
-  /// must not touch the fragment table, caches, stats, or charge cycles.
-  /// Defaults to false — unsafe clients fall back to in-place (sync-style)
-  /// transformation at the publication point.
+  /// True if this client's onTrace may run on the sideline worker thread
+  /// (core/Sideline.h). Safe means: the hook mutates only the passed
+  /// InstrList and the client's own state, and reads at most immutable
+  /// Runtime facts (machine().runtimeBase()); it must not touch the
+  /// fragment table, caches, stats, or charge cycles. Defaults to false —
+  /// unsafe clients are transformed on the application thread at the
+  /// publication point, with the cycles they charge refunded.
   virtual bool sidelineSafe() const { return false; }
 
   /// Called on the *application* thread just before an asynchronous

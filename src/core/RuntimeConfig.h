@@ -28,16 +28,13 @@ class EventTrace;
 class SampleProfile;
 class SidelineOptimizer;
 
-/// How the sideline re-optimizer runs (core/Sideline.h).
-enum class SidelineMode {
-  Off,  ///< no sideline re-optimization
-  Sync, ///< processOne() at dispatch boundaries (the pre-async behavior)
-  /// A real host worker thread re-optimizes off the critical path and the
-  /// runtime publishes finished versions at dispatch-boundary publication
-  /// points on a seeded virtual-completion schedule, keeping simulated
-  /// cycles bit-reproducible (docs/sideline-cost-model.md).
-  Async,
-};
+/// How the sideline re-optimizer runs (core/Sideline.h). One mode is left:
+/// a real host worker thread re-optimizes off the critical path and the
+/// runtime publishes finished versions at dispatch-boundary publication
+/// points on a seeded virtual-completion schedule, keeping simulated cycles
+/// bit-reproducible (docs/sideline-cost-model.md). The enum survives only
+/// as a source-compatible constructor argument of SidelineOptimizer.
+enum class SidelineMode { Async };
 
 enum class ExecMode {
   Emulate, ///< pure interpretation, no code cache
@@ -167,10 +164,11 @@ struct RuntimeConfig {
   /// host-side only, like Trace.
   SampleProfile *Profiler = nullptr;
 
-  /// Asynchronous sideline (SidelineMode::Async): the coordinator whose
-  /// pump the runtime calls at each dispatch boundary. Not owned; rides by
-  /// pointer like Trace/Profiler so ThreadedRunner's by-value config copies
-  /// still reach the one coordinator. Null = no pump (Off and Sync modes).
+  /// Sideline optimizer (core/Sideline.h): the coordinator whose pump the
+  /// runtime calls at each dispatch boundary. Not owned; rides by pointer
+  /// like Trace/Profiler so ThreadedRunner's by-value config copies still
+  /// reach the one coordinator. Null = no dispatch-boundary pump (quantum
+  /// boundaries in runWithSideline still publish).
   SidelineOptimizer *SidelinePump = nullptr;
 
   /// Convenience constructors for the Table 1 ladder.

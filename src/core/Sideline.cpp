@@ -5,7 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Async-mode host threading model (TSan-clean by construction):
+// Host threading model (TSan-clean by construction):
 //
 //   - Exactly two host threads touch this object: the *application* thread
 //     (whichever host thread drives Runtime::run/runFor — all simulated
@@ -56,13 +56,13 @@ struct SidelineOptimizer::Job {
   bool Done = false;      ///< came back through FromWorker
 };
 
-SidelineOptimizer::SidelineOptimizer(Client &Inner, SidelineMode Mode,
+SidelineOptimizer::SidelineOptimizer(Client &Inner, SidelineMode,
                                      uint64_t Seed)
-    : Inner(Inner), Mode(Mode), Seed(Seed) {
+    : Inner(Inner), Seed(Seed) {
   // The worker exists only when the inner client may run on it; a
-  // non-sideline-safe client keeps the async publication schedule but
+  // non-sideline-safe client keeps the publication schedule but
   // transforms inline at the publication point (publishJob).
-  if (Mode == SidelineMode::Async && Inner.sidelineSafe())
+  if (Inner.sidelineSafe())
     Worker = std::thread([this] { workerMain(); });
 }
 
@@ -89,17 +89,10 @@ uint64_t SidelineOptimizer::virtualLatency(uint64_t Seed, uint64_t Seq) {
 
 void SidelineOptimizer::onTrace(Runtime &RT, AppPc Tag, InstrList &Trace) {
   (void)Trace;
-  if (Mode == SidelineMode::Async) {
-    Queued.push_back({&RT, Tag});
-    return;
-  }
-  (void)RT;
-  Pending.push_back(Tag);
+  Queued.push_back({&RT, Tag});
 }
 
 bool SidelineOptimizer::requestReopt(Runtime &RT, AppPc Tag) {
-  if (Mode != SidelineMode::Async)
-    return false;
   for (const QueuedTrace &Q : Queued)
     if (Q.RT == &RT && Q.Tag == Tag)
       return false;
@@ -115,59 +108,18 @@ bool SidelineOptimizer::requestReopt(Runtime &RT, AppPc Tag) {
 }
 
 void SidelineOptimizer::onFragmentDeleted(Runtime &RT, AppPc Tag) {
-  // Sync: queued tags are NOT dropped here — when a trace supersedes the
-  // basic block under the same tag, the block's deletion hook fires right
-  // after the trace was queued. Stale entries are instead filtered in
-  // processOne, which re-validates that a live trace still shadows the
-  // tag before optimizing. Async jobs, however, recorded the exact
-  // version they decoded: purge any whose captured version just died
-  // (deleted, flushed, or superseded) so a publication point never waits
-  // on — or worse, installs — work for a dead body. Queued (pre-decode)
-  // entries keep the sync rule and are re-validated at decode time.
+  // Queued (pre-decode) tags are NOT dropped here — when a trace
+  // supersedes the basic block under the same tag, the block's deletion
+  // hook fires right after the trace was queued — so enqueueJobs
+  // re-validates them at decode time. Decoded jobs, however, recorded the
+  // exact version they captured: purge any whose captured version just
+  // died (deleted, flushed, or superseded) so a publication point never
+  // waits on — or worse, installs — work for a dead body.
   for (auto &J : InFlight)
     if (J->RT == &RT && J->Tag == Tag && J->Target->Doomed)
       J->Cancelled.store(true, std::memory_order_relaxed);
   Inner.onFragmentDeleted(RT, Tag);
 }
-
-bool SidelineOptimizer::processOne(Runtime &RT) {
-  if (Mode == SidelineMode::Async)
-    return false; // async work is driven by pump() at dispatch boundaries
-  while (!Pending.empty()) {
-    AppPc Tag = Pending.front();
-    Pending.pop_front();
-    Fragment *Frag = RT.lookupFragment(Tag);
-    if (!Frag || !Frag->isTrace())
-      continue; // vanished or superseded since queuing
-
-    InstrList *IL = RT.decodeFragment(RT.clientArena(), Tag);
-    if (!IL)
-      continue;
-
-    // The optimizer thread's cycles are free to the application. Measure
-    // everything this optimization charged and refund all but the
-    // replacement's relink (synchronization) cost.
-    Machine &M = RT.machine();
-    uint64_t Before = M.cycles();
-    Inner.onTrace(RT, Tag, *IL);
-    if (!RT.replaceFragment(Tag, *IL))
-      continue;
-    uint64_t Charged = M.cycles() - Before;
-    uint64_t SyncCost = M.cost().FragmentReplaceCost;
-    if (Charged > SyncCost)
-      M.refundCycles(Charged - SyncCost);
-    RT.stats().counter("sideline_traces_optimized") += 1;
-    ++Optimized;
-    RIO_TRACE(RT.eventTrace(), M.cycles(), RT.activeContext().Tid,
-              TraceEventKind::SidelineOptimized, Tag, 0);
-    return true;
-  }
-  return false;
-}
-
-//===----------------------------------------------------------------------===//
-// Async mode
-//===----------------------------------------------------------------------===//
 
 void SidelineOptimizer::enqueueJobs() {
   while (!Queued.empty() && InFlight.size() < MaxInFlight) {
@@ -253,12 +205,9 @@ void SidelineOptimizer::publishJob(Runtime &RT, Job *J) {
   if (!RT.publishVersion(J->Tag, *J->IL))
     return;
   ++Published;
-  ++Optimized;
 }
 
 void SidelineOptimizer::pump(Runtime &RT) {
-  if (Mode != SidelineMode::Async)
-    return;
   enqueueJobs();
   drainResults();
   // Publish every job of this runtime whose virtual completion time has
@@ -286,8 +235,6 @@ void SidelineOptimizer::pump(Runtime &RT) {
 void SidelineOptimizer::registerMetrics(MetricsRegistry &MR, uint32_t Source) {
   MR.addGauge(Source, "sideline_pending_jobs",
               [this] { return uint64_t(pendingCount()); });
-  MR.addCounter(Source, "sideline_optimized_total",
-                [this] { return Optimized; });
   MR.addCounter(Source, "sideline_published_total",
                 [this] { return Published; });
   MR.addCounter(Source, "sideline_stale_drops_total",
@@ -347,15 +294,12 @@ RunResult rio::runWithSideline(Runtime &RT, SidelineOptimizer &Sideline,
     Last = RT.runFor(Quantum);
     if (!Last.QuantumExpired)
       return Last;
-    // The sideline worked while the application ran on its own core. In
-    // async mode, publish whatever came due: a thread stuck in a hot
-    // trace never reaches a dispatch boundary, so the quantum boundary
-    // is where its optimized version takes over (via OSR transfer — the
-    // suspended context is *not* at a safe point, so no SafeEpoch stamp
-    // here; publishVersion moves it or its guard pc pins the old bytes).
-    if (Sideline.mode() == SidelineMode::Async)
-      Sideline.pump(RT);
-    else
-      Sideline.processOne(RT);
+    // The sideline worked while the application ran on its own core;
+    // publish whatever came due: a thread stuck in a hot trace never
+    // reaches a dispatch boundary, so the quantum boundary is where its
+    // optimized version takes over (via OSR transfer — the suspended
+    // context is *not* at a safe point, so no SafeEpoch stamp here;
+    // publishVersion moves it or its guard pc pins the old bytes).
+    Sideline.pump(RT);
   }
 }

@@ -8,34 +8,25 @@
 /// \file
 /// The paper's proposed "sideline optimization" (Section 3.4): "We plan to
 /// investigate using a concurrent thread for sideline optimization using
-/// this low-overhead trace replacement." Two implementations live here:
-///
-///   SidelineMode::Sync — the original simulated form: traces are emitted
-///   unoptimized and queued; processOne() (called between scheduling
-///   quanta) decodes one, runs the inner client's transformation, and
-///   installs the result via dr_replace_fragment, refunding every cycle
-///   above the replacement's relink cost. Bit-identical to the pre-async
-///   runtime.
-///
-///   SidelineMode::Async — a *real* host worker thread. onTrace enqueues
-///   the (runtime, tag) pair; at each dispatch boundary the runtime's
-///   pump() converts queued tags into jobs (the fragment body is decoded
-///   on the application thread into a private per-job arena, stamped with
-///   the exact fragment version it captured), hands them to the worker
-///   over a lock-free SPSC ring, and publishes finished results as new
-///   fragment *versions* (Runtime::publishVersion): link graph swapped
-///   atomically, the old body epoch-retired, suspended threads OSR-
-///   transferred out of it. Simulated cycles stay bit-reproducible because
-///   each job's completion is scheduled on simulated time by a seeded
-///   virtual-completion latency, independent of when the host worker
-///   actually finishes (docs/sideline-cost-model.md); the worker only
-///   shifts *host* wall-clock time off the application thread.
+/// this low-overhead trace replacement." SidelineOptimizer is that thread:
+/// onTrace enqueues the (runtime, tag) pair; at each dispatch boundary the
+/// runtime's pump() converts queued tags into jobs (the fragment body is
+/// decoded on the application thread into a private per-job arena, stamped
+/// with the exact fragment version it captured), hands them to a host
+/// worker thread over a lock-free SPSC ring, and publishes finished results
+/// as new fragment *versions* (Runtime::publishVersion): link graph swapped
+/// atomically, the old body epoch-retired, suspended threads OSR-
+/// transferred out of it. Simulated cycles stay bit-reproducible because
+/// each job's completion is scheduled on simulated time by a seeded
+/// virtual-completion latency, independent of when the host worker
+/// actually finishes (docs/sideline-cost-model.md); the worker only shifts
+/// *host* wall-clock time off the application thread.
 ///
 /// Clients whose onTrace is not thread-safe (Client::sidelineSafe() ==
-/// false) still get the async publication schedule: their transform runs
-/// on the application thread at the publication point with its cycles
-/// refunded in full, so async-mode simulated behavior is identical with
-/// or without the worker.
+/// false) get the same publication schedule without a worker: their
+/// transform runs on the application thread at the publication point with
+/// its cycles refunded in full, so simulated behavior is identical with or
+/// without the worker.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,10 +51,10 @@ public:
   /// \p Inner is the optimization client whose trace transformations are
   /// deferred (not owned). Its basic-block and end-trace hooks still run
   /// synchronously — only trace *transformation* moves off the hot path.
-  /// In Async mode a host worker thread is spawned iff Inner is
-  /// sidelineSafe(); \p Seed fixes the virtual-completion schedule.
+  /// A host worker thread is spawned iff Inner is sidelineSafe(); \p Seed
+  /// fixes the virtual-completion schedule.
   explicit SidelineOptimizer(Client &Inner,
-                             SidelineMode Mode = SidelineMode::Sync,
+                             SidelineMode = SidelineMode::Async,
                              uint64_t Seed = 0x5eed51deull);
   ~SidelineOptimizer() override;
 
@@ -95,22 +86,15 @@ public:
   /// fired — decoded at the next dispatch boundary, transformed by the
   /// worker, published on the seeded virtual-completion schedule. Requests
   /// for a tag that already has work queued or in flight are dropped, as
-  /// are tags without a live trace. Async mode only; returns true iff the
-  /// tag was queued.
+  /// are tags without a live trace. Returns true iff the tag was queued.
   bool requestReopt(Runtime &RT, AppPc Tag);
 
-  /// One unit of Sync-mode sideline work: pops a queued trace, runs the
-  /// inner client's transformation over its decoded body, and installs the
-  /// result via fragment replacement. Returns false when the queue is
-  /// empty — and always in Async mode, where pump() drives the work.
-  bool processOne(Runtime &RT);
-
-  /// Async publication point, called by the runtime at every dispatch
-  /// boundary (Runtime::pumpSideline via RuntimeConfig::SidelinePump):
-  /// converts queued traces into worker jobs and publishes every job whose
-  /// virtual completion time has been reached, in enqueue order per
-  /// runtime. Blocks (host wall-clock only) if a due job's worker result
-  /// has not landed yet. No-op in Sync mode.
+  /// Publication point, called by the runtime at every dispatch boundary
+  /// (Runtime::pumpSideline via RuntimeConfig::SidelinePump): converts
+  /// queued traces into worker jobs and publishes every job whose virtual
+  /// completion time has been reached, in enqueue order per runtime.
+  /// Blocks (host wall-clock only) if a due job's worker result has not
+  /// landed yet.
   void pump(Runtime &RT);
 
   /// Host-side barrier: returns once the worker has finished every job it
@@ -118,22 +102,17 @@ public:
   /// Publishes nothing — unpublished jobs stay queued for future pumps.
   void quiesce();
 
-  SidelineMode mode() const { return Mode; }
-  /// Queued + in-flight work not yet installed or dropped (both modes).
-  size_t pendingCount() const {
-    return Pending.size() + Queued.size() + InFlight.size();
-  }
-  /// Transformations installed (Sync replacements + Async publications).
-  uint64_t tracesOptimized() const { return Optimized; }
-  /// Async publications (versions installed by publishVersion).
+  /// Queued + in-flight work not yet published or dropped.
+  size_t pendingCount() const { return Queued.size() + InFlight.size(); }
+  /// Versions installed by publishVersion.
   uint64_t versionsPublished() const { return Published; }
-  /// Async jobs dropped because their captured version died before its
+  /// Jobs dropped because their captured version died before its
   /// publication point (delete, flush, supersession).
   uint64_t staleDrops() const { return StaleDrops; }
 
   /// Registers the optimizer's own telemetry under source \p Source of
-  /// \p MR: the pending-work gauge plus installed/published/stale-drop
-  /// counters. Names are distinct from the per-runtime sideline statistics
+  /// \p MR: the pending-work gauge plus published/stale-drop counters.
+  /// Names are distinct from the per-runtime sideline statistics
   /// (which already roll up per tenant), so one optimizer serving many
   /// runtimes is not double-counted in the fleet rollup. Defined in
   /// Sideline.cpp.
@@ -154,14 +133,8 @@ private:
   static uint64_t virtualLatency(uint64_t Seed, uint64_t Seq);
 
   Client &Inner;
-  SidelineMode Mode;
   uint64_t Seed;
 
-  //===--- Sync-mode state (unchanged from the pre-async implementation) ---===
-  std::deque<AppPc> Pending;
-  uint64_t Optimized = 0;
-
-  //===--- Async-mode state -------------------------------------------------===
   /// Traces queued by onTrace, not yet decoded into jobs. Entries carry
   /// their runtime so one optimizer serves every thread-private runtime.
   struct QueuedTrace {
@@ -188,10 +161,9 @@ private:
 };
 
 /// Drives an application thread and the sideline optimizer concurrently:
-/// the application runs in quanta; between quanta a Sync sideline drains
-/// one queued trace — work that overlapped with the application on another
-/// core. An Async sideline needs no help here (the runtime pumps it at
-/// dispatch boundaries), so the loop degenerates to plain slicing.
+/// the application runs in quanta, and every quantum boundary is a
+/// publication point. A thread stuck in a hot trace never reaches a
+/// dispatch boundary, so this is where its optimized version takes over.
 RunResult runWithSideline(Runtime &RT, SidelineOptimizer &Sideline,
                           uint64_t Quantum = 3000);
 

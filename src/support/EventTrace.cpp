@@ -49,8 +49,6 @@ const char *rio::traceEventKindName(TraceEventKind Kind) {
     return "thread_scheduled";
   case TraceEventKind::ContextSwapped:
     return "context_swapped";
-  case TraceEventKind::SidelineOptimized:
-    return "sideline_optimized";
   case TraceEventKind::Sample:
     return "sample";
   case TraceEventKind::ClientMarker:

@@ -57,7 +57,6 @@ enum class TraceEventKind : uint8_t {
   SlotReclaimed,     ///< Tag = slot cache addr, Aux = slot bytes
   ThreadScheduled,   ///< Tag = scheduled tid (one event per quantum slice)
   ContextSwapped,    ///< Tag = outgoing tid, Aux = incoming tid
-  SidelineOptimized, ///< Tag = optimized trace tag
   Sample,            ///< Tag = executing tag (0 = runtime), Aux = cache pc
   ClientMarker,      ///< Tag = interned label id, Aux = client value
   IbInlineRewrite,   ///< Tag = chain owner tag, Aux = targets inlined
