@@ -15,9 +15,8 @@
 /// sideline's advantage grows with it — most on workloads whose traces die
 /// young (gcc, perlbmk).
 ///
-/// The costed optimizer charges cycles, so it is not sideline-safe: the
-/// sideline runs it on the application thread at each publication point
-/// and refunds every cycle it charged. The bench asserts both halves of
+/// The sideline runs the costed optimizer on the application thread at
+/// each publication point and refunds every cycle it charged. The bench asserts both halves of
 /// that contract: the sideline's cycles are identical at every extra
 /// per-trace cost, and at the heaviest cost the sideline beats the inline
 /// client on every workload.

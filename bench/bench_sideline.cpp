@@ -10,10 +10,12 @@
 /// without it. Three indirect-branch-heavy workloads run two ways:
 ///
 ///   * off   — no client, no sideline: the raw runtime floor;
-///   * async — a host worker thread optimizes decoded traces while the
-///             app runs; publication swaps the link graph at a safe point
-///             for SidelinePublishCost and moves suspended threads onto
-///             the new version by on-stack replacement.
+///   * async — traces are decoded when queued and, once the seeded
+///             schedule says the sideline core is done, transformed on the
+///             application thread at the publication point (cycles
+///             refunded); publication swaps the link graph at that safe
+///             point for SidelinePublishCost and moves suspended threads
+///             onto the new version by on-stack replacement.
 ///
 /// The bench hard-asserts the subsystem's contract on the simulated
 /// clock: both runs are output-transparent, the sideline publishes at

@@ -18,8 +18,8 @@
 ///     -threads               use the multi-thread scheduler
 ///     -shared                one shared code cache for all threads
 ///                            (default: thread-private caches)
-///     -sideline              defer trace optimization to the sideline: a
-///                            real host worker thread, with publication kept
+///     -sideline              defer trace optimization to the sideline: each
+///                            transform runs at its publication point, kept
 ///                            deterministic by a seeded virtual-completion
 ///                            schedule
 ///     -sideline-async        synonym for -sideline
@@ -108,7 +108,7 @@ void printHelp() {
       "  -shared                one shared code cache for all threads "
       "(implies -threads)\n"
       "  -sideline              defer trace optimization to the sideline's "
-      "host worker thread\n"
+      "publication points\n"
       "  -sideline-async        synonym for -sideline\n"
       "  -sideline-seed <n>     seed for the sideline's completion schedule\n"
       "  -traceopt[=p,...]      trace optimizer on trace bodies; pass list\n"

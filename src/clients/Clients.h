@@ -38,9 +38,8 @@ namespace rio {
 /// with the hook plumbing in place.
 class NullClient : public Client {
 public:
-  // Transforms nothing and keeps no state: trivially safe to run on the
-  // sideline worker thread and to serialize around.
-  bool sidelineSafe() const override { return true; }
+  // Transforms nothing and keeps no state: trivially safe to serialize
+  // around.
   bool persistSafe() const override { return true; }
 };
 
@@ -74,10 +73,8 @@ public:
   uint64_t numConverted() const { return NumConverted; }
   bool enabled() const { return Enable; }
 
-  /// The transform touches only the handed InstrList and the client's own
-  /// counters (Enable is fixed at init), and is a pure function of the
-  /// list — safe on the sideline worker and under persisted caches.
-  bool sidelineSafe() const override { return true; }
+  /// The transform is a pure function of the handed InstrList (Enable is
+  /// fixed at init) — safe under persisted caches.
   bool persistSafe() const override { return true; }
 
   /// Print conversion stats via dr_printf at exit (as Figure 3 does).
@@ -99,9 +96,7 @@ public:
   uint64_t loadsForwarded() const { return Forwarded; }
 
   /// Reads only the immutable runtime base plus the handed InstrList, and
-  /// is a pure function of both — safe on the sideline worker and under
-  /// persisted caches.
-  bool sidelineSafe() const override { return true; }
+  /// is a pure function of both — safe under persisted caches.
   bool persistSafe() const override { return true; }
 
 private:

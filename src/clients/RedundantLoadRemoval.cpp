@@ -16,8 +16,7 @@
 /// The binding scan this client introduced grew into the trace optimizer's
 /// generalized value-tracking pass (core/TraceOpt.h); the client is now the
 /// load-removal-only configuration of that engine. Replacement
-/// instructions come from the InstrList's own arena, so the hook is safe
-/// on the sideline worker thread (sidelineSafe).
+/// instructions come from the InstrList's own arena.
 ///
 //===----------------------------------------------------------------------===//
 

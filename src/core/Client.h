@@ -51,7 +51,10 @@ public:
 
   /// Called each time a trace is created, just before it is placed in the
   /// trace cache (dynamorio_trace). The list is exactly the code that will
-  /// execute in the cache, except for exit stubs.
+  /// execute in the cache, except for exit stubs. Under the sideline
+  /// (core/Sideline.h) it is instead called on the application thread at
+  /// the trace's publication point, on a decoded copy of the live body,
+  /// and every cycle it charges is refunded.
   virtual void onTrace(Runtime &RT, AppPc Tag, InstrList &Trace) {
     (void)RT;
     (void)Tag;
@@ -92,22 +95,19 @@ public:
     return EndTrace::Default;
   }
 
-  /// True if this client's onTrace may run on the sideline worker thread
-  /// (core/Sideline.h). Safe means: the hook mutates only the passed
-  /// InstrList and the client's own state, and reads at most immutable
-  /// Runtime facts (machine().runtimeBase()); it must not touch the
-  /// fragment table, caches, stats, or charge cycles. Defaults to false —
-  /// unsafe clients are transformed on the application thread at the
-  /// publication point, with the cycles they charge refunded.
+  /// Has no effect; kept, like SidelineMode, for source compatibility
+  /// with clients that override it. The sideline runs every client's
+  /// onTrace on the application thread (core/Sideline.h).
   virtual bool sidelineSafe() const { return false; }
 
-  /// Called on the *application* thread just before an asynchronous
-  /// sideline publication installs \p IL as the next version of trace
-  /// \p Tag (core/Sideline.h). Unlike onTrace — which may run on the
-  /// worker thread — this hook may read live Runtime state (fragment
-  /// versions, machine memory, the speculation blacklist), which is what
-  /// the speculative tier of the trace optimizer needs to turn profile
-  /// observations into guarded rewrites (core/TraceOpt.h).
+  /// Under the sideline (core/Sideline.h), called on the application
+  /// thread at a trace's publication point, right after onTrace has
+  /// transformed \p IL (with the cycles it charged refunded) and just
+  /// before \p IL is installed as the next version of trace \p Tag. It
+  /// may read live Runtime state (fragment versions, machine memory, the
+  /// speculation blacklist), which is what the speculative tier of the
+  /// trace optimizer needs to turn profile observations into guarded
+  /// rewrites (core/TraceOpt.h).
   virtual void onSidelinePublish(Runtime &RT, AppPc Tag, InstrList &IL) {
     (void)RT;
     (void)Tag;

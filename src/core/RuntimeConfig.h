@@ -28,12 +28,13 @@ class EventTrace;
 class SampleProfile;
 class SidelineOptimizer;
 
-/// How the sideline re-optimizer runs (core/Sideline.h). One mode is left:
-/// a real host worker thread re-optimizes off the critical path and the
-/// runtime publishes finished versions at dispatch-boundary publication
-/// points on a seeded virtual-completion schedule, keeping simulated cycles
-/// bit-reproducible (docs/sideline-cost-model.md). The enum survives only
-/// as a source-compatible constructor argument of SidelineOptimizer.
+/// How the sideline re-optimizer runs (core/Sideline.h). There is one way:
+/// each deferred trace transform runs on the application thread at its
+/// publication point, with its cycles refunded, on a seeded
+/// virtual-completion schedule that keeps simulated cycles
+/// bit-reproducible (docs/sideline-cost-model.md). The enum has no effect;
+/// it survives only as a source-compatible constructor argument of
+/// SidelineOptimizer.
 enum class SidelineMode { Async };
 
 enum class ExecMode {

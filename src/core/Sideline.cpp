@@ -4,39 +4,16 @@
 // Dynamic Optimization" (CGO 2003).
 //
 //===----------------------------------------------------------------------===//
-//
-// Host threading model (TSan-clean by construction):
-//
-//   - Exactly two host threads touch this object: the *application* thread
-//     (whichever host thread drives Runtime::run/runFor — all simulated
-//     threads share it) and the one *worker* thread. That is what makes the
-//     SPSC rings valid.
-//   - A Job crosses the ToWorker ring exactly once and comes back over
-//     FromWorker exactly once; the ring's release/acquire pair orders every
-//     plain field of the job (and its decoded InstrList, which lives in a
-//     private per-job arena) across the hand-off. While the worker owns a
-//     job, the application side reads none of its plain fields.
-//   - Job::Cancelled is the only field written while the other side may
-//     read it, so it is atomic (relaxed: it is a pure hint on the worker
-//     side; publication-side staleness is re-checked by pointer identity).
-//   - The condition variables only park/wake threads; all data flows
-//     through the rings.
-//
-//===----------------------------------------------------------------------===//
 
 #include "core/Sideline.h"
 
 #include "support/EventTrace.h"
 #include "support/Metrics.h"
 
-#include <algorithm>
-#include <atomic>
-
 using namespace rio;
 
-/// One asynchronous re-optimization: a trace body decoded on the
-/// application thread, transformed by the worker, published when simulated
-/// time reaches ReadyCycle.
+/// One deferred re-optimization: a trace body decoded at enqueue,
+/// transformed and published when simulated time reaches ReadyCycle.
 struct SidelineOptimizer::Job {
   Runtime *RT = nullptr;
   AppPc Tag = 0;
@@ -51,31 +28,14 @@ struct SidelineOptimizer::Job {
   uint64_t Seq = 0;
   uint64_t EnqueueCycle = 0;
   uint64_t ReadyCycle = 0; ///< simulated publication due time
-  std::atomic<bool> Cancelled{false};
-  bool HandedOff = false; ///< went through ToWorker (else: transform inline)
-  bool Done = false;      ///< came back through FromWorker
+  bool Cancelled = false;  ///< captured version died (onFragmentDeleted)
 };
 
 SidelineOptimizer::SidelineOptimizer(Client &Inner, SidelineMode,
                                      uint64_t Seed)
-    : Inner(Inner), Seed(Seed) {
-  // The worker exists only when the inner client may run on it; a
-  // non-sideline-safe client keeps the publication schedule but
-  // transforms inline at the publication point (publishJob).
-  if (Inner.sidelineSafe())
-    Worker = std::thread([this] { workerMain(); });
-}
+    : Inner(Inner), Seed(Seed) {}
 
-SidelineOptimizer::~SidelineOptimizer() {
-  if (Worker.joinable()) {
-    {
-      std::lock_guard<std::mutex> L(Mu);
-      Stopping = true;
-    }
-    WakeCv.notify_one();
-    Worker.join();
-  }
-}
+SidelineOptimizer::~SidelineOptimizer() = default;
 
 uint64_t SidelineOptimizer::virtualLatency(uint64_t Seed, uint64_t Seq) {
   // splitmix64 finalizer over a seed-salted sequence number: a fixed seed
@@ -97,8 +57,7 @@ bool SidelineOptimizer::requestReopt(Runtime &RT, AppPc Tag) {
     if (Q.RT == &RT && Q.Tag == Tag)
       return false;
   for (const auto &J : InFlight)
-    if (J->RT == &RT && J->Tag == Tag &&
-        !J->Cancelled.load(std::memory_order_relaxed))
+    if (J->RT == &RT && J->Tag == Tag && !J->Cancelled)
       return false;
   Fragment *Frag = RT.lookupFragment(Tag);
   if (!Frag || !Frag->isTrace())
@@ -114,10 +73,10 @@ void SidelineOptimizer::onFragmentDeleted(Runtime &RT, AppPc Tag) {
   // re-validates them at decode time. Decoded jobs, however, recorded the
   // exact version they captured: purge any whose captured version just
   // died (deleted, flushed, or superseded) so a publication point never
-  // waits on — or worse, installs — work for a dead body.
+  // transforms — or worse, installs — work for a dead body.
   for (auto &J : InFlight)
     if (J->RT == &RT && J->Tag == Tag && J->Target->Doomed)
-      J->Cancelled.store(true, std::memory_order_relaxed);
+      J->Cancelled = true;
   Inner.onFragmentDeleted(RT, Tag);
 }
 
@@ -144,58 +103,30 @@ void SidelineOptimizer::enqueueJobs() {
     RT.stats().counter("sideline_jobs_enqueued") += 1;
     RIO_TRACE(RT.eventTrace(), RT.machine().cycles(), RT.activeContext().Tid,
               TraceEventKind::SidelineEnqueued, Q.Tag, uint32_t(J->Seq));
-    Job *Raw = J.get();
     InFlight.push_back(std::move(J));
-    if (Worker.joinable() && ToWorker.push(Raw)) {
-      Raw->HandedOff = true;
-      std::lock_guard<std::mutex> L(Mu);
-      WakeCv.notify_one();
-    }
   }
-}
-
-void SidelineOptimizer::drainResults() {
-  Job *J = nullptr;
-  while (FromWorker.pop(J))
-    J->Done = true;
-}
-
-void SidelineOptimizer::waitForJob(Job *J) {
-  drainResults();
-  if (J->Done)
-    return;
-  // Host wall-clock wait only: simulated time says the sideline core
-  // finished at ReadyCycle; the host worker merely has not caught up.
-  std::unique_lock<std::mutex> L(Mu);
-  DoneCv.wait(L, [&] {
-    drainResults();
-    return J->Done;
-  });
 }
 
 void SidelineOptimizer::publishJob(Runtime &RT, Job *J) {
   Machine &M = RT.machine();
   Fragment *Live = RT.lookupFragment(J->Tag);
-  if (J->Cancelled.load(std::memory_order_relaxed) || Live != J->Target ||
-      J->Target->Doomed || J->Target->Version != J->Version) {
+  if (J->Cancelled || Live != J->Target || J->Target->Doomed ||
+      J->Target->Version != J->Version) {
     ++StaleDrops;
     RT.stats().counter("sideline_stale_drops") += 1;
     RIO_TRACE(RT.eventTrace(), M.cycles(), RT.activeContext().Tid,
               TraceEventKind::SidelineStaleDrop, J->Tag, uint32_t(J->Seq));
     return;
   }
-  if (!J->HandedOff) {
-    // No worker (non-sideline-safe client): the transform runs here, on
-    // the application thread — but the model says it ran on the sideline
-    // core during [EnqueueCycle, ReadyCycle), so every cycle it charges is
-    // refunded. This keeps the published code AND the cycle schedule
-    // identical with and without a host worker.
-    uint64_t Before = M.cycles();
-    Inner.onTrace(RT, J->Tag, *J->IL);
-    uint64_t Charged = M.cycles() - Before;
-    if (Charged)
-      M.refundCycles(Charged);
-  }
+  // The transform runs here, on the application thread, but the model
+  // says it ran on the sideline core during [EnqueueCycle, ReadyCycle), so
+  // every cycle it charges is refunded: the schedule and the published
+  // code never depend on what the transform costs.
+  uint64_t Before = M.cycles();
+  Inner.onTrace(RT, J->Tag, *J->IL);
+  uint64_t Charged = M.cycles() - Before;
+  if (Charged)
+    M.refundCycles(Charged);
   // Publication-side hook: runs on the application thread, where live
   // runtime state (fragment versions, machine memory, the speculation
   // blacklist) is readable — the speculative tier of the trace optimizer
@@ -209,7 +140,6 @@ void SidelineOptimizer::publishJob(Runtime &RT, Job *J) {
 
 void SidelineOptimizer::pump(Runtime &RT) {
   enqueueJobs();
-  drainResults();
   // Publish every job of this runtime whose virtual completion time has
   // arrived, oldest first. Stopping at the first not-yet-due job keeps
   // publication FIFO per runtime (the schedule can never reorder two
@@ -222,8 +152,6 @@ void SidelineOptimizer::pump(Runtime &RT) {
     }
     if (J->ReadyCycle > RT.machine().cycles())
       break;
-    if (J->HandedOff)
-      waitForJob(J);
     std::unique_ptr<Job> Owned = std::move(InFlight[I]);
     InFlight.erase(InFlight.begin() + ptrdiff_t(I));
     // Publish after unhooking from InFlight: publishVersion fires the
@@ -239,40 +167,6 @@ void SidelineOptimizer::registerMetrics(MetricsRegistry &MR, uint32_t Source) {
                 [this] { return Published; });
   MR.addCounter(Source, "sideline_stale_drops_total",
                 [this] { return StaleDrops; });
-}
-
-void SidelineOptimizer::quiesce() {
-  drainResults();
-  if (!Worker.joinable())
-    return;
-  std::unique_lock<std::mutex> L(Mu);
-  DoneCv.wait(L, [&] {
-    drainResults();
-    for (const auto &J : InFlight)
-      if (J->HandedOff && !J->Done)
-        return false;
-    return true;
-  });
-}
-
-void SidelineOptimizer::workerMain() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> L(Mu);
-      WakeCv.wait(L, [&] { return Stopping || !ToWorker.empty(); });
-      if (Stopping)
-        return;
-    }
-    Job *J = nullptr;
-    while (ToWorker.pop(J)) {
-      if (!J->Cancelled.load(std::memory_order_relaxed))
-        Inner.onTrace(*J->RT, J->Tag, *J->IL);
-      while (!FromWorker.push(J)) // full is impossible (MaxInFlight bound)
-        std::this_thread::yield();
-      std::lock_guard<std::mutex> L(Mu);
-      DoneCv.notify_all();
-    }
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -294,7 +188,7 @@ RunResult rio::runWithSideline(Runtime &RT, SidelineOptimizer &Sideline,
     Last = RT.runFor(Quantum);
     if (!Last.QuantumExpired)
       return Last;
-    // The sideline worked while the application ran on its own core;
+    // The sideline core worked while the application ran on its own;
     // publish whatever came due: a thread stuck in a hot trace never
     // reaches a dispatch boundary, so the quantum boundary is where its
     // optimized version takes over (via OSR transfer — the suspended

@@ -8,25 +8,21 @@
 /// \file
 /// The paper's proposed "sideline optimization" (Section 3.4): "We plan to
 /// investigate using a concurrent thread for sideline optimization using
-/// this low-overhead trace replacement." SidelineOptimizer is that thread:
-/// onTrace enqueues the (runtime, tag) pair; at each dispatch boundary the
-/// runtime's pump() converts queued tags into jobs (the fragment body is
-/// decoded on the application thread into a private per-job arena, stamped
-/// with the exact fragment version it captured), hands them to a host
-/// worker thread over a lock-free SPSC ring, and publishes finished results
-/// as new fragment *versions* (Runtime::publishVersion): link graph swapped
-/// atomically, the old body epoch-retired, suspended threads OSR-
-/// transferred out of it. Simulated cycles stay bit-reproducible because
-/// each job's completion is scheduled on simulated time by a seeded
-/// virtual-completion latency, independent of when the host worker
-/// actually finishes (docs/sideline-cost-model.md); the worker only shifts
-/// *host* wall-clock time off the application thread.
+/// this low-overhead trace replacement." SidelineOptimizer models that
+/// sideline processor in simulated time: onTrace enqueues the (runtime,
+/// tag) pair; at each dispatch boundary the runtime's pump() converts
+/// queued tags into jobs (the fragment body is decoded into a private
+/// per-job arena, stamped with the exact fragment version it captured)
+/// and publishes due jobs as new fragment *versions*
+/// (Runtime::publishVersion): link graph swapped atomically, the old body
+/// epoch-retired, suspended threads OSR-transferred out of it.
 ///
-/// Clients whose onTrace is not thread-safe (Client::sidelineSafe() ==
-/// false) get the same publication schedule without a worker: their
-/// transform runs on the application thread at the publication point with
-/// its cycles refunded in full, so simulated behavior is identical with or
-/// without the worker.
+/// Each job's completion is scheduled on simulated time by a seeded
+/// virtual-completion latency (docs/sideline-cost-model.md). The transform
+/// itself runs on the application thread at the job's publication point,
+/// with every cycle it charges refunded: the model says it ran on the
+/// otherwise idle sideline core during the latency window, so simulated
+/// behavior is a pure function of the seed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,13 +30,9 @@
 #define RIO_CORE_SIDELINE_H
 
 #include "core/Runtime.h"
-#include "support/SpscRing.h"
 
-#include <condition_variable>
 #include <deque>
 #include <memory>
-#include <mutex>
-#include <thread>
 
 namespace rio {
 
@@ -51,8 +43,8 @@ public:
   /// \p Inner is the optimization client whose trace transformations are
   /// deferred (not owned). Its basic-block and end-trace hooks still run
   /// synchronously — only trace *transformation* moves off the hot path.
-  /// A host worker thread is spawned iff Inner is sidelineSafe(); \p Seed
-  /// fixes the virtual-completion schedule.
+  /// \p Seed fixes the virtual-completion schedule; the SidelineMode
+  /// argument has no effect (RuntimeConfig.h).
   explicit SidelineOptimizer(Client &Inner,
                              SidelineMode = SidelineMode::Async,
                              uint64_t Seed = 0x5eed51deull);
@@ -83,24 +75,18 @@ public:
 
   /// Profile-driven re-optimization request (core/TraceOpt.h): queues the
   /// live trace at \p Tag for another sideline pass as if onTrace had just
-  /// fired — decoded at the next dispatch boundary, transformed by the
-  /// worker, published on the seeded virtual-completion schedule. Requests
+  /// fired — decoded at the next dispatch boundary, transformed and
+  /// published on the seeded virtual-completion schedule. Requests
   /// for a tag that already has work queued or in flight are dropped, as
   /// are tags without a live trace. Returns true iff the tag was queued.
   bool requestReopt(Runtime &RT, AppPc Tag);
 
   /// Publication point, called by the runtime at every dispatch boundary
   /// (Runtime::pumpSideline via RuntimeConfig::SidelinePump): converts
-  /// queued traces into worker jobs and publishes every job whose virtual
-  /// completion time has been reached, in enqueue order per runtime.
-  /// Blocks (host wall-clock only) if a due job's worker result has not
-  /// landed yet.
+  /// queued traces into jobs, then transforms and publishes every job
+  /// whose virtual completion time has been reached, in enqueue order per
+  /// runtime.
   void pump(Runtime &RT);
-
-  /// Host-side barrier: returns once the worker has finished every job it
-  /// was handed, making the inner client's own counters safe to read.
-  /// Publishes nothing — unpublished jobs stay queued for future pumps.
-  void quiesce();
 
   /// Queued + in-flight work not yet published or dropped.
   size_t pendingCount() const { return Queued.size() + InFlight.size(); }
@@ -122,10 +108,7 @@ private:
   struct Job;
 
   void enqueueJobs();
-  void drainResults();
-  void waitForJob(Job *J);
   void publishJob(Runtime &RT, Job *J);
-  void workerMain();
   /// Simulated cycles between a job's enqueue and its publication
   /// becoming due: a splitmix64-style hash of (Seed, Seq), so the
   /// schedule is a pure function of the seed and the (deterministic)
@@ -142,22 +125,16 @@ private:
     AppPc Tag;
   };
   std::deque<QueuedTrace> Queued;
-  /// Jobs owned by the application side, in enqueue (Seq) order. The
-  /// worker sees only raw Job pointers through the rings.
+  /// Decoded jobs awaiting publication, in enqueue (Seq) order.
   std::deque<std::unique_ptr<Job>> InFlight;
   uint64_t NextSeq = 0;
   uint64_t Published = 0;
   uint64_t StaleDrops = 0;
 
-  static constexpr uint32_t RingCap = 256;
-  static constexpr size_t MaxInFlight = 128; ///< < RingCap: rings never fill
-  SpscRing<Job *, RingCap> ToWorker;   ///< app -> worker
-  SpscRing<Job *, RingCap> FromWorker; ///< worker -> app
-  std::thread Worker;
-  std::mutex Mu;
-  std::condition_variable WakeCv; ///< worker parks on an empty queue
-  std::condition_variable DoneCv; ///< app parks on a due-but-unfinished job
-  bool Stopping = false;
+  /// Jobs decoded ahead of publication; further queued traces wait for the
+  /// next pump. Part of the schedule: it decides which pump decodes (and
+  /// so sequences and time-stamps) a queued trace.
+  static constexpr size_t MaxInFlight = 128;
 };
 
 /// Drives an application thread and the sideline optimizer concurrently:

@@ -450,7 +450,7 @@ void TraceOptClient::onTrace(Runtime &RT, AppPc Tag, InstrList &Trace) {
   Cfg.RemoveLoads = Opts.RemoveLoads;
   Cfg.FoldConsts = Opts.FoldConsts;
   Cfg.EliminateDeadStores = Opts.EliminateDeadStores;
-  WorkerStats += runValuePass(Trace, RT.machine().runtimeBase(), Cfg);
+  TransformStats += runValuePass(Trace, RT.machine().runtimeBase(), Cfg);
   // inc -> add pays off only where inc/dec carry a surcharge (Pentium 4
   // in the cost model); elsewhere leave the shorter encoding alone.
   if (Opts.StrengthReduce && RT.machine().cost().IncDecExtra > 0)

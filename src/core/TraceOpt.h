@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The trace optimizer the sideline worker runs over decoded trace bodies
-/// before publication (core/Sideline.h). Two tiers:
+/// The trace optimizer the sideline runs over decoded trace bodies at their
+/// publication points (core/Sideline.h). Two tiers:
 ///
 /// *Non-speculative* — runValuePass(): a single forward value-tracking scan
 /// over the linear trace (paper Section 3.1: linearity is what keeps this a
@@ -16,8 +16,7 @@
 /// constant propagation into loads, and straight-line dead-store
 /// elimination; plus reduceIncDec(), the paper's inc -> add 1 strength
 /// reduction under the per-bit eflags liveness of core/Analysis.h. Both are
-/// pure functions of the InstrList (allocating from its own arena), so the
-/// tier is sideline-safe: it runs on the worker thread.
+/// pure functions of the InstrList (allocating from its own arena).
 ///
 /// *Speculative* — TraceOptClient::observe() hangs off the sampling
 /// profiler's trace-sample hook (support/Profile.h) and watches the values
@@ -96,8 +95,7 @@ struct ValuePassStats {
 /// tracking memory-operand/register bindings, known register and memory
 /// constants, and unobserved stores. \p RuntimeBase separates application
 /// memory from runtime-private slots for the may-alias test. Replacement
-/// instructions are allocated from \p IL's own arena, so the pass is safe
-/// on the sideline worker (the per-job arena is private to the job).
+/// instructions are allocated from \p IL's own arena.
 ValuePassStats runValuePass(InstrList &IL, uint32_t RuntimeBase,
                             const ValuePassConfig &Cfg = ValuePassConfig());
 
@@ -145,18 +143,16 @@ public:
   bool onIndirectResolved(Runtime &RT, int BranchOp, AppPc Target) override;
   EndTrace onEndTrace(Runtime &RT, AppPc TraceTag, AppPc NextTag) override;
 
-  /// The non-speculative tier: value pass + strength reduction. May run on
-  /// the sideline worker thread.
+  /// The non-speculative tier: value pass + strength reduction. Under the
+  /// sideline it runs at the publication point, just before
+  /// onSidelinePublish.
   void onTrace(Runtime &RT, AppPc Tag, InstrList &Trace) override;
 
-  /// The speculative tier: runs on the application thread at the async
+  /// The speculative tier: runs on the application thread at the sideline
   /// publication point, re-validates the observed values against live
   /// machine memory, and only then emits guards and folds.
   void onSidelinePublish(Runtime &RT, AppPc Tag, InstrList &IL) override;
 
-  bool sidelineSafe() const override {
-    return !Inner || Inner->sidelineSafe();
-  }
   bool persistSafe() const override {
     return !Inner || Inner->persistSafe();
   }
@@ -169,9 +165,10 @@ public:
   bool observe(Runtime &RT, AppPc Tag, uint64_t TraceSamples);
 
   const TraceOptOptions &options() const { return Opts; }
-  /// Non-speculative tier counters (stable only after the sideline has
-  /// quiesced — the worker thread writes them).
-  const ValuePassStats &valueStats() const { return WorkerStats; }
+  /// Non-speculative tier counters. Under the sideline they count the
+  /// traces transformed at publication points — never a job that went
+  /// stale first — so a fixed seed fixes them.
+  const ValuePassStats &valueStats() const { return TransformStats; }
   uint64_t tracesOptimized() const { return TracesOptimized; }
   uint64_t incDecReduced() const { return IncDecReduced; }
   /// Speculative tier counters (application thread).
@@ -199,13 +196,12 @@ private:
   TraceOptOptions Opts;
   Client *Inner;
 
-  // Written only by whichever thread runs onTrace (the worker in async
-  // mode); read after quiesce.
-  ValuePassStats WorkerStats;
+  // Non-speculative tier (onTrace).
+  ValuePassStats TransformStats;
   uint64_t TracesOptimized = 0;
   uint64_t IncDecReduced = 0;
 
-  // Application-thread state (observe / onSidelinePublish).
+  // Speculative tier (observe / onSidelinePublish).
   ValuePassStats PublishStats;
   uint64_t GuardsEmitted = 0;
   uint64_t SpeculationsApplied = 0;

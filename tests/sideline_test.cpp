@@ -43,7 +43,6 @@ TEST(Sideline, OptimizesTracesOffTheCriticalPath) {
   ASSERT_EQ(R.Status, RunStatus::Exited) << R.FaultReason;
   EXPECT_EQ(M.output(), Native.Output);
   EXPECT_GE(Sideline.versionsPublished(), 1u);
-  Sideline.quiesce(); // the worker wrote Inner's counters
   EXPECT_GE(Inner.loadsForwarded() + Inner.loadsRemoved(), 1u);
   EXPECT_EQ(RT.stats().get("sideline_versions_published"),
             Sideline.versionsPublished());
@@ -143,7 +142,7 @@ TEST(Sideline, CheapClientsCostAboutTheSame) {
 }
 
 //===----------------------------------------------------------------------===//
-// The host worker thread and versioned publication
+// Versioned publication on the seeded schedule
 //===----------------------------------------------------------------------===//
 
 struct AsyncRun {
@@ -189,9 +188,9 @@ TEST(Sideline, AsyncPublishesVersionsTransparently) {
 }
 
 TEST(Sideline, AsyncIsDeterministicForAFixedSeed) {
-  // The host worker races wall-clock time, but publication happens on the
-  // seeded virtual-completion schedule: two runs with the same seed must
-  // be cycle-identical, not merely output-identical.
+  // Publication happens on the seeded virtual-completion schedule: two
+  // runs with the same seed must be cycle-identical, not merely
+  // output-identical.
   const Workload *W = findWorkload("mgrid");
   Program P = buildWorkload(*W, W->TestScale);
   AsyncRun A = runAsyncOnce(P, /*Seed=*/7);
@@ -205,27 +204,19 @@ TEST(Sideline, AsyncIsDeterministicForAFixedSeed) {
   EXPECT_EQ(A.Output, C.Output);
 }
 
-/// RLR behind a forwarder that keeps the default sidelineSafe() == false,
-/// so the sideline spawns no worker and transforms at publication.
-class InlineRlr : public Client {
-public:
-  void onTrace(Runtime &RT, AppPc Tag, InstrList &Trace) override {
-    Inner.onTrace(RT, Tag, Trace);
-  }
-  RlrClient Inner;
-};
-
-TEST(Sideline, WorkerMovesHostTimeOnly) {
-  // The worker thread only shifts host time off the application thread:
-  // the same seed with and without it publishes the same versions at the
-  // same simulated instants.
+TEST(Sideline, TransformCyclesAreRefunded) {
+  // The transform runs at the publication point on the application
+  // thread, but the model puts it on the sideline core: every cycle it
+  // charges is refunded. The same seed with a free and a 25k-cycle-per-
+  // trace transform publishes the same versions at the same simulated
+  // instants.
   for (const char *Name : {"mgrid", "crafty"}) {
     const Workload *W = findWorkload(Name);
     Program P = buildWorkload(*W, W->TestScale);
-    RlrClient OnWorker;
-    InlineRlr OnAppThread;
-    AsyncRun A = runAsyncOnce(P, /*Seed=*/7, OnWorker);
-    AsyncRun B = runAsyncOnce(P, /*Seed=*/7, OnAppThread);
+    RlrClient Cheap;
+    ExpensiveOptimizer Expensive;
+    AsyncRun A = runAsyncOnce(P, /*Seed=*/7, Cheap);
+    AsyncRun B = runAsyncOnce(P, /*Seed=*/7, Expensive);
     EXPECT_GE(A.Published, 1u) << Name;
     EXPECT_EQ(A.Cycles, B.Cycles) << Name;
     EXPECT_EQ(A.Output, B.Output) << Name;
