@@ -10,9 +10,14 @@
 /// instructions per host wall-clock second (MIPS), per runtime
 /// configuration. Every other bench reports simulated cycles — this one
 /// guards the infrastructure's own speed, which the hot-path structures
-/// (interned stat handles, the flat fragment/IBL table, the direct-mapped
-/// decode cache) exist to improve. Simulated results must not change when
-/// host speed does; the stats-parity test pins that.
+/// (interned stat handles, the flat fragment/IBL table, the pre-decoded
+/// decode cache, the stop-set run loop) exist to improve. Simulated
+/// results must not change when host speed does; the stats-parity test
+/// pins that.
+///
+/// The `native` row is the bare Machine driven through Machine::run() with
+/// no runtime: the gap between it and the cached rows is the runtime's own
+/// host overhead over the interpreter.
 ///
 /// Emits BENCH_throughput.json (array of {config, instructions, wall_ns,
 /// mips}) for scripts/bench_compare.py to diff across commits, and prints
@@ -37,6 +42,7 @@ namespace {
 struct BenchConfig {
   const char *Name;
   RuntimeConfig Config;
+  bool Native = false; ///< run the bare Machine; Config is unused
 };
 
 struct Sample {
@@ -57,7 +63,9 @@ Sample measureConfig(const BenchConfig &BC,
     uint64_t Instructions = 0;
     auto T0 = std::chrono::steady_clock::now();
     for (const Program &Prog : Programs) {
-      Outcome O = runUnderRuntime(Prog, BC.Config, ClientKind::None);
+      Outcome O = BC.Native
+                      ? runNativeProgram(Prog)
+                      : runUnderRuntime(Prog, BC.Config, ClientKind::None);
       if (O.Status != RunStatus::Exited)
         return Best; // leaves mips at 0: visibly broken in the output
       Instructions += O.Instructions;
@@ -105,6 +113,7 @@ int main(int Argc, char **Argv) {
 
   RuntimeConfig Cache = RuntimeConfig::linkIndirect(); // links, no traces
   const BenchConfig Configs[] = {
+      {"native", RuntimeConfig(), /*Native=*/true},
       {"emulate", RuntimeConfig::emulate()},
       {"cache", Cache},
       {"cache+traces", RuntimeConfig::full()},

@@ -312,7 +312,7 @@ Fragment *Runtime::emitFragment(AppPc Tag, InstrList &IL, Fragment::Kind Kind,
     Exit.CtiLen =
         unsigned(Pending[Idx].Cti->encodedLength(Base + Off, false));
     if (Exit.IsIbArm)
-      IbArmPcs[Exit.ctiAddr(*Frag)] = Exit.ExitId;
+      addIbArmPc(Exit.ctiAddr(*Frag), Exit.ExitId);
   }
 
   // Emit stubs.

@@ -337,6 +337,22 @@ void Runtime::ibNoteArmExec(uint32_t Pc) {
   obsEvent(TraceEventKind::IbInlineHit, Exit.TargetTag, Pc);
 }
 
+void Runtime::addIbArmPc(uint32_t Pc, uint32_t ExitId) {
+  IbArmPcs[Pc] = ExitId;
+  M.setStopPc(Pc, true);
+}
+
+void Runtime::eraseIbArmPc(uint32_t Pc) {
+  if (IbArmPcs.erase(Pc))
+    M.setStopPc(Pc, false);
+}
+
+void Runtime::clearIbArmPcs() {
+  for (const auto &[Pc, ExitId] : IbArmPcs)
+    M.setStopPc(Pc, false);
+  IbArmPcs.clear();
+}
+
 uint64_t Runtime::ibProfileArrivalsTotal() const {
   uint64_t Total = 0;
   for (const auto &[Site, Profile] : IbProfiles)
@@ -350,7 +366,7 @@ void Runtime::dropIbSites(Fragment *Frag) {
   for (const FragmentExit &Exit : Frag->Exits) {
     if (!Exit.IsIbArm)
       continue;
-    IbArmPcs.erase(Exit.ctiAddr(*Frag));
+    eraseIbArmPc(Exit.ctiAddr(*Frag));
     IbArmStubSites.erase(Exit.stubJmpAddr(*Frag));
   }
 }

@@ -565,6 +565,15 @@ RunResult Runtime::runCached(uint64_t Deadline) {
 
 AppPc Runtime::executeFrom(uint32_t CachePc, uint64_t Deadline) {
   M.cpu().Pc = CachePc;
+  // The machine runs cache code on its own until the runtime has something
+  // to do: the dispatcher entry, an IBL arrival (a pc below the runtime
+  // region), the deadline, the next sample, a store into watched code, a
+  // stop-marked inline-chain arm, or a step that is not Ok. The loop below
+  // services each of them before the instruction at which run() stopped.
+  StopSet Stops;
+  Stops.InstrLimit = Deadline;
+  Stops.StopPc = Slots.DispatcherEntry;
+  Stops.LowPc = M.runtimeBase();
   for (;;) {
     AppPc Pc = M.cpu().Pc;
 
@@ -585,8 +594,9 @@ AppPc Runtime::executeFrom(uint32_t CachePc, uint64_t Deadline) {
     }
 
     // Linked inline-chain arm about to execute: count the hit (host-side
-    // bookkeeping; the simulated cost is just the chain code itself). The
-    // map is only ever populated with the feature on.
+    // bookkeeping; the simulated cost is just the chain code itself). Arm
+    // pcs are stop-marked, so run() hands each one back here. The map is
+    // only ever populated with the feature on.
     if (RIO_UNLIKELY(!IbArmPcs.empty()))
       ibNoteArmExec(Pc);
 
@@ -703,11 +713,13 @@ AppPc Runtime::executeFrom(uint32_t CachePc, uint64_t Deadline) {
       continue;
     }
 
-    StepResult Step = M.step();
+    Stops.CycleLimit = Prof ? Prof->nextAt() : ~0ull;
+    Stops.CodeWriteCursor = CodeWriteCursor;
+    StepResult Step = M.run(Stops);
     switch (Step.Kind) {
     case StepKind::Ok:
     case StepKind::ThreadSpawned:
-      // Cache consistency: if that instruction stored into application
+      // Cache consistency: if the last instruction stored into application
       // code backing live fragments, flush them before executing another
       // instruction — and if the current fragment was hit, context-switch
       // out so dispatch re-translates the new code.
@@ -733,7 +745,7 @@ AppPc Runtime::executeFrom(uint32_t CachePc, uint64_t Deadline) {
       // The fault happened inside cache code; report it in application
       // terms, as DynamoRIO's transparent fault delivery does: identify
       // the fragment (hence the original code) the faulting pc belongs to.
-      annotateCacheFault(Pc);
+      annotateCacheFault(M.lastPc());
       return 0;
     case StepKind::Exited:
       return 0;
@@ -761,7 +773,7 @@ AppPc Runtime::handleIndirectArrival(AppPc Target, AppPc SiteCachePc,
   if (TheClient) {
     // Security vetting hook (program shepherding). The transferring
     // instruction sits at SiteCachePc in the cache.
-    const DecodedInstr *Site = M.fetchDecode(SiteCachePc);
+    const PredecodedInstr *Site = M.fetchDecode(SiteCachePc);
     int BranchOp = Site ? int(Site->Op) : int(OP_INVALID);
     if (!TheClient->onIndirectResolved(*this, BranchOp, Target)) {
       ++S.SecurityViolations;

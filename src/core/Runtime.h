@@ -531,8 +531,13 @@ private:
   /// target was just resolved by the IBL, patch the arm direct again.
   void ibMaybeRelinkArm(uint32_t SiteCachePc, AppPc Target, Fragment *To);
   /// Counts an execution of a linked chain arm (host-side, from the
-  /// executeFrom hot loop; gated on the arm map being non-empty).
+  /// executeFrom loop; gated on the arm map being non-empty).
   void ibNoteArmExec(uint32_t Pc);
+  /// IbArmPcs edits: each also sets or clears the machine's stop mark on
+  /// the arm pc, so Machine::run() returns before every arm executes.
+  void addIbArmPc(uint32_t Pc, uint32_t ExitId);
+  void eraseIbArmPc(uint32_t Pc);
+  void clearIbArmPcs();
   /// Rebuilds \p Owner with a check chain for \p NumTargets targets in
   /// front of indirect exit \p ExitIdx. Returns false (and poisons the
   /// exit) if the fragment cannot be decoded or re-emitted.
@@ -668,7 +673,8 @@ private:
   /// as coming from an unlinked chain arm (relink probe).
   std::unordered_map<uint32_t, uint32_t> IbArmStubSites;
   /// Arm CTI pc -> exit record id: linked-arm hit counting from the
-  /// execution loop. Empty whenever the feature is off.
+  /// execution loop. Empty whenever the feature is off. Every key is a
+  /// stop pc of the machine; edit through addIbArmPc/eraseIbArmPc.
   std::unordered_map<uint32_t, uint32_t> IbArmPcs;
 
   //===--- copy-on-write forking (persist/Fork.cpp) --------------------------===

@@ -149,10 +149,11 @@ RunResult rio::runThreadedNative(Machine &M, uint64_t Quantum) {
         continue;
       AnyAlive = true;
       M.switchToThread(Tid);
-      uint64_t Deadline = M.instructionsExecuted() + Quantum;
+      StopSet Slice;
+      Slice.InstrLimit = M.instructionsExecuted() + Quantum;
       while (M.status() == RunStatus::Running &&
-             M.instructionsExecuted() < Deadline) {
-        StepResult Step = M.step();
+             M.instructionsExecuted() < Slice.InstrLimit) {
+        StepResult Step = M.run(Slice);
         if (Step.Kind == StepKind::ThreadExited) {
           Done[Tid] = true;
           break;

@@ -96,7 +96,7 @@ Outcome rio::runNativeProgram(const Program &Prog, const CostModel &Cost) {
     return O;
   }
   while (M.status() == RunStatus::Running)
-    M.step();
+    M.run(StopSet());
   O.Status = M.status();
   O.ExitCode = M.exitCode();
   O.Output = M.output();

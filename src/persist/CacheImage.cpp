@@ -1076,7 +1076,7 @@ void CacheCodec::apply(Runtime &RT, Image &Img, size_t ImageBytes,
 
     for (FragmentExit &X : G->Exits)
       if (X.IsIbArm) {
-        RT.IbArmPcs[X.ctiAddr(*G)] = X.ExitId;
+        RT.addIbArmPc(X.ctiAddr(*G), X.ExitId);
         RT.IbArmStubSites[X.stubJmpAddr(*G)] = X.ExitId;
       }
     Frags.push_back(G);

@@ -119,7 +119,8 @@ std::unique_ptr<Runtime> Runtime::forkFrom(const Runtime &Template,
   RT->ExitRecords = Template.ExitRecords;
   RT->IbProfiles = Template.IbProfiles;
   RT->IbArmStubSites = Template.IbArmStubSites;
-  RT->IbArmPcs = Template.IbArmPcs;
+  for (const auto &[Pc, ExitId] : Template.IbArmPcs)
+    RT->addIbArmPc(Pc, ExitId);
   RT->CodeWriteCursor = Template.CodeWriteCursor;
   // Speculation history rides along: a tenant sharing the template's
   // optimized bodies must also share its refuse-to-speculate verdicts, or
@@ -165,7 +166,7 @@ void Runtime::unshareImpl(Runtime &RT) {
   RT.ExitRecords.clear();
   RT.IbProfiles.clear();
   RT.IbArmStubSites.clear();
-  RT.IbArmPcs.clear();
+  RT.clearIbArmPcs();
 
   // 3. The tenant's machine forked the template's write-watch line state, so
   //    it already monitors every app range the template's fragments cover.

@@ -55,6 +55,8 @@ public:
   /// True when the clock has crossed the next sampling point. The hot-path
   /// check; the runtime calls sample() only when it fires.
   bool due(uint64_t Cycles) const { return Cycles >= NextAt; }
+  /// The cycle count at which due() next turns true.
+  uint64_t nextAt() const { return NextAt; }
 
   /// Records one sample and advances the sampling point past \p Cycles
   /// (one sample per crossing, however far the clock jumped).

@@ -21,9 +21,6 @@ Machine::Machine(const MachineConfig &Config)
     : Config(Config), Mem(Config.AppRegionSize + Config.RuntimeRegionSize) {
   LineState.resize(Mem.size() / WriteWatchLine + 1);
   DecodeCache.resize(DecodeCacheLines);
-  // Lines fill with Gen = LineGen[...] + 1 >= 1; the zero-initialized
-  // cache (Gen 0) can therefore never read as valid.
-  LineGen.resize(Mem.size() / WriteWatchLine + 1);
   CurCpu = &Threads[CurThread].Cpu;
 }
 
@@ -35,8 +32,8 @@ Machine::Machine(const Machine &Template)
       Cycles(Template.Cycles), InstrsExecuted(Template.InstrsExecuted),
       LastPc(Template.LastPc), ResetPc(Template.ResetPc),
       ResetSp(Template.ResetSp), DecodeCache(Template.DecodeCache),
-      LineGen(Template.LineGen), LineState(Template.LineState),
-      CodeWrites(Template.CodeWrites), PendingInval(Template.PendingInval) {
+      LineState(Template.LineState),
+      CodeWrites(Template.CodeWrites), StopPcs(Template.StopPcs) {
   CurCpu = &Threads[CurThread].Cpu;
 }
 
@@ -56,16 +53,206 @@ void Machine::fault(const std::string &Reason) {
   FaultReason = Reason;
 }
 
-const DecodedInstr *Machine::fetchDecode(AppPc Pc) {
-  if (Pc >= Mem.size())
-    return nullptr;
-  const uint32_t Line = Pc / WriteWatchLine;
-  const uint32_t Gen = LineGen[Line];
-  {
-    const DecodeLine &L = DecodeCache[Pc & (DecodeCacheLines - 1)];
-    if (L.Tag == Pc && L.Gen == Gen + 1)
-      return &L.DI;
+//===----------------------------------------------------------------------===//
+// Pre-decoding
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// How the interpreter accesses one operand slot of an opcode.
+enum class Use : uint8_t {
+  None,     ///< not accessed through the operand (or implicit)
+  Read32,   ///< 32-bit read: gpr32, gpr8 (zero-extended), imm, pc, mem
+  Write32,  ///< 32-bit write: gpr32, mem
+  Read8,    ///< byte read: gpr8, imm, mem
+  Write8,   ///< byte write: gpr8, mem
+  ReadF64,  ///< double read: xmm, mem
+  WriteF64, ///< double write: xmm, mem
+  Addr,     ///< address computation only: mem
+  Target,   ///< direct branch target: pc
+  Imm       ///< immediate: imm
+};
+
+/// Operand uses of Srcs[0], Srcs[1], Dsts[0], Dsts[1] for each opcode:
+/// the accesses Machine::execute makes (isa/OperandLayout.h has the full
+/// canonical layouts, implicit operands included).
+struct Uses {
+  Use S0 = Use::None, S1 = Use::None, D0 = Use::None, D1 = Use::None;
+};
+
+Uses usesOf(Opcode Op) {
+  switch (Op) {
+  case OP_mov:
+  case OP_inc:
+  case OP_dec:
+  case OP_neg:
+  case OP_not:
+    return {Use::Read32, Use::None, Use::Write32};
+  case OP_mov_b:
+    return {Use::Read8, Use::None, Use::Write8};
+  case OP_movzx_b:
+  case OP_movsx_b:
+    return {Use::Read8, Use::None, Use::Write32};
+  case OP_movzx_w:
+  case OP_movsx_w:
+  case OP_lea:
+    return {Use::Addr, Use::None, Use::Write32};
+  case OP_xchg:
+    return {Use::Read32, Use::Read32, Use::Write32, Use::Write32};
+  case OP_push:
+  case OP_mul:
+  case OP_idiv:
+  case OP_jmp_ind:
+  case OP_call_ind:
+    return {Use::Read32};
+  case OP_pop:
+    return {Use::None, Use::None, Use::Write32};
+  case OP_add:
+  case OP_adc:
+  case OP_sub:
+  case OP_sbb:
+  case OP_and:
+  case OP_or:
+  case OP_xor:
+  case OP_imul:
+  case OP_shl:
+  case OP_shr:
+  case OP_sar:
+    return {Use::Read32, Use::Read32, Use::Write32};
+  case OP_cmp:
+  case OP_test:
+    return {Use::Read32, Use::Read32};
+  case OP_movsd:
+    return {Use::ReadF64, Use::None, Use::WriteF64};
+  case OP_addsd:
+  case OP_subsd:
+  case OP_mulsd:
+  case OP_divsd:
+    return {Use::ReadF64, Use::ReadF64, Use::WriteF64};
+  case OP_ucomisd:
+    return {Use::ReadF64, Use::ReadF64};
+  case OP_cvtsi2sd:
+    return {Use::Read32, Use::None, Use::WriteF64};
+  case OP_cvttsd2si:
+    return {Use::ReadF64, Use::None, Use::Write32};
+  case OP_ret_imm:
+  case OP_clientcall:
+    return {Use::Imm};
+  case OP_savef:
+    return {Use::None, Use::None, Use::Addr};
+  case OP_restf:
+    return {Use::Addr};
+  default:
+    if (Op == OP_jmp || Op == OP_call || Op == OP_jecxz ||
+        (Op >= OP_jo && Op <= OP_jnle))
+      return {Use::Target};
+    return {};
   }
+}
+
+/// True if \p Op may be accessed as \p U: the register-class, operand-kind
+/// and address-register invariants the interpreter relies on. A null
+/// operand is accepted wherever the old per-access paths failed softly
+/// (the access then faults the guest as before).
+bool usable(const Operand &Op, Use U) {
+  switch (U) {
+  case Use::None:
+    return true;
+  case Use::Target:
+    return Op.isPc();
+  case Use::Imm:
+    return Op.isImm();
+  default:
+    break;
+  }
+  if (Op.isMem())
+    return (Op.getBase() == REG_NULL || isGpr32(Op.getBase())) &&
+           (Op.getIndex() == REG_NULL || isGpr32(Op.getIndex()));
+  if (U == Use::Addr)
+    return false;
+  if (Op.isNull())
+    return true;
+  switch (U) {
+  case Use::Read32:
+    return Op.isImm() || Op.isPc() ||
+           (Op.isReg() && (isGpr32(Op.getReg()) || isGpr8(Op.getReg())));
+  case Use::Write32:
+    return Op.isReg() && isGpr32(Op.getReg());
+  case Use::Read8:
+    return Op.isImm() || (Op.isReg() && isGpr8(Op.getReg()));
+  case Use::Write8:
+    return Op.isReg() && isGpr8(Op.getReg());
+  case Use::ReadF64:
+  case Use::WriteF64:
+    return Op.isReg() && isXmm(Op.getReg());
+  default:
+    return false;
+  }
+}
+
+PredecodedOp predecodeOp(const Operand &Op) {
+  PredecodedOp P;
+  switch (Op.kind()) {
+  case Operand::RegKind: {
+    Register Reg = Op.getReg();
+    if (isXmm(Reg)) {
+      P.K = PredecodedOp::Xmm;
+      P.Reg = uint8_t(Reg - REG_XMM0);
+    } else if (isGpr8(Reg)) {
+      P.K = PredecodedOp::Gpr8;
+      P.Reg = uint8_t(containingGpr(Reg) - REG_EAX);
+      P.Aux = isHighByte(Reg) ? 8 : 0;
+    } else {
+      P.K = PredecodedOp::Gpr;
+      P.Reg = uint8_t(Reg - REG_EAX);
+    }
+    break;
+  }
+  case Operand::ImmKind:
+    P.K = PredecodedOp::Imm;
+    P.Value = uint32_t(Op.getImm());
+    break;
+  case Operand::PcKind:
+    P.K = PredecodedOp::Imm;
+    P.Value = Op.getPc();
+    break;
+  case Operand::MemKind:
+    P.K = PredecodedOp::Mem;
+    if (Op.getBase() != REG_NULL)
+      P.Reg = uint8_t(Op.getBase() - REG_EAX);
+    if (Op.getIndex() != REG_NULL)
+      P.Index = uint8_t(Op.getIndex() - REG_EAX);
+    P.Aux = Op.getScale();
+    P.Value = uint32_t(Op.getDisp());
+    break;
+  default:
+    break;
+  }
+  return P;
+}
+
+/// Builds the record the interpreter runs from \p DI, asserting once the
+/// operand invariants every execution of it relies on.
+void predecode(const DecodedInstr &DI, unsigned Cost, PredecodedInstr &R) {
+  const Uses U = usesOf(DI.Op);
+  assert(usable(DI.Srcs[0], U.S0) && usable(DI.Srcs[1], U.S1) &&
+         usable(DI.Dsts[0], U.D0) && usable(DI.Dsts[1], U.D1) &&
+         "operand does not fit its opcode's use");
+  (void)U;
+  R.Op = DI.Op;
+  R.Length = DI.Length;
+  R.Stop = false;
+  R.Cost = Cost;
+  R.Src[0] = predecodeOp(DI.Srcs[0]);
+  R.Src[1] = predecodeOp(DI.Srcs[1]);
+  R.Dst[0] = predecodeOp(DI.Dsts[0]);
+  R.Dst[1] = predecodeOp(DI.Dsts[1]);
+}
+
+} // namespace
+
+const PredecodedInstr *Machine::fillDecode(AppPc Pc) {
+  assert(Pc < Mem.size() && "fill out of range");
   // All instructions are at most MaxInstrLength bytes, so a bounded window
   // is as good as the old whole-image pointer; readWindow stitches a
   // page-straddling fetch through the scratch buffer.
@@ -75,24 +262,37 @@ const DecodedInstr *Machine::fetchDecode(AppPc Pc) {
   DecodedInstr DI;
   if (!Bytes || !decodeInstr(Bytes, Win, Pc, DI))
     return nullptr;
-  LineState.mut(Line) |= 1; // sticky: stores here now invalidate
+  LineState.mut(Pc / WriteWatchLine) |= 1; // sticky: stores here invalidate
   DecodeLine &L = DecodeCache.mut(Pc & (DecodeCacheLines - 1));
-  L.Tag = Pc;
-  L.Gen = Gen + 1;
-  L.Cost = Config.Cost.cyclesFor(DI);
-  L.DI = DI;
-  return &L.DI;
+  L.Tag = Pc + 1;
+  predecode(DI, Config.Cost.cyclesFor(DI), L.R);
+  L.R.Stop = !StopPcs.empty() && StopPcs.count(Pc) != 0;
+  return &L.R;
+}
+
+void Machine::setStopPc(AppPc Pc, bool Stop) {
+  if (Stop ? !StopPcs.insert(Pc).second : StopPcs.erase(Pc) == 0)
+    return;
+  // Drop the pc's line if it holds the pc: the refill reads the new mark.
+  // (A line holding an aliasing pc reads StopPcs when Pc refills it.)
+  dropDecode(Pc);
 }
 
 void Machine::invalidateDecodeRange(uint32_t Lo, uint32_t Hi) {
-  // Bump the generation of every watch line the range touches: cached
-  // decodes tagged with the old generation fail the validity check on
-  // their next probe. No scan of the decode cache, no per-pc erasure.
   Hi = std::min<uint64_t>(Hi, Mem.size());
   if (Lo >= Hi)
     return;
-  for (uint32_t L = Lo / WriteWatchLine; L <= (Hi - 1) / WriteWatchLine; ++L)
-    ++LineGen.mut(L);
+  if (Hi - Lo < DecodeCacheLines) {
+    for (uint32_t Pc = Lo; Pc != Hi; ++Pc)
+      dropDecode(Pc);
+    return;
+  }
+  // A range wider than the cache: visit each line once instead.
+  for (uint32_t Idx = 0; Idx != DecodeCacheLines; ++Idx) {
+    uint32_t Tag = DecodeCache[Idx].Tag;
+    if (Tag != 0 && Tag - 1 >= Lo && Tag - 1 < Hi)
+      DecodeCache.mut(Idx).Tag = 0;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -121,67 +321,59 @@ void Machine::noteWriteSlow(uint32_t Addr, uint32_t Len, uint32_t State) {
   // monitored stores land here.
   if (State & 1) {
     // Any instruction starting up to MaxInstrLength-1 bytes before the
-    // store may span the written bytes.
+    // store may span the written bytes. Dropping a line only clears its
+    // tag, so the storing instruction's own record stays intact while it
+    // finishes executing.
     uint32_t Lo = Addr >= MaxInstrLength - 1 ? Addr - (MaxInstrLength - 1) : 0;
-    PendingInval.push_back({Lo, Addr + Len});
+    invalidateDecodeRange(Lo, Addr + Len);
   }
-  if (State >> 1)
+  if (State >> 1) {
     CodeWrites.push_back({Addr, Addr + Len});
-}
-
-void Machine::drainPendingInvalidations() {
-  for (const CodeWriteEvent &Ev : PendingInval)
-    invalidateDecodeRange(Ev.Lo, Ev.Hi);
-  PendingInval.clear();
+    CodeWritten = true;
+  }
 }
 
 //===----------------------------------------------------------------------===//
-// Operand evaluation
+// Operand access
 //===----------------------------------------------------------------------===//
 
-bool Machine::memAddr(const Operand &Op, uint32_t &Addr) const {
-  assert(Op.isMem() && "not a memory operand");
-  uint32_t A = uint32_t(Op.getDisp());
-  if (Op.getBase() != REG_NULL)
-    A += cpu().readGpr32(Op.getBase());
-  if (Op.getIndex() != REG_NULL)
-    A += cpu().readGpr32(Op.getIndex()) * Op.getScale();
-  Addr = A;
-  return true;
+uint32_t Machine::addrOf(const PredecodedOp &Op) const {
+  // predecode() asserted the operand is a memory reference.
+  uint32_t A = Op.Value;
+  if (Op.Reg != PredecodedOp::NoSlot)
+    A += CurCpu->Gpr[Op.Reg];
+  if (Op.Index != PredecodedOp::NoSlot)
+    A += CurCpu->Gpr[Op.Index] * Op.Aux;
+  return A;
 }
 
-bool Machine::readOp32(const Operand &Op, uint32_t &Value) {
-  switch (Op.kind()) {
-  case Operand::RegKind:
+bool Machine::read32(const PredecodedOp &Op, uint32_t &Value) {
+  switch (Op.K) {
+  case PredecodedOp::Gpr:
+    Value = CurCpu->Gpr[Op.Reg];
+    return true;
+  case PredecodedOp::Gpr8:
     // Byte registers zero-extend when read in a 32-bit context (the only
     // such case is a shift's CL count operand).
-    Value = isGpr8(Op.getReg()) ? cpu().readGpr8(Op.getReg())
-                                : cpu().readGpr32(Op.getReg());
+    Value = uint8_t(CurCpu->Gpr[Op.Reg] >> Op.Aux);
     return true;
-  case Operand::ImmKind:
-    Value = uint32_t(Op.getImm());
+  case PredecodedOp::Imm:
+    Value = Op.Value;
     return true;
-  case Operand::PcKind:
-    Value = Op.getPc();
-    return true;
-  case Operand::MemKind: {
-    uint32_t Addr;
-    memAddr(Op, Addr);
-    return Mem.read32(Addr, Value);
-  }
+  case PredecodedOp::Mem:
+    return Mem.read32(addrOf(Op), Value);
   default:
     return false;
   }
 }
 
-bool Machine::writeOp32(const Operand &Op, uint32_t Value) {
-  if (Op.isReg()) {
-    cpu().writeGpr32(Op.getReg(), Value);
+bool Machine::write32(const PredecodedOp &Op, uint32_t Value) {
+  if (Op.K == PredecodedOp::Gpr) {
+    CurCpu->Gpr[Op.Reg] = Value;
     return true;
   }
-  if (Op.isMem()) {
-    uint32_t Addr;
-    memAddr(Op, Addr);
+  if (Op.K == PredecodedOp::Mem) {
+    uint32_t Addr = addrOf(Op);
     if (!Mem.write32(Addr, Value))
       return false;
     noteWrite(Addr, 4);
@@ -190,31 +382,29 @@ bool Machine::writeOp32(const Operand &Op, uint32_t Value) {
   return false;
 }
 
-bool Machine::readOp8(const Operand &Op, uint8_t &Value) {
-  if (Op.isReg()) {
-    Value = cpu().readGpr8(Op.getReg());
+bool Machine::read8(const PredecodedOp &Op, uint8_t &Value) {
+  switch (Op.K) {
+  case PredecodedOp::Gpr8:
+    Value = uint8_t(CurCpu->Gpr[Op.Reg] >> Op.Aux);
     return true;
-  }
-  if (Op.isImm()) {
-    Value = uint8_t(Op.getImm());
+  case PredecodedOp::Imm:
+    Value = uint8_t(Op.Value);
     return true;
+  case PredecodedOp::Mem:
+    return Mem.read8(addrOf(Op), Value);
+  default:
+    return false;
   }
-  if (Op.isMem()) {
-    uint32_t Addr;
-    memAddr(Op, Addr);
-    return Mem.read8(Addr, Value);
-  }
-  return false;
 }
 
-bool Machine::writeOp8(const Operand &Op, uint8_t Value) {
-  if (Op.isReg()) {
-    cpu().writeGpr8(Op.getReg(), Value);
+bool Machine::write8(const PredecodedOp &Op, uint8_t Value) {
+  if (Op.K == PredecodedOp::Gpr8) {
+    uint32_t &Full = CurCpu->Gpr[Op.Reg];
+    Full = (Full & ~(0xFFu << Op.Aux)) | (uint32_t(Value) << Op.Aux);
     return true;
   }
-  if (Op.isMem()) {
-    uint32_t Addr;
-    memAddr(Op, Addr);
+  if (Op.K == PredecodedOp::Mem) {
+    uint32_t Addr = addrOf(Op);
     if (!Mem.write8(Addr, Value))
       return false;
     noteWrite(Addr, 1);
@@ -223,27 +413,23 @@ bool Machine::writeOp8(const Operand &Op, uint8_t Value) {
   return false;
 }
 
-bool Machine::readOpF64(const Operand &Op, double &Value) {
-  if (Op.isReg()) {
-    Value = cpu().readXmm(Op.getReg());
+bool Machine::readF64(const PredecodedOp &Op, double &Value) {
+  if (Op.K == PredecodedOp::Xmm) {
+    Value = CurCpu->Xmm[Op.Reg];
     return true;
   }
-  if (Op.isMem()) {
-    uint32_t Addr;
-    memAddr(Op, Addr);
-    return Mem.readF64(Addr, Value);
-  }
+  if (Op.K == PredecodedOp::Mem)
+    return Mem.readF64(addrOf(Op), Value);
   return false;
 }
 
-bool Machine::writeOpF64(const Operand &Op, double Value) {
-  if (Op.isReg()) {
-    cpu().writeXmm(Op.getReg(), Value);
+bool Machine::writeF64(const PredecodedOp &Op, double Value) {
+  if (Op.K == PredecodedOp::Xmm) {
+    CurCpu->Xmm[Op.Reg] = Value;
     return true;
   }
-  if (Op.isMem()) {
-    uint32_t Addr;
-    memAddr(Op, Addr);
+  if (Op.K == PredecodedOp::Mem) {
+    uint32_t Addr = addrOf(Op);
     if (!Mem.writeF64(Addr, Value))
       return false;
     noteWrite(Addr, 8);
@@ -457,131 +643,146 @@ Machine::SyscallResult Machine::doSyscall() {
 //===----------------------------------------------------------------------===//
 
 StepResult Machine::step() {
+  StopSet One;
+  One.InstrLimit = InstrsExecuted + 1;
+  return run(One);
+}
+
+StepResult Machine::run(const StopSet &StopsIn) {
+  const StopSet Stops = StopsIn; // locals: guest stores cannot alias them
   StepResult Result;
-  if (RIO_UNLIKELY(!PendingInval.empty()))
-    drainPendingInvalidations();
   if (RIO_UNLIKELY(Status != RunStatus::Running)) {
     Result.Kind =
         Status == RunStatus::Exited ? StepKind::Exited : StepKind::Faulted;
     return Result;
   }
-  if (RIO_UNLIKELY(InstrsExecuted >= Config.MaxInstructions)) {
+  // The caller's deadline and the runaway guard share one compare per
+  // instruction. Reaching either returns; the budget faults only when a
+  // run starts past it and the deadline is not also reached, so a deadline
+  // at the budget suspends, and the fault hits the same instruction as a
+  // step() loop's.
+  const uint64_t InstrStop = std::min(Stops.InstrLimit, Config.MaxInstructions);
+  AppPc Pc = CurCpu->Pc;
+  if (RIO_UNLIKELY(Cycles >= Stops.CycleLimit))
+    return Result;
+  if (RIO_UNLIKELY(InstrsExecuted >= InstrStop)) {
+    if (InstrsExecuted >= Stops.InstrLimit)
+      return Result;
+    LastPc = Pc;
     fault("instruction budget exceeded");
     Result.Kind = StepKind::Faulted;
     return Result;
   }
-  // Inline decode-cache hit path: one line probe serves both the decoded
-  // instruction and its memoized cycle cost.
-  const AppPc Pc = CurCpu->Pc;
-  const DecodedInstr *DI;
-  if (RIO_LIKELY(Pc < Mem.size())) {
-    const DecodeLine &L = DecodeCache[Pc & (DecodeCacheLines - 1)];
-    if (RIO_LIKELY(L.Tag == Pc && L.Gen == LineGen[Pc / WriteWatchLine] + 1)) {
-      Cycles += L.Cost;
-      DI = &L.DI;
-    } else {
-      DI = fetchDecode(Pc);
-      if (RIO_UNLIKELY(!DI)) {
-        fault("undecodable instruction at pc");
-        Result.Kind = StepKind::Faulted;
-        return Result;
-      }
-      // fetchDecode refilled this very line (and may have CoW-faulted the
-      // chunk, moving it — re-probe rather than touch the old reference).
-      Cycles += DecodeCache[Pc & (DecodeCacheLines - 1)].Cost;
+  // The log may already be ahead of a cursor that lagged (another runtime
+  // on this machine wrote watched code): stop after one instruction then.
+  bool LogAhead = CodeWrites.size() > Stops.CodeWriteCursor;
+  for (bool First = true;; First = false) {
+    // One line probe serves the record, its memoized cycle cost and its
+    // stop mark. The caller has just serviced the first pc's mark.
+    const PredecodedInstr *R = fetchDecode(Pc);
+    if (RIO_UNLIKELY(R && R->Stop) && !First)
+      return Result;
+    LastPc = Pc;
+    if (RIO_UNLIKELY(!R)) {
+      fault("undecodable instruction at pc");
+      Result.Kind = StepKind::Faulted;
+      return Result;
     }
-  } else {
-    fault("undecodable instruction at pc");
-    Result.Kind = StepKind::Faulted;
-    return Result;
+    Cycles += R->Cost;
+    ++InstrsExecuted;
+    const bool Completed = execute(*R, Pc, Result);
+    if (RIO_UNLIKELY(CodeWritten)) {
+      CodeWritten = false;
+      LogAhead = CodeWrites.size() > Stops.CodeWriteCursor;
+    }
+    if (!Completed || RIO_UNLIKELY(LogAhead) ||
+        RIO_UNLIKELY(InstrsExecuted >= InstrStop))
+      return Result;
+    Pc = CurCpu->Pc;
+    if (RIO_UNLIKELY(Pc == Stops.StopPc || Pc < Stops.LowPc ||
+                     Cycles >= Stops.CycleLimit))
+      return Result;
   }
-  ++InstrsExecuted;
-  LastPc = Pc;
-  return execute(*DI);
 }
 
-StepResult Machine::execute(const DecodedInstr &DI) {
-  StepResult Result;
+bool Machine::memFault(AppPc Pc, StepResult &Result) {
+  fault("memory access out of bounds at pc " + std::to_string(Pc));
+  Result.Kind = StepKind::Faulted;
+  return false;
+}
+
+bool Machine::execute(const PredecodedInstr &R, AppPc Pc,
+                      StepResult &Result) {
   const CostModel &CM = Config.Cost;
-  AppPc Pc = cpu().Pc;
-  AppPc Next = Pc + DI.Length;
-  bool InApp = !inRuntimeRegion(Pc);
+  CpuState &C = *CurCpu;
+  const AppPc Next = Pc + R.Length;
+  const bool InApp = !inRuntimeRegion(Pc);
+  uint32_t &Esp = C.Gpr[REG_ESP - REG_EAX];
   bool Ok = true;
 
-  auto memFault = [&]() {
-    fault("memory access out of bounds at pc " + std::to_string(Pc));
-    Result.Kind = StepKind::Faulted;
-    return Result;
-  };
-
-  switch (DI.Op) {
+  switch (R.Op) {
   //===--- data movement -------------------------------------------------===
   case OP_mov: {
     uint32_t V;
-    Ok = readOp32(DI.Srcs[0], V) && writeOp32(DI.Dsts[0], V);
+    Ok = read32(R.Src[0], V) && write32(R.Dst[0], V);
     break;
   }
   case OP_mov_b: {
     uint8_t V;
-    Ok = readOp8(DI.Srcs[0], V) && writeOp8(DI.Dsts[0], V);
+    Ok = read8(R.Src[0], V) && write8(R.Dst[0], V);
     break;
   }
   case OP_movzx_b: {
     uint8_t V;
-    Ok = readOp8(DI.Srcs[0], V) && writeOp32(DI.Dsts[0], V);
+    Ok = read8(R.Src[0], V) && write32(R.Dst[0], V);
     break;
   }
   case OP_movsx_b: {
     uint8_t V;
-    Ok = readOp8(DI.Srcs[0], V) &&
-         writeOp32(DI.Dsts[0], uint32_t(int32_t(int8_t(V))));
+    Ok = read8(R.Src[0], V) &&
+         write32(R.Dst[0], uint32_t(int32_t(int8_t(V))));
     break;
   }
   case OP_movzx_w:
   case OP_movsx_w: {
-    uint32_t Addr;
-    memAddr(DI.Srcs[0], Addr);
     uint16_t V;
-    Ok = Mem.read16(Addr, V);
+    Ok = Mem.read16(addrOf(R.Src[0]), V);
     if (Ok)
-      Ok = writeOp32(DI.Dsts[0], DI.Op == OP_movzx_w
-                                     ? uint32_t(V)
-                                     : uint32_t(int32_t(int16_t(V))));
+      Ok = write32(R.Dst[0], R.Op == OP_movzx_w
+                                 ? uint32_t(V)
+                                 : uint32_t(int32_t(int16_t(V))));
     break;
   }
-  case OP_lea: {
-    uint32_t Addr;
-    memAddr(DI.Srcs[0], Addr);
-    Ok = writeOp32(DI.Dsts[0], Addr);
+  case OP_lea:
+    Ok = write32(R.Dst[0], addrOf(R.Src[0]));
     break;
-  }
   case OP_xchg: {
     uint32_t A, B;
-    Ok = readOp32(DI.Srcs[0], A) && readOp32(DI.Srcs[1], B) &&
-         writeOp32(DI.Dsts[0], B) && writeOp32(DI.Dsts[1], A);
+    Ok = read32(R.Src[0], A) && read32(R.Src[1], B) && write32(R.Dst[0], B) &&
+         write32(R.Dst[1], A);
     break;
   }
   case OP_push: {
     uint32_t V;
-    Ok = readOp32(DI.Srcs[0], V);
+    Ok = read32(R.Src[0], V);
     if (Ok) {
-      uint32_t Esp = cpu().readGpr32(REG_ESP) - 4;
-      Ok = Mem.write32(Esp, V);
+      uint32_t NewEsp = Esp - 4;
+      Ok = Mem.write32(NewEsp, V);
       if (Ok) {
-        noteWrite(Esp, 4);
-        cpu().writeGpr32(REG_ESP, Esp);
+        noteWrite(NewEsp, 4);
+        Esp = NewEsp;
       }
     }
     break;
   }
   case OP_pop: {
-    uint32_t Esp = cpu().readGpr32(REG_ESP);
+    uint32_t OldEsp = Esp;
     uint32_t V;
-    Ok = Mem.read32(Esp, V);
+    Ok = Mem.read32(OldEsp, V);
     if (Ok) {
       // Order matters for `pop esp`-style cases: write the value last.
-      cpu().writeGpr32(REG_ESP, Esp + 4);
-      Ok = writeOp32(DI.Dsts[0], V);
+      Esp = OldEsp + 4;
+      Ok = write32(R.Dst[0], V);
     }
     break;
   }
@@ -590,162 +791,169 @@ StepResult Machine::execute(const DecodedInstr &DI) {
   case OP_add:
   case OP_adc: {
     uint32_t A, B;
-    Ok = readOp32(DI.Srcs[1], A) && readOp32(DI.Srcs[0], B);
+    Ok = read32(R.Src[1], A) && read32(R.Src[0], B);
     if (Ok) {
-      uint32_t Cin = DI.Op == OP_adc && cpu().flag(EFLAGS_CF) ? 1 : 0;
-      Ok = writeOp32(DI.Dsts[0], doAdd(cpu(), A, B, Cin));
+      uint32_t Cin = R.Op == OP_adc && C.flag(EFLAGS_CF) ? 1 : 0;
+      Ok = write32(R.Dst[0], doAdd(C, A, B, Cin));
     }
     break;
   }
   case OP_sub:
   case OP_sbb: {
     uint32_t A, B;
-    Ok = readOp32(DI.Srcs[1], A) && readOp32(DI.Srcs[0], B);
+    Ok = read32(R.Src[1], A) && read32(R.Src[0], B);
     if (Ok) {
-      uint32_t Bin = DI.Op == OP_sbb && cpu().flag(EFLAGS_CF) ? 1 : 0;
-      Ok = writeOp32(DI.Dsts[0], doSub(cpu(), A, B, Bin));
+      uint32_t Bin = R.Op == OP_sbb && C.flag(EFLAGS_CF) ? 1 : 0;
+      Ok = write32(R.Dst[0], doSub(C, A, B, Bin));
     }
     break;
   }
   case OP_cmp: {
     uint32_t A, B;
-    Ok = readOp32(DI.Srcs[1], A) && readOp32(DI.Srcs[0], B);
+    Ok = read32(R.Src[1], A) && read32(R.Src[0], B);
     if (Ok)
-      doSub(cpu(), A, B, 0);
+      doSub(C, A, B, 0);
     break;
   }
   case OP_and:
   case OP_or:
   case OP_xor: {
     uint32_t A, B;
-    Ok = readOp32(DI.Srcs[1], A) && readOp32(DI.Srcs[0], B);
+    Ok = read32(R.Src[1], A) && read32(R.Src[0], B);
     if (Ok) {
-      uint32_t R = DI.Op == OP_and ? (A & B) : DI.Op == OP_or ? (A | B)
-                                                              : (A ^ B);
-      doLogicFlags(cpu(), R);
-      Ok = writeOp32(DI.Dsts[0], R);
+      uint32_t V = R.Op == OP_and ? (A & B) : R.Op == OP_or ? (A | B)
+                                                            : (A ^ B);
+      doLogicFlags(C, V);
+      Ok = write32(R.Dst[0], V);
     }
     break;
   }
   case OP_test: {
     uint32_t A, B;
-    Ok = readOp32(DI.Srcs[1], A) && readOp32(DI.Srcs[0], B);
+    Ok = read32(R.Src[1], A) && read32(R.Src[0], B);
     if (Ok)
-      doLogicFlags(cpu(), A & B);
+      doLogicFlags(C, A & B);
     break;
   }
   case OP_inc:
   case OP_dec: {
     uint32_t A;
-    Ok = readOp32(DI.Srcs[0], A);
+    Ok = read32(R.Src[0], A);
     if (Ok) {
       // inc/dec leave CF untouched — the hinge of the paper's Section 4.2.
-      uint32_t R = DI.Op == OP_inc ? doAdd(cpu(), A, 1, 0, /*WriteCarry=*/false)
-                                   : doSub(cpu(), A, 1, 0, /*WriteCarry=*/false);
-      Ok = writeOp32(DI.Dsts[0], R);
+      uint32_t V = R.Op == OP_inc ? doAdd(C, A, 1, 0, /*WriteCarry=*/false)
+                                  : doSub(C, A, 1, 0, /*WriteCarry=*/false);
+      Ok = write32(R.Dst[0], V);
     }
     break;
   }
   case OP_neg: {
     uint32_t A;
-    Ok = readOp32(DI.Srcs[0], A);
+    Ok = read32(R.Src[0], A);
     if (Ok)
-      Ok = writeOp32(DI.Dsts[0], doSub(cpu(), 0, A, 0));
+      Ok = write32(R.Dst[0], doSub(C, 0, A, 0));
     break;
   }
   case OP_not: {
     uint32_t A;
-    Ok = readOp32(DI.Srcs[0], A) && writeOp32(DI.Dsts[0], ~A);
+    Ok = read32(R.Src[0], A) && write32(R.Dst[0], ~A);
     break;
   }
   case OP_imul: {
     // Two forms share canonical shape S={x, y}, D={r}.
     uint32_t A, B;
-    Ok = readOp32(DI.Srcs[0], A) && readOp32(DI.Srcs[1], B);
+    Ok = read32(R.Src[0], A) && read32(R.Src[1], B);
     if (Ok) {
       int64_t Full = int64_t(int32_t(A)) * int64_t(int32_t(B));
-      uint32_t R = uint32_t(Full);
-      bool Overflow = Full != int64_t(int32_t(R));
-      cpu().setFlag(EFLAGS_CF, Overflow);
-      cpu().setFlag(EFLAGS_OF, Overflow);
-      cpu().setFlag(EFLAGS_AF, false);
-      setPZS(cpu(), R);
-      Ok = writeOp32(DI.Dsts[0], R);
+      uint32_t V = uint32_t(Full);
+      bool Overflow = Full != int64_t(int32_t(V));
+      C.setFlag(EFLAGS_CF, Overflow);
+      C.setFlag(EFLAGS_OF, Overflow);
+      C.setFlag(EFLAGS_AF, false);
+      setPZS(C, V);
+      Ok = write32(R.Dst[0], V);
     }
     break;
   }
   case OP_mul: {
     uint32_t Src;
-    Ok = readOp32(DI.Srcs[0], Src);
+    Ok = read32(R.Src[0], Src);
     if (Ok) {
-      uint64_t Full = uint64_t(cpu().readGpr32(REG_EAX)) * Src;
+      uint64_t Full = uint64_t(C.Gpr[REG_EAX - REG_EAX]) * Src;
       uint32_t Lo = uint32_t(Full), Hi = uint32_t(Full >> 32);
-      cpu().writeGpr32(REG_EAX, Lo);
-      cpu().writeGpr32(REG_EDX, Hi);
-      cpu().setFlag(EFLAGS_CF, Hi != 0);
-      cpu().setFlag(EFLAGS_OF, Hi != 0);
-      cpu().setFlag(EFLAGS_AF, false);
-      setPZS(cpu(), Lo);
+      C.Gpr[REG_EAX - REG_EAX] = Lo;
+      C.Gpr[REG_EDX - REG_EAX] = Hi;
+      C.setFlag(EFLAGS_CF, Hi != 0);
+      C.setFlag(EFLAGS_OF, Hi != 0);
+      C.setFlag(EFLAGS_AF, false);
+      setPZS(C, Lo);
     }
     break;
   }
   case OP_idiv: {
     uint32_t Src;
-    Ok = readOp32(DI.Srcs[0], Src);
+    Ok = read32(R.Src[0], Src);
     if (Ok) {
-      int64_t Dividend = int64_t(
-          (uint64_t(cpu().readGpr32(REG_EDX)) << 32) | cpu().readGpr32(REG_EAX));
+      int64_t Dividend = int64_t((uint64_t(C.Gpr[REG_EDX - REG_EAX]) << 32) |
+                                 C.Gpr[REG_EAX - REG_EAX]);
       int32_t Divisor = int32_t(Src);
       if (Divisor == 0) {
         fault("integer divide by zero");
         Result.Kind = StepKind::Faulted;
-        return Result;
+        return false;
+      }
+      // INT64_MIN / -1 overflows the host's division too; its quotient is
+      // out of range like every other overflowing one.
+      if (Divisor == -1 && Dividend == std::numeric_limits<int64_t>::min()) {
+        fault("integer divide overflow");
+        Result.Kind = StepKind::Faulted;
+        return false;
       }
       int64_t Quot = Dividend / Divisor;
       if (Quot > std::numeric_limits<int32_t>::max() ||
           Quot < std::numeric_limits<int32_t>::min()) {
         fault("integer divide overflow");
         Result.Kind = StepKind::Faulted;
-        return Result;
+        return false;
       }
-      cpu().writeGpr32(REG_EAX, uint32_t(int32_t(Quot)));
-      cpu().writeGpr32(REG_EDX, uint32_t(int32_t(Dividend % Divisor)));
+      C.Gpr[REG_EAX - REG_EAX] = uint32_t(int32_t(Quot));
+      C.Gpr[REG_EDX - REG_EAX] = uint32_t(int32_t(Dividend % Divisor));
     }
     break;
   }
   case OP_cdq:
-    cpu().writeGpr32(REG_EDX,
-                   (cpu().readGpr32(REG_EAX) & 0x80000000u) ? 0xFFFFFFFFu : 0);
+    C.Gpr[REG_EDX - REG_EAX] =
+        (C.Gpr[REG_EAX - REG_EAX] & 0x80000000u) ? 0xFFFFFFFFu : 0;
     break;
 
   case OP_shl:
   case OP_shr:
   case OP_sar: {
     uint32_t Count, A;
-    Ok = readOp32(DI.Srcs[0], Count) && readOp32(DI.Srcs[1], A);
+    Ok = read32(R.Src[0], Count) && read32(R.Src[1], A);
     if (Ok) {
       Count &= 31;
       if (Count == 0)
         break; // no result change, no flag change
-      uint32_t R;
+      uint32_t V;
       bool LastOut;
-      if (DI.Op == OP_shl) {
+      if (R.Op == OP_shl) {
         LastOut = ((A >> (32 - Count)) & 1) != 0;
-        R = A << Count;
-        cpu().setFlag(EFLAGS_OF, Count == 1 && ((R >> 31) != 0) != LastOut);
-      } else if (DI.Op == OP_shr) {
+        V = A << Count;
+        C.setFlag(EFLAGS_OF, Count == 1 && ((V >> 31) != 0) != LastOut);
+      } else if (R.Op == OP_shr) {
         LastOut = ((A >> (Count - 1)) & 1) != 0;
-        R = A >> Count;
-        cpu().setFlag(EFLAGS_OF, Count == 1 && (A >> 31) != 0);
+        V = A >> Count;
+        C.setFlag(EFLAGS_OF, Count == 1 && (A >> 31) != 0);
       } else {
         LastOut = ((uint32_t(int32_t(A) >> (Count - 1))) & 1) != 0;
-        R = uint32_t(int32_t(A) >> Count);
-        cpu().setFlag(EFLAGS_OF, false);
+        V = uint32_t(int32_t(A) >> Count);
+        C.setFlag(EFLAGS_OF, false);
       }
-      cpu().setFlag(EFLAGS_CF, LastOut);
-      cpu().setFlag(EFLAGS_AF, false);
-      setPZS(cpu(), R);
-      Ok = writeOp32(DI.Dsts[0], R);
+      C.setFlag(EFLAGS_CF, LastOut);
+      C.setFlag(EFLAGS_AF, false);
+      setPZS(C, V);
+      Ok = write32(R.Dst[0], V);
     }
     break;
   }
@@ -753,71 +961,68 @@ StepResult Machine::execute(const DecodedInstr &DI) {
   //===--- control transfer ----------------------------------------------===
   case OP_jmp:
     Cycles += CM.TakenBranchCost;
-    cpu().Pc = DI.Srcs[0].getPc();
-    return Result;
+    C.Pc = R.Src[0].Value;
+    return true;
 
   case OP_jmp_ind: {
     uint32_t Target;
-    Ok = readOp32(DI.Srcs[0], Target);
-    if (!Ok)
-      return memFault();
+    if (!read32(R.Src[0], Target))
+      return memFault(Pc, Result);
     Cycles += CM.TakenBranchCost;
     if (InApp && !Pred.predictIndirect(Pc, Target))
       Cycles += CM.MispredictPenalty;
-    cpu().Pc = Target;
-    return Result;
+    C.Pc = Target;
+    return true;
   }
 
   case OP_call: {
-    uint32_t Esp = cpu().readGpr32(REG_ESP) - 4;
-    if (!Mem.write32(Esp, Next))
-      return memFault();
-    noteWrite(Esp, 4);
-    cpu().writeGpr32(REG_ESP, Esp);
+    uint32_t NewEsp = Esp - 4;
+    if (!Mem.write32(NewEsp, Next))
+      return memFault(Pc, Result);
+    noteWrite(NewEsp, 4);
+    Esp = NewEsp;
     Cycles += CM.TakenBranchCost;
     if (InApp)
       Pred.pushReturn(Next);
-    cpu().Pc = DI.Srcs[0].getPc();
-    return Result;
+    C.Pc = R.Src[0].Value;
+    return true;
   }
 
   case OP_call_ind: {
     uint32_t Target;
-    Ok = readOp32(DI.Srcs[0], Target);
-    if (!Ok)
-      return memFault();
-    uint32_t Esp = cpu().readGpr32(REG_ESP) - 4;
-    if (!Mem.write32(Esp, Next))
-      return memFault();
-    noteWrite(Esp, 4);
-    cpu().writeGpr32(REG_ESP, Esp);
+    if (!read32(R.Src[0], Target))
+      return memFault(Pc, Result);
+    uint32_t NewEsp = Esp - 4;
+    if (!Mem.write32(NewEsp, Next))
+      return memFault(Pc, Result);
+    noteWrite(NewEsp, 4);
+    Esp = NewEsp;
     Cycles += CM.TakenBranchCost;
     if (InApp) {
       Pred.pushReturn(Next);
       if (!Pred.predictIndirect(Pc, Target))
         Cycles += CM.MispredictPenalty;
     }
-    cpu().Pc = Target;
-    return Result;
+    C.Pc = Target;
+    return true;
   }
 
   case OP_ret:
   case OP_ret_imm: {
-    uint32_t Esp = cpu().readGpr32(REG_ESP);
+    uint32_t OldEsp = Esp;
     uint32_t Target;
-    if (!Mem.read32(Esp, Target))
-      return memFault();
-    uint32_t Extra =
-        DI.Op == OP_ret_imm ? uint32_t(DI.Srcs[0].getImm()) : 0;
-    cpu().writeGpr32(REG_ESP, Esp + 4 + Extra);
+    if (!Mem.read32(OldEsp, Target))
+      return memFault(Pc, Result);
+    uint32_t Extra = R.Op == OP_ret_imm ? R.Src[0].Value : 0;
+    Esp = OldEsp + 4 + Extra;
     Cycles += CM.TakenBranchCost;
     // Natively, `ret` rides the return-address stack. In the code cache the
     // runtime charges BTB-style costs at the IBL instead (the translated
     // return is an indirect jump there — the paper's key penalty).
     if (InApp && !Pred.popReturn(Target))
       Cycles += CM.MispredictPenalty;
-    cpu().Pc = Target;
-    return Result;
+    C.Pc = Target;
+    return true;
   }
 
   case OP_jo:
@@ -837,43 +1042,47 @@ StepResult Machine::execute(const DecodedInstr &DI) {
   case OP_jle:
   case OP_jnle:
   case OP_jecxz: {
-    bool Taken = DI.Op == OP_jecxz ? cpu().readGpr32(REG_ECX) == 0
-                                   : condHolds(cpu(), condCodeOf(DI.Op));
+    bool Taken = R.Op == OP_jecxz ? C.Gpr[REG_ECX - REG_EAX] == 0
+                                  : condHolds(C, condCodeOf(R.Op));
     if (!Pred.predictCond(Pc, Taken))
       Cycles += CM.MispredictPenalty;
     if (Taken) {
       Cycles += CM.TakenBranchCost;
-      cpu().Pc = DI.Srcs[0].getPc();
+      C.Pc = R.Src[0].Value;
     } else {
-      cpu().Pc = Next;
+      C.Pc = Next;
     }
-    return Result;
+    return true;
   }
 
   //===--- system --------------------------------------------------------===
   case OP_int: {
-    cpu().Pc = Next; // syscall returns to the following instruction
+    C.Pc = Next; // syscall returns to the following instruction
     SyscallResult Sys = doSyscall();
     if (Sys == SyscallResult::Fault) {
       Result.Kind = StepKind::Faulted;
-      return Result;
+      return false;
     }
     if (Status == RunStatus::Exited) {
       Result.Kind = StepKind::Exited;
-      return Result;
+      return false;
     }
-    if (Sys == SyscallResult::ThreadExited)
+    if (Sys == SyscallResult::ThreadExited) {
       Result.Kind = StepKind::ThreadExited;
-    else if (Sys == SyscallResult::Spawned)
+      return false;
+    }
+    if (Sys == SyscallResult::Spawned) {
       Result.Kind = StepKind::ThreadSpawned;
-    return Result;
+      return false;
+    }
+    return true;
   }
 
   case OP_hlt:
     Status = RunStatus::Exited;
     ExitCode = 0;
     Result.Kind = StepKind::Exited;
-    return Result;
+    return false;
 
   case OP_nop:
     break;
@@ -881,7 +1090,7 @@ StepResult Machine::execute(const DecodedInstr &DI) {
   //===--- scalar double -------------------------------------------------===
   case OP_movsd: {
     double V;
-    Ok = readOpF64(DI.Srcs[0], V) && writeOpF64(DI.Dsts[0], V);
+    Ok = readF64(R.Src[0], V) && writeF64(R.Dst[0], V);
     break;
   }
   case OP_addsd:
@@ -889,71 +1098,68 @@ StepResult Machine::execute(const DecodedInstr &DI) {
   case OP_mulsd:
   case OP_divsd: {
     double A, B;
-    Ok = readOpF64(DI.Srcs[1], A) && readOpF64(DI.Srcs[0], B);
+    Ok = readF64(R.Src[1], A) && readF64(R.Src[0], B);
     if (Ok) {
-      double R = DI.Op == OP_addsd   ? A + B
-                 : DI.Op == OP_subsd ? A - B
-                 : DI.Op == OP_mulsd ? A * B
-                                     : A / B;
-      Ok = writeOpF64(DI.Dsts[0], R);
+      double V = R.Op == OP_addsd   ? A + B
+                 : R.Op == OP_subsd ? A - B
+                 : R.Op == OP_mulsd ? A * B
+                                    : A / B;
+      Ok = writeF64(R.Dst[0], V);
     }
     break;
   }
   case OP_ucomisd: {
     double A, B;
-    Ok = readOpF64(DI.Srcs[1], A) && readOpF64(DI.Srcs[0], B);
+    Ok = readF64(R.Src[1], A) && readF64(R.Src[0], B);
     if (Ok) {
       bool Unordered = std::isnan(A) || std::isnan(B);
-      cpu().setFlag(EFLAGS_ZF, Unordered || A == B);
-      cpu().setFlag(EFLAGS_PF, Unordered);
-      cpu().setFlag(EFLAGS_CF, Unordered || A < B);
-      cpu().setFlag(EFLAGS_OF, false);
-      cpu().setFlag(EFLAGS_AF, false);
-      cpu().setFlag(EFLAGS_SF, false);
+      C.setFlag(EFLAGS_ZF, Unordered || A == B);
+      C.setFlag(EFLAGS_PF, Unordered);
+      C.setFlag(EFLAGS_CF, Unordered || A < B);
+      C.setFlag(EFLAGS_OF, false);
+      C.setFlag(EFLAGS_AF, false);
+      C.setFlag(EFLAGS_SF, false);
     }
     break;
   }
   case OP_cvtsi2sd: {
     uint32_t V;
-    Ok = readOp32(DI.Srcs[0], V) && writeOpF64(DI.Dsts[0], double(int32_t(V)));
+    Ok = read32(R.Src[0], V) && writeF64(R.Dst[0], double(int32_t(V)));
     break;
   }
   case OP_cvttsd2si: {
     double V;
-    Ok = readOpF64(DI.Srcs[0], V);
+    Ok = readF64(R.Src[0], V);
     if (Ok) {
-      int32_t R;
+      int32_t Int;
       if (std::isnan(V) || V >= 2147483648.0 || V < -2147483648.0)
-        R = std::numeric_limits<int32_t>::min(); // x86 "integer indefinite"
+        Int = std::numeric_limits<int32_t>::min(); // x86 "integer indefinite"
       else
-        R = int32_t(V);
-      Ok = writeOp32(DI.Dsts[0], uint32_t(R));
+        Int = int32_t(V);
+      Ok = write32(R.Dst[0], uint32_t(Int));
     }
     break;
   }
 
   //===--- runtime extensions --------------------------------------------===
   case OP_clientcall:
-    cpu().Pc = Next;
+    C.Pc = Next;
     Result.Kind = StepKind::ClientCall;
-    Result.ClientCallId = uint32_t(DI.Srcs[0].getImm());
-    return Result;
+    Result.ClientCallId = R.Src[0].Value;
+    return false;
 
   case OP_savef: {
-    uint32_t Addr;
-    memAddr(DI.Dsts[0], Addr);
-    Ok = Mem.write32(Addr, cpu().Eflags);
+    uint32_t Addr = addrOf(R.Dst[0]);
+    Ok = Mem.write32(Addr, C.Eflags);
     if (Ok)
       noteWrite(Addr, 4);
     break;
   }
   case OP_restf: {
-    uint32_t Addr;
-    memAddr(DI.Srcs[0], Addr);
     uint32_t V;
-    Ok = Mem.read32(Addr, V);
+    Ok = Mem.read32(addrOf(R.Src[0]), V);
     if (Ok)
-      cpu().Eflags = V;
+      C.Eflags = V;
     break;
   }
 
@@ -962,11 +1168,11 @@ StepResult Machine::execute(const DecodedInstr &DI) {
   default:
     fault("executed invalid opcode");
     Result.Kind = StepKind::Faulted;
-    return Result;
+    return false;
   }
 
   if (!Ok)
-    return memFault();
-  cpu().Pc = Next;
-  return Result;
+    return memFault(Pc, Result);
+  C.Pc = Next;
+  return true;
 }

@@ -30,6 +30,7 @@
 #include "support/Compiler.h"
 
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 namespace rio {
@@ -43,9 +44,10 @@ struct MachineConfig {
 
 enum class RunStatus { Running, Exited, Faulted };
 
-/// What one step() did.
+/// How the last instruction of a run() or step() ended.
 enum class StepKind {
-  Ok,           ///< executed one instruction
+  Ok,           ///< completed normally; run() then stopped for a stop
+                ///< condition or a stop mark
   Exited,       ///< program exited (status() == Exited)
   Faulted,      ///< simulated fault (status() == Faulted)
   ClientCall,   ///< executed OP_clientcall; the runtime must service it
@@ -56,6 +58,62 @@ enum class StepKind {
 struct StepResult {
   StepKind Kind = StepKind::Ok;
   uint32_t ClientCallId = 0;
+};
+
+/// Where Machine::run() hands control back to its caller. run() tests the
+/// deadline and the cycle limit on entry and after each instruction, and
+/// after each instruction also the pc conditions and whether that
+/// instruction grew the code-write log past the caller's cursor. The
+/// defaults disable every condition, so a default StopSet runs until a
+/// step returns something other than StepKind::Ok.
+struct StopSet {
+  /// Stop once instructionsExecuted() reaches this count. Takes precedence
+  /// over MachineConfig::MaxInstructions, so a deadline at the budget
+  /// suspends rather than faults, as it always has.
+  uint64_t InstrLimit = ~0ull;
+  /// Stop once cycles() reaches this value (a profiler's next sample).
+  uint64_t CycleLimit = ~0ull;
+  /// Stop after an instruction that leaves codeWriteLog() longer than this.
+  size_t CodeWriteCursor = ~size_t(0);
+  /// Stop on reaching this pc (a runtime's dispatcher entry).
+  AppPc StopPc = ~0u;
+  /// Stop on reaching a pc below this (cache code branching to the app).
+  AppPc LowPc = 0;
+};
+
+/// One operand of a pre-decoded instruction, reduced to what execution
+/// needs: register-file slots instead of register names, and 32-bit
+/// immediates and branch targets.
+struct PredecodedOp {
+  enum Kind : uint8_t {
+    None, ///< no operand; every access fails
+    Gpr,  ///< Reg = Gpr[] slot
+    Gpr8, ///< Reg = Gpr[] slot of the containing register; Aux = shift
+    Xmm,  ///< Reg = Xmm[] slot
+    Imm,  ///< Value = immediate or direct branch target
+    Mem   ///< [Gpr[Reg] + Gpr[Index] * Aux + Value]
+  };
+  static constexpr uint8_t NoSlot = 0xFF; ///< Mem: no base / no index
+
+  Kind K = None;
+  uint8_t Reg = NoSlot;
+  uint8_t Index = NoSlot;
+  uint8_t Aux = 0;
+  uint32_t Value = 0;
+};
+
+/// A decode-cache record: the instruction as the interpreter runs it, its
+/// memoized cycle cost, and whether the pc is stop-marked (see
+/// Machine::setStopPc). Operand slots follow the canonical layout of
+/// isa/OperandLayout.h; the interpreter uses at most two sources and two
+/// destinations.
+struct PredecodedInstr {
+  Opcode Op = OP_INVALID;
+  uint8_t Length = 0;
+  bool Stop = false;
+  uint32_t Cost = 0;
+  PredecodedOp Src[2];
+  PredecodedOp Dst[2];
 };
 
 /// The simulated machine. See file comment.
@@ -91,8 +149,17 @@ public:
   // Execution
   //===--------------------------------------------------------------------===
 
-  /// Executes the instruction at cpu().Pc, charging its cycle cost and any
-  /// branch-prediction penalties, and advances the pc.
+  /// Executes instructions from cpu().Pc, charging their cycle costs and
+  /// branch-prediction penalties, until a condition of \p Stops holds,
+  /// the pc reaches a stop-marked address (not counting the first
+  /// instruction), or an instruction returns a kind other than Ok. Returns
+  /// Ok when it stopped for \p Stops or a stop mark. Every instruction
+  /// keeps its own bounds checks, budget check, write monitoring and
+  /// self-modifying-code invalidation.
+  StepResult run(const StopSet &Stops);
+
+  /// Executes the one instruction at cpu().Pc: a run() bounded to one
+  /// instruction.
   StepResult step();
 
   /// Adds runtime-overhead cycles (context switches, IBL, block builds...).
@@ -113,7 +180,8 @@ public:
   uint64_t cycles() const { return Cycles; }
   uint64_t instructionsExecuted() const { return InstrsExecuted; }
 
-  /// Application pc of the most recently executed instruction.
+  /// Pc of the most recently executed instruction, or of the instruction
+  /// at which execution faulted.
   AppPc lastPc() const { return LastPc; }
 
   /// Snapshots the current pc and stack pointer as the program's entry
@@ -139,19 +207,26 @@ public:
   /// Number of lines in the direct-mapped decode cache. A pc maps to line
   /// `pc & (DecodeCacheLines - 1)`; pcs that far apart alias (and evict
   /// each other on fill — never serving a wrong decode, because each line
-  /// is tagged with its exact pc and a per-region generation).
+  /// is tagged with its exact pc).
   static constexpr uint32_t DecodeCacheLines = 1u << 15;
 
-  /// Decoded-instruction cache lookup (a software stand-in for the
-  /// hardware's instruction/uop cache). Returns null on undecodable bytes.
-  /// The returned pointer is valid until the next fetchDecode call (an
+  /// Decode-cache lookup (a software stand-in for the hardware's
+  /// instruction/uop cache). Returns null on undecodable bytes. The
+  /// returned record is valid until the next fetchDecode or execution (an
   /// aliasing pc may refill the same line).
-  const DecodedInstr *fetchDecode(AppPc Pc);
+  RIO_ALWAYS_INLINE const PredecodedInstr *fetchDecode(AppPc Pc) {
+    if (RIO_UNLIKELY(Pc >= Mem.size()))
+      return nullptr;
+    const DecodeLine &L = DecodeCache[Pc & (DecodeCacheLines - 1)];
+    if (RIO_LIKELY(L.Tag == Pc + 1))
+      return &L.R;
+    return fillDecode(Pc);
+  }
 
   /// Invalidates cached decodes in [Lo, Hi); the runtime calls this when it
-  /// patches, deletes or replaces cache code. O(1) per WriteWatchLine-sized
-  /// line spanned: bumps the line generations, instantly orphaning every
-  /// decode tagged with the old generation.
+  /// places or patches cache code. Empties the line of every pc in the
+  /// range that holds that pc: O(min(Hi - Lo, DecodeCacheLines)), and a
+  /// probe compares one tag.
   void invalidateDecodeRange(uint32_t Lo, uint32_t Hi);
 
   //===--------------------------------------------------------------------===
@@ -179,6 +254,12 @@ public:
     return CodeWrites;
   }
 
+  /// Marks (or unmarks) \p Pc so that run() returns before executing it,
+  /// unless it is the first instruction of the run. The mark lives in the
+  /// pc's decode record, set when the line fills; changing it drops the
+  /// line, so an aliasing refill can never lose it.
+  void setStopPc(AppPc Pc, bool Stop);
+
   /// Raises a simulated fault (also used by the runtime for internal
   /// errors it wants surfaced as program failures).
   void fault(const std::string &Reason);
@@ -205,13 +286,26 @@ public:
 private:
   enum class SyscallResult { Ok, Fault, ThreadExited, Spawned };
 
-  StepResult execute(const DecodedInstr &DI);
+  /// Fills the decode line of \p Pc; null on undecodable bytes.
+  const PredecodedInstr *fillDecode(AppPc Pc);
+  /// Empties the decode line of \p Pc if it holds \p Pc.
+  void dropDecode(AppPc Pc) {
+    const uint32_t Idx = Pc & (DecodeCacheLines - 1);
+    if (DecodeCache[Idx].Tag == Pc + 1)
+      DecodeCache.mut(Idx).Tag = 0;
+  }
 
-  /// Records a store for write monitoring: queues decode invalidation when
-  /// the target line ever held cached decodes (self-modifying code must not
-  /// execute stale decodes, natively or under a runtime) and logs an event
-  /// when the line is watched. Invalidation is deferred to the next step()
-  /// because the currently executing DecodedInstr lives in the cache.
+  /// Executes \p R, the record of the instruction at \p Pc, whose cost is
+  /// already charged. Returns true when it completed with StepKind::Ok;
+  /// otherwise \p Result says what happened.
+  RIO_ALWAYS_INLINE bool execute(const PredecodedInstr &R, AppPc Pc,
+                                 StepResult &Result);
+  bool memFault(AppPc Pc, StepResult &Result);
+
+  /// Records a store for write monitoring: drops the cached decodes the
+  /// store may overlap when the target line ever held cached decodes
+  /// (self-modifying code must not execute stale decodes, natively or
+  /// under a runtime) and logs an event when the line is watched.
   ///
   /// The fast path is a single indexed load: LineState packs the sticky
   /// decoded bit and the watch count per line, and is zero for ordinary
@@ -228,17 +322,17 @@ private:
       noteWriteSlow(Addr, Len, State);
   }
   void noteWriteSlow(uint32_t Addr, uint32_t Len, uint32_t State);
-  void drainPendingInvalidations();
 
-  // Operand evaluation helpers (see Machine.cpp). Force-inlined into the
-  // interpreter switch: they are tiny and on the hottest host path.
-  RIO_ALWAYS_INLINE bool memAddr(const Operand &Op, uint32_t &Addr) const;
-  RIO_ALWAYS_INLINE bool readOp32(const Operand &Op, uint32_t &Value);
-  RIO_ALWAYS_INLINE bool writeOp32(const Operand &Op, uint32_t Value);
-  RIO_ALWAYS_INLINE bool readOp8(const Operand &Op, uint8_t &Value);
-  RIO_ALWAYS_INLINE bool writeOp8(const Operand &Op, uint8_t Value);
-  RIO_ALWAYS_INLINE bool readOpF64(const Operand &Op, double &Value);
-  RIO_ALWAYS_INLINE bool writeOpF64(const Operand &Op, double Value);
+  // Operand access on pre-decoded operands (see Machine.cpp). Force-inlined
+  // into the interpreter switch: they are tiny and on the hottest host
+  // path. Register classes were checked when the record was filled.
+  RIO_ALWAYS_INLINE uint32_t addrOf(const PredecodedOp &Op) const;
+  RIO_ALWAYS_INLINE bool read32(const PredecodedOp &Op, uint32_t &Value);
+  RIO_ALWAYS_INLINE bool write32(const PredecodedOp &Op, uint32_t Value);
+  RIO_ALWAYS_INLINE bool read8(const PredecodedOp &Op, uint8_t &Value);
+  RIO_ALWAYS_INLINE bool write8(const PredecodedOp &Op, uint8_t Value);
+  RIO_ALWAYS_INLINE bool readF64(const PredecodedOp &Op, double &Value);
+  RIO_ALWAYS_INLINE bool writeF64(const PredecodedOp &Op, double Value);
 
   SyscallResult doSyscall();
 
@@ -265,24 +359,22 @@ private:
   AppPc ResetPc = 0;    ///< program entry state; see recordResetState()
   uint32_t ResetSp = 0;
 
-  /// One direct-mapped decode-cache line: valid iff Tag matches the probe
-  /// pc and Gen is one more than the current generation of the pc's watch
-  /// line (fills store LineGen+1, so the stored Gen is always >= 1 and an
-  /// all-zero line — the CowArray's untouched state — never reads as
-  /// valid). Cost memoizes the (fixed) cost model's cyclesFor at fill time
-  /// so the hit path charges cycles with one load instead of an operand
-  /// walk.
+  /// One direct-mapped decode-cache line: valid iff Tag is the probe pc
+  /// plus one (pcs are below the memory size, so the all-zero line — the
+  /// CowArray's untouched state — never reads as valid, and invalidation
+  /// stores 0). The record memoizes the (fixed) cost model's cyclesFor at
+  /// fill time so the hit path charges cycles with one load instead of an
+  /// operand walk.
   struct DecodeLine {
     uint32_t Tag = 0;
-    uint32_t Gen = 0;
-    uint32_t Cost = 0;
-    DecodedInstr DI;
+    PredecodedInstr R;
   };
+  static_assert(sizeof(DecodeLine) <= 64,
+                "a 64 KB copy-on-write chunk holds at least 1024 lines");
   // The derived host-side tables live in CowArrays so a forked machine
   // shares them: copying ~5MB of decode cache per tenant would dwarf the
   // tenant's real footprint.
   CowArray<DecodeLine> DecodeCache; ///< DecodeCacheLines entries
-  CowArray<uint32_t> LineGen;       ///< per-WriteWatchLine generation
 
   /// Write-monitor state, one word per WriteWatchLine-sized line:
   /// bit 0 is sticky "a decode was cached from this line" (stores there
@@ -291,7 +383,8 @@ private:
   /// case, and noteWrite's single-load fast path.
   CowArray<uint32_t> LineState;
   std::vector<CodeWriteEvent> CodeWrites;
-  std::vector<CodeWriteEvent> PendingInval; ///< drained at next step()
+  bool CodeWritten = false; ///< CodeWrites grew; run() checks its cursor
+  std::unordered_set<AppPc> StopPcs;        ///< see setStopPc()
 
   CpuState *CurCpu = nullptr; ///< &Threads[CurThread].Cpu, cached
 };

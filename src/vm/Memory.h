@@ -336,8 +336,7 @@ private:
 
 /// A CoW-forkable array of trivially-copyable elements, chunked on the same
 /// refcounted blocks as MemoryImage pages. The Machine keeps its derived
-/// host-side tables (decode cache, write-monitor state, line generations)
-/// in these so that forking a machine shares them too: a fork costs two
+/// host-side tables (decode cache, write-monitor state) in these so that forking a machine shares them too: a fork costs two
 /// pointer tables, not megabytes of eagerly copied metadata. Elements whose
 /// all-zero state is meaningful ("empty", "invalid") cost nothing until
 /// first written — untouched chunks alias the shared zero block.

@@ -7,6 +7,8 @@
 
 #include "TestUtil.h"
 
+#include "core/Runtime.h"
+#include "harness/Experiment.h"
 #include "ir/Instr.h"
 #include "support/Arena.h"
 #include "vm/Syscall.h"
@@ -180,6 +182,30 @@ TEST(VmArith, DivideByZeroFaults) {
   NativeRun R = runNative(P);
   EXPECT_EQ(R.Status, RunStatus::Faulted);
   EXPECT_NE(R.FaultReason.find("divide"), std::string::npos);
+}
+
+TEST(VmArith, IdivOfMinDividendByMinusOneFaultsCleanly) {
+  // EDX:EAX = -2^63 over -1: the quotient 2^63 is out of range, and the
+  // host's own INT64_MIN / -1 must not be computed to find that out.
+  Program P = assembleOrDie(R"(
+    main:
+      mov edx, 0x80000000
+      mov eax, 0
+      mov ecx, -1
+      idiv ecx
+      hlt
+  )");
+  Outcome Native = runNativeProgram(P);
+  EXPECT_EQ(Native.Status, RunStatus::Faulted);
+  EXPECT_EQ(Native.Instructions, 4u);
+
+  Machine M;
+  ASSERT_TRUE(loadProgram(M, P));
+  Runtime RT(M, RuntimeConfig::full());
+  RunResult R = RT.run();
+  EXPECT_EQ(R.Status, RunStatus::Faulted);
+  EXPECT_NE(R.FaultReason.find("integer divide overflow"), std::string::npos)
+      << R.FaultReason;
 }
 
 TEST(VmArith, Shifts) {
@@ -569,22 +595,24 @@ TEST(VmDecodeCache, AliasingPcsNeverServeWrongDecode) {
   placeInstr(M, Pc2, Instr::createSynth(A, OP_mov, {Operand::reg(REG_EBX),
                                                     Operand::imm(222, 4)}));
 
-  const DecodedInstr *D1 = M.fetchDecode(Pc1);
+  const PredecodedInstr *D1 = M.fetchDecode(Pc1);
   ASSERT_NE(D1, nullptr);
   EXPECT_EQ(D1->Op, OP_mov);
-  EXPECT_EQ(D1->Srcs[0].getImm(), 111);
+  EXPECT_EQ(D1->Src[0].Value, 111u);
 
   // The aliasing pc evicts Pc1's line but must decode its own bytes.
-  const DecodedInstr *D2 = M.fetchDecode(Pc2);
+  const PredecodedInstr *D2 = M.fetchDecode(Pc2);
   ASSERT_NE(D2, nullptr);
-  EXPECT_EQ(D2->Srcs[0].getImm(), 222);
-  EXPECT_EQ(D2->Dsts[0].getReg(), REG_EBX);
+  EXPECT_EQ(D2->Src[0].Value, 222u);
+  EXPECT_EQ(D2->Dst[0].K, PredecodedOp::Gpr);
+  EXPECT_EQ(D2->Dst[0].Reg, REG_EBX - REG_EAX);
 
   // Ping-pong: refilling after eviction still yields the right decode.
   D1 = M.fetchDecode(Pc1);
   ASSERT_NE(D1, nullptr);
-  EXPECT_EQ(D1->Srcs[0].getImm(), 111);
-  EXPECT_EQ(D1->Dsts[0].getReg(), REG_EAX);
+  EXPECT_EQ(D1->Src[0].Value, 111u);
+  EXPECT_EQ(D1->Dst[0].K, PredecodedOp::Gpr);
+  EXPECT_EQ(D1->Dst[0].Reg, REG_EAX - REG_EAX);
 }
 
 TEST(VmDecodeCache, RangeInvalidationDropsStaleDecode) {
@@ -595,9 +623,9 @@ TEST(VmDecodeCache, RangeInvalidationDropsStaleDecode) {
       M, Pc,
       Instr::createSynth(A, OP_mov,
                          {Operand::reg(REG_EAX), Operand::imm(1, 4)}));
-  const DecodedInstr *D = M.fetchDecode(Pc);
+  const PredecodedInstr *D = M.fetchDecode(Pc);
   ASSERT_NE(D, nullptr);
-  EXPECT_EQ(D->Srcs[0].getImm(), 1);
+  EXPECT_EQ(D->Src[0].Value, 1u);
 
   // Overwrite the bytes and invalidate: the next fetch must re-decode.
   placeInstr(M, Pc, Instr::createSynth(A, OP_mov, {Operand::reg(REG_EAX),
@@ -605,7 +633,7 @@ TEST(VmDecodeCache, RangeInvalidationDropsStaleDecode) {
   M.invalidateDecodeRange(Pc, Pc + Len);
   D = M.fetchDecode(Pc);
   ASSERT_NE(D, nullptr);
-  EXPECT_EQ(D->Srcs[0].getImm(), 2);
+  EXPECT_EQ(D->Src[0].Value, 2u);
 }
 
 TEST(VmDecodeCache, InvalidationOfOneLineSparesAliasedOther) {
@@ -629,13 +657,13 @@ TEST(VmDecodeCache, InvalidationOfOneLineSparesAliasedOther) {
                                                     Operand::imm(11, 4)}));
   M.invalidateDecodeRange(Pc1, Pc1 + Len1);
 
-  const DecodedInstr *D2 = M.fetchDecode(Pc2);
+  const PredecodedInstr *D2 = M.fetchDecode(Pc2);
   ASSERT_NE(D2, nullptr);
-  EXPECT_EQ(D2->Srcs[0].getImm(), 20);
+  EXPECT_EQ(D2->Src[0].Value, 20u);
 
-  const DecodedInstr *D1 = M.fetchDecode(Pc1);
+  const PredecodedInstr *D1 = M.fetchDecode(Pc1);
   ASSERT_NE(D1, nullptr);
-  EXPECT_EQ(D1->Srcs[0].getImm(), 11);
+  EXPECT_EQ(D1->Src[0].Value, 11u);
 }
 
 TEST(VmDecodeCache, OutOfRangePcReturnsNull) {
