@@ -97,6 +97,10 @@ uint64_t Runtime::clientTransformCost(InstrList &IL) const {
 
 void Runtime::mangleForCache(InstrList &IL) {
   Arena &A = IL.arena();
+  struct Trampoline {
+    Instr *Jecxz, *Label, *Far;
+  };
+  std::vector<Trampoline> Trampolines;
   for (Instr *I = IL.first(); I;) {
     Instr *Next = I->next();
     if (I->isBundle() || I->isLabel()) {
@@ -162,12 +166,37 @@ void Runtime::mangleForCache(InstrList &IL) {
       I->setBranchTargetLabel(Local);
       IL.append(Local);
       IL.append(Far);
+      Trampolines.push_back({I, Local, Far});
       I = Next;
       continue;
     }
 
     assert(Op != OP_call && "unmangled call left in cache-bound list");
     I = Next;
+  }
+
+  // In a long fragment the end of the list may lie beyond rel8 reach of a
+  // jecxz. Until the body encodes, move trampolines next to their jecxz,
+  // first to last (each move brings every later trampoline 5 bytes closer
+  // to its jecxz):
+  //   jecxz L ; jmp F ; L: jmp T ; F: ...
+  // A body that encodes with every trampoline at its end keeps that layout.
+  EmitResult Sizing;
+  for (const Trampoline &T : Trampolines) {
+    if (emitInstrList(IL, /*BaseAddr=*/0x7F000000, nullptr, 0,
+                      /*AllowShortBranches=*/false, Sizing))
+      return;
+    Instr *FallThrough = Instr::createLabel(A);
+    Instr *Skip =
+        Instr::createSynth(A, OP_jmp, {Operand::pc(T.Jecxz->appAddr())});
+    Skip->setBranchTargetLabel(FallThrough);
+    Skip->setAppAddr(T.Jecxz->appAddr());
+    IL.remove(T.Label);
+    IL.remove(T.Far);
+    IL.insertAfter(T.Jecxz, Skip);
+    IL.insertAfter(Skip, T.Label);
+    IL.insertAfter(T.Label, T.Far);
+    IL.insertAfter(T.Far, FallThrough);
   }
 }
 

@@ -231,6 +231,154 @@ PredecodedOp predecodeOp(const Operand &Op) {
   return P;
 }
 
+/// The handler ids Machine::run() dispatches on, stored in
+/// PredecodedInstr::Form. An opcode's own value selects its generic case,
+/// which reaches its operands through read32() and friends, each a switch
+/// on the operand kind. The ids past OP_LAST select a case specialized on
+/// operand kinds, which reads and writes register-file slots, immediates
+/// and memory directly. R = gpr, I = immediate, M = memory, X = xmm, in
+/// assembly operand order.
+enum Form : unsigned {
+  F_MovRR = OP_LAST + 1,
+  F_MovRI,
+  F_MovRM,
+  F_MovMR,
+  F_MovMI,
+  F_AddRR,
+  F_AddRI,
+  F_SubRR,
+  F_SubRI,
+  F_AndRR,
+  F_AndRI,
+  F_OrRR,
+  F_OrRI,
+  F_XorRR,
+  F_XorRI,
+  F_CmpRR,
+  F_CmpRI,
+  F_TestRR,
+  F_TestRI,
+  F_ShlRI,
+  F_ShrRI,
+  F_IncR,
+  F_DecR,
+  F_ImulRRI,
+  F_Jcc, ///< jo .. jnle
+  F_Jmp,
+  F_Jecxz,
+  F_MovzxBRM,
+  F_Lea,
+  F_PushR,
+  F_PushI,
+  F_PopR,
+  F_MovsdXX,
+  F_MovsdXM,
+  F_MovsdMX,
+  F_AddsdXX,
+  F_AddsdXM,
+  F_MulsdXX,
+  F_MulsdXM,
+  NumForms
+};
+static_assert(NumForms <= 256, "a form fits PredecodedInstr::Form");
+
+/// The form of \p R: a specialized one when its operand kinds fit one,
+/// else its opcode. mov, lea, movsd and the direct jumps have no generic
+/// case: every operand combination the decoder produces for them fits a
+/// form.
+unsigned formOf(const PredecodedInstr &R) {
+  using P = PredecodedOp;
+  const P::Kind S0 = R.Src[0].K, S1 = R.Src[1].K, D0 = R.Dst[0].K;
+  // Two-operand ALU layouts: S = {src, reg}, D = {reg} (compares: D = {}).
+  const bool RegReg = S0 == P::Gpr && S1 == P::Gpr;
+  const bool RegImm = S0 == P::Imm && S1 == P::Gpr;
+  const bool ToReg = D0 == P::Gpr;
+  const bool ToXmm = D0 == P::Xmm;
+  auto Pick = [&](bool Fits, Form F) -> unsigned {
+    return Fits ? unsigned(F) : unsigned(R.Op);
+  };
+  switch (R.Op) {
+  case OP_mov:
+    if (ToReg && S0 == P::Gpr)
+      return F_MovRR;
+    if (ToReg && S0 == P::Imm)
+      return F_MovRI;
+    if (ToReg && S0 == P::Mem)
+      return F_MovRM;
+    if (D0 == P::Mem && S0 == P::Gpr)
+      return F_MovMR;
+    if (D0 == P::Mem && S0 == P::Imm)
+      return F_MovMI;
+    break;
+  case OP_add:
+    return ToReg && RegReg ? F_AddRR : Pick(ToReg && RegImm, F_AddRI);
+  case OP_sub:
+    return ToReg && RegReg ? F_SubRR : Pick(ToReg && RegImm, F_SubRI);
+  case OP_and:
+    return ToReg && RegReg ? F_AndRR : Pick(ToReg && RegImm, F_AndRI);
+  case OP_or:
+    return ToReg && RegReg ? F_OrRR : Pick(ToReg && RegImm, F_OrRI);
+  case OP_xor:
+    return ToReg && RegReg ? F_XorRR : Pick(ToReg && RegImm, F_XorRI);
+  case OP_cmp:
+    return RegReg ? F_CmpRR : Pick(RegImm, F_CmpRI);
+  case OP_test:
+    return RegReg ? F_TestRR : Pick(RegImm, F_TestRI);
+  case OP_shl:
+    return Pick(ToReg && RegImm, F_ShlRI);
+  case OP_shr:
+    return Pick(ToReg && RegImm, F_ShrRI);
+  case OP_inc:
+    return Pick(ToReg && S0 == P::Gpr, F_IncR);
+  case OP_dec:
+    return Pick(ToReg && S0 == P::Gpr, F_DecR);
+  case OP_imul:
+    return Pick(ToReg && RegImm, F_ImulRRI);
+  case OP_movzx_b:
+    return Pick(ToReg && S0 == P::Mem, F_MovzxBRM);
+  case OP_push:
+    return S0 == P::Gpr ? F_PushR : Pick(S0 == P::Imm, F_PushI);
+  case OP_pop:
+    return Pick(ToReg, F_PopR);
+  case OP_addsd:
+    return ToXmm && S1 == P::Xmm && S0 == P::Xmm
+               ? F_AddsdXX
+               : Pick(ToXmm && S1 == P::Xmm && S0 == P::Mem, F_AddsdXM);
+  case OP_mulsd:
+    return ToXmm && S1 == P::Xmm && S0 == P::Xmm
+               ? F_MulsdXX
+               : Pick(ToXmm && S1 == P::Xmm && S0 == P::Mem, F_MulsdXM);
+  case OP_lea:
+    if (ToReg && S0 == P::Mem)
+      return F_Lea;
+    break;
+  case OP_jmp:
+    if (S0 == P::Imm)
+      return F_Jmp;
+    break;
+  case OP_jecxz:
+    if (S0 == P::Imm)
+      return F_Jecxz;
+    break;
+  case OP_movsd:
+    if (ToXmm && S0 == P::Xmm)
+      return F_MovsdXX;
+    if (ToXmm && S0 == P::Mem)
+      return F_MovsdXM;
+    if (D0 == P::Mem && S0 == P::Xmm)
+      return F_MovsdMX;
+    break;
+  default:
+    if (R.Op < OP_jo || R.Op > OP_jnle)
+      return R.Op;
+    if (S0 == P::Imm)
+      return F_Jcc;
+    break;
+  }
+  assert(false && "operands fit no form of an opcode without a generic case");
+  return R.Op; // run() faults it as an invalid opcode
+}
+
 /// Builds the record the interpreter runs from \p DI, asserting once the
 /// operand invariants every execution of it relies on.
 void predecode(const DecodedInstr &DI, unsigned Cost, PredecodedInstr &R) {
@@ -247,6 +395,7 @@ void predecode(const DecodedInstr &DI, unsigned Cost, PredecodedInstr &R) {
   R.Src[1] = predecodeOp(DI.Srcs[1]);
   R.Dst[0] = predecodeOp(DI.Dsts[0]);
   R.Dst[1] = predecodeOp(DI.Dsts[1]);
+  R.Form = uint8_t(formOf(R));
 }
 
 } // namespace
@@ -262,7 +411,10 @@ const PredecodedInstr *Machine::fillDecode(AppPc Pc) {
   DecodedInstr DI;
   if (!Bytes || !decodeInstr(Bytes, Win, Pc, DI))
     return nullptr;
-  LineState.mut(Pc / WriteWatchLine) |= 1; // sticky: stores here invalidate
+  // Sticky: stores into any line the instruction's bytes touch invalidate.
+  for (uint32_t L = Pc / WriteWatchLine;
+       L <= (Pc + DI.Length - 1) / WriteWatchLine; ++L)
+    LineState.mut(L) |= 1;
   DecodeLine &L = DecodeCache.mut(Pc & (DecodeCacheLines - 1));
   L.Tag = Pc + 1;
   predecode(DI, Config.Cost.cyclesFor(DI), L.R);
@@ -337,15 +489,20 @@ void Machine::noteWriteSlow(uint32_t Addr, uint32_t Len, uint32_t State) {
 // Operand access
 //===----------------------------------------------------------------------===//
 
-uint32_t Machine::addrOf(const PredecodedOp &Op) const {
+namespace {
+
+/// The address of memory operand \p Op over register file \p Gpr.
+RIO_ALWAYS_INLINE uint32_t addrOf(const PredecodedOp &Op, const uint32_t *Gpr) {
   // predecode() asserted the operand is a memory reference.
   uint32_t A = Op.Value;
   if (Op.Reg != PredecodedOp::NoSlot)
-    A += CurCpu->Gpr[Op.Reg];
+    A += Gpr[Op.Reg];
   if (Op.Index != PredecodedOp::NoSlot)
-    A += CurCpu->Gpr[Op.Index] * Op.Aux;
+    A += Gpr[Op.Index] * Op.Aux;
   return A;
 }
+
+} // namespace
 
 bool Machine::read32(const PredecodedOp &Op, uint32_t &Value) {
   switch (Op.K) {
@@ -361,7 +518,7 @@ bool Machine::read32(const PredecodedOp &Op, uint32_t &Value) {
     Value = Op.Value;
     return true;
   case PredecodedOp::Mem:
-    return Mem.read32(addrOf(Op), Value);
+    return Mem.read32(addrOf(Op, CurCpu->Gpr), Value);
   default:
     return false;
   }
@@ -373,7 +530,7 @@ bool Machine::write32(const PredecodedOp &Op, uint32_t Value) {
     return true;
   }
   if (Op.K == PredecodedOp::Mem) {
-    uint32_t Addr = addrOf(Op);
+    uint32_t Addr = addrOf(Op, CurCpu->Gpr);
     if (!Mem.write32(Addr, Value))
       return false;
     noteWrite(Addr, 4);
@@ -391,7 +548,7 @@ bool Machine::read8(const PredecodedOp &Op, uint8_t &Value) {
     Value = uint8_t(Op.Value);
     return true;
   case PredecodedOp::Mem:
-    return Mem.read8(addrOf(Op), Value);
+    return Mem.read8(addrOf(Op, CurCpu->Gpr), Value);
   default:
     return false;
   }
@@ -404,7 +561,7 @@ bool Machine::write8(const PredecodedOp &Op, uint8_t Value) {
     return true;
   }
   if (Op.K == PredecodedOp::Mem) {
-    uint32_t Addr = addrOf(Op);
+    uint32_t Addr = addrOf(Op, CurCpu->Gpr);
     if (!Mem.write8(Addr, Value))
       return false;
     noteWrite(Addr, 1);
@@ -419,7 +576,7 @@ bool Machine::readF64(const PredecodedOp &Op, double &Value) {
     return true;
   }
   if (Op.K == PredecodedOp::Mem)
-    return Mem.readF64(addrOf(Op), Value);
+    return Mem.readF64(addrOf(Op, CurCpu->Gpr), Value);
   return false;
 }
 
@@ -429,7 +586,7 @@ bool Machine::writeF64(const PredecodedOp &Op, double Value) {
     return true;
   }
   if (Op.K == PredecodedOp::Mem) {
-    uint32_t Addr = addrOf(Op);
+    uint32_t Addr = addrOf(Op, CurCpu->Gpr);
     if (!Mem.writeF64(Addr, Value))
       return false;
     noteWrite(Addr, 8);
@@ -516,17 +673,17 @@ inline uint32_t doSub(CpuState &St, uint32_t A, uint32_t B, uint32_t BorrowIn,
   return Result;
 }
 
-inline void doLogicFlags(CpuState &St, uint32_t Result) {
+/// and/or/xor/test result flags; returns \p Result.
+inline uint32_t doLogicFlags(CpuState &St, uint32_t Result) {
   St.Eflags = (St.Eflags & ~ArithFlags) | pzsBits(Result);
+  return Result;
 }
 
-bool condHolds(const CpuState &St, unsigned Cc) {
-  bool CF = St.flag(EFLAGS_CF);
-  bool PF = St.flag(EFLAGS_PF);
-  bool ZF = St.flag(EFLAGS_ZF);
-  bool SF = St.flag(EFLAGS_SF);
-  bool OF = St.flag(EFLAGS_OF);
-  bool Result;
+/// Whether condition code \p Cc (0 for o .. 15 for nle) holds for the
+/// flags CF, PF, ZF, SF and OF.
+constexpr bool condOf(unsigned Cc, bool CF, bool PF, bool ZF, bool SF,
+                      bool OF) {
+  bool Result = false;
   switch (Cc >> 1) {
   case 0:
     Result = OF;
@@ -552,10 +709,69 @@ bool condHolds(const CpuState &St, unsigned Cc) {
   case 7:
     Result = ZF || (SF != OF);
     break; // le / nle
-  default:
-    RIO_UNREACHABLE("bad condition code");
   }
   return (Cc & 1) ? !Result : Result;
+}
+
+/// condOf tabulated, so a branch tests a bit instead of switching on its
+/// condition: bit I of CondLut.T[Cc] is condOf(Cc) for the flags in I
+/// (bit 0 CF, 1 PF, 2 ZF, 3 SF, 4 OF).
+struct CondLut {
+  uint32_t T[16];
+  constexpr CondLut() : T() {
+    for (unsigned Cc = 0; Cc != 16; ++Cc)
+      for (unsigned I = 0; I != 32; ++I)
+        if (condOf(Cc, I & 1, I & 2, I & 4, I & 8, I & 16))
+          T[Cc] |= 1u << I;
+  }
+};
+constexpr CondLut Conds;
+
+bool condHolds(const CpuState &St, unsigned Cc) {
+  static_assert(EFLAGS_CF == 1 << 0 && EFLAGS_PF == 1 << 2 &&
+                    EFLAGS_ZF == 1 << 6 && EFLAGS_SF == 1 << 7 &&
+                    EFLAGS_OF == 1 << 11,
+                "the flag index gathers these bits");
+  const uint32_t E = St.Eflags;
+  const uint32_t I = (E & 1) | ((E >> 1) & 2) | ((E >> 4) & 4) |
+                     ((E >> 4) & 8) | ((E >> 7) & 16);
+  return (Conds.T[Cc] >> I) & 1;
+}
+
+/// imul result flags: CF and OF say the signed product overflowed.
+inline uint32_t doImul(CpuState &St, uint32_t A, uint32_t B) {
+  int64_t Full = int64_t(int32_t(A)) * int64_t(int32_t(B));
+  uint32_t V = uint32_t(Full);
+  bool Overflow = Full != int64_t(int32_t(V));
+  St.setFlag(EFLAGS_CF, Overflow);
+  St.setFlag(EFLAGS_OF, Overflow);
+  St.setFlag(EFLAGS_AF, false);
+  setPZS(St, V);
+  return V;
+}
+
+/// shl/shr/sar of \p A by \p Count, 1 to 31, and its flags. (A masked
+/// count of 0 changes neither the operand nor the flags.)
+inline uint32_t doShift(CpuState &St, Opcode Op, uint32_t A, uint32_t Count) {
+  uint32_t V;
+  bool LastOut;
+  if (Op == OP_shl) {
+    LastOut = ((A >> (32 - Count)) & 1) != 0;
+    V = A << Count;
+    St.setFlag(EFLAGS_OF, Count == 1 && ((V >> 31) != 0) != LastOut);
+  } else if (Op == OP_shr) {
+    LastOut = ((A >> (Count - 1)) & 1) != 0;
+    V = A >> Count;
+    St.setFlag(EFLAGS_OF, Count == 1 && (A >> 31) != 0);
+  } else {
+    LastOut = ((uint32_t(int32_t(A) >> (Count - 1))) & 1) != 0;
+    V = uint32_t(int32_t(A) >> Count);
+    St.setFlag(EFLAGS_OF, false);
+  }
+  St.setFlag(EFLAGS_CF, LastOut);
+  St.setFlag(EFLAGS_AF, false);
+  setPZS(St, V);
+  return V;
 }
 
 } // namespace
@@ -662,13 +878,12 @@ StepResult Machine::run(const StopSet &StopsIn) {
   // at the budget suspends, and the fault hits the same instruction as a
   // step() loop's.
   const uint64_t InstrStop = std::min(Stops.InstrLimit, Config.MaxInstructions);
-  AppPc Pc = CurCpu->Pc;
   if (RIO_UNLIKELY(Cycles >= Stops.CycleLimit))
     return Result;
   if (RIO_UNLIKELY(InstrsExecuted >= InstrStop)) {
     if (InstrsExecuted >= Stops.InstrLimit)
       return Result;
-    LastPc = Pc;
+    LastPc = CurCpu->Pc;
     fault("instruction budget exceeded");
     Result.Kind = StepKind::Faulted;
     return Result;
@@ -676,503 +891,607 @@ StepResult Machine::run(const StopSet &StopsIn) {
   // The log may already be ahead of a cursor that lagged (another runtime
   // on this machine wrote watched code): stop after one instruction then.
   bool LogAhead = CodeWrites.size() > Stops.CodeWriteCursor;
-  for (bool First = true;; First = false) {
-    // One line probe serves the record, its memoized cycle cost and its
-    // stop mark. The caller has just serviced the first pc's mark.
-    const PredecodedInstr *R = fetchDecode(Pc);
-    if (RIO_UNLIKELY(R && R->Stop) && !First)
-      return Result;
-    LastPc = Pc;
+
+  // The loop state lives in locals: the pc, the cycle and instruction
+  // counts and the last pc. Guest stores are byte writes into the memory
+  // image, which may alias any member, so members would be reloaded after
+  // every store; locals whose address never escapes cannot be aliased.
+  // Every return goes through Done, which writes them back; no call made
+  // while the loop runs reads them. The thread table only moves under
+  // thread_create, which ends the run, so the register file stays put.
+  CpuState &C = *CurCpu;
+  uint32_t *const Gpr = C.Gpr;
+  double *const Xmm = C.Xmm;
+  uint32_t &Esp = Gpr[REG_ESP - REG_EAX];
+  const uint32_t TakenCost = Config.Cost.TakenBranchCost;
+  const uint32_t MispredictCost = Config.Cost.MispredictPenalty;
+  const AppPc RuntimeBase = runtimeBase();
+  AppPc Pc = C.Pc;
+  AppPc Last = LastPc;
+  uint64_t Cyc = Cycles;
+  uint64_t Count = InstrsExecuted;
+
+  // One line probe serves the record, its memoized cycle cost and its stop
+  // mark. The caller has just serviced the first pc's mark.
+  const PredecodedInstr *R = fetchDecode(Pc);
+  for (;;) {
+    Last = Pc;
     if (RIO_UNLIKELY(!R)) {
       fault("undecodable instruction at pc");
       Result.Kind = StepKind::Faulted;
-      return Result;
+      goto Done;
     }
-    Cycles += R->Cost;
-    ++InstrsExecuted;
-    const bool Completed = execute(*R, Pc, Result);
+    Cyc += R->Cost;
+    ++Count;
+    {
+      const PredecodedOp &S0 = R->Src[0], &S1 = R->Src[1], &D0 = R->Dst[0];
+      const AppPc Next = Pc + R->Length;
+      const bool InApp = Pc < RuntimeBase;
+      AppPc NewPc = Next; // branches overwrite it
+      bool Ok = true;     // generic cases: false on a memory fault
+
+      switch (R->Form) {
+      //===--- specialized forms -------------------------------------------===
+      case F_MovRR:
+        Gpr[D0.Reg] = Gpr[S0.Reg];
+        break;
+      case F_MovRI:
+        Gpr[D0.Reg] = S0.Value;
+        break;
+      case F_MovRM: {
+        uint32_t V;
+        if (!Mem.read32(addrOf(S0, Gpr), V))
+          goto MemFault;
+        Gpr[D0.Reg] = V;
+        break;
+      }
+      case F_MovMR:
+      case F_MovMI: {
+        const uint32_t V = R->Form == F_MovMR ? Gpr[S0.Reg] : S0.Value;
+        const uint32_t Addr = addrOf(D0, Gpr);
+        if (!Mem.write32(Addr, V))
+          goto MemFault;
+        noteWrite(Addr, 4);
+        break;
+      }
+      case F_AddRR:
+        Gpr[D0.Reg] = doAdd(C, Gpr[S1.Reg], Gpr[S0.Reg], 0);
+        break;
+      case F_AddRI:
+        Gpr[D0.Reg] = doAdd(C, Gpr[S1.Reg], S0.Value, 0);
+        break;
+      case F_SubRR:
+        Gpr[D0.Reg] = doSub(C, Gpr[S1.Reg], Gpr[S0.Reg], 0);
+        break;
+      case F_SubRI:
+        Gpr[D0.Reg] = doSub(C, Gpr[S1.Reg], S0.Value, 0);
+        break;
+      case F_AndRR:
+        Gpr[D0.Reg] = doLogicFlags(C, Gpr[S1.Reg] & Gpr[S0.Reg]);
+        break;
+      case F_AndRI:
+        Gpr[D0.Reg] = doLogicFlags(C, Gpr[S1.Reg] & S0.Value);
+        break;
+      case F_OrRR:
+        Gpr[D0.Reg] = doLogicFlags(C, Gpr[S1.Reg] | Gpr[S0.Reg]);
+        break;
+      case F_OrRI:
+        Gpr[D0.Reg] = doLogicFlags(C, Gpr[S1.Reg] | S0.Value);
+        break;
+      case F_XorRR:
+        Gpr[D0.Reg] = doLogicFlags(C, Gpr[S1.Reg] ^ Gpr[S0.Reg]);
+        break;
+      case F_XorRI:
+        Gpr[D0.Reg] = doLogicFlags(C, Gpr[S1.Reg] ^ S0.Value);
+        break;
+      case F_CmpRR:
+        doSub(C, Gpr[S1.Reg], Gpr[S0.Reg], 0);
+        break;
+      case F_CmpRI:
+        doSub(C, Gpr[S1.Reg], S0.Value, 0);
+        break;
+      case F_TestRR:
+        doLogicFlags(C, Gpr[S1.Reg] & Gpr[S0.Reg]);
+        break;
+      case F_TestRI:
+        doLogicFlags(C, Gpr[S1.Reg] & S0.Value);
+        break;
+      case F_ShlRI:
+        if (const uint32_t N = S0.Value & 31)
+          Gpr[D0.Reg] = doShift(C, OP_shl, Gpr[S1.Reg], N);
+        break;
+      case F_ShrRI:
+        if (const uint32_t N = S0.Value & 31)
+          Gpr[D0.Reg] = doShift(C, OP_shr, Gpr[S1.Reg], N);
+        break;
+      case F_IncR:
+        // inc/dec leave CF untouched — the hinge of the paper's Section 4.2.
+        Gpr[D0.Reg] = doAdd(C, Gpr[S0.Reg], 1, 0, /*WriteCarry=*/false);
+        break;
+      case F_DecR:
+        Gpr[D0.Reg] = doSub(C, Gpr[S0.Reg], 1, 0, /*WriteCarry=*/false);
+        break;
+      case F_ImulRRI:
+        Gpr[D0.Reg] = doImul(C, S0.Value, Gpr[S1.Reg]);
+        break;
+      case F_Jcc:
+      case F_Jecxz: {
+        const bool Taken = R->Form == F_Jecxz
+                               ? Gpr[REG_ECX - REG_EAX] == 0
+                               : condHolds(C, condCodeOf(R->Op));
+        if (!Pred.predictCond(Pc, Taken))
+          Cyc += MispredictCost;
+        if (Taken) {
+          Cyc += TakenCost;
+          NewPc = S0.Value;
+        }
+        break;
+      }
+      case F_Jmp:
+        Cyc += TakenCost;
+        NewPc = S0.Value;
+        break;
+      case F_MovzxBRM: {
+        uint8_t V;
+        if (!Mem.read8(addrOf(S0, Gpr), V))
+          goto MemFault;
+        Gpr[D0.Reg] = V;
+        break;
+      }
+      case F_Lea:
+        Gpr[D0.Reg] = addrOf(S0, Gpr);
+        break;
+      case F_PushR:
+      case F_PushI: {
+        const uint32_t V = R->Form == F_PushR ? Gpr[S0.Reg] : S0.Value;
+        const uint32_t NewEsp = Esp - 4;
+        if (!Mem.write32(NewEsp, V))
+          goto MemFault;
+        noteWrite(NewEsp, 4);
+        Esp = NewEsp;
+        break;
+      }
+      case F_PopR: {
+        const uint32_t OldEsp = Esp;
+        uint32_t V;
+        if (!Mem.read32(OldEsp, V))
+          goto MemFault;
+        // Order matters for `pop esp`: write the value last.
+        Esp = OldEsp + 4;
+        Gpr[D0.Reg] = V;
+        break;
+      }
+      case F_MovsdXX:
+        Xmm[D0.Reg] = Xmm[S0.Reg];
+        break;
+      case F_MovsdXM: {
+        double V;
+        if (!Mem.readF64(addrOf(S0, Gpr), V))
+          goto MemFault;
+        Xmm[D0.Reg] = V;
+        break;
+      }
+      case F_MovsdMX: {
+        const uint32_t Addr = addrOf(D0, Gpr);
+        if (!Mem.writeF64(Addr, Xmm[S0.Reg]))
+          goto MemFault;
+        noteWrite(Addr, 8);
+        break;
+      }
+      case F_AddsdXX:
+        Xmm[D0.Reg] = Xmm[S1.Reg] + Xmm[S0.Reg];
+        break;
+      case F_MulsdXX:
+        Xmm[D0.Reg] = Xmm[S1.Reg] * Xmm[S0.Reg];
+        break;
+      case F_AddsdXM:
+      case F_MulsdXM: {
+        double B;
+        if (!Mem.readF64(addrOf(S0, Gpr), B))
+          goto MemFault;
+        const double A = Xmm[S1.Reg];
+        Xmm[D0.Reg] = R->Form == F_AddsdXM ? A + B : A * B;
+        break;
+      }
+
+      //===--- generic cases: data movement ---------------------------------===
+      case OP_mov_b: {
+        uint8_t V;
+        Ok = read8(S0, V) && write8(D0, V);
+        break;
+      }
+      case OP_movzx_b: {
+        uint8_t V;
+        Ok = read8(S0, V) && write32(D0, V);
+        break;
+      }
+      case OP_movsx_b: {
+        uint8_t V;
+        Ok = read8(S0, V) && write32(D0, uint32_t(int32_t(int8_t(V))));
+        break;
+      }
+      case OP_movzx_w:
+      case OP_movsx_w: {
+        uint16_t V;
+        Ok = Mem.read16(addrOf(S0, Gpr), V);
+        if (Ok)
+          Ok = write32(D0, R->Op == OP_movzx_w ? uint32_t(V)
+                                               : uint32_t(int32_t(int16_t(V))));
+        break;
+      }
+      case OP_xchg: {
+        uint32_t A, B;
+        Ok = read32(S0, A) && read32(S1, B) && write32(D0, B) &&
+             write32(R->Dst[1], A);
+        break;
+      }
+      case OP_push: {
+        uint32_t V;
+        Ok = read32(S0, V);
+        if (Ok) {
+          uint32_t NewEsp = Esp - 4;
+          Ok = Mem.write32(NewEsp, V);
+          if (Ok) {
+            noteWrite(NewEsp, 4);
+            Esp = NewEsp;
+          }
+        }
+        break;
+      }
+      case OP_pop: {
+        uint32_t OldEsp = Esp;
+        uint32_t V;
+        Ok = Mem.read32(OldEsp, V);
+        if (Ok) {
+          // Order matters for `pop esp`-style cases: write the value last.
+          Esp = OldEsp + 4;
+          Ok = write32(D0, V);
+        }
+        break;
+      }
+
+      //===--- generic cases: integer ALU -----------------------------------===
+      case OP_add:
+      case OP_adc: {
+        uint32_t A, B;
+        Ok = read32(S1, A) && read32(S0, B);
+        if (Ok) {
+          uint32_t Cin = R->Op == OP_adc && C.flag(EFLAGS_CF) ? 1 : 0;
+          Ok = write32(D0, doAdd(C, A, B, Cin));
+        }
+        break;
+      }
+      case OP_sub:
+      case OP_sbb: {
+        uint32_t A, B;
+        Ok = read32(S1, A) && read32(S0, B);
+        if (Ok) {
+          uint32_t Bin = R->Op == OP_sbb && C.flag(EFLAGS_CF) ? 1 : 0;
+          Ok = write32(D0, doSub(C, A, B, Bin));
+        }
+        break;
+      }
+      case OP_cmp: {
+        uint32_t A, B;
+        Ok = read32(S1, A) && read32(S0, B);
+        if (Ok)
+          doSub(C, A, B, 0);
+        break;
+      }
+      case OP_and:
+      case OP_or:
+      case OP_xor: {
+        uint32_t A, B;
+        Ok = read32(S1, A) && read32(S0, B);
+        if (Ok) {
+          uint32_t V = R->Op == OP_and  ? (A & B)
+                       : R->Op == OP_or ? (A | B)
+                                        : (A ^ B);
+          Ok = write32(D0, doLogicFlags(C, V));
+        }
+        break;
+      }
+      case OP_test: {
+        uint32_t A, B;
+        Ok = read32(S1, A) && read32(S0, B);
+        if (Ok)
+          doLogicFlags(C, A & B);
+        break;
+      }
+      case OP_inc:
+      case OP_dec: {
+        uint32_t A;
+        Ok = read32(S0, A);
+        if (Ok) {
+          uint32_t V = R->Op == OP_inc
+                           ? doAdd(C, A, 1, 0, /*WriteCarry=*/false)
+                           : doSub(C, A, 1, 0, /*WriteCarry=*/false);
+          Ok = write32(D0, V);
+        }
+        break;
+      }
+      case OP_neg: {
+        uint32_t A;
+        Ok = read32(S0, A);
+        if (Ok)
+          Ok = write32(D0, doSub(C, 0, A, 0));
+        break;
+      }
+      case OP_not: {
+        uint32_t A;
+        Ok = read32(S0, A) && write32(D0, ~A);
+        break;
+      }
+      case OP_imul: {
+        // Two forms share canonical shape S={x, y}, D={r}.
+        uint32_t A, B;
+        Ok = read32(S0, A) && read32(S1, B);
+        if (Ok)
+          Ok = write32(D0, doImul(C, A, B));
+        break;
+      }
+      case OP_mul: {
+        uint32_t Src;
+        Ok = read32(S0, Src);
+        if (Ok) {
+          uint64_t Full = uint64_t(Gpr[REG_EAX - REG_EAX]) * Src;
+          uint32_t Lo = uint32_t(Full), Hi = uint32_t(Full >> 32);
+          Gpr[REG_EAX - REG_EAX] = Lo;
+          Gpr[REG_EDX - REG_EAX] = Hi;
+          C.setFlag(EFLAGS_CF, Hi != 0);
+          C.setFlag(EFLAGS_OF, Hi != 0);
+          C.setFlag(EFLAGS_AF, false);
+          setPZS(C, Lo);
+        }
+        break;
+      }
+      case OP_idiv: {
+        uint32_t Src;
+        Ok = read32(S0, Src);
+        if (Ok) {
+          int64_t Dividend = int64_t((uint64_t(Gpr[REG_EDX - REG_EAX]) << 32) |
+                                     Gpr[REG_EAX - REG_EAX]);
+          int32_t Divisor = int32_t(Src);
+          if (Divisor == 0) {
+            fault("integer divide by zero");
+            Result.Kind = StepKind::Faulted;
+            goto Done;
+          }
+          // INT64_MIN / -1 overflows the host's division too; its quotient
+          // is out of range like every other overflowing one.
+          if (Divisor == -1 &&
+              Dividend == std::numeric_limits<int64_t>::min()) {
+            fault("integer divide overflow");
+            Result.Kind = StepKind::Faulted;
+            goto Done;
+          }
+          int64_t Quot = Dividend / Divisor;
+          if (Quot > std::numeric_limits<int32_t>::max() ||
+              Quot < std::numeric_limits<int32_t>::min()) {
+            fault("integer divide overflow");
+            Result.Kind = StepKind::Faulted;
+            goto Done;
+          }
+          Gpr[REG_EAX - REG_EAX] = uint32_t(int32_t(Quot));
+          Gpr[REG_EDX - REG_EAX] = uint32_t(int32_t(Dividend % Divisor));
+        }
+        break;
+      }
+      case OP_cdq:
+        Gpr[REG_EDX - REG_EAX] =
+            (Gpr[REG_EAX - REG_EAX] & 0x80000000u) ? 0xFFFFFFFFu : 0;
+        break;
+
+      case OP_shl:
+      case OP_shr:
+      case OP_sar: {
+        uint32_t N, A;
+        Ok = read32(S0, N) && read32(S1, A);
+        // A masked count of 0 writes nothing: a memory operand stays
+        // unwritten and unmonitored.
+        if (Ok && (N &= 31) != 0)
+          Ok = write32(D0, doShift(C, R->Op, A, N));
+        break;
+      }
+
+      //===--- generic cases: control transfer ------------------------------===
+      case OP_jmp_ind: {
+        uint32_t Target;
+        if (!read32(S0, Target))
+          goto MemFault;
+        Cyc += TakenCost;
+        if (InApp && !Pred.predictIndirect(Pc, Target))
+          Cyc += MispredictCost;
+        NewPc = Target;
+        break;
+      }
+
+      case OP_call: {
+        uint32_t NewEsp = Esp - 4;
+        if (!Mem.write32(NewEsp, Next))
+          goto MemFault;
+        noteWrite(NewEsp, 4);
+        Esp = NewEsp;
+        Cyc += TakenCost;
+        if (InApp)
+          Pred.pushReturn(Next);
+        NewPc = S0.Value;
+        break;
+      }
+
+      case OP_call_ind: {
+        uint32_t Target;
+        if (!read32(S0, Target))
+          goto MemFault;
+        uint32_t NewEsp = Esp - 4;
+        if (!Mem.write32(NewEsp, Next))
+          goto MemFault;
+        noteWrite(NewEsp, 4);
+        Esp = NewEsp;
+        Cyc += TakenCost;
+        if (InApp) {
+          Pred.pushReturn(Next);
+          if (!Pred.predictIndirect(Pc, Target))
+            Cyc += MispredictCost;
+        }
+        NewPc = Target;
+        break;
+      }
+
+      case OP_ret:
+      case OP_ret_imm: {
+        uint32_t OldEsp = Esp;
+        uint32_t Target;
+        if (!Mem.read32(OldEsp, Target))
+          goto MemFault;
+        uint32_t Extra = R->Op == OP_ret_imm ? S0.Value : 0;
+        Esp = OldEsp + 4 + Extra;
+        Cyc += TakenCost;
+        // Natively, `ret` rides the return-address stack. In the code cache
+        // the runtime charges BTB-style costs at the IBL instead (the
+        // translated return is an indirect jump there — the paper's key
+        // penalty).
+        if (InApp && !Pred.popReturn(Target))
+          Cyc += MispredictCost;
+        NewPc = Target;
+        break;
+      }
+
+      //===--- generic cases: system ----------------------------------------===
+      case OP_int: {
+        Pc = Next; // the syscall returns to the following instruction
+        SyscallResult Sys = doSyscall();
+        if (Sys == SyscallResult::Fault) {
+          Result.Kind = StepKind::Faulted;
+          goto Done;
+        }
+        if (Status == RunStatus::Exited) {
+          Result.Kind = StepKind::Exited;
+          goto Done;
+        }
+        if (Sys == SyscallResult::ThreadExited) {
+          Result.Kind = StepKind::ThreadExited;
+          goto Done;
+        }
+        if (Sys == SyscallResult::Spawned) {
+          Result.Kind = StepKind::ThreadSpawned;
+          goto Done;
+        }
+        assert(&C == CurCpu && "the thread table moved mid-run");
+        break;
+      }
+
+      case OP_hlt:
+        Status = RunStatus::Exited;
+        ExitCode = 0;
+        Result.Kind = StepKind::Exited;
+        goto Done;
+
+      case OP_nop:
+        break;
+
+      //===--- generic cases: scalar double ---------------------------------===
+      case OP_addsd:
+      case OP_subsd:
+      case OP_mulsd:
+      case OP_divsd: {
+        double A, B;
+        Ok = readF64(S1, A) && readF64(S0, B);
+        if (Ok) {
+          double V = R->Op == OP_addsd   ? A + B
+                     : R->Op == OP_subsd ? A - B
+                     : R->Op == OP_mulsd ? A * B
+                                         : A / B;
+          Ok = writeF64(D0, V);
+        }
+        break;
+      }
+      case OP_ucomisd: {
+        double A, B;
+        Ok = readF64(S1, A) && readF64(S0, B);
+        if (Ok) {
+          bool Unordered = std::isnan(A) || std::isnan(B);
+          C.setFlag(EFLAGS_ZF, Unordered || A == B);
+          C.setFlag(EFLAGS_PF, Unordered);
+          C.setFlag(EFLAGS_CF, Unordered || A < B);
+          C.setFlag(EFLAGS_OF, false);
+          C.setFlag(EFLAGS_AF, false);
+          C.setFlag(EFLAGS_SF, false);
+        }
+        break;
+      }
+      case OP_cvtsi2sd: {
+        uint32_t V;
+        Ok = read32(S0, V) && writeF64(D0, double(int32_t(V)));
+        break;
+      }
+      case OP_cvttsd2si: {
+        double V;
+        Ok = readF64(S0, V);
+        if (Ok) {
+          int32_t Int;
+          if (std::isnan(V) || V >= 2147483648.0 || V < -2147483648.0)
+            Int = std::numeric_limits<int32_t>::min(); // "integer indefinite"
+          else
+            Int = int32_t(V);
+          Ok = write32(D0, uint32_t(Int));
+        }
+        break;
+      }
+
+      //===--- generic cases: runtime extensions ----------------------------===
+      case OP_clientcall:
+        Pc = Next;
+        Result.Kind = StepKind::ClientCall;
+        Result.ClientCallId = S0.Value;
+        goto Done;
+
+      case OP_savef: {
+        uint32_t Addr = addrOf(D0, Gpr);
+        Ok = Mem.write32(Addr, C.Eflags);
+        if (Ok)
+          noteWrite(Addr, 4);
+        break;
+      }
+      case OP_restf: {
+        uint32_t V;
+        Ok = Mem.read32(addrOf(S0, Gpr), V);
+        if (Ok)
+          C.Eflags = V;
+        break;
+      }
+
+      default: // OP_label, OP_INVALID, and opcodes whose operands fit no form
+        fault("executed invalid opcode");
+        Result.Kind = StepKind::Faulted;
+        goto Done;
+      }
+
+      if (RIO_UNLIKELY(!Ok))
+        goto MemFault;
+      Pc = NewPc;
+    }
     if (RIO_UNLIKELY(CodeWritten)) {
       CodeWritten = false;
       LogAhead = CodeWrites.size() > Stops.CodeWriteCursor;
     }
-    if (!Completed || RIO_UNLIKELY(LogAhead) ||
-        RIO_UNLIKELY(InstrsExecuted >= InstrStop))
-      return Result;
-    Pc = CurCpu->Pc;
+    if (RIO_UNLIKELY(LogAhead) || RIO_UNLIKELY(Count >= InstrStop))
+      goto Done;
     if (RIO_UNLIKELY(Pc == Stops.StopPc || Pc < Stops.LowPc ||
-                     Cycles >= Stops.CycleLimit))
-      return Result;
+                     Cyc >= Stops.CycleLimit))
+      goto Done;
+    R = fetchDecode(Pc);
+    if (RIO_UNLIKELY(R && R->Stop))
+      goto Done;
   }
-}
 
-bool Machine::memFault(AppPc Pc, StepResult &Result) {
+MemFault:
   fault("memory access out of bounds at pc " + std::to_string(Pc));
   Result.Kind = StepKind::Faulted;
-  return false;
-}
-
-bool Machine::execute(const PredecodedInstr &R, AppPc Pc,
-                      StepResult &Result) {
-  const CostModel &CM = Config.Cost;
-  CpuState &C = *CurCpu;
-  const AppPc Next = Pc + R.Length;
-  const bool InApp = !inRuntimeRegion(Pc);
-  uint32_t &Esp = C.Gpr[REG_ESP - REG_EAX];
-  bool Ok = true;
-
-  switch (R.Op) {
-  //===--- data movement -------------------------------------------------===
-  case OP_mov: {
-    uint32_t V;
-    Ok = read32(R.Src[0], V) && write32(R.Dst[0], V);
-    break;
-  }
-  case OP_mov_b: {
-    uint8_t V;
-    Ok = read8(R.Src[0], V) && write8(R.Dst[0], V);
-    break;
-  }
-  case OP_movzx_b: {
-    uint8_t V;
-    Ok = read8(R.Src[0], V) && write32(R.Dst[0], V);
-    break;
-  }
-  case OP_movsx_b: {
-    uint8_t V;
-    Ok = read8(R.Src[0], V) &&
-         write32(R.Dst[0], uint32_t(int32_t(int8_t(V))));
-    break;
-  }
-  case OP_movzx_w:
-  case OP_movsx_w: {
-    uint16_t V;
-    Ok = Mem.read16(addrOf(R.Src[0]), V);
-    if (Ok)
-      Ok = write32(R.Dst[0], R.Op == OP_movzx_w
-                                 ? uint32_t(V)
-                                 : uint32_t(int32_t(int16_t(V))));
-    break;
-  }
-  case OP_lea:
-    Ok = write32(R.Dst[0], addrOf(R.Src[0]));
-    break;
-  case OP_xchg: {
-    uint32_t A, B;
-    Ok = read32(R.Src[0], A) && read32(R.Src[1], B) && write32(R.Dst[0], B) &&
-         write32(R.Dst[1], A);
-    break;
-  }
-  case OP_push: {
-    uint32_t V;
-    Ok = read32(R.Src[0], V);
-    if (Ok) {
-      uint32_t NewEsp = Esp - 4;
-      Ok = Mem.write32(NewEsp, V);
-      if (Ok) {
-        noteWrite(NewEsp, 4);
-        Esp = NewEsp;
-      }
-    }
-    break;
-  }
-  case OP_pop: {
-    uint32_t OldEsp = Esp;
-    uint32_t V;
-    Ok = Mem.read32(OldEsp, V);
-    if (Ok) {
-      // Order matters for `pop esp`-style cases: write the value last.
-      Esp = OldEsp + 4;
-      Ok = write32(R.Dst[0], V);
-    }
-    break;
-  }
-
-  //===--- integer ALU ---------------------------------------------------===
-  case OP_add:
-  case OP_adc: {
-    uint32_t A, B;
-    Ok = read32(R.Src[1], A) && read32(R.Src[0], B);
-    if (Ok) {
-      uint32_t Cin = R.Op == OP_adc && C.flag(EFLAGS_CF) ? 1 : 0;
-      Ok = write32(R.Dst[0], doAdd(C, A, B, Cin));
-    }
-    break;
-  }
-  case OP_sub:
-  case OP_sbb: {
-    uint32_t A, B;
-    Ok = read32(R.Src[1], A) && read32(R.Src[0], B);
-    if (Ok) {
-      uint32_t Bin = R.Op == OP_sbb && C.flag(EFLAGS_CF) ? 1 : 0;
-      Ok = write32(R.Dst[0], doSub(C, A, B, Bin));
-    }
-    break;
-  }
-  case OP_cmp: {
-    uint32_t A, B;
-    Ok = read32(R.Src[1], A) && read32(R.Src[0], B);
-    if (Ok)
-      doSub(C, A, B, 0);
-    break;
-  }
-  case OP_and:
-  case OP_or:
-  case OP_xor: {
-    uint32_t A, B;
-    Ok = read32(R.Src[1], A) && read32(R.Src[0], B);
-    if (Ok) {
-      uint32_t V = R.Op == OP_and ? (A & B) : R.Op == OP_or ? (A | B)
-                                                            : (A ^ B);
-      doLogicFlags(C, V);
-      Ok = write32(R.Dst[0], V);
-    }
-    break;
-  }
-  case OP_test: {
-    uint32_t A, B;
-    Ok = read32(R.Src[1], A) && read32(R.Src[0], B);
-    if (Ok)
-      doLogicFlags(C, A & B);
-    break;
-  }
-  case OP_inc:
-  case OP_dec: {
-    uint32_t A;
-    Ok = read32(R.Src[0], A);
-    if (Ok) {
-      // inc/dec leave CF untouched — the hinge of the paper's Section 4.2.
-      uint32_t V = R.Op == OP_inc ? doAdd(C, A, 1, 0, /*WriteCarry=*/false)
-                                  : doSub(C, A, 1, 0, /*WriteCarry=*/false);
-      Ok = write32(R.Dst[0], V);
-    }
-    break;
-  }
-  case OP_neg: {
-    uint32_t A;
-    Ok = read32(R.Src[0], A);
-    if (Ok)
-      Ok = write32(R.Dst[0], doSub(C, 0, A, 0));
-    break;
-  }
-  case OP_not: {
-    uint32_t A;
-    Ok = read32(R.Src[0], A) && write32(R.Dst[0], ~A);
-    break;
-  }
-  case OP_imul: {
-    // Two forms share canonical shape S={x, y}, D={r}.
-    uint32_t A, B;
-    Ok = read32(R.Src[0], A) && read32(R.Src[1], B);
-    if (Ok) {
-      int64_t Full = int64_t(int32_t(A)) * int64_t(int32_t(B));
-      uint32_t V = uint32_t(Full);
-      bool Overflow = Full != int64_t(int32_t(V));
-      C.setFlag(EFLAGS_CF, Overflow);
-      C.setFlag(EFLAGS_OF, Overflow);
-      C.setFlag(EFLAGS_AF, false);
-      setPZS(C, V);
-      Ok = write32(R.Dst[0], V);
-    }
-    break;
-  }
-  case OP_mul: {
-    uint32_t Src;
-    Ok = read32(R.Src[0], Src);
-    if (Ok) {
-      uint64_t Full = uint64_t(C.Gpr[REG_EAX - REG_EAX]) * Src;
-      uint32_t Lo = uint32_t(Full), Hi = uint32_t(Full >> 32);
-      C.Gpr[REG_EAX - REG_EAX] = Lo;
-      C.Gpr[REG_EDX - REG_EAX] = Hi;
-      C.setFlag(EFLAGS_CF, Hi != 0);
-      C.setFlag(EFLAGS_OF, Hi != 0);
-      C.setFlag(EFLAGS_AF, false);
-      setPZS(C, Lo);
-    }
-    break;
-  }
-  case OP_idiv: {
-    uint32_t Src;
-    Ok = read32(R.Src[0], Src);
-    if (Ok) {
-      int64_t Dividend = int64_t((uint64_t(C.Gpr[REG_EDX - REG_EAX]) << 32) |
-                                 C.Gpr[REG_EAX - REG_EAX]);
-      int32_t Divisor = int32_t(Src);
-      if (Divisor == 0) {
-        fault("integer divide by zero");
-        Result.Kind = StepKind::Faulted;
-        return false;
-      }
-      // INT64_MIN / -1 overflows the host's division too; its quotient is
-      // out of range like every other overflowing one.
-      if (Divisor == -1 && Dividend == std::numeric_limits<int64_t>::min()) {
-        fault("integer divide overflow");
-        Result.Kind = StepKind::Faulted;
-        return false;
-      }
-      int64_t Quot = Dividend / Divisor;
-      if (Quot > std::numeric_limits<int32_t>::max() ||
-          Quot < std::numeric_limits<int32_t>::min()) {
-        fault("integer divide overflow");
-        Result.Kind = StepKind::Faulted;
-        return false;
-      }
-      C.Gpr[REG_EAX - REG_EAX] = uint32_t(int32_t(Quot));
-      C.Gpr[REG_EDX - REG_EAX] = uint32_t(int32_t(Dividend % Divisor));
-    }
-    break;
-  }
-  case OP_cdq:
-    C.Gpr[REG_EDX - REG_EAX] =
-        (C.Gpr[REG_EAX - REG_EAX] & 0x80000000u) ? 0xFFFFFFFFu : 0;
-    break;
-
-  case OP_shl:
-  case OP_shr:
-  case OP_sar: {
-    uint32_t Count, A;
-    Ok = read32(R.Src[0], Count) && read32(R.Src[1], A);
-    if (Ok) {
-      Count &= 31;
-      if (Count == 0)
-        break; // no result change, no flag change
-      uint32_t V;
-      bool LastOut;
-      if (R.Op == OP_shl) {
-        LastOut = ((A >> (32 - Count)) & 1) != 0;
-        V = A << Count;
-        C.setFlag(EFLAGS_OF, Count == 1 && ((V >> 31) != 0) != LastOut);
-      } else if (R.Op == OP_shr) {
-        LastOut = ((A >> (Count - 1)) & 1) != 0;
-        V = A >> Count;
-        C.setFlag(EFLAGS_OF, Count == 1 && (A >> 31) != 0);
-      } else {
-        LastOut = ((uint32_t(int32_t(A) >> (Count - 1))) & 1) != 0;
-        V = uint32_t(int32_t(A) >> Count);
-        C.setFlag(EFLAGS_OF, false);
-      }
-      C.setFlag(EFLAGS_CF, LastOut);
-      C.setFlag(EFLAGS_AF, false);
-      setPZS(C, V);
-      Ok = write32(R.Dst[0], V);
-    }
-    break;
-  }
-
-  //===--- control transfer ----------------------------------------------===
-  case OP_jmp:
-    Cycles += CM.TakenBranchCost;
-    C.Pc = R.Src[0].Value;
-    return true;
-
-  case OP_jmp_ind: {
-    uint32_t Target;
-    if (!read32(R.Src[0], Target))
-      return memFault(Pc, Result);
-    Cycles += CM.TakenBranchCost;
-    if (InApp && !Pred.predictIndirect(Pc, Target))
-      Cycles += CM.MispredictPenalty;
-    C.Pc = Target;
-    return true;
-  }
-
-  case OP_call: {
-    uint32_t NewEsp = Esp - 4;
-    if (!Mem.write32(NewEsp, Next))
-      return memFault(Pc, Result);
-    noteWrite(NewEsp, 4);
-    Esp = NewEsp;
-    Cycles += CM.TakenBranchCost;
-    if (InApp)
-      Pred.pushReturn(Next);
-    C.Pc = R.Src[0].Value;
-    return true;
-  }
-
-  case OP_call_ind: {
-    uint32_t Target;
-    if (!read32(R.Src[0], Target))
-      return memFault(Pc, Result);
-    uint32_t NewEsp = Esp - 4;
-    if (!Mem.write32(NewEsp, Next))
-      return memFault(Pc, Result);
-    noteWrite(NewEsp, 4);
-    Esp = NewEsp;
-    Cycles += CM.TakenBranchCost;
-    if (InApp) {
-      Pred.pushReturn(Next);
-      if (!Pred.predictIndirect(Pc, Target))
-        Cycles += CM.MispredictPenalty;
-    }
-    C.Pc = Target;
-    return true;
-  }
-
-  case OP_ret:
-  case OP_ret_imm: {
-    uint32_t OldEsp = Esp;
-    uint32_t Target;
-    if (!Mem.read32(OldEsp, Target))
-      return memFault(Pc, Result);
-    uint32_t Extra = R.Op == OP_ret_imm ? R.Src[0].Value : 0;
-    Esp = OldEsp + 4 + Extra;
-    Cycles += CM.TakenBranchCost;
-    // Natively, `ret` rides the return-address stack. In the code cache the
-    // runtime charges BTB-style costs at the IBL instead (the translated
-    // return is an indirect jump there — the paper's key penalty).
-    if (InApp && !Pred.popReturn(Target))
-      Cycles += CM.MispredictPenalty;
-    C.Pc = Target;
-    return true;
-  }
-
-  case OP_jo:
-  case OP_jno:
-  case OP_jb:
-  case OP_jnb:
-  case OP_jz:
-  case OP_jnz:
-  case OP_jbe:
-  case OP_jnbe:
-  case OP_js:
-  case OP_jns:
-  case OP_jp:
-  case OP_jnp:
-  case OP_jl:
-  case OP_jnl:
-  case OP_jle:
-  case OP_jnle:
-  case OP_jecxz: {
-    bool Taken = R.Op == OP_jecxz ? C.Gpr[REG_ECX - REG_EAX] == 0
-                                  : condHolds(C, condCodeOf(R.Op));
-    if (!Pred.predictCond(Pc, Taken))
-      Cycles += CM.MispredictPenalty;
-    if (Taken) {
-      Cycles += CM.TakenBranchCost;
-      C.Pc = R.Src[0].Value;
-    } else {
-      C.Pc = Next;
-    }
-    return true;
-  }
-
-  //===--- system --------------------------------------------------------===
-  case OP_int: {
-    C.Pc = Next; // syscall returns to the following instruction
-    SyscallResult Sys = doSyscall();
-    if (Sys == SyscallResult::Fault) {
-      Result.Kind = StepKind::Faulted;
-      return false;
-    }
-    if (Status == RunStatus::Exited) {
-      Result.Kind = StepKind::Exited;
-      return false;
-    }
-    if (Sys == SyscallResult::ThreadExited) {
-      Result.Kind = StepKind::ThreadExited;
-      return false;
-    }
-    if (Sys == SyscallResult::Spawned) {
-      Result.Kind = StepKind::ThreadSpawned;
-      return false;
-    }
-    return true;
-  }
-
-  case OP_hlt:
-    Status = RunStatus::Exited;
-    ExitCode = 0;
-    Result.Kind = StepKind::Exited;
-    return false;
-
-  case OP_nop:
-    break;
-
-  //===--- scalar double -------------------------------------------------===
-  case OP_movsd: {
-    double V;
-    Ok = readF64(R.Src[0], V) && writeF64(R.Dst[0], V);
-    break;
-  }
-  case OP_addsd:
-  case OP_subsd:
-  case OP_mulsd:
-  case OP_divsd: {
-    double A, B;
-    Ok = readF64(R.Src[1], A) && readF64(R.Src[0], B);
-    if (Ok) {
-      double V = R.Op == OP_addsd   ? A + B
-                 : R.Op == OP_subsd ? A - B
-                 : R.Op == OP_mulsd ? A * B
-                                    : A / B;
-      Ok = writeF64(R.Dst[0], V);
-    }
-    break;
-  }
-  case OP_ucomisd: {
-    double A, B;
-    Ok = readF64(R.Src[1], A) && readF64(R.Src[0], B);
-    if (Ok) {
-      bool Unordered = std::isnan(A) || std::isnan(B);
-      C.setFlag(EFLAGS_ZF, Unordered || A == B);
-      C.setFlag(EFLAGS_PF, Unordered);
-      C.setFlag(EFLAGS_CF, Unordered || A < B);
-      C.setFlag(EFLAGS_OF, false);
-      C.setFlag(EFLAGS_AF, false);
-      C.setFlag(EFLAGS_SF, false);
-    }
-    break;
-  }
-  case OP_cvtsi2sd: {
-    uint32_t V;
-    Ok = read32(R.Src[0], V) && writeF64(R.Dst[0], double(int32_t(V)));
-    break;
-  }
-  case OP_cvttsd2si: {
-    double V;
-    Ok = readF64(R.Src[0], V);
-    if (Ok) {
-      int32_t Int;
-      if (std::isnan(V) || V >= 2147483648.0 || V < -2147483648.0)
-        Int = std::numeric_limits<int32_t>::min(); // x86 "integer indefinite"
-      else
-        Int = int32_t(V);
-      Ok = write32(R.Dst[0], uint32_t(Int));
-    }
-    break;
-  }
-
-  //===--- runtime extensions --------------------------------------------===
-  case OP_clientcall:
-    C.Pc = Next;
-    Result.Kind = StepKind::ClientCall;
-    Result.ClientCallId = R.Src[0].Value;
-    return false;
-
-  case OP_savef: {
-    uint32_t Addr = addrOf(R.Dst[0]);
-    Ok = Mem.write32(Addr, C.Eflags);
-    if (Ok)
-      noteWrite(Addr, 4);
-    break;
-  }
-  case OP_restf: {
-    uint32_t V;
-    Ok = Mem.read32(addrOf(R.Src[0]), V);
-    if (Ok)
-      C.Eflags = V;
-    break;
-  }
-
-  case OP_label:
-  case OP_INVALID:
-  default:
-    fault("executed invalid opcode");
-    Result.Kind = StepKind::Faulted;
-    return false;
-  }
-
-  if (!Ok)
-    return memFault(Pc, Result);
-  C.Pc = Next;
-  return true;
+Done:
+  CurCpu->Pc = Pc;
+  Cycles = Cyc;
+  InstrsExecuted = Count;
+  LastPc = Last;
+  return Result;
 }

@@ -103,8 +103,10 @@ struct PredecodedOp {
 };
 
 /// A decode-cache record: the instruction as the interpreter runs it, its
-/// memoized cycle cost, and whether the pc is stop-marked (see
-/// Machine::setStopPc). Operand slots follow the canonical layout of
+/// memoized cycle cost, whether the pc is stop-marked (see
+/// Machine::setStopPc), and its form: the handler Machine::run() dispatches
+/// on, chosen from the opcode and its operand kinds when the record fills
+/// (see Machine.cpp). Operand slots follow the canonical layout of
 /// isa/OperandLayout.h; the interpreter uses at most two sources and two
 /// destinations.
 struct PredecodedInstr {
@@ -112,6 +114,7 @@ struct PredecodedInstr {
   uint8_t Length = 0;
   bool Stop = false;
   uint32_t Cost = 0;
+  uint8_t Form = 0;
   PredecodedOp Src[2];
   PredecodedOp Dst[2];
 };
@@ -295,13 +298,6 @@ private:
       DecodeCache.mut(Idx).Tag = 0;
   }
 
-  /// Executes \p R, the record of the instruction at \p Pc, whose cost is
-  /// already charged. Returns true when it completed with StepKind::Ok;
-  /// otherwise \p Result says what happened.
-  RIO_ALWAYS_INLINE bool execute(const PredecodedInstr &R, AppPc Pc,
-                                 StepResult &Result);
-  bool memFault(AppPc Pc, StepResult &Result);
-
   /// Records a store for write monitoring: drops the cached decodes the
   /// store may overlap when the target line ever held cached decodes
   /// (self-modifying code must not execute stale decodes, natively or
@@ -323,10 +319,9 @@ private:
   }
   void noteWriteSlow(uint32_t Addr, uint32_t Len, uint32_t State);
 
-  // Operand access on pre-decoded operands (see Machine.cpp). Force-inlined
-  // into the interpreter switch: they are tiny and on the hottest host
-  // path. Register classes were checked when the record was filled.
-  RIO_ALWAYS_INLINE uint32_t addrOf(const PredecodedOp &Op) const;
+  // Operand access on pre-decoded operands of any kind, for the generic
+  // cases of run()'s switch (see Machine.cpp). Register classes were
+  // checked when the record was filled.
   RIO_ALWAYS_INLINE bool read32(const PredecodedOp &Op, uint32_t &Value);
   RIO_ALWAYS_INLINE bool write32(const PredecodedOp &Op, uint32_t Value);
   RIO_ALWAYS_INLINE bool read8(const PredecodedOp &Op, uint8_t &Value);
@@ -352,6 +347,8 @@ private:
   std::string FaultReason;
   std::string Output;
 
+  // run() keeps these and the current thread's pc in locals while it runs
+  // and writes them back before it returns.
   uint64_t Cycles = 0;
   uint64_t InstrsExecuted = 0;
   AppPc LastPc = 0;

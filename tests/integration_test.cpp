@@ -255,7 +255,7 @@ TEST_P(TransparencyFuzz, AllConfigsAllClientsMatchNative) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TransparencyFuzz,
-                         ::testing::Range(uint64_t(1), uint64_t(61)));
+                         ::testing::Range(uint64_t(1), uint64_t(201)));
 
 TEST(Determinism, RepeatRunsAreCycleIdentical) {
   ProgramGen Gen(99);

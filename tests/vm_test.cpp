@@ -666,6 +666,60 @@ TEST(VmDecodeCache, InvalidationOfOneLineSparesAliasedOther) {
   EXPECT_EQ(D1->Src[0].Value, 11u);
 }
 
+TEST(VmDecodeCache, StoreIntoStraddlingInstrNextLineInvalidates) {
+  // `jmp t1` starts 2 bytes before a 256-byte line, so its rel32 reaches
+  // into a line holding no other decoded instruction. Bumping the rel32's
+  // second byte retargets the jump 256 bytes on, to t2; both runs must
+  // see the new bytes.
+  Program P = assembleOrDie(R"(
+    .entry main
+    main:
+      mov esi, 0
+      jmp stub
+    after:
+      inc esi
+      cmp esi, 2
+      jz done
+      movzxb eax, [stub+2]
+      inc eax
+      movb [stub+2], al
+      jmp stub
+    done:
+      mov ebx, 0
+      mov eax, 1
+      int 0x80
+    .align 256
+    t1:
+      mov ebx, 1
+      jmp print
+    .align 256
+    t2:
+      mov ebx, 2
+    print:
+      mov eax, 2
+      int 0x80
+      jmp after
+    .align 256
+    .space 254
+    stub:
+      jmp t1
+  )");
+  const AppPc Stub = P.Symbols.at("stub");
+  ASSERT_EQ(Stub % Machine::WriteWatchLine, Machine::WriteWatchLine - 2);
+  ASSERT_EQ(P.Symbols.at("t2") - P.Symbols.at("t1"), 256u);
+
+  Outcome Native = runNativeProgram(P);
+  EXPECT_EQ(Native.Status, RunStatus::Exited);
+  EXPECT_EQ(Native.Output, "1\n2\n");
+
+  Machine M;
+  ASSERT_TRUE(loadProgram(M, P));
+  Runtime RT(M, RuntimeConfig::full());
+  RunResult R = RT.run();
+  EXPECT_EQ(R.Status, RunStatus::Exited) << R.FaultReason;
+  EXPECT_EQ(M.output(), "1\n2\n");
+}
+
 TEST(VmDecodeCache, OutOfRangePcReturnsNull) {
   Machine M;
   EXPECT_EQ(M.fetchDecode(uint32_t(M.mem().size())), nullptr);
