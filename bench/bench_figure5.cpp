@@ -18,17 +18,22 @@
 ///   - combined fp mean beats native; combined overall mean roughly
 ///     matches native, a ~12% improvement over base.
 ///
+/// The bench exits non-zero unless the EXPERIMENTS.md shape checks hold:
+/// the combined mean beats base by at least 10%, the combined fp mean is
+/// under 1.0, and mgrid under all four optimizations is under 0.75. Emits
+/// BENCH_figure5.json (bench/BenchJson.h rows `<workload>_<client>`, exact
+/// simulated cycles and native cycles) for scripts/bench_compare.py.
+///
 //===----------------------------------------------------------------------===//
 
+#include "BenchJson.h"
 #include "harness/Experiment.h"
 #include "support/OutStream.h"
 
 using namespace rio;
 
-int main(int argc, char **argv) {
-  int Scale = 0; // default per-workload scale
-  if (argc > 1)
-    Scale = std::atoi(argv[1]);
+int main(int Argc, char **Argv) {
+  const char *OutPath = Argc > 1 ? Argv[1] : "BENCH_figure5.json";
 
   const ClientKind Kinds[] = {
       ClientKind::None,         ClientKind::Rlr,
@@ -47,19 +52,26 @@ int main(int argc, char **argv) {
 
   std::vector<double> Mean[6];
   std::vector<double> MeanInt[6], MeanFp[6];
+  std::vector<BenchRow> Rows;
+  double MgridAll = 0;
   bool AllTransparent = true;
 
   for (const Workload &W : allWorkloads()) {
     OS.printf("%-9s", W.Name);
     for (size_t KI = 0; KI != std::size(Kinds); ++KI) {
-      NormalizedRun R =
-          measure(W, RuntimeConfig::full(), Kinds[KI], Scale);
+      NormalizedRun R = measure(W, RuntimeConfig::full(), Kinds[KI]);
       if (!R.Transparent) {
         AllTransparent = false;
         OS.printf(" %12s", "FAIL");
         continue;
       }
       OS.printf(" %12.3f", R.Normalized);
+      Rows.push_back({std::string(W.Name) + "_" + clientKindName(Kinds[KI]),
+                      {{"cycles", R.Rio.Cycles},
+                       {"native_cycles", R.Native.Cycles}},
+                      {}});
+      if (Kinds[KI] == ClientKind::AllFour && std::string(W.Name) == "mgrid")
+        MgridAll = R.Normalized;
       Mean[KI].push_back(R.Normalized);
       (W.IsFp ? MeanFp[KI] : MeanInt[KI]).push_back(R.Normalized);
     }
@@ -77,12 +89,17 @@ int main(int argc, char **argv) {
     OS.printf(" %12.3f", geomean(Mean[KI]));
   OS.printf("\n\n");
 
-  double Base = geomean(Mean[0]);
-  double All = geomean(Mean[5]);
-  OS.printf("combined vs base improvement: %.1f%%\n",
-            (1.0 - All / Base) * 100.0);
+  double Improvement = 1.0 - geomean(Mean[5]) / geomean(Mean[0]);
+  double AllFp = geomean(MeanFp[5]);
+  bool Shapes = Improvement >= 0.10 && AllFp < 1.0 && MgridAll > 0 &&
+                MgridAll < 0.75;
+  OS.printf("combined vs base improvement: %.1f%% (must be >= 10%%)\n",
+            Improvement * 100.0);
+  OS.printf("combined fp mean: %.3f (must be < 1.0)\n", AllFp);
+  OS.printf("mgrid all4: %.3f (must be < 0.75)\n", MgridAll);
   OS.printf("transparency: %s\n", AllTransparent ? "all runs identical to "
                                                    "native output"
                                                  : "VIOLATED");
-  return AllTransparent ? 0 : 1;
+  OS.printf("shape checks: %s\n\n", Shapes ? "all hold" : "VIOLATED");
+  return writeBenchJson(OutPath, Rows) && AllTransparent && Shapes ? 0 : 1;
 }

@@ -22,11 +22,12 @@
 /// RSS are machine-dependent): spawning the 32-tenant fleet should cost
 /// under 10% of 32 cold warm-ups, and each tenant's incremental resident
 /// memory should stay under 5% of a flat (pre-CoW, eagerly allocated)
-/// machine image. bench_compare.py gates the simulated cycles bit-exact and
-/// prints the host-side columns informationally.
+/// machine image. bench_compare.py gates the simulated cycles and counts
+/// bit-exact and only warns on the host-side columns.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchJson.h"
 #include "core/Runtime.h"
 #include "core/ThreadedRunner.h"
 #include "harness/Experiment.h"
@@ -53,7 +54,7 @@ struct Sample {
   std::string Config;      ///< workload name
   uint64_t Cycles;         ///< simulated steady-state cycles/tenant — gated
   uint64_t CyclesWarmup;   ///< simulated cycles of the cold first run
-  uint64_t CowPages;       ///< pages a tenant privatized (schema marker)
+  uint64_t CowPages;       ///< pages a tenant privatized — gated
   uint64_t Unshares;       ///< fork_cache_unshares summed over the fleet
   uint64_t SpawnNs;        ///< host ns to fork the whole fleet, warn-only
   uint64_t ColdNs;         ///< host ns for NumTenants cold warm-ups, warn-only
@@ -212,31 +213,6 @@ Sample measure(const std::string &Name, const Program &Prog) {
   return Out;
 }
 
-bool writeJson(const char *Path, const std::vector<Sample> &Samples) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    return false;
-  std::fprintf(F, "[\n");
-  for (size_t Idx = 0; Idx != Samples.size(); ++Idx) {
-    const Sample &S = Samples[Idx];
-    std::fprintf(
-        F,
-        "  {\"config\": \"%s\", \"cycles\": %llu, \"cycles_warmup\": %llu, "
-        "\"cow_pages\": %llu, \"unshares\": %llu, \"tenants\": %u, "
-        "\"spawn_ns\": %llu, \"cold_ns\": %llu, \"rss_per_tenant_kb\": %llu, "
-        "\"cold_rss_kb\": %llu}%s\n",
-        S.Config.c_str(), (unsigned long long)S.Cycles,
-        (unsigned long long)S.CyclesWarmup, (unsigned long long)S.CowPages,
-        (unsigned long long)S.Unshares, NumTenants,
-        (unsigned long long)S.SpawnNs, (unsigned long long)S.ColdNs,
-        (unsigned long long)S.RssPerTenantKb, (unsigned long long)S.ColdRssKb,
-        Idx + 1 == Samples.size() ? "" : ",");
-  }
-  std::fprintf(F, "]\n");
-  std::fclose(F);
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -250,7 +226,7 @@ int main(int Argc, char **Argv) {
             "cycles/tenant", "warmup_cyc", "pages", "spawn_ns", "cold_ns",
             "rss_kb", "cold_kb");
 
-  std::vector<Sample> Samples;
+  std::vector<BenchRow> Rows;
   bool HostWarned = false;
   for (const char *Name : {"crafty", "vpr", "gap"}) {
     const Workload *W = findWorkload(Name);
@@ -288,16 +264,20 @@ int main(int Argc, char **Argv) {
                 (unsigned long long)FlatKb);
       HostWarned = true;
     }
-    Samples.push_back(std::move(S));
+    Rows.push_back({S.Config,
+                    {{"cycles", S.Cycles},
+                     {"cycles_warmup", S.CyclesWarmup},
+                     {"cow_pages", S.CowPages},
+                     {"unshares", S.Unshares},
+                     {"tenants", NumTenants}},
+                    {{"spawn_ns", S.SpawnNs},
+                     {"cold_ns", S.ColdNs},
+                     {"rss_per_tenant_kb", S.RssPerTenantKb},
+                     {"cold_rss_kb", S.ColdRssKb}}});
   }
   if (!HostWarned)
     OS.printf("\nhost-side: fleet spawn under 10%% of cold warm-up time, "
               "tenant RSS under 5%% of a flat machine image\n");
 
-  if (!writeJson(OutPath, Samples)) {
-    errs().printf("cannot write %s\n", OutPath);
-    return 1;
-  }
-  OS.printf("wrote %s\n", OutPath);
-  return 0;
+  return writeBenchJson(OutPath, Rows) ? 0 : 1;
 }

@@ -14,18 +14,18 @@
 /// global IBL when the chains are off) and reports simulated cycles plus
 /// the ib_inline_* counters.
 ///
-/// Emits BENCH_ibl.json in the "simulated" schema ({config, cycles, ...})
-/// for scripts/bench_compare.py, and exits non-zero if the aggregate
+/// Emits BENCH_ibl.json (bench/BenchJson.h rows, every field exact) for
+/// scripts/bench_compare.py, and exits non-zero if the aggregate
 /// on-vs-off cycle reduction falls under 15% — the chains must pay for
 /// themselves, not just break even.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchJson.h"
 #include "asm/Assembler.h"
 #include "harness/Experiment.h"
 #include "support/OutStream.h"
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -179,17 +179,16 @@ std::string interpSource(int Outer) {
   )";
 }
 
-struct Sample {
-  std::string Config;
-  uint64_t Cycles = 0;
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
-  uint64_t Rewrites = 0;
-  uint64_t ChainEvictions = 0;
-};
+BenchRow row(const std::string &Config, const Outcome &Run) {
+  BenchFields Exact = {{"cycles", Run.Cycles}};
+  for (const char *Stat : {"ib_inline_hits", "ib_inline_misses",
+                           "ib_inline_rewrites", "ib_inline_chain_evictions"})
+    Exact.push_back({Stat, Run.Stats.get(Stat)});
+  return {Config, std::move(Exact), {}};
+}
 
 bool runPair(const char *Name, const std::string &Source,
-             std::vector<Sample> &Samples, uint64_t &OffTotal,
+             std::vector<BenchRow> &Rows, uint64_t &OffTotal,
              uint64_t &OnTotal) {
   OutStream &OS = outs();
   Program Prog;
@@ -216,19 +215,8 @@ bool runPair(const char *Name, const std::string &Source,
     return false;
   }
 
-  Sample SOff;
-  SOff.Config = std::string(Name) + "_off";
-  SOff.Cycles = OffRun.Cycles;
-  Samples.push_back(SOff);
-
-  Sample SOn;
-  SOn.Config = std::string(Name) + "_on";
-  SOn.Cycles = OnRun.Cycles;
-  SOn.Hits = OnRun.Stats.get("ib_inline_hits");
-  SOn.Misses = OnRun.Stats.get("ib_inline_misses");
-  SOn.Rewrites = OnRun.Stats.get("ib_inline_rewrites");
-  SOn.ChainEvictions = OnRun.Stats.get("ib_inline_chain_evictions");
-  Samples.push_back(SOn);
+  Rows.push_back(row(std::string(Name) + "_off", OffRun));
+  Rows.push_back(row(std::string(Name) + "_on", OnRun));
 
   OffTotal += OffRun.Cycles;
   OnTotal += OnRun.Cycles;
@@ -239,31 +227,9 @@ bool runPair(const char *Name, const std::string &Source,
   OS.printf("%-10s %12llu %12llu %+9.1f%% %8llu %8llu %4llu\n", Name,
             (unsigned long long)OffRun.Cycles,
             (unsigned long long)OnRun.Cycles, -Reduction,
-            (unsigned long long)SOn.Hits, (unsigned long long)SOn.Misses,
-            (unsigned long long)SOn.Rewrites);
-  return true;
-}
-
-bool writeJson(const char *Path, const std::vector<Sample> &Samples) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    return false;
-  std::fprintf(F, "[\n");
-  for (size_t Idx = 0; Idx != Samples.size(); ++Idx) {
-    const Sample &S = Samples[Idx];
-    std::fprintf(F,
-                 "  {\"config\": \"%s\", \"cycles\": %llu, "
-                 "\"ib_inline_hits\": %llu, \"ib_inline_misses\": %llu, "
-                 "\"ib_inline_rewrites\": %llu, "
-                 "\"ib_inline_chain_evictions\": %llu}%s\n",
-                 S.Config.c_str(), (unsigned long long)S.Cycles,
-                 (unsigned long long)S.Hits, (unsigned long long)S.Misses,
-                 (unsigned long long)S.Rewrites,
-                 (unsigned long long)S.ChainEvictions,
-                 Idx + 1 == Samples.size() ? "" : ",");
-  }
-  std::fprintf(F, "]\n");
-  std::fclose(F);
+            (unsigned long long)OnRun.Stats.get("ib_inline_hits"),
+            (unsigned long long)OnRun.Stats.get("ib_inline_misses"),
+            (unsigned long long)OnRun.Stats.get("ib_inline_rewrites"));
   return true;
 }
 
@@ -281,13 +247,12 @@ int main(int Argc, char **Argv) {
   // Scales are chosen so each workload contributes a comparable share of
   // off-mode cycles; the aggregate is then a cycle-weighted average over
   // the three shapes rather than an artifact of iteration counts.
-  std::vector<Sample> Samples;
+  std::vector<BenchRow> Rows;
   uint64_t OffTotal = 0, OnTotal = 0;
   bool Ok = true;
-  Ok &= runPair("vdispatch", vdispatchSource(600), Samples, OffTotal,
-                OnTotal);
-  Ok &= runPair("rettree", rettreeSource(1300), Samples, OffTotal, OnTotal);
-  Ok &= runPair("interp", interpSource(80), Samples, OffTotal, OnTotal);
+  Ok &= runPair("vdispatch", vdispatchSource(600), Rows, OffTotal, OnTotal);
+  Ok &= runPair("rettree", rettreeSource(1300), Rows, OffTotal, OnTotal);
+  Ok &= runPair("interp", interpSource(80), Rows, OffTotal, OnTotal);
   if (!Ok)
     return 1;
 
@@ -297,11 +262,8 @@ int main(int Argc, char **Argv) {
             (unsigned long long)OffTotal, (unsigned long long)OnTotal,
             Reduction);
 
-  if (!writeJson(OutPath, Samples)) {
-    OS.printf("cannot write %s\n", OutPath);
+  if (!writeBenchJson(OutPath, Rows))
     return 1;
-  }
-  OS.printf("wrote %s\n", OutPath);
 
   if (Reduction < 15.0) {
     OS.printf("FAIL: aggregate reduction %.1f%% is under the 15%% floor\n",

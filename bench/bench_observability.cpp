@@ -29,6 +29,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchJson.h"
 #include "harness/Experiment.h"
 #include "support/EventTrace.h"
 #include "support/Metrics.h"
@@ -36,7 +37,6 @@
 #include "support/Profile.h"
 
 #include <chrono>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -46,7 +46,6 @@ namespace {
 
 struct Sample {
   std::string Config;  ///< e.g. "crafty_recording"
-  const char *Mode;    ///< off | idle | recording | metrics
   uint64_t Cycles;     ///< simulated — identical across modes by design
   uint64_t Events;     ///< events recorded (0 unless recording)
   uint64_t Samples;    ///< profiler samples taken (0 unless recording)
@@ -96,7 +95,7 @@ uint64_t runMetered(const Program &Prog, const RuntimeConfig &Config,
 /// One workload in one observability state, best-of-\p Reps wall clock.
 Sample measure(const Workload &W, const char *Mode, int Reps) {
   Program Prog = buildWorkload(W, 0);
-  Sample Out{std::string(W.Name) + "_" + Mode, Mode, 0, 0, 0, ~0ull, 0, ~0ull};
+  Sample Out{std::string(W.Name) + "_" + Mode, 0, 0, 0, ~0ull, 0, ~0ull};
   for (int Rep = 0; Rep != Reps; ++Rep) {
     // Fresh sinks per rep so event/sample counts are per-run, not summed.
     EventTrace Trace;
@@ -138,28 +137,6 @@ Sample measure(const Workload &W, const char *Mode, int Reps) {
   return Out;
 }
 
-bool writeJson(const char *Path, const std::vector<Sample> &Samples) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    return false;
-  std::fprintf(F, "[\n");
-  for (size_t Idx = 0; Idx != Samples.size(); ++Idx) {
-    const Sample &S = Samples[Idx];
-    std::fprintf(F,
-                 "  {\"config\": \"%s\", \"mode\": \"%s\", \"cycles\": %llu, "
-                 "\"events\": %llu, \"samples\": %llu, \"snapshots\": %llu, "
-                 "\"snapshot_ns\": %llu}%s\n",
-                 S.Config.c_str(), S.Mode, (unsigned long long)S.Cycles,
-                 (unsigned long long)S.Events, (unsigned long long)S.Samples,
-                 (unsigned long long)S.Snapshots,
-                 (unsigned long long)S.SnapshotNs,
-                 Idx + 1 == Samples.size() ? "" : ",");
-  }
-  std::fprintf(F, "]\n");
-  std::fclose(F);
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -172,7 +149,7 @@ int main(int Argc, char **Argv) {
 
   const char *Workloads[] = {"crafty", "vpr", "gap"};
   const char *Modes[] = {"off", "idle", "recording", "metrics"};
-  std::vector<Sample> Samples;
+  std::vector<BenchRow> Rows;
   bool CyclesIdentical = true;
   for (const char *Name : Workloads) {
     const Workload *W = findWorkload(Name);
@@ -192,15 +169,18 @@ int main(int Argc, char **Argv) {
         OffCycles = S.Cycles;
       else if (S.Cycles != OffCycles)
         CyclesIdentical = false;
-      Samples.push_back(std::move(S));
+      Rows.push_back({S.Config,
+                      {{"cycles", S.Cycles},
+                       {"events", S.Events},
+                       {"samples", S.Samples},
+                       {"snapshots", S.Snapshots}},
+                      {{"snapshot_ns", S.SnapshotNs}}});
     }
   }
 
-  if (!writeJson(OutPath, Samples)) {
-    OS.printf("failed to write %s\n", OutPath);
+  OS.printf("\n");
+  if (!writeBenchJson(OutPath, Rows))
     return 1;
-  }
-  OS.printf("\nwrote %s\n", OutPath);
   if (!CyclesIdentical) {
     OS.printf("ERROR: simulated cycles drifted between observability "
               "states — instrumentation leaked into the simulated clock\n");

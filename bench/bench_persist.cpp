@@ -19,19 +19,19 @@
 ///     serves every scale and the marginal cost of k extra iterations is
 ///     EXACTLY equal cold vs warm.
 ///
-/// Simulated cycle counts (cold and warm) are exact and diffable across
-/// commits; bench_compare.py gates them hard. Host wall-clock for save and
-/// load is reported informationally only.
+/// Simulated cycle counts (cold and warm), image sizes and restored
+/// fragment counts are exact and diffable across commits; bench_compare.py
+/// gates them hard. Host wall-clock for save and load only warns.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchJson.h"
 #include "core/Runtime.h"
 #include "harness/Experiment.h"
 #include "persist/CacheImage.h"
 #include "support/OutStream.h"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -45,10 +45,10 @@ struct Sample {
   std::string Config;  ///< workload name, or dataloop_<iters>
   uint64_t CyclesCold; ///< simulated, full cold run — exact, gated
   uint64_t Cycles;     ///< simulated, warm-started run — exact, gated
-  uint64_t ImageBytes; ///< serialized .riocache size (schema marker)
-  uint64_t Fragments;  ///< fragments restored on the warm start
-  uint64_t SaveNs;     ///< host wall clock of CacheCodec::save, informational
-  uint64_t LoadNs;     ///< host wall clock of CacheCodec::load, informational
+  uint64_t ImageBytes; ///< serialized .riocache size — exact, gated
+  uint64_t Fragments;  ///< fragments restored on the warm start — exact
+  uint64_t SaveNs;     ///< host wall clock of CacheCodec::save, warn-only
+  uint64_t LoadNs;     ///< host wall clock of CacheCodec::load, warn-only
 };
 
 uint64_t nowNs() {
@@ -167,58 +167,37 @@ Program dataLoopProgram(unsigned Iters) {
   return Prog;
 }
 
-bool writeJson(const char *Path, const std::vector<Sample> &Samples) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    return false;
-  std::fprintf(F, "[\n");
-  for (size_t Idx = 0; Idx != Samples.size(); ++Idx) {
-    const Sample &S = Samples[Idx];
-    std::fprintf(
-        F,
-        "  {\"config\": \"%s\", \"image_bytes\": %llu, \"cycles\": %llu, "
-        "\"cycles_cold\": %llu, \"fragments\": %llu, \"save_ns\": %llu, "
-        "\"load_ns\": %llu}%s\n",
-        S.Config.c_str(), (unsigned long long)S.ImageBytes,
-        (unsigned long long)S.Cycles, (unsigned long long)S.CyclesCold,
-        (unsigned long long)S.Fragments, (unsigned long long)S.SaveNs,
-        (unsigned long long)S.LoadNs, Idx + 1 == Samples.size() ? "" : ",");
-  }
-  std::fprintf(F, "]\n");
-  std::fclose(F);
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
   const char *OutPath = Argc > 1 ? Argv[1] : "BENCH_persist.json";
-  const char *ImagePath = Argc > 2 ? Argv[2] : nullptr;
   OutStream &OS = outs();
   OS.printf("Persistent code caches: cold build-everything vs warm restore\n");
   OS.printf("simulated cycles are exact; warm must be strictly cheaper\n\n");
   OS.printf("%-14s %12s %12s %9s %11s %9s %9s\n", "config", "cycles_cold",
-            "cycles_warm", "saved", "img_bytes", "save_ns", "load_ns");
+            "cycles_warm", "fragments", "img_bytes", "save_ns", "load_ns");
 
-  std::vector<Sample> Samples;
-  for (const char *Name : {"crafty", "vpr", "gap"}) {
-    const Workload *W = findWorkload(Name);
-    if (!W)
-      die(std::string("unknown workload ") + Name);
-    std::vector<uint8_t> Image;
-    Sample S = measure(Name, buildWorkload(*W, 0), Image);
+  std::vector<BenchRow> Rows;
+  auto Report = [&](const Sample &S) {
     OS.printf("%-14s %12llu %12llu %9llu %11llu %9llu %9llu\n",
               S.Config.c_str(), (unsigned long long)S.CyclesCold,
               (unsigned long long)S.Cycles, (unsigned long long)S.Fragments,
               (unsigned long long)S.ImageBytes, (unsigned long long)S.SaveNs,
               (unsigned long long)S.LoadNs);
-    if (Name[0] == 'c' && ImagePath) {
-      std::FILE *F = std::fopen(ImagePath, "wb");
-      if (!F || std::fwrite(Image.data(), 1, Image.size(), F) != Image.size())
-        die(std::string("cannot write image to ") + ImagePath);
-      std::fclose(F);
-    }
-    Samples.push_back(std::move(S));
+    Rows.push_back({S.Config,
+                    {{"image_bytes", S.ImageBytes},
+                     {"cycles", S.Cycles},
+                     {"cycles_cold", S.CyclesCold},
+                     {"fragments", S.Fragments}},
+                    {{"save_ns", S.SaveNs}, {"load_ns", S.LoadNs}}});
+  };
+
+  for (const char *Name : {"crafty", "vpr", "gap"}) {
+    const Workload *W = findWorkload(Name);
+    if (!W)
+      die(std::string("unknown workload ") + Name);
+    std::vector<uint8_t> Image;
+    Report(measure(Name, buildWorkload(*W, 0), Image));
   }
 
   // Steady-state equivalence: one image (saved at the small scale) serves
@@ -231,12 +210,8 @@ int main(int Argc, char **Argv) {
                          LoopImage);
   Sample Big = measure("dataloop_" + std::to_string(2 * K),
                        dataLoopProgram(2 * K), LoopImage);
-  for (const Sample *S : {&Small, &Big})
-    OS.printf("%-14s %12llu %12llu %9llu %11llu %9llu %9llu\n",
-              S->Config.c_str(), (unsigned long long)S->CyclesCold,
-              (unsigned long long)S->Cycles, (unsigned long long)S->Fragments,
-              (unsigned long long)S->ImageBytes,
-              (unsigned long long)S->SaveNs, (unsigned long long)S->LoadNs);
+  Report(Small);
+  Report(Big);
   uint64_t ColdMarginal = Big.CyclesCold - Small.CyclesCold;
   uint64_t WarmMarginal = Big.Cycles - Small.Cycles;
   OS.printf("\nmarginal cost of %u extra iterations: cold %llu, warm %llu\n",
@@ -244,13 +219,6 @@ int main(int Argc, char **Argv) {
             (unsigned long long)WarmMarginal);
   if (ColdMarginal != WarmMarginal)
     die("steady-state divergence: warm execution is not bit-identical");
-  Samples.push_back(std::move(Small));
-  Samples.push_back(std::move(Big));
 
-  if (!writeJson(OutPath, Samples)) {
-    errs().printf("cannot write %s\n", OutPath);
-    return 1;
-  }
-  OS.printf("wrote %s\n", OutPath);
-  return 0;
+  return writeBenchJson(OutPath, Rows) ? 0 : 1;
 }

@@ -22,12 +22,13 @@
 /// least one version per workload, and its schedule is deterministic for
 /// the fixed seed (two runs, bit-identical cycles).
 ///
-/// Simulated cycles and publication counts are exact and diffable across
-/// commits; bench_compare.py gates them hard. Host wall clock of each
-/// run is reported informationally only.
+/// Simulated cycles, publication, stale-drop and trace counts are exact and
+/// diffable across commits; bench_compare.py gates them hard. Host wall
+/// clock of each run only warns.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchJson.h"
 #include "clients/Clients.h"
 #include "core/Runtime.h"
 #include "core/Sideline.h"
@@ -35,7 +36,6 @@
 #include "support/OutStream.h"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -185,7 +185,7 @@ struct Sample {
   uint64_t Published = 0;  ///< versions published (0 for off)
   uint64_t StaleDrops = 0; ///< queued work invalidated before publication
   uint64_t Traces = 0;     ///< traces built
-  uint64_t HostNs = 0;     ///< host wall clock, informational only
+  uint64_t HostNs = 0;     ///< host wall clock, warn-only
 };
 
 uint64_t nowNs() {
@@ -232,26 +232,13 @@ Sample runOnce(const std::string &Name, const Program &Prog, bool Sideline,
   return Out;
 }
 
-bool writeJson(const char *Path, const std::vector<Sample> &Samples) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    return false;
-  std::fprintf(F, "[\n");
-  for (size_t Idx = 0; Idx != Samples.size(); ++Idx) {
-    const Sample &S = Samples[Idx];
-    std::fprintf(F,
-                 "  {\"config\": \"%s\", \"cycles\": %llu, "
-                 "\"published\": %llu, \"stale_drops\": %llu, "
-                 "\"traces\": %llu, \"host_ns\": %llu}%s\n",
-                 S.Config.c_str(), (unsigned long long)S.Cycles,
-                 (unsigned long long)S.Published,
-                 (unsigned long long)S.StaleDrops,
-                 (unsigned long long)S.Traces, (unsigned long long)S.HostNs,
-                 Idx + 1 == Samples.size() ? "" : ",");
-  }
-  std::fprintf(F, "]\n");
-  std::fclose(F);
-  return true;
+BenchRow row(const Sample &S) {
+  return {S.Config,
+          {{"cycles", S.Cycles},
+           {"published", S.Published},
+           {"stale_drops", S.StaleDrops},
+           {"traces", S.Traces}},
+          {{"host_ns", S.HostNs}}};
 }
 
 } // namespace
@@ -272,7 +259,7 @@ int main(int Argc, char **Argv) {
                         {"rettree", rettreeSource(1300)},
                         {"interp", interpSource(80)}};
 
-  std::vector<Sample> Samples;
+  std::vector<BenchRow> Rows;
   for (const Spec &S : Specs) {
     Program Prog;
     std::string Error;
@@ -298,14 +285,9 @@ int main(int Argc, char **Argv) {
               (unsigned long long)Async.Cycles,
               (unsigned long long)Async.Published,
               (unsigned long long)Async.StaleDrops);
-    Samples.push_back(std::move(Off));
-    Samples.push_back(std::move(Async));
+    Rows.push_back(row(Off));
+    Rows.push_back(row(Async));
   }
 
-  if (!writeJson(OutPath, Samples)) {
-    errs().printf("cannot write %s\n", OutPath);
-    return 1;
-  }
-  OS.printf("wrote %s\n", OutPath);
-  return 0;
+  return writeBenchJson(OutPath, Rows) ? 0 : 1;
 }

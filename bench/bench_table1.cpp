@@ -15,31 +15,34 @@
 ///   + Link indirect branches 2.0x / 1.2x
 ///   + Traces                 1.7x / 1.1x
 ///
-/// Each rung must dominate the next; crafty (indirect-branch heavy) stays
-/// well above vpr (tight loops) on the lower rungs.
+/// Each rung must strictly dominate the next on both workloads; the bench
+/// exits non-zero if one does not. Emits BENCH_table1.json (bench/BenchJson.h
+/// rows `<bench>_<rung>`, exact simulated cycles and native cycles) for
+/// scripts/bench_compare.py.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchJson.h"
 #include "harness/Experiment.h"
 #include "support/OutStream.h"
 
 using namespace rio;
 
-int main(int argc, char **argv) {
-  int Scale = 0;
-  if (argc > 1)
-    Scale = std::atoi(argv[1]);
+int main(int Argc, char **Argv) {
+  const char *OutPath = Argc > 1 ? Argv[1] : "BENCH_table1.json";
 
   struct Rung {
     const char *Name;
+    const char *Key; ///< the row suffix: riodyn's -config name
     RuntimeConfig Config;
   };
   const Rung Rungs[] = {
-      {"Emulation", RuntimeConfig::emulate()},
-      {"+ Basic block cache", RuntimeConfig::bbCacheOnly()},
-      {"+ Link direct branches", RuntimeConfig::linkDirect()},
-      {"+ Link indirect branches", RuntimeConfig::linkIndirect()},
-      {"+ Traces", RuntimeConfig::full()},
+      {"Emulation", "emulate", RuntimeConfig::emulate()},
+      {"+ Basic block cache", "bbcache", RuntimeConfig::bbCacheOnly()},
+      {"+ Link direct branches", "linkdirect", RuntimeConfig::linkDirect()},
+      {"+ Link indirect branches", "linkindirect",
+       RuntimeConfig::linkIndirect()},
+      {"+ Traces", "full", RuntimeConfig::full()},
   };
   const char *Benches[] = {"crafty", "vpr"};
 
@@ -48,18 +51,29 @@ int main(int argc, char **argv) {
             "added\n\n");
   OS.printf("%-28s %10s %10s\n", "System Type", "crafty", "vpr");
 
-  bool Ok = true;
+  std::vector<BenchRow> Rows;
+  double Prev[std::size(Benches)] = {};
+  bool Transparent = true, Dominates = true;
   for (const Rung &R : Rungs) {
     OS.printf("%-28s", R.Name);
-    for (const char *Name : Benches) {
-      const Workload *W = findWorkload(Name);
-      NormalizedRun Run = measure(*W, R.Config, ClientKind::None, Scale);
-      Ok = Ok && Run.Transparent;
+    for (size_t BI = 0; BI != std::size(Benches); ++BI) {
+      const Workload *W = findWorkload(Benches[BI]);
+      NormalizedRun Run = measure(*W, R.Config, ClientKind::None);
+      Transparent = Transparent && Run.Transparent;
+      if (&R != &Rungs[0] && Run.Normalized >= Prev[BI])
+        Dominates = false;
+      Prev[BI] = Run.Normalized;
       OS.printf(" %10.1f", Run.Normalized);
+      Rows.push_back({std::string(Benches[BI]) + "_" + R.Key,
+                      {{"cycles", Run.Rio.Cycles},
+                       {"native_cycles", Run.Native.Cycles}},
+                      {}});
     }
     OS.printf("\n");
   }
   OS.printf("\ntransparency: %s\n",
-            Ok ? "all runs identical to native output" : "VIOLATED");
-  return Ok ? 0 : 1;
+            Transparent ? "all runs identical to native output" : "VIOLATED");
+  OS.printf("every rung strictly dominates the next: %s\n\n",
+            Dominates ? "yes" : "NO");
+  return writeBenchJson(OutPath, Rows) && Transparent && Dominates ? 0 : 1;
 }

@@ -26,11 +26,11 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchJson.h"
 #include "core/ThreadedRunner.h"
 #include "harness/Experiment.h"
 #include "support/OutStream.h"
 
-#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
@@ -103,8 +103,6 @@ Program sharedWorkProgram(int Workers, int Iters) {
 
 struct ModeSample {
   std::string Config; ///< e.g. "private_w4"
-  int Workers = 0;
-  const char *Mode = "";
   uint64_t Cycles = 0;
   uint64_t NativeCycles = 0;
   uint64_t CacheBytes = 0; ///< peak bb+trace bytes, summed over caches
@@ -134,8 +132,6 @@ bool measureMode(const Program &Prog, CacheSharing Sharing,
   bool IsShared = Sharing == CacheSharing::Shared;
   Out.Config = std::string(IsShared ? "shared" : "private") + "_w" +
                std::to_string(Workers);
-  Out.Workers = Workers;
-  Out.Mode = IsShared ? "shared" : "private";
   Out.Cycles = R.Cycles;
   Out.NativeCycles = NativeCycles;
 
@@ -162,33 +158,6 @@ bool measureMode(const Program &Prog, CacheSharing Sharing,
   return true;
 }
 
-bool writeJson(const char *Path, const std::vector<ModeSample> &Samples) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    return false;
-  std::fprintf(F, "[\n");
-  for (size_t Idx = 0; Idx != Samples.size(); ++Idx) {
-    const ModeSample &S = Samples[Idx];
-    std::fprintf(
-        F,
-        "  {\"config\": \"%s\", \"workers\": %d, \"mode\": \"%s\", "
-        "\"cycles\": %llu, \"native_cycles\": %llu, \"cache_bytes\": %llu, "
-        "\"fragments\": %llu, \"duplicated_fragments\": %llu, "
-        "\"ibl_lookups\": %llu, \"ibl_hits\": %llu, \"trace_heads\": %llu, "
-        "\"context_swaps\": %llu}%s\n",
-        S.Config.c_str(), S.Workers, S.Mode, (unsigned long long)S.Cycles,
-        (unsigned long long)S.NativeCycles, (unsigned long long)S.CacheBytes,
-        (unsigned long long)S.Fragments,
-        (unsigned long long)S.DuplicatedFragments,
-        (unsigned long long)S.IblLookups, (unsigned long long)S.IblHits,
-        (unsigned long long)S.TraceHeads, (unsigned long long)S.ContextSwaps,
-        Idx + 1 == Samples.size() ? "" : ",");
-  }
-  std::fprintf(F, "]\n");
-  std::fclose(F);
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -201,7 +170,7 @@ int main(int Argc, char **Argv) {
             "vs native", "cachebyte", "frags", "dupfrag", "traces",
             "ctxswaps");
 
-  std::vector<ModeSample> Samples;
+  std::vector<BenchRow> Rows;
   bool SharedAlwaysSmaller = true;
   for (int Workers : {2, 4, 7}) {
     Program Prog = sharedWorkProgram(Workers, 40000);
@@ -235,15 +204,23 @@ int main(int Argc, char **Argv) {
         PrivateBytes = S.CacheBytes;
       else if (S.CacheBytes >= PrivateBytes)
         SharedAlwaysSmaller = false;
-      Samples.push_back(std::move(S));
+      Rows.push_back({S.Config,
+                      {{"cycles", S.Cycles},
+                       {"native_cycles", S.NativeCycles},
+                       {"cache_bytes", S.CacheBytes},
+                       {"fragments", S.Fragments},
+                       {"duplicated_fragments", S.DuplicatedFragments},
+                       {"ibl_lookups", S.IblLookups},
+                       {"ibl_hits", S.IblHits},
+                       {"trace_heads", S.TraceHeads},
+                       {"context_swaps", S.ContextSwaps}},
+                      {}});
     }
   }
 
-  if (!writeJson(OutPath, Samples)) {
-    OS.printf("failed to write %s\n", OutPath);
+  OS.printf("\n");
+  if (!writeBenchJson(OutPath, Rows))
     return 1;
-  }
-  OS.printf("\nwrote %s\n", OutPath);
   OS.printf("\nShared mode builds each fragment once (zero duplication, "
             "fewer total\ncache bytes) but pays a slot-window swap per "
             "quantum switch; private\nmode duplicates the worker code per "

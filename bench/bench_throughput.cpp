@@ -19,19 +19,20 @@
 /// no runtime: the gap between it and the cached rows is the runtime's own
 /// host overhead over the interpreter.
 ///
-/// Emits BENCH_throughput.json (array of {config, instructions, wall_ns,
-/// mips}) for scripts/bench_compare.py to diff across commits, and prints
-/// a human-readable table. Each configuration runs REPS times over the
-/// workload mix; the fastest repetition is reported (the usual way to
-/// strip scheduler noise from a throughput number).
+/// Emits BENCH_throughput.json (bench/BenchJson.h rows: exact simulated
+/// instructions, host wall_ns) for scripts/bench_compare.py to diff across
+/// commits, and prints a human-readable table with MIPS. Each
+/// configuration runs REPS times over the workload mix; the fastest
+/// repetition is reported (the usual way to strip scheduler noise from a
+/// throughput number).
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchJson.h"
 #include "harness/Experiment.h"
 #include "support/OutStream.h"
 
 #include <chrono>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -86,25 +87,6 @@ Sample measureConfig(const BenchConfig &BC,
   return Best;
 }
 
-bool writeJson(const char *Path, const std::vector<Sample> &Samples) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    return false;
-  std::fprintf(F, "[\n");
-  for (size_t Idx = 0; Idx != Samples.size(); ++Idx) {
-    const Sample &S = Samples[Idx];
-    std::fprintf(F,
-                 "  {\"config\": \"%s\", \"instructions\": %llu, "
-                 "\"wall_ns\": %llu, \"mips\": %.3f}%s\n",
-                 S.Config.c_str(), (unsigned long long)S.Instructions,
-                 (unsigned long long)S.WallNs, S.Mips,
-                 Idx + 1 == Samples.size() ? "" : ",");
-  }
-  std::fprintf(F, "]\n");
-  std::fclose(F);
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -134,7 +116,7 @@ int main(int Argc, char **Argv) {
   OS.printf("%-14s %14s %14s %10s\n", "config", "sim instrs", "wall ms",
             "MIPS");
 
-  std::vector<Sample> Samples;
+  std::vector<BenchRow> Rows;
   bool Ok = true;
   for (const BenchConfig &BC : Configs) {
     Sample S = measureConfig(BC, Programs);
@@ -142,13 +124,11 @@ int main(int Argc, char **Argv) {
     OS.printf("%-14s %14llu %14.2f %10.2f\n", S.Config.c_str(),
               (unsigned long long)S.Instructions,
               double(S.WallNs) / 1e6, S.Mips);
-    Samples.push_back(std::move(S));
+    Rows.push_back({S.Config,
+                    {{"instructions", S.Instructions}},
+                    {{"wall_ns", S.WallNs}}});
   }
 
-  if (!writeJson(OutPath, Samples)) {
-    OS.printf("cannot write %s\n", OutPath);
-    return 1;
-  }
-  OS.printf("\nwrote %s\n", OutPath);
-  return Ok ? 0 : 1;
+  OS.printf("\n");
+  return writeBenchJson(OutPath, Rows) && Ok ? 0 : 1;
 }

@@ -27,12 +27,13 @@
 /// guard ever fails on these stable workloads, and the non-speculative tier
 /// alone cuts aggregate simulated cycles by at least 10% against base.
 ///
-/// Simulated cycles, publication, guard, and deopt counts are exact and
-/// diffable across commits; bench_compare.py gates them hard. Host wall
-/// clock is reported informationally only.
+/// Simulated cycles, publication, guard, deopt and trace counts are exact
+/// and diffable across commits; bench_compare.py gates them hard. Host
+/// wall clock only warns.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchJson.h"
 #include "clients/Clients.h"
 #include "core/Runtime.h"
 #include "core/Sideline.h"
@@ -42,7 +43,6 @@
 #include "support/Profile.h"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -155,7 +155,7 @@ struct Sample {
   uint64_t Published = 0;  ///< sideline versions published
   uint64_t Deopts = 0;     ///< guard-failure deoptimizations (must be 0)
   uint64_t Traces = 0;     ///< traces built
-  uint64_t HostNs = 0;     ///< host wall clock, informational only
+  uint64_t HostNs = 0;     ///< host wall clock, warn-only
 };
 
 uint64_t nowNs() {
@@ -217,28 +217,14 @@ Sample runOnce(const std::string &Name, const Program &Prog, Mode Which,
   return Out;
 }
 
-bool writeJson(const char *Path, const std::vector<Sample> &Samples) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    return false;
-  std::fprintf(F, "[\n");
-  for (size_t Idx = 0; Idx != Samples.size(); ++Idx) {
-    const Sample &S = Samples[Idx];
-    std::fprintf(F,
-                 "  {\"config\": \"%s\", \"cycles\": %llu, "
-                 "\"guards\": %llu, \"published\": %llu, "
-                 "\"deopts\": %llu, \"traces\": %llu, "
-                 "\"host_ns\": %llu}%s\n",
-                 S.Config.c_str(), (unsigned long long)S.Cycles,
-                 (unsigned long long)S.Guards,
-                 (unsigned long long)S.Published,
-                 (unsigned long long)S.Deopts, (unsigned long long)S.Traces,
-                 (unsigned long long)S.HostNs,
-                 Idx + 1 == Samples.size() ? "" : ",");
-  }
-  std::fprintf(F, "]\n");
-  std::fclose(F);
-  return true;
+BenchRow row(const Sample &S) {
+  return {S.Config,
+          {{"cycles", S.Cycles},
+           {"guards", S.Guards},
+           {"published", S.Published},
+           {"deopts", S.Deopts},
+           {"traces", S.Traces}},
+          {{"host_ns", S.HostNs}}};
 }
 
 } // namespace
@@ -259,8 +245,8 @@ int main(int Argc, char **Argv) {
                         {"incdec", incdecSource(4000)},
                         {"deadstore", deadstoreSource(4000)}};
 
-  std::vector<Sample> Samples;
-  uint64_t BaseTotal = 0, OptTotal = 0;
+  std::vector<BenchRow> Rows;
+  uint64_t BaseTotal = 0, OptTotal = 0, SpecGuards = 0;
   for (const Spec &S : Specs) {
     Program Prog;
     std::string Error;
@@ -292,13 +278,14 @@ int main(int Argc, char **Argv) {
 
     BaseTotal += Base.Cycles;
     OptTotal += Opt.Cycles;
+    SpecGuards += Sp.Guards;
     OS.printf("%-10s %12llu %12llu %12llu %7llu %7llu\n", S.Name,
               (unsigned long long)Base.Cycles, (unsigned long long)Opt.Cycles,
               (unsigned long long)Sp.Cycles, (unsigned long long)Sp.Guards,
               (unsigned long long)Sp.Deopts);
-    Samples.push_back(std::move(Base));
-    Samples.push_back(std::move(Opt));
-    Samples.push_back(std::move(Sp));
+    Rows.push_back(row(Base));
+    Rows.push_back(row(Opt));
+    Rows.push_back(row(Sp));
   }
 
   double Reduction = 100.0 * double(BaseTotal - OptTotal) / double(BaseTotal);
@@ -310,17 +297,8 @@ int main(int Argc, char **Argv) {
 
   // At least one workload's spec run must actually speculate: guards are
   // the whole point of the tier, and every site here is stable.
-  uint64_t SpecGuards = 0;
-  for (const Sample &S : Samples)
-    if (S.Config.find("_spec") != std::string::npos)
-      SpecGuards += S.Guards;
   if (SpecGuards == 0)
     die("speculative runs emitted no guards at all");
 
-  if (!writeJson(OutPath, Samples)) {
-    errs().printf("cannot write %s\n", OutPath);
-    return 1;
-  }
-  OS.printf("wrote %s\n", OutPath);
-  return 0;
+  return writeBenchJson(OutPath, Rows) ? 0 : 1;
 }
