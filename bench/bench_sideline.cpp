@@ -1,4 +1,4 @@
-//===- bench/bench_sideline.cpp - Sideline publication vs off ----------------===//
+//===- bench/bench_sideline.cpp - Sideline vs inline vs no client ------------===//
 //
 // Part of the RIO-DYN reproduction of "An Infrastructure for Adaptive
 // Dynamic Optimization" (CGO 2003).
@@ -7,10 +7,14 @@
 ///
 /// \file
 /// Measures sideline re-optimization (paper Section 3.4) against running
-/// without it. Three indirect-branch-heavy workloads run two ways:
+/// without it and against the same client run inline. Three
+/// indirect-branch-heavy workloads run three ways:
 ///
-///   * off   — no client, no sideline: the raw runtime floor;
-///   * async — traces are decoded when queued and, once the seeded
+///   * off    — no client, no sideline: the raw runtime floor;
+///   * inline — the same client (redundant load removal) transforms each
+///              trace when it is built, on the application thread, and
+///              pays for it;
+///   * async  — traces are decoded when queued and, once the seeded
 ///             schedule says the sideline core is done, transformed on the
 ///             application thread at the publication point (cycles
 ///             refunded); publication swaps the link graph at that safe
@@ -21,6 +25,9 @@
 /// clock: both runs are output-transparent, the sideline publishes at
 /// least one version per workload, and its schedule is deterministic for
 /// the fixed seed (two runs, bit-identical cycles).
+///
+/// The sideline does not beat the inline client on these workloads; the
+/// printed "async-inline" column is its known cost, not a win.
 ///
 /// Simulated cycles, publication, stale-drop and trace counts are exact and
 /// diffable across commits; bench_compare.py gates them hard. Host wall
@@ -179,8 +186,10 @@ std::string interpSource(int Outer) {
   )";
 }
 
+enum class Mode { Off, Inline, Async };
+
 struct Sample {
-  std::string Config;  ///< <workload>_{off,async}
+  std::string Config;  ///< <workload>_{off,inline,async}
   uint64_t Cycles = 0; ///< simulated, full run — exact, gated
   uint64_t Published = 0;  ///< versions published (0 for off)
   uint64_t StaleDrops = 0; ///< queued work invalidated before publication
@@ -199,18 +208,20 @@ void die(const std::string &Msg) {
   std::abort();
 }
 
-Sample runOnce(const std::string &Name, const Program &Prog, bool Sideline,
+Sample runOnce(const std::string &Name, const Program &Prog, Mode How,
                const std::string &Expected) {
+  static const char *const Suffix[] = {"_off", "_inline", "_async"};
   Sample Out;
-  Out.Config = Name + (Sideline ? "_async" : "_off");
+  Out.Config = Name + Suffix[int(How)];
   Machine M;
   if (!loadProgram(M, Prog))
     die(Name + ": program too large");
   RlrClient Inner;
   uint64_t T0 = nowNs();
   RunResult R;
-  if (!Sideline) {
-    Runtime RT(M, RuntimeConfig::full());
+  if (How != Mode::Async) {
+    Runtime RT(M, RuntimeConfig::full(),
+               How == Mode::Inline ? &Inner : nullptr);
     R = RT.run();
     Out.Traces = RT.stats().get("traces_built");
   } else {
@@ -248,8 +259,8 @@ int main(int Argc, char **Argv) {
   OutStream &OS = outs();
   OS.printf("Sideline re-optimization (simulated cycles; "
             "client = redundant load removal)\n\n");
-  OS.printf("%-10s %12s %12s %6s %6s\n", "workload", "off", "async", "pub",
-            "drop");
+  OS.printf("%-10s %12s %12s %12s %6s %6s %13s\n", "workload", "off",
+            "inline", "async", "pub", "drop", "async-inline");
 
   struct Spec {
     const char *Name;
@@ -269,23 +280,29 @@ int main(int Argc, char **Argv) {
     if (Native.Status != RunStatus::Exited)
       die(std::string(S.Name) + ": native run failed");
 
-    Sample Off = runOnce(S.Name, Prog, false, Native.Output);
-    Sample Async = runOnce(S.Name, Prog, true, Native.Output);
+    Sample Off = runOnce(S.Name, Prog, Mode::Off, Native.Output);
+    Sample Inline = runOnce(S.Name, Prog, Mode::Inline, Native.Output);
+    Sample Async = runOnce(S.Name, Prog, Mode::Async, Native.Output);
 
     // The virtual-completion schedule is seeded: a second sideline run
     // must land on the identical simulated cycle count.
-    Sample Again = runOnce(S.Name, Prog, true, Native.Output);
+    Sample Again = runOnce(S.Name, Prog, Mode::Async, Native.Output);
     if (Again.Cycles != Async.Cycles || Again.Published != Async.Published)
       die(std::string(S.Name) + ": sideline schedule is not deterministic");
     if (Async.Published == 0)
       die(std::string(S.Name) + ": sideline published nothing");
 
-    OS.printf("%-10s %12llu %12llu %6llu %6llu\n", S.Name,
+    // Known cost, not a win: the sideline's cycles over the same client
+    // run inline.
+    OS.printf("%-10s %12llu %12llu %12llu %6llu %6llu %+12.2f%%\n", S.Name,
               (unsigned long long)Off.Cycles,
+              (unsigned long long)Inline.Cycles,
               (unsigned long long)Async.Cycles,
               (unsigned long long)Async.Published,
-              (unsigned long long)Async.StaleDrops);
+              (unsigned long long)Async.StaleDrops,
+              100.0 * (double(Async.Cycles) / double(Inline.Cycles) - 1.0));
     Rows.push_back(row(Off));
+    Rows.push_back(row(Inline));
     Rows.push_back(row(Async));
   }
 

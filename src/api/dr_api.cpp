@@ -416,10 +416,6 @@ uint64_t rio::dr_publication_epoch(void *Context) {
   return runtimeOf(Context).publicationEpoch();
 }
 
-uint64_t rio::dr_min_safe_epoch(void *Context) {
-  return runtimeOf(Context).minSafeEpoch();
-}
-
 uint32_t rio::dr_traceopt_guard_failures(void *Context, app_pc Tag) {
   return runtimeOf(Context).traceoptGuardFailures(Tag);
 }

@@ -342,9 +342,9 @@ bool dr_replace_fragment(void *context, app_pc tag, InstrList *il);
 /// Publishes \p il as the next version of the fragment at \p tag: the new
 /// body is emitted beside the old one, the link graph and fragment table
 /// are swapped to it atomically (from the simulated machine's view), and
-/// the superseded body is retired under a fresh publication epoch — its
-/// cache bytes are reclaimed only once no suspended context can still be
-/// executing inside it. Threads suspended at an OSR-described side exit of
+/// the superseded body is retired — its cache bytes are reclaimed only
+/// once no thread's guard pc (resume or clean-call pc) lies inside it.
+/// Threads suspended at an OSR-described side exit of
 /// the old body are transferred on-stack to re-enter through the new
 /// version. Unlike dr_replace_fragment this never stalls the simulated
 /// machine on the old body's eviction; it charges only SidelinePublishCost.
@@ -353,7 +353,7 @@ bool dr_publish_fragment(void *context, app_pc tag, InstrList *il);
 
 /// Deoptimizes the trace at \p tag: rebuilds its body from the recorded
 /// constituent-block list (un-doing client transformations) and publishes
-/// the rebuilt body as a new version via the same epoch protocol. Returns
+/// the rebuilt body as a new version like dr_publish_fragment. Returns
 /// false if \p tag is not a live trace with a recorded block list.
 bool dr_deoptimize_fragment(void *context, app_pc tag);
 
@@ -361,16 +361,10 @@ bool dr_deoptimize_fragment(void *context, app_pc tag);
 /// never been superseded), or -1 if no fragment exists for \p tag.
 int dr_fragment_version(void *context, app_pc tag);
 
-/// Number of publication epochs minted so far (dr_publish_fragment,
+/// Number of versions published so far (dr_publish_fragment,
 /// dr_deoptimize_fragment, sideline publication). 0 in a runtime that has
 /// never republished.
 uint64_t dr_publication_epoch(void *context);
-
-/// Oldest publication epoch any suspended thread context may still be
-/// executing under. Fragment bodies retired at epoch R are reclaimed only
-/// once this reaches R. Equals dr_publication_epoch() when every thread is
-/// at a safe point.
-uint64_t dr_min_safe_epoch(void *context);
 
 //===----------------------------------------------------------------------===//
 // Speculative trace optimization queries (core/TraceOpt.h)

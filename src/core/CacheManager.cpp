@@ -137,13 +137,13 @@ void CacheManager::registerFragment(Fragment *Frag) {
   publishOccupancy(Frag->FragKind);
 }
 
-void CacheManager::retireFragment(Fragment *Frag, uint64_t RetireEpoch) {
+void CacheManager::retireFragment(Fragment *Frag) {
   Cache &C = cacheFor(Frag->FragKind);
   auto It = C.Slots.find(Frag->CacheAddr);
   if (It == C.Slots.end() || It->second != Frag)
     return; // never registered, or already retired
   C.Slots.erase(It);
-  C.Pending.push_back({Frag->CacheAddr, slotSize(Frag), RetireEpoch});
+  C.Pending.push_back({Frag->CacheAddr, slotSize(Frag)});
   C.Used -= slotSize(Frag);
   --C.Live;
   for (const AppRange &R : Frag->AppRanges) {
@@ -167,33 +167,18 @@ void CacheManager::retireFragment(Fragment *Frag, uint64_t RetireEpoch) {
 }
 
 void CacheManager::reclaimPending(const std::vector<uint32_t> &GuardPcs) {
-  // The epoch gate is evaluated at most once per pass, and only when an
-  // epoch-stamped slot is actually pending, so the guard-pc-only fast path
-  // is untouched.
-  uint64_t MinSafe = 0;
-  bool GateQueried = false;
   for (Cache &C : Caches) {
     if (C.Pending.empty())
       continue;
     std::vector<PendingSlot> Kept;
     for (auto &Slot : C.Pending) {
-      bool Held = slotContainsAny(Slot.Addr, Slot.Size, GuardPcs);
-      if (!Held && Slot.Epoch) {
-        if (!GateQueried) {
-          MinSafe = EpochGate ? EpochGate() : 0;
-          GateQueried = true;
-        }
-        // Held until every thread's safe epoch has reached the slot's
-        // retire epoch (no gate installed = held forever).
-        Held = MinSafe < Slot.Epoch;
-      }
-      if (Held) {
+      if (slotContainsAny(Slot.Addr, Slot.Size, GuardPcs)) {
         Kept.push_back(Slot); // some thread may still re-enter these bytes
-      } else {
-        RIO_TRACE(Trace, M.cycles(), ActiveTid ? *ActiveTid : 0,
-                  TraceEventKind::SlotReclaimed, Slot.Addr, Slot.Size);
-        freeRange(C, Slot.Addr, Slot.Size);
+        continue;
       }
+      RIO_TRACE(Trace, M.cycles(), ActiveTid ? *ActiveTid : 0,
+                TraceEventKind::SlotReclaimed, Slot.Addr, Slot.Size);
+      freeRange(C, Slot.Addr, Slot.Size);
     }
     C.Pending = std::move(Kept);
   }

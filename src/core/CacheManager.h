@@ -21,7 +21,8 @@
 ///     one guard (the suspended or clean-calling owner thread); in shared
 ///     mode (CacheSharing::Shared) the runtime passes every suspended
 ///     thread's resume pc, so a slot is reclaimed only once every thread
-///     has left it;
+///     has left it. This is the only reclamation rule: deleted, evicted,
+///     replaced and superseded (published) bodies all retire through it;
 ///   - an application-range index mapping app code lines to the live
 ///     fragments they back, for consistency invalidation (self-modifying
 ///     code, dr_flush_region) via the Machine's write monitor.
@@ -82,9 +83,6 @@ public:
   /// clean-calling fragment); slots containing one stay unreclaimed.
   uint32_t allocate(Fragment::Kind Kind, uint32_t Size,
                     const std::vector<uint32_t> &GuardPcs = {});
-  uint32_t allocate(Fragment::Kind Kind, uint32_t Size, uint32_t GuardPc) {
-    return allocate(Kind, Size, guardSetOf(GuardPc));
-  }
 
   /// Like allocate(), but when space runs out evicts live fragments in
   /// FIFO order — \p Evict must fully delete the victim (unlink incoming
@@ -94,11 +92,6 @@ public:
   uint32_t allocateEvicting(Fragment::Kind Kind, uint32_t Size,
                             const std::vector<uint32_t> &GuardPcs,
                             const std::function<void(Fragment *)> &Evict);
-  uint32_t allocateEvicting(Fragment::Kind Kind, uint32_t Size,
-                            uint32_t GuardPc,
-                            const std::function<void(Fragment *)> &Evict) {
-    return allocateEvicting(Kind, Size, guardSetOf(GuardPc), Evict);
-  }
 
   /// Removes exactly [Addr, Addr+Size) from \p Kind's free list so a
   /// fragment restored from a persistent image (src/persist) can occupy a
@@ -118,32 +111,13 @@ public:
   /// Unbinds a deleted fragment: the slot moves to the pending-reclaim
   /// list (bytes stay in place), the app-range index and write watches are
   /// dropped. FIFO entries are skipped lazily. Idempotent.
-  ///
-  /// \p RetireEpoch generalizes guard-pc reclamation into epoch-based
-  /// retirement (asynchronous sideline publication, core/Sideline.h): a
-  /// slot stamped with a nonzero epoch is additionally held until every
-  /// thread's safe epoch — reported by the gate installed with
-  /// attachEpochGate() — has reached it, i.e. until every thread has
-  /// passed a publication safe point after the version swap. Epoch 0 (the
-  /// default, and every pre-existing caller) keeps the pure guard-pc
-  /// protocol bit-for-bit.
-  void retireFragment(Fragment *Frag, uint64_t RetireEpoch = 0);
-
-  /// Installs the min-safe-epoch oracle consulted by reclaimPending for
-  /// nonzero-epoch slots. Called lazily, at most once per reclaim pass,
-  /// and only when such a slot exists — guard-pc-only workloads never pay
-  /// for it. Null (the default) holds every epoch-stamped slot forever.
-  void attachEpochGate(std::function<uint64_t()> Gate) {
-    EpochGate = std::move(Gate);
-  }
+  void retireFragment(Fragment *Frag);
 
   /// Frees pending retired slots into the free list (coalescing adjacent
   /// gaps). A slot containing any pc of \p GuardPcs stays pending:
   /// execution is still logically inside it — in shared-cache mode that
-  /// may be several suspended threads at once. Epoch-stamped slots (see
-  /// retireFragment) also wait for the epoch gate.
+  /// may be several suspended threads at once. That is the only rule.
   void reclaimPending(const std::vector<uint32_t> &GuardPcs);
-  void reclaimPending(uint32_t GuardPc) { reclaimPending(guardSetOf(GuardPc)); }
 
   //===--------------------------------------------------------------------===
   // Queries
@@ -180,17 +154,15 @@ public:
   /// Largest single free gap — what the next allocation can actually get.
   uint32_t largestFreeGap(Fragment::Kind Kind) const;
   uint32_t liveFragments(Fragment::Kind Kind) const;
-  /// Bytes sitting in retired slots not yet reclaimed (deferred deletion,
-  /// epoch-held versions) — telemetry for the metrics registry.
+  /// Bytes sitting in retired slots not yet reclaimed (deferred deletion)
+  /// — telemetry for the metrics registry.
   uint32_t pendingReclaimBytes(Fragment::Kind Kind) const;
 
 private:
-  /// A retired slot awaiting reclamation. Epoch 0 = guard-pc protocol
-  /// only; nonzero = also held until minSafeEpoch >= Epoch.
+  /// A retired slot awaiting reclamation.
   struct PendingSlot {
     uint32_t Addr = 0;
     uint32_t Size = 0;
-    uint64_t Epoch = 0;
   };
 
   struct Cache {
@@ -228,13 +200,6 @@ private:
         return true;
     return false;
   }
-  /// Adapter for the single-guard convenience overloads (0 = no guard).
-  static std::vector<uint32_t> guardSetOf(uint32_t GuardPc) {
-    std::vector<uint32_t> Set;
-    if (GuardPc)
-      Set.push_back(GuardPc);
-    return Set;
-  }
 
   /// Inserts [Addr, Addr+Size) into the free list, merging with adjacent
   /// gaps.
@@ -246,7 +211,6 @@ private:
   bool WatchWrites;
   EventTrace *Trace = nullptr;      ///< see attachTrace
   const unsigned *ActiveTid = nullptr;
-  std::function<uint64_t()> EpochGate; ///< see attachEpochGate
   /// Occupancy gauges per cache ([0] bb, [1] trace), interned once at
   /// construction: publishOccupancy runs on every register/retire.
   struct OccupancyStats {

@@ -697,18 +697,21 @@ void Runtime::deleteFragment(Fragment *Frag) {
     return;
   unlinkIncoming(Frag);
   unlinkOutgoing(Frag);
-  dropIbSites(Frag);
   Table.eraseFragment(Frag->Tag, Frag);
   auto SIt = ShadowBbs.find(Frag->Tag);
   if (SIt != ShadowBbs.end() && SIt->second == Frag)
     ShadowBbs.erase(SIt);
-  CM.retireFragment(Frag);
-  Frag->Doomed = true;
-  DoomedFragments.push_back(Frag);
-  if (TheClient)
-    TheClient->onFragmentDeleted(*this, Frag->Tag);
+  retireBody(Frag);
   ++S.FragmentsDeleted;
   obsEvent(TraceEventKind::FragmentDeleted, Frag->Tag, Frag->CacheAddr);
+}
+
+void Runtime::retireBody(Fragment *Frag) {
+  dropIbSites(Frag);
+  CM.retireFragment(Frag);
+  Frag->Doomed = true;
+  if (TheClient)
+    TheClient->onFragmentDeleted(*this, Frag->Tag);
 }
 
 //===----------------------------------------------------------------------===//
@@ -808,31 +811,22 @@ InstrList *Runtime::decodeFragment(Arena &A, AppPc Tag) {
   return IL;
 }
 
-bool Runtime::replaceFragment(AppPc Tag, InstrList &IL) {
-  ensureUnshared(); // rebuilds the table; look up only afterwards
-  Fragment *Old = lookupFragment(Tag);
-  if (!Old)
-    return false;
-
+Fragment *Runtime::supersede(Fragment *Old, InstrList &IL, bool Osr) {
   unsigned NumInstrs = 0;
   for (Instr &I : IL)
     if (!I.isLabel())
       ++NumInstrs;
-
-  chargeRuntime(M.cost().FragmentReplaceCost + clientTransformCost(IL));
-
-  Fragment *New = emitFragment(Tag, IL, Old->FragKind, NumInstrs);
+  Fragment *New = emitFragment(Old->Tag, IL, Old->FragKind, NumInstrs);
   if (!New)
-    return false;
+    return nullptr;
   New->IsTraceHead = Old->IsTraceHead;
   New->Version = Old->Version + 1;
-  New->PrevVersion = Old;
   New->TraceBlocks = Old->TraceBlocks;
 
   // "All links targeting and originating from the old fragment are
   // immediately modified to use the new fragment." Incoming links are
-  // re-pointed; outgoing links of the old fragment are severed so that the
-  // thread currently inside it leaves at its next branch.
+  // re-pointed; outgoing links of the old fragment are severed so that
+  // execution still inside it leaves at its next branch.
   std::vector<uint32_t> Incoming = Old->IncomingLinks;
   for (uint32_t ExitId : Incoming) {
     auto [Owner, ExitIdx] = ExitRecords[ExitId];
@@ -843,19 +837,27 @@ bool Runtime::replaceFragment(AppPc Tag, InstrList &IL) {
   }
   Old->IncomingLinks.clear();
   unlinkOutgoing(Old);
+  Table.insert(Old->Tag, New);
+  if (Osr)
+    transferSuspended(Old, New);
 
-  Table.insert(Tag, New);
+  // The old bytes stay in place until no guard pc lies in their slot.
   // Emission above may already have evicted Old to make room; only retire
   // and notify once.
-  if (!Old->Doomed) {
-    dropIbSites(Old);
-    CM.retireFragment(Old);
-    Old->Doomed = true;
-    DoomedFragments.push_back(Old);
-    if (TheClient)
-      TheClient->onFragmentDeleted(*this, Tag);
-  }
+  if (!Old->Doomed)
+    retireBody(Old);
   linkNewFragment(New);
+  return New;
+}
+
+bool Runtime::replaceFragment(AppPc Tag, InstrList &IL) {
+  ensureUnshared(); // rebuilds the table; look up only afterwards
+  Fragment *Old = lookupFragment(Tag);
+  if (!Old)
+    return false;
+  chargeRuntime(M.cost().FragmentReplaceCost + clientTransformCost(IL));
+  if (!supersede(Old, IL, /*Osr=*/false))
+    return false;
   ++S.FragmentsReplaced;
   return true;
 }
@@ -870,49 +872,21 @@ bool Runtime::publishVersion(AppPc Tag, InstrList &IL) {
   Fragment *Old = lookupFragment(Tag);
   if (!Old)
     return false;
-
-  unsigned NumInstrs = 0;
-  for (Instr &I : IL)
-    if (!I.isLabel())
-      ++NumInstrs;
-
   // Only the link-graph swap runs on the application thread — the
   // transform itself happened off the critical path — so publication is
   // cheaper than a synchronous replace, and charges no per-instruction
   // client transform cost.
   chargeRuntime(M.cost().SidelinePublishCost);
-
-  Fragment *New = emitFragment(Tag, IL, Old->FragKind, NumInstrs);
+  Fragment *New = supersede(Old, IL, /*Osr=*/true);
   if (!New)
     return false;
-  New->IsTraceHead = Old->IsTraceHead;
-  New->Version = Old->Version + 1;
-  New->PrevVersion = Old;
-  New->TraceBlocks = Old->TraceBlocks;
-  uint64_t Epoch = ++PubEpoch;
-  New->PublishEpoch = Epoch;
-  // A publishing thread that holds no cache pc (dispatch boundary, or a
-  // clean call whose pc is guard-protected) is safe for this epoch. When
-  // the pump publishes between quanta the active context is suspended
-  // in the cache like any other — it earns the epoch only via OSR below.
-  if (TC->ResumePoint != ThreadContext::Resume::InCache)
-    TC->SafeEpoch = Epoch;
+  ++PubEpoch;
+  Stats.counter("sideline_versions_published") += 1;
+  obsEvent(TraceEventKind::SidelinePublished, Tag, New->CacheAddr);
+  return true;
+}
 
-  // Swap the tag's link graph to the new version, exactly as replacement
-  // does: incoming exits re-pointed, the old body's outgoing links severed
-  // so execution still inside it leaves at its next branch.
-  std::vector<uint32_t> Incoming = Old->IncomingLinks;
-  for (uint32_t ExitId : Incoming) {
-    auto [Owner, ExitIdx] = ExitRecords[ExitId];
-    FragmentExit &Exit = Owner->Exits[ExitIdx];
-    unlinkExit(Owner, Exit);
-    if (Config.LinkDirectBranches)
-      linkExit(Owner, Exit, New);
-  }
-  Old->IncomingLinks.clear();
-  unlinkOutgoing(Old);
-  Table.insert(Tag, New);
-
+void Runtime::transferSuspended(Fragment *Old, Fragment *New) {
   // OSR: transfer every thread context suspended inside the old body —
   // including the active one when publication runs between quanta — over
   // to the new version. The exit-boundary descriptors (or the CodeMap)
@@ -934,42 +908,20 @@ bool Runtime::publishVersion(AppPc Tag, InstrList &IL) {
     uint32_t NewOff = New->offsetOfAppPc(Pc);
     if (NewOff != UINT32_MAX && NewOff < New->CodeSize) {
       Ctx->ResumeCachePc = New->CacheAddr + NewOff;
-      Ctx->SafeEpoch = Epoch;
-      Stats.counter("osr_transfers") += 1;
-      obsEvent(TraceEventKind::OsrTransfer, Tag, Pc);
-      continue;
-    }
-    AppPc Resume = Old->osrResumePc(Pc - Old->CacheAddr);
-    // The CodeMap fallback can answer with a cache pc for bodies that were
-    // themselves re-emitted from decoded cache instructions — not a tag.
-    if (Resume && Resume < M.runtimeBase()) {
+    } else {
+      AppPc Resume = Old->osrResumePc(Pc - Old->CacheAddr);
+      // The CodeMap fallback can answer with a cache pc for bodies that
+      // were themselves re-emitted from decoded cache instructions — not a
+      // tag.
+      if (!Resume || Resume >= M.runtimeBase())
+        continue;
       Ctx->ResumePoint = ThreadContext::Resume::AtDispatcher;
       Ctx->ResumeTag = Resume;
       Ctx->ResumeCachePc = 0;
-      // Transferred off the old bytes: the context is safe for this
-      // publication (it can only re-enter through the live table).
-      Ctx->SafeEpoch = Epoch;
-      Stats.counter("osr_transfers") += 1;
-      obsEvent(TraceEventKind::OsrTransfer, Tag, Pc);
     }
+    Stats.counter("osr_transfers") += 1;
+    obsEvent(TraceEventKind::OsrTransfer, Old->Tag, Pc);
   }
-
-  // Retire the old body under this epoch: reclamation additionally waits
-  // until every thread has passed a safe point at or beyond it. (Emission
-  // above may already have evicted Old to make room; retire/notify once.)
-  if (!Old->Doomed) {
-    Old->RetireEpoch = Epoch;
-    dropIbSites(Old);
-    CM.retireFragment(Old, Epoch);
-    Old->Doomed = true;
-    DoomedFragments.push_back(Old);
-    if (TheClient)
-      TheClient->onFragmentDeleted(*this, Tag);
-  }
-  linkNewFragment(New);
-  Stats.counter("sideline_versions_published") += 1;
-  obsEvent(TraceEventKind::SidelinePublished, Tag, New->CacheAddr);
-  return true;
 }
 
 bool Runtime::deoptimizeFragment(AppPc Tag) {

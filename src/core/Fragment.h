@@ -208,32 +208,16 @@ struct Fragment {
 
   //===--- versioned publication (asynchronous sideline; core/Sideline.h) ---===
   //
-  // A tag names a *chain* of fragment bodies, not one body: each in-place
-  // rewrite (dr_replace_fragment, the IB-inline chain rewrite, a sideline
-  // publication) installs a successor with Version + 1 whose PrevVersion
-  // points at the body it superseded. Versions are metadata only — they
-  // charge nothing and change no emitted byte — but they let asynchronous
-  // re-optimization detect stale work (the job recorded which version it
-  // decoded) and let epoch-based retirement free an old version only after
-  // every thread has passed a publication safe point.
+  // Each in-place rewrite of a tag (dr_replace_fragment, the IB-inline
+  // chain rewrite, a sideline publication) installs a new body with
+  // Version + 1 and retires the one it superseded; the old bytes are
+  // reclaimed once no thread's guard pc lies in them. Versions are
+  // metadata only — they charge nothing and change no emitted byte — but
+  // they let asynchronous re-optimization detect stale work (the job
+  // recorded which version it decoded).
 
-  /// Position in the tag's version chain (0 = first body built).
+  /// In-place rewrites that led to this body (0 = first body built).
   uint32_t Version = 0;
-
-  /// Runtime publication epoch at which this body became the tag's live
-  /// version (0 = predates any publication).
-  uint64_t PublishEpoch = 0;
-
-  /// Publication epoch at which this body was superseded/retired; its slot
-  /// bytes may be reclaimed only once every thread's safe epoch has reached
-  /// it (0 = still live, or retired by a non-versioned path that relies on
-  /// guard pcs alone).
-  uint64_t RetireEpoch = 0;
-
-  /// The body this one replaced (null for the chain's first). Superseded
-  /// Fragment records stay allocated (Doomed) for the runtime's lifetime,
-  /// so the chain is always walkable.
-  Fragment *PrevVersion = nullptr;
 
   /// Traces only: the block tags the NET monitor stitched together
   /// (recorded at trace build, copied across versions). Rebuilding the

@@ -108,8 +108,8 @@ void Runtime::ibNoteArrival(AppPc Target, uint32_t SiteCachePc) {
     return;
 
   // Skew check: take the hottest targets, each carrying at least 1/16 of
-  // the arrivals, up to the configured chain length; rewrite only when
-  // together they cover at least a third of all arrivals.
+  // the arrivals, up to four arms; rewrite only when together they cover
+  // at least a third of all arrivals.
   unsigned Order[IbSiteProfile::MaxTargets];
   unsigned N = 0;
   for (unsigned K = 0; K != IbSiteProfile::MaxTargets; ++K)
@@ -118,9 +118,10 @@ void Runtime::ibNoteArrival(AppPc Target, uint32_t SiteCachePc) {
   std::stable_sort(Order, Order + N, [&P](unsigned A, unsigned B) {
     return P.Counts[A] > P.Counts[B];
   });
-  unsigned Cap = std::min(Config.MaxIbInlineTargets, IbSiteProfile::MaxTargets);
-  if (Cap == 0)
-    return;
+  // At most 8 arms keeps the jecxz short-branch reach over the chain tail
+  // from overflowing.
+  constexpr unsigned Cap = 4;
+  static_assert(Cap <= IbSiteProfile::MaxTargets);
   AppPc Picks[IbSiteProfile::MaxTargets];
   unsigned NumPicks = 0;
   uint64_t Covered = 0;

@@ -7,6 +7,7 @@
 
 #include "core/Runtime.h"
 
+#include "core/Sideline.h"
 #include "support/Compiler.h"
 #include "support/Metrics.h"
 
@@ -117,9 +118,6 @@ Runtime::Runtime(Machine &M, const RuntimeConfig &Config, Client *TheClient,
   ObsTrace = this->Config.Trace;
   Prof = this->Config.Profiler;
   CM.attachTrace(ObsTrace, &ObsTid);
-  // Epoch-retired slots (versioned publication) are reclaimed only once
-  // every thread context has passed a safe point for their retire epoch.
-  CM.attachEpochGate([this] { return minSafeEpoch(); });
 
   // Adaptive indirect-branch inlining needs the cache, the IBL (misses are
   // resolved by lookup, and unlinked arms re-route through it) and direct
@@ -178,23 +176,6 @@ void Runtime::resetThreadForRun() {
   TC->TraceGenInstrs = 0;
 }
 
-uint64_t Runtime::minSafeEpoch() const {
-  // Only a context suspended *inside the cache* can still reference a
-  // superseded version's bytes: Fresh and finished threads hold nothing,
-  // and an AtDispatcher suspension resumes by tag lookup (always the
-  // live version). That includes the active context — it is InCache
-  // exactly when suspended at a quantum boundary, where the pump may
-  // publish around it. Start from PubEpoch and let InCache suspensions
-  // drag the minimum down to their last safe point.
-  uint64_t Min = PubEpoch;
-  for (const auto &Ctx : Contexts) {
-    if (Ctx->ResumePoint != ThreadContext::Resume::InCache)
-      continue;
-    Min = std::min(Min, Ctx->SafeEpoch);
-  }
-  return Min;
-}
-
 void Runtime::registerMetrics(MetricsRegistry &MR, uint32_t Source) {
   // Everything below is read-only pulls at snapshot time: no counter here
   // adds a single instruction to dispatch, emission, or cache execution,
@@ -222,7 +203,6 @@ void Runtime::registerMetrics(MetricsRegistry &MR, uint32_t Source) {
            Q.liveFragments(Fragment::Kind::Trace);
   });
   MR.addCounter(Source, "publication_epoch", [this] { return PubEpoch; });
-  MR.addCounter(Source, "min_safe_epoch", [this] { return minSafeEpoch(); });
   MR.addGauge(Source, "ib_profiled_sites",
               [this] { return uint64_t(IbProfiles.size()); });
   MR.addCounter(Source, "ib_profile_arrivals",
@@ -501,11 +481,11 @@ RunResult Runtime::runCached(uint64_t Deadline) {
       TC->ResumeTag = Target;
       return finishRun(/*Quantum=*/true);
     }
-    // Dispatch boundary = async-sideline publication safe point: no cache
-    // pc is live-in for this thread, so superseded versions can retire and
-    // finished re-optimizations can be published before the next lookup.
+    // Dispatch boundary = async-sideline publication point: no cache pc is
+    // live-in for this thread, so finished re-optimizations can be
+    // published before the next lookup.
     if (RIO_UNLIKELY(Config.SidelinePump != nullptr))
-      pumpSideline();
+      Config.SidelinePump->pump(*this);
     Fragment *Frag = lookupFragment(Target);
     if (!Frag)
       Frag = buildBasicBlock(Target);
@@ -667,14 +647,8 @@ AppPc Runtime::executeFrom(uint32_t CachePc, uint64_t Deadline) {
       // dispatcher, to enter trace generation mode.
       if (To && Config.EnableTraces && !inTraceGen() && To->IsTraceHead &&
           !To->isTrace()) {
-        chargeRuntime(M.cost().HeadCounterCost);
-        ++S.HeadCounterBumps;
-        if (++Entry.HeadCounter >= Config.TraceThreshold) {
-          --Entry.HeadCounter; // the dispatcher's noteDispatch re-counts this
-          ++S.ContextSwitches;
-          chargeRuntime(M.cost().ContextSwitchCost);
+        if (countHeadIsHot(Entry))
           return Target;
-        }
         M.cpu().Pc = To->CacheAddr;
         continue;
       }
@@ -817,14 +791,8 @@ AppPc Runtime::handleIndirectArrival(AppPc Target, AppPc SiteCachePc,
   if (To->IsTraceHead && Config.EnableTraces && !To->isTrace()) {
     // Count the head cheaply (as the stubs do) and continue in-cache; a
     // hot head surfaces to the dispatcher for trace generation.
-    chargeRuntime(M.cost().HeadCounterCost);
-    ++S.HeadCounterBumps;
-    if (++Entry.HeadCounter >= Config.TraceThreshold) {
-      --Entry.HeadCounter;
-      ++S.ContextSwitches;
-      chargeRuntime(M.cost().ContextSwitchCost);
+    if (countHeadIsHot(Entry))
       return Target;
-    }
   }
   ++S.IblHits;
   obsEvent(TraceEventKind::IblHit, Target, To->CacheAddr);
@@ -838,6 +806,17 @@ AppPc Runtime::handleIndirectArrival(AppPc Target, AppPc SiteCachePc,
     chargeRuntime(M.cost().MispredictPenalty);
   Resume = To->CacheAddr;
   return 0;
+}
+
+bool Runtime::countHeadIsHot(FragmentEntry &Entry) {
+  chargeRuntime(M.cost().HeadCounterCost);
+  ++S.HeadCounterBumps;
+  if (++Entry.HeadCounter < Config.TraceThreshold)
+    return false;
+  --Entry.HeadCounter; // the dispatcher's noteDispatch re-counts this
+  ++S.ContextSwitches;
+  chargeRuntime(M.cost().ContextSwitchCost);
+  return true;
 }
 
 //===----------------------------------------------------------------------===//

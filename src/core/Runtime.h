@@ -111,13 +111,6 @@ struct ThreadContext {
   /// Fragment (tag) whose code triggered the current client callback.
   AppPc CurrentFragmentTag = 0;
 
-  /// Highest publication epoch this thread is known to have passed a safe
-  /// point for (a dispatch boundary: no cache pc live-in except the
-  /// recorded resume point, which OSR transfer rewrites). Epoch-based slot
-  /// retirement (CacheManager::reclaimPending) frees a superseded version's
-  /// bytes only once every context's SafeEpoch reaches its RetireEpoch.
-  uint64_t SafeEpoch = 0;
-
   /// Trace-recording state (NET). Recording can span scheduling quanta, so
   /// it must survive suspension per thread.
   bool TraceGenActive = false;
@@ -242,7 +235,7 @@ public:
   /// \p MR: every interned statistic as a counter, plus machine-level
   /// counters (cycles, instructions, CoW page copies) and live gauges
   /// (private pages, cache occupancy, pending reclaim bytes, publication
-  /// epochs, IB profile coverage, fork/freeze state). Pull-based: nothing
+  /// count, IB profile coverage, fork/freeze state). Pull-based: nothing
   /// is added to any hot path, and snapshots never charge simulated
   /// cycles. The registry must not outlive this runtime.
   void registerMetrics(MetricsRegistry &MR, uint32_t Source);
@@ -303,13 +296,12 @@ public:
   ///   - the new body is emitted and the tag's link graph swapped to it
   ///     atomically with respect to simulated execution (this runs at a
   ///     dispatch boundary, between fragment executions);
-  ///   - the old body is retired under a fresh publication epoch — its
-  ///     bytes are reclaimed only after every thread context has passed a
-  ///     safe point at or beyond that epoch;
-  ///   - any *other* thread context suspended inside the old body is
-  ///     OSR-transferred: its resume point is rewritten to the equivalent
-  ///     application pc (Fragment::osrResumePc) so it re-enters through
-  ///     the dispatcher and runs the new version.
+  ///   - every thread context suspended inside the old body is
+  ///     OSR-transferred where its pc translates: onto the same
+  ///     instruction of the new body, or to the equivalent application pc
+  ///     (Fragment::osrResumePc) so it re-enters through the dispatcher;
+  ///   - the old body is retired — its bytes are reclaimed once no guard
+  ///     pc (a context left in it untransferred) lies inside them.
   /// Charges SidelinePublishCost (cheaper than a synchronous replace — the
   /// transform itself happened off the critical path). Returns false if no
   /// fragment with that tag exists or emission fails.
@@ -322,8 +314,8 @@ public:
   /// list, or emission fails.
   bool deoptimizeFragment(AppPc Tag);
 
-  /// Publication epochs minted so far (the live version of any tag has
-  /// PublishEpoch <= this).
+  /// Versions published so far (publishVersion calls that installed a
+  /// body).
   uint64_t publicationEpoch() const { return PubEpoch; }
 
   //===--------------------------------------------------------------------===
@@ -346,11 +338,6 @@ public:
   /// The blacklisted tags, ordered (deterministic iteration for persist,
   /// dr_traceopt_blacklist, and tests).
   const std::set<AppPc> &traceoptBlacklist() const { return TraceOptBlacklist; }
-
-  /// The slowest thread's safe epoch: the largest epoch E such that every
-  /// thread context has passed a publication safe point for E. Slots
-  /// retired under epoch R stay un-reclaimed while minSafeEpoch() < R.
-  uint64_t minSafeEpoch() const;
 
   //===--------------------------------------------------------------------===
   // Custom trace extensions (paper Section 3.5)
@@ -454,13 +441,13 @@ private:
   /// when the program (or quantum, or this thread) stopped.
   AppPc executeFrom(uint32_t CachePc, uint64_t Deadline);
   AppPc handleIndirectArrival(AppPc Target, AppPc SiteCachePc, AppPc &Resume);
+  /// In-cache trace-head counting (exit stubs and IBL hits): charges and
+  /// bumps the head counter in \p Entry. Returns true once the head is hot
+  /// — counted as a context switch to the dispatcher, which re-counts it
+  /// and starts trace generation.
+  bool countHeadIsHot(FragmentEntry &Entry);
   void serviceCleanCall(uint32_t Id);
   void chargeRuntime(uint64_t Cycles);
-  /// Async-sideline publication point, called at every dispatch boundary
-  /// when Config.SidelinePump is attached: marks the active context safe
-  /// for all epochs so far, then lets the pump publish due jobs. Defined
-  /// in Sideline.cpp (the pump's type is only complete there).
-  void pumpSideline();
   /// Rewrites a cache-pc fault reason in application terms (fragment tag).
   void annotateCacheFault(uint32_t CachePc);
 
@@ -474,6 +461,20 @@ private:
   void unlinkOutgoing(Fragment *Frag);
   void unlinkIncoming(Fragment *Frag);
   void linkNewFragment(Fragment *Frag);
+  /// The tail every deletion shares: drops the body's IB-arm bookkeeping,
+  /// retires its slot (reclaimed once no guard pc lies in it), marks it
+  /// Doomed and notifies the client.
+  void retireBody(Fragment *Frag);
+  /// The version swap replaceFragment and publishVersion share: emits \p IL
+  /// as \p Old's successor, re-points Old's incoming links at it, severs
+  /// Old's outgoing links, installs it in the table, OSR-transfers threads
+  /// suspended in Old when \p Osr, retires Old and links the new body.
+  /// Returns the new body, or null if emission failed.
+  Fragment *supersede(Fragment *Old, InstrList &IL, bool Osr);
+  /// Moves every context suspended inside \p Old onto \p New (on-stack
+  /// replacement) where its pc translates; the rest keep Old's bytes
+  /// alive through their guard pcs.
+  void transferSuspended(Fragment *Old, Fragment *New);
   void deleteFragment(Fragment *Frag);
   void patchRel32(uint32_t CtiAddr, unsigned CtiLen, uint32_t NewTarget);
   uint32_t allocCache(unsigned Size, Fragment::Kind Kind);
@@ -547,6 +548,8 @@ private:
   void dropIbSites(Fragment *Frag);
 
   //===--- traces (TraceBuilder.cpp) ----------------------------------------===
+  /// Maximum basic blocks stitched into one trace.
+  static constexpr unsigned MaxTraceBlocks = 16;
   void noteDispatch(Fragment *Frag);
   bool inTraceGen() const { return TC->TraceGenActive; }
   void traceGenStep(AppPc NextTag);
@@ -603,7 +606,6 @@ private:
   std::unordered_map<AppPc, Fragment *> ShadowBbs;
   std::vector<std::unique_ptr<Fragment>> Fragments;
   std::vector<std::pair<Fragment *, unsigned>> ExitRecords;
-  std::vector<Fragment *> DoomedFragments;
 
   /// Owns the bb/trace cache ranges: allocation, eviction order, deferred
   /// reclamation, and the app-range index for consistency invalidation.
@@ -629,7 +631,7 @@ private:
   std::vector<std::function<void(CleanCallContext &)>> CleanCalls;
 
   uint64_t RuntimeCycles = 0;
-  /// Publication epochs minted (publishVersion); see ThreadContext::SafeEpoch.
+  /// Versions published (publishVersion); see publicationEpoch().
   uint64_t PubEpoch = 0;
   bool ClientInitDone = false;
   HookMode Hooks = HookMode::All;

@@ -84,9 +84,6 @@ struct RuntimeConfig {
   /// Executions of a trace head before trace generation starts.
   unsigned TraceThreshold = 50;
 
-  /// Maximum basic blocks stitched into one trace.
-  unsigned MaxTraceBlocks = 16;
-
   /// Maximum instructions lifted into one basic block.
   unsigned MaxBlockInstrs = 256;
 
@@ -94,11 +91,6 @@ struct RuntimeConfig {
   /// default is a Level 0 bundle plus a decoded terminator; forcing higher
   /// levels costs real build cycles (the Ablation B bench measures this).
   LiftLevel BbLift = LiftLevel::Bundle0;
-
-  /// Inline the hot target of indirect branches inside traces, guarded by a
-  /// compare (paper Section 3 / 4.3). When off, an indirect branch always
-  /// ends the trace.
-  bool InlineIndirectInTraces = true;
 
   /// Adaptive indirect-branch inline caches (Section 4.3 made adaptive):
   /// profile each indirect exit site host-side at the IBL boundary and,
@@ -110,10 +102,6 @@ struct RuntimeConfig {
 
   /// Arrivals at one indirect site before a rewrite is considered.
   unsigned IbInlineThreshold = 64;
-
-  /// Most targets inlined into one chain (clamped to 8 so the jecxz
-  /// short-branch reach over the chain tail can never overflow).
-  unsigned MaxIbInlineTargets = 4;
 
   /// Guard failures on one trace tag before the speculative trace
   /// optimizer blacklists it (no further speculation; the pristine rebuild

@@ -173,14 +173,6 @@ void SidelineOptimizer::registerMetrics(MetricsRegistry &MR, uint32_t Source) {
 // Runtime glue
 //===----------------------------------------------------------------------===//
 
-void rio::Runtime::pumpSideline() {
-  // Dispatch boundary: this thread holds no cache pc, so it has passed a
-  // safe point for every publication so far — record that before giving
-  // the pump a chance to retire more versions.
-  TC->SafeEpoch = PubEpoch;
-  Config.SidelinePump->pump(*this);
-}
-
 RunResult rio::runWithSideline(Runtime &RT, SidelineOptimizer &Sideline,
                                uint64_t Quantum) {
   RunResult Last;
@@ -191,9 +183,8 @@ RunResult rio::runWithSideline(Runtime &RT, SidelineOptimizer &Sideline,
     // The sideline core worked while the application ran on its own;
     // publish whatever came due: a thread stuck in a hot trace never
     // reaches a dispatch boundary, so the quantum boundary is where its
-    // optimized version takes over (via OSR transfer — the suspended
-    // context is *not* at a safe point, so no SafeEpoch stamp here;
-    // publishVersion moves it or its guard pc pins the old bytes).
+    // optimized version takes over (via OSR transfer: publishVersion
+    // moves the suspended context, or its guard pc pins the old bytes).
     Sideline.pump(RT);
   }
 }

@@ -14,8 +14,8 @@
 /// queued tags into jobs (the fragment body is decoded into a private
 /// per-job arena, stamped with the exact fragment version it captured)
 /// and publishes due jobs as new fragment *versions*
-/// (Runtime::publishVersion): link graph swapped atomically, the old body
-/// epoch-retired, suspended threads OSR-transferred out of it.
+/// (Runtime::publishVersion): link graph swapped atomically, suspended
+/// threads OSR-transferred out of the old body, the old body retired.
 ///
 /// Each job's completion is scheduled on simulated time by a seeded
 /// virtual-completion latency (docs/sideline-cost-model.md). The transform
@@ -82,7 +82,7 @@ public:
   bool requestReopt(Runtime &RT, AppPc Tag);
 
   /// Publication point, called by the runtime at every dispatch boundary
-  /// (Runtime::pumpSideline via RuntimeConfig::SidelinePump): converts
+  /// (through RuntimeConfig::SidelinePump): converts
   /// queued traces into jobs, then transforms and publishes every job
   /// whose virtual completion time has been reached, in enqueue order per
   /// runtime.

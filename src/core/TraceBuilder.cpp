@@ -63,7 +63,7 @@ void Runtime::traceGenStep(AppPc NextTag) {
       TheClient ? TheClient->onEndTrace(*this, TC->TraceGenHead, NextTag)
                 : Client::EndTrace::Default;
   // Hard caps apply regardless of the client's wishes.
-  bool AtCap = TC->TraceGenBlocks.size() >= Config.MaxTraceBlocks ||
+  bool AtCap = TC->TraceGenBlocks.size() >= MaxTraceBlocks ||
                TC->TraceGenInstrs >= 4 * Config.MaxBlockInstrs;
   switch (Decision) {
   case Client::EndTrace::End:
@@ -250,8 +250,7 @@ InstrList *Runtime::buildTraceList(const std::vector<AppPc> &Blocks,
         BlockIL.replace(Term, Push);
         ++S.TraceCallsInlined;
       } else if (Term->isIndirectCti()) {
-        if (!Config.InlineIndirectInTraces)
-          return nullptr; // should have been an end condition
+        // Inline the hot target behind a compare (paper Section 3 / 4.3).
         Inlines.push_back({Term, NextTag});
       } else {
         return nullptr; // unexpected terminator mid-trace

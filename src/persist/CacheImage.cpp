@@ -333,13 +333,10 @@ uint64_t CacheCodec::configHash(Runtime &RT) {
   H = fnvU32(H, C.LinkIndirectBranches);
   H = fnvU32(H, C.EnableTraces);
   H = fnvU32(H, C.TraceThreshold);
-  H = fnvU32(H, C.MaxTraceBlocks);
   H = fnvU32(H, C.MaxBlockInstrs);
   H = fnvU32(H, uint32_t(C.BbLift));
-  H = fnvU32(H, C.InlineIndirectInTraces);
   H = fnvU32(H, C.IbInline);
   H = fnvU32(H, C.IbInlineThreshold);
-  H = fnvU32(H, C.MaxIbInlineTargets);
   H = fnvU32(H, uint32_t(C.Eviction));
   H = fnvU32(H, C.BbCacheSize);
   H = fnvU32(H, C.TraceCacheSize);

@@ -7,10 +7,10 @@
 ///
 /// \file
 /// Tests for the CacheManager subsystem: bounded caches with FIFO
-/// eviction, deferred slot reclamation (stale-exit fallback), consistency
-/// invalidation of self-modifying code, and dr_flush_region — including
-/// calling it from a clean call that is logically inside the flushed
-/// fragment.
+/// eviction, deferred slot reclamation (the guard-pc rule, stale-exit
+/// fallback), consistency invalidation of self-modifying code, and
+/// dr_flush_region — including calling it from a clean call that is
+/// logically inside the flushed fragment.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -109,6 +109,72 @@ TEST(CacheMgmt, EvictionNotifiesClientExactlyOncePerFragment) {
   EXPECT_GE(Evictions, 1u);
   EXPECT_EQ(uint64_t(C.Deletes), Evictions);
   EXPECT_EQ(RT.stats().get("fragments_deleted"), Evictions);
+}
+
+//===----------------------------------------------------------------------===//
+// Deferred reclamation: the guard-pc rule
+//===----------------------------------------------------------------------===//
+
+/// A 16-byte block fragment (12 body + 4 stub bytes) at \p Addr.
+Fragment slotAt(uint32_t Addr) {
+  Fragment F;
+  F.FragKind = Fragment::Kind::BasicBlock;
+  F.CacheAddr = Addr;
+  F.CodeSize = 12;
+  F.StubsSize = 4;
+  return F;
+}
+
+TEST(CacheMgmt, GuardPcHoldsRetiredSlotThenReleasesIt) {
+  constexpr uint32_t Base = 0x10000;
+  Machine M;
+  StatisticSet Stats;
+  CacheManager CM(M, Stats, /*WatchWrites=*/false);
+  CM.configureCache(Fragment::Kind::BasicBlock, Base, Base + 64);
+  CM.configureCache(Fragment::Kind::Trace, Base + 64, Base + 128);
+
+  ASSERT_EQ(CM.allocate(Fragment::Kind::BasicBlock, 16), Base);
+  ASSERT_EQ(CM.allocate(Fragment::Kind::BasicBlock, 16), Base + 16);
+  Fragment A = slotAt(Base), B = slotAt(Base + 16);
+  CM.registerFragment(&A);
+  CM.registerFragment(&B);
+  CM.retireFragment(&A);
+  EXPECT_EQ(CM.pendingReclaimBytes(Fragment::Kind::BasicBlock), 16u);
+
+  // A guard pc in the retired slot (here in its stub bytes) keeps it
+  // pending: first fit skips it, even when it is the only 16-byte hole.
+  const std::vector<uint32_t> Guard = {Base + 13};
+  EXPECT_EQ(CM.allocate(Fragment::Kind::BasicBlock, 16, Guard), Base + 32);
+  EXPECT_EQ(CM.allocate(Fragment::Kind::BasicBlock, 16, Guard), Base + 48);
+  EXPECT_EQ(CM.allocate(Fragment::Kind::BasicBlock, 16, Guard), 0u);
+  EXPECT_EQ(CM.pendingReclaimBytes(Fragment::Kind::BasicBlock), 16u);
+
+  // A guard pc outside the slot (in the live neighbour) does not hold it:
+  // the next allocation reclaims the slot and reuses it.
+  EXPECT_EQ(CM.allocate(Fragment::Kind::BasicBlock, 16, {Base + 16}), Base);
+  EXPECT_EQ(CM.pendingReclaimBytes(Fragment::Kind::BasicBlock), 0u);
+}
+
+TEST(CacheMgmt, UnguardedRetiredSlotIsReusedByNextAllocation) {
+  constexpr uint32_t Base = 0x10000;
+  Machine M;
+  StatisticSet Stats;
+  CacheManager CM(M, Stats, /*WatchWrites=*/false);
+  CM.configureCache(Fragment::Kind::BasicBlock, Base, Base + 64);
+  CM.configureCache(Fragment::Kind::Trace, Base + 64, Base + 128);
+
+  ASSERT_EQ(CM.allocate(Fragment::Kind::BasicBlock, 16), Base);
+  Fragment A = slotAt(Base);
+  CM.registerFragment(&A);
+  CM.retireFragment(&A);
+  EXPECT_EQ(CM.liveFragments(Fragment::Kind::BasicBlock), 0u);
+  EXPECT_EQ(CM.pendingReclaimBytes(Fragment::Kind::BasicBlock), 16u);
+
+  // No guard pc anywhere: reclamation coalesces the slot with the free
+  // tail, so first fit returns its address again.
+  EXPECT_EQ(CM.allocate(Fragment::Kind::BasicBlock, 16), Base);
+  EXPECT_EQ(CM.pendingReclaimBytes(Fragment::Kind::BasicBlock), 0u);
+  EXPECT_EQ(CM.largestFreeGap(Fragment::Kind::BasicBlock), 48u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -269,9 +269,6 @@ TEST(Sideline, VersionQueryApi) {
   ASSERT_GE(Sideline.versionsPublished(), 1u);
   EXPECT_EQ(dr_fragment_version(&RT, Missing), -1);
   EXPECT_EQ(dr_publication_epoch(&RT), RT.publicationEpoch());
-  // Single-threaded: nobody is suspended in the cache, so the whole
-  // history is safe.
-  EXPECT_EQ(dr_min_safe_epoch(&RT), dr_publication_epoch(&RT));
   // Some republished trace must report a bumped version number.
   int MaxVersion = 0;
   RT.forEachFragment([&](const Fragment &F) {
