@@ -7,26 +7,66 @@
 
 #include "ir/Build.h"
 
-#include "support/Compiler.h"
-
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 using namespace rio;
 
-bool rio::scanBlock(const uint8_t *Bytes, size_t Size, AppPc Base, AppPc Pc,
-                    unsigned MaxInstrs, BlockScan &Scan) {
+namespace {
+
+/// Application code held in one contiguous buffer: Bytes[0] is address Base.
+struct FlatCode {
+  const uint8_t *Bytes;
+  size_t Size;
+  AppPc Base;
+
+  /// Up to MaxInstrLength bytes at \p Pc (their count in \p Avail), or null
+  /// if \p Pc is outside the code.
+  const uint8_t *window(AppPc Pc, uint8_t *, size_t &Avail) const {
+    if (Pc < Base || Pc - Base >= Size)
+      return nullptr;
+    Avail = std::min<size_t>(Size - (Pc - Base), MaxInstrLength);
+    return Bytes + (Pc - Base);
+  }
+  void copy(AppPc Pc, uint8_t *Dst, unsigned Len) const {
+    std::memcpy(Dst, Bytes + (Pc - Base), Len);
+  }
+};
+
+/// Application code in the paged image, decodable below Limit. Windows may
+/// straddle pages (then they land in the caller's scratch buffer).
+struct ImageCode {
+  const MemoryImage &Mem;
+  uint32_t Limit;
+
+  ImageCode(const MemoryImage &Mem, uint32_t Limit)
+      : Mem(Mem), Limit(std::min(Limit, Mem.size())) {}
+
+  const uint8_t *window(AppPc Pc, uint8_t *Scratch, size_t &Avail) const {
+    if (Pc >= Limit)
+      return nullptr;
+    Avail = std::min<uint32_t>(Limit - Pc, MaxInstrLength);
+    return Mem.readWindow(Pc, uint32_t(Avail), Scratch);
+  }
+  void copy(AppPc Pc, uint8_t *Dst, unsigned Len) const {
+    Mem.readBlock(Pc, Dst, Len);
+  }
+};
+
+/// The one block walker behind both scanBlock overloads.
+template <typename Code>
+bool scan(const Code &C, AppPc Pc, unsigned MaxInstrs, BlockScan &Scan) {
   Scan = BlockScan();
   AppPc Cur = Pc;
+  uint8_t Scratch[MaxInstrLength];
   for (unsigned N = 0; N != MaxInstrs; ++N) {
-    if (Cur < Base || Cur >= Base + Size)
-      return false;
-    const uint8_t *P = Bytes + (Cur - Base);
-    size_t Avail = Size - (Cur - Base);
+    size_t Avail;
+    const uint8_t *P = C.window(Cur, Scratch, Avail);
     Opcode Op;
     uint32_t Eflags;
     int Len;
-    if (!decodeOpcodeAndEflags(P, Avail, Op, Eflags, Len))
+    if (!P || !decodeOpcodeAndEflags(P, Avail, Op, Eflags, Len))
       return false;
     ++Scan.NumInstrs;
     Scan.ByteLength += unsigned(Len);
@@ -44,153 +84,42 @@ bool rio::scanBlock(const uint8_t *Bytes, size_t Size, AppPc Base, AppPc Pc,
   return true;
 }
 
-bool rio::liftBlock(InstrList &IL, const uint8_t *Bytes, size_t Size,
-                    AppPc Base, AppPc Pc, unsigned MaxInstrs, LiftLevel Level) {
+/// The one block walker behind both liftBlock overloads. The raw bytes
+/// behind every created Instr, bundles included, are copied into the
+/// list's arena: windows may point into scratch or a page that moves on a
+/// later copy-on-write fault, and a bundle may straddle pages.
+template <typename Code>
+bool lift(InstrList &IL, const Code &C, AppPc Pc, unsigned MaxInstrs,
+          LiftLevel Level) {
   Arena &A = IL.arena();
   AppPc Cur = Pc;
   AppPc BundleStart = Pc;
   unsigned BundleLen = 0;
+  uint8_t Scratch[MaxInstrLength];
 
   auto flushBundle = [&]() {
     if (BundleLen == 0)
       return;
-    IL.append(Instr::createBundle(A, Bytes + (BundleStart - Base), BundleLen,
-                                  BundleStart));
-    BundleLen = 0;
-  };
-
-  for (unsigned N = 0; N != MaxInstrs; ++N) {
-    if (Cur < Base || Cur >= Base + Size)
-      return false;
-    const uint8_t *P = Bytes + (Cur - Base);
-    size_t Avail = Size - (Cur - Base);
-
-    // Peek at the opcode to know whether this is the terminating CTI.
-    Opcode Op;
-    uint32_t Eflags;
-    int Len;
-    if (!decodeOpcodeAndEflags(P, Avail, Op, Eflags, Len))
-      return false;
-    bool IsTerminator =
-        opcodeIsCti(Op) || (opcodeInfo(Op).Flags & OPF_SYSCALL) != 0;
-
-    if (IsTerminator || Level != LiftLevel::Bundle0) {
-      Instr *I = nullptr;
-      if (IsTerminator || Level == LiftLevel::Decoded3 ||
-          Level == LiftLevel::Synth4) {
-        DecodedInstr DI;
-        if (!decodeInstr(P, Avail, Cur, DI))
-          return false;
-        I = Instr::createDecoded(A, DI, P, Cur);
-        if (!IsTerminator && Level == LiftLevel::Synth4)
-          I->invalidateRawBits();
-      } else if (Level == LiftLevel::Opcode2) {
-        I = Instr::createOpcodeKnown(A, P, unsigned(Len), Cur, Op, Eflags);
-      } else {
-        I = Instr::createRaw(A, P, unsigned(Len), Cur);
-      }
-      flushBundle();
-      IL.append(I);
-    } else {
-      // Accumulate into the current Level 0 bundle.
-      if (BundleLen == 0)
-        BundleStart = Cur;
-      BundleLen += unsigned(Len);
-    }
-
-    Cur += AppPc(Len);
-    if (IsTerminator)
-      return true;
-  }
-  // Hit the instruction cap without a CTI; flush what we have. The caller
-  // decides how to terminate the block (the runtime appends a jump).
-  flushBundle();
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
-// Paged-image overloads
-//===----------------------------------------------------------------------===//
-
-bool rio::scanBlock(const MemoryImage &Mem, uint32_t Limit, AppPc Pc,
-                    unsigned MaxInstrs, BlockScan &Scan) {
-  Scan = BlockScan();
-  Limit = std::min(Limit, Mem.size());
-  AppPc Cur = Pc;
-  uint8_t Scratch[MaxInstrLength];
-#ifndef NDEBUG
-  const uint64_t Epoch = Mem.mutEpoch();
-#endif
-  for (unsigned N = 0; N != MaxInstrs; ++N) {
-    if (Cur >= Limit)
-      return false;
-    uint32_t Win = std::min<uint32_t>(Limit - Cur, MaxInstrLength);
-    const uint8_t *P = Mem.readWindow(Cur, Win, Scratch);
-    Opcode Op;
-    uint32_t Eflags;
-    int Len;
-    if (!P || !decodeOpcodeAndEflags(P, Win, Op, Eflags, Len))
-      return false;
-    ++Scan.NumInstrs;
-    Scan.ByteLength += unsigned(Len);
-    Cur += AppPc(Len);
-    if (opcodeIsCti(Op)) {
-      Scan.EndsInCti = true;
-      break;
-    }
-    if (opcodeInfo(Op).Flags & OPF_SYSCALL) {
-      Scan.EndsInSyscall = true;
-      break;
-    }
-  }
-  assert(Epoch == Mem.mutEpoch() &&
-         "image mutated under scan: window pointers would dangle");
-  Scan.FallThrough = Cur;
-  return true;
-}
-
-bool rio::liftBlock(InstrList &IL, const MemoryImage &Mem, uint32_t Limit,
-                    AppPc Pc, unsigned MaxInstrs, LiftLevel Level) {
-  Arena &A = IL.arena();
-  Limit = std::min(Limit, Mem.size());
-  AppPc Cur = Pc;
-  AppPc BundleStart = Pc;
-  unsigned BundleLen = 0;
-  uint8_t Scratch[MaxInstrLength];
-#ifndef NDEBUG
-  const uint64_t Epoch = Mem.mutEpoch();
-#endif
-
-  auto flushBundle = [&]() {
-    if (BundleLen == 0)
-      return;
-    // Arena-copy the bundle's bytes: a bundle may straddle page boundaries
-    // (no contiguous image pointer exists) and a CoW fault may retire the
-    // page while the Instr is still alive.
     auto *Copy = static_cast<uint8_t *>(A.allocate(BundleLen, 1));
-    Mem.readBlock(BundleStart, Copy, BundleLen);
+    C.copy(BundleStart, Copy, BundleLen);
     IL.append(Instr::createBundle(A, Copy, BundleLen, BundleStart));
     BundleLen = 0;
   };
 
   for (unsigned N = 0; N != MaxInstrs; ++N) {
-    if (Cur >= Limit)
-      return false;
-    uint32_t Win = std::min<uint32_t>(Limit - Cur, MaxInstrLength);
-    const uint8_t *P = Mem.readWindow(Cur, Win, Scratch);
+    size_t Avail;
+    const uint8_t *P = C.window(Cur, Scratch, Avail);
 
     // Peek at the opcode to know whether this is the terminating CTI.
     Opcode Op;
     uint32_t Eflags;
     int Len;
-    if (!P || !decodeOpcodeAndEflags(P, Win, Op, Eflags, Len))
+    if (!P || !decodeOpcodeAndEflags(P, Avail, Op, Eflags, Len))
       return false;
     bool IsTerminator =
         opcodeIsCti(Op) || (opcodeInfo(Op).Flags & OPF_SYSCALL) != 0;
 
     if (IsTerminator || Level != LiftLevel::Bundle0) {
-      // P may point into Scratch or a movable page; the Instr needs bytes
-      // that live as long as the arena.
       const uint8_t *Bytes = A.copyBytes(P, size_t(Len));
       Instr *I = nullptr;
       if (IsTerminator || Level == LiftLevel::Decoded3 ||
@@ -216,14 +145,41 @@ bool rio::liftBlock(InstrList &IL, const MemoryImage &Mem, uint32_t Limit,
     }
 
     Cur += AppPc(Len);
-    if (IsTerminator) {
-      assert(Epoch == Mem.mutEpoch() &&
-             "image mutated under lift: window pointers would dangle");
+    if (IsTerminator)
       return true;
-    }
   }
+  // Hit the instruction cap without a CTI; flush what we have. The caller
+  // decides how to terminate the block (the runtime appends a jump).
   flushBundle();
+  return true;
+}
+
+} // namespace
+
+bool rio::scanBlock(const uint8_t *Bytes, size_t Size, AppPc Base, AppPc Pc,
+                    unsigned MaxInstrs, BlockScan &Scan) {
+  return scan(FlatCode{Bytes, Size, Base}, Pc, MaxInstrs, Scan);
+}
+
+bool rio::scanBlock(const MemoryImage &Mem, uint32_t Limit, AppPc Pc,
+                    unsigned MaxInstrs, BlockScan &Scan) {
+  [[maybe_unused]] const uint64_t Epoch = Mem.mutEpoch();
+  bool Ok = scan(ImageCode(Mem, Limit), Pc, MaxInstrs, Scan);
+  assert(Epoch == Mem.mutEpoch() &&
+         "image mutated under scan: window pointers would dangle");
+  return Ok;
+}
+
+bool rio::liftBlock(InstrList &IL, const uint8_t *Bytes, size_t Size,
+                    AppPc Base, AppPc Pc, unsigned MaxInstrs, LiftLevel Level) {
+  return lift(IL, FlatCode{Bytes, Size, Base}, Pc, MaxInstrs, Level);
+}
+
+bool rio::liftBlock(InstrList &IL, const MemoryImage &Mem, uint32_t Limit,
+                    AppPc Pc, unsigned MaxInstrs, LiftLevel Level) {
+  [[maybe_unused]] const uint64_t Epoch = Mem.mutEpoch();
+  bool Ok = lift(IL, ImageCode(Mem, Limit), Pc, MaxInstrs, Level);
   assert(Epoch == Mem.mutEpoch() &&
          "image mutated under lift: window pointers would dangle");
-  return true;
+  return Ok;
 }

@@ -59,13 +59,15 @@ bool scanBlock(const MemoryImage &Mem, uint32_t Limit, AppPc Pc,
 
 /// Lifts the basic block at \p Pc into \p IL at the given level of detail.
 /// \p Bytes/\p Size/\p Base describe the application image as in scanBlock.
+/// The raw bytes behind every created Instr — bundles included — are
+/// copied into the InstrList's arena, so the Instrs never reference the
+/// caller's bytes.
 /// \returns false on undecodable bytes.
 bool liftBlock(InstrList &IL, const uint8_t *Bytes, size_t Size, AppPc Base,
                AppPc Pc, unsigned MaxInstrs, LiftLevel Level);
 
 /// liftBlock over the paged memory image (see the scanBlock overload). The
-/// raw bytes behind every created Instr — bundles included — are copied
-/// into the InstrList's arena: image pages are copy-on-write and may move
+/// arena copies matter here: image pages are copy-on-write and may move
 /// under a later write, so Instrs must not reference them.
 bool liftBlock(InstrList &IL, const MemoryImage &Mem, uint32_t Limit,
                AppPc Pc, unsigned MaxInstrs, LiftLevel Level);

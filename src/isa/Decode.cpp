@@ -8,29 +8,38 @@
 #include "isa/Decode.h"
 
 #include "isa/Eflags.h"
-#include "support/Compiler.h"
+#include "isa/Forms.h"
 
 using namespace rio;
 
 namespace {
 
-/// How much of the instruction the caller needs; cheaper modes skip operand
-/// materialization entirely (this is what makes Level 0/1 decoding fast).
-enum class DecodeMode { LengthOnly, OpcodeOnly, Full };
-
-/// Register classes for ModRM interpretation.
-enum class RegClass { Gr32, Gr8, Xmm };
-
-Register regOfClass(RegClass Class, uint8_t Encoding) {
-  switch (Class) {
-  case RegClass::Gr32:
-    return Register(REG_EAX + Encoding);
-  case RegClass::Gr8:
+/// The register numbered \p Encoding in the class of slot \p S.
+Register regOfSlot(Slot S, uint8_t Encoding) {
+  switch (S) {
+  case Slot::R8:
+  case Slot::Rm8:
     return Register(REG_AL + Encoding);
-  case RegClass::Xmm:
+  case Slot::Xmm:
+  case Slot::Xm64:
     return Register(REG_XMM0 + Encoding);
+  default:
+    return Register(REG_EAX + Encoding);
   }
-  RIO_UNREACHABLE("bad register class");
+}
+
+/// Memory access width of an rm slot (M: the form ignores it; 4 bytes).
+uint8_t memSizeOfSlot(Slot S) {
+  switch (S) {
+  case Slot::Rm8:
+    return 1;
+  case Slot::M16:
+    return 2;
+  case Slot::Xm64:
+    return 8;
+  default:
+    return 4;
+  }
 }
 
 /// Bounded byte reader over the instruction bytes.
@@ -73,45 +82,19 @@ private:
   bool Failed = false;
 };
 
-/// The decoder proper. One instance decodes one instruction.
-class Decoder {
-public:
-  Decoder(const uint8_t *Bytes, size_t Avail, AppPc Pc, DecodeMode Mode)
-      : Cur(Bytes, Avail), Pc(Pc), Mode(Mode) {}
-
-  /// Runs the decode; fills \p Out (operands only in Full mode).
-  bool run(DecodedInstr &Out);
-
-private:
-  // Parses a ModRM byte (plus SIB/displacement). The rm operand is placed in
-  // \p Rm if in Full mode; the reg field is returned via \p RegField.
-  bool parseModRm(RegClass RmClass, uint8_t MemSize, Operand &Rm,
-                  uint8_t &RegField);
-
-  // Finishes decode for an instruction with the given opcode and explicit
-  // operands; expands to canonical form in Full mode.
-  bool finish(DecodedInstr &Out, Opcode Op, const Operand *Explicit,
-              unsigned NumExplicit, uint32_t EflagsOverride = ~0u);
-
-  bool fail() { return false; }
-
-  Cursor Cur;
-  AppPc Pc;
-  DecodeMode Mode;
-  uint8_t Prefixes = 0;
-};
-
-bool Decoder::parseModRm(RegClass RmClass, uint8_t MemSize, Operand &Rm,
-                         uint8_t &RegField) {
-  uint8_t ModRm = Cur.u8();
+/// Reads the rest of a ModRM operand (SIB and displacement) after the ModRM
+/// byte \p ModRm, for rm slot \p S, and builds it in \p Rm if non-null.
+/// \returns false on a register operand in a memory-only slot.
+bool parseRm(Cursor &Cur, uint8_t ModRm, Slot S, Operand *Rm) {
   uint8_t Mod = ModRm >> 6;
-  RegField = (ModRm >> 3) & 7;
   uint8_t RmBits = ModRm & 7;
 
   if (Mod == 3) {
-    if (Mode == DecodeMode::Full)
-      Rm = Operand::reg(regOfClass(RmClass, RmBits));
-    return !Cur.failed();
+    if (S == Slot::M16 || S == Slot::M)
+      return false;
+    if (Rm)
+      *Rm = Operand::reg(regOfSlot(S, RmBits));
+    return true;
   }
 
   Register Base = REG_NULL;
@@ -145,452 +128,170 @@ bool Decoder::parseModRm(RegClass RmClass, uint8_t MemSize, Operand &Rm,
   else if (Mod == 2)
     Disp += Cur.s32();
 
-  if (Mode == DecodeMode::Full)
-    Rm = Operand::mem(Base, Disp, MemSize, Index, Index ? Scale : 1);
-  return !Cur.failed();
-}
-
-bool Decoder::finish(DecodedInstr &Out, Opcode Op, const Operand *Explicit,
-                     unsigned NumExplicit, uint32_t EflagsOverride) {
-  if (Cur.failed())
-    return false;
-  Out.Op = Op;
-  Out.Length = uint8_t(Cur.position());
-  Out.Prefixes = Prefixes;
-  Out.Eflags =
-      EflagsOverride != ~0u ? EflagsOverride : opcodeInfo(Op).EflagsEffect;
-  if (Mode != DecodeMode::Full)
-    return true;
-  unsigned NumSrcs = 0, NumDsts = 0;
-  if (!buildCanonicalOperands(Op, Explicit, NumExplicit, Out.Srcs, NumSrcs,
-                              Out.Dsts, NumDsts))
-    return false;
-  Out.NumSrcs = uint8_t(NumSrcs);
-  Out.NumDsts = uint8_t(NumDsts);
+  if (Rm)
+    *Rm = Operand::mem(Base, Disp, memSizeOfSlot(S), Index,
+                       Index ? Scale : 1);
   return true;
 }
 
-bool Decoder::run(DecodedInstr &Out) {
-  // Optional prefixes.
+/// Decodes one instruction: prefixes, opcode map and byte, then the first
+/// form row for that byte whose /digit matches, then its operand slots.
+/// Sets \p Op, \p Eflags and \p Length (all that Levels 0-2 need); with
+/// \p Full, also fills in the prefixes and canonical operands (Levels 3-4).
+/// Both ways read the same rows, so they accept exactly the same bytes.
+bool decode(const uint8_t *Bytes, size_t Avail, AppPc Pc, Opcode &Op,
+            uint32_t &Eflags, int &Length, DecodedInstr *Full) {
+  Cursor Cur(Bytes, Avail);
+  uint8_t Prefixes = 0;
   bool MandF2 = false, Mand66 = false;
-  uint8_t B0;
+  uint8_t Byte;
   for (;;) {
-    B0 = Cur.u8();
+    Byte = Cur.u8();
     if (Cur.failed())
-      return fail();
-    if (B0 == 0xF0) {
+      return false;
+    if (Byte == 0xF0)
       Prefixes |= PREFIX_LOCK;
-    } else if (B0 == 0x3E) {
+    else if (Byte == 0x3E)
       Prefixes |= PREFIX_HINT;
-    } else if (B0 == 0xF2) {
+    else if (Byte == 0xF2)
       MandF2 = true;
-    } else if (B0 == 0x66) {
+    else if (Byte == 0x66)
       Mand66 = true;
-    } else {
+    else
+      break;
+  }
+
+  OpMap Map = OpMap::OneByte;
+  if (Byte == 0x0F) {
+    Map = MandF2 ? OpMap::F2Esc0F : Mand66 ? OpMap::P66Esc0F : OpMap::Esc0F;
+    Byte = Cur.u8();
+    if (Cur.failed())
+      return false;
+  } else if (MandF2 || Mand66) {
+    return false; // mandatory prefixes only combine with 0x0F opcodes
+  }
+
+  std::span<const Form *const> Rows = formsForByte(Map, Byte);
+  if (Rows.empty())
+    return false;
+  const Form *F = Rows.front();
+  uint8_t ModRm = 0;
+  if (F->hasModRm()) {
+    ModRm = Cur.u8();
+    int8_t Digit = int8_t((ModRm >> 3) & 7);
+    F = nullptr;
+    for (const Form *Row : Rows)
+      if (Row->Ext == SlashR || Row->Ext == Digit) {
+        F = Row;
+        break;
+      }
+    if (!F)
+      return false;
+  }
+
+  // The low bits of a +r or +cc opcode byte.
+  uint8_t Low = uint8_t(Byte - F->Byte);
+  Operand Ex[MaxExplicit];
+  for (unsigned I = 0; I != F->NumOps; ++I) {
+    switch (Slot S = F->Ops[I]) {
+    case Slot::None:
+      break;
+    case Slot::R32:
+    case Slot::R8:
+    case Slot::Xmm:
+      Ex[I] = Operand::reg(
+          regOfSlot(S, F->Ext == PlusR ? Low : uint8_t((ModRm >> 3) & 7)));
+      break;
+    case Slot::Rm32:
+    case Slot::Rm8:
+    case Slot::Xm64:
+    case Slot::M16:
+    case Slot::M:
+      if (!parseRm(Cur, ModRm, S, Full ? &Ex[I] : nullptr))
+        return false;
+      break;
+    case Slot::Eax:
+      Ex[I] = Operand::reg(REG_EAX);
+      break;
+    case Slot::Cl:
+      Ex[I] = Operand::reg(REG_CL);
+      break;
+    case Slot::One:
+      Ex[I] = Operand::imm(1, 1);
+      break;
+    case Slot::ImmS8:
+      Ex[I] = Operand::imm(Cur.s8(), 4);
+      break;
+    case Slot::Imm8:
+      Ex[I] = Operand::imm(Cur.s8(), 1);
+      break;
+    case Slot::ImmU8:
+      Ex[I] = Operand::imm(Cur.u8(), 1);
+      break;
+    case Slot::ImmU16:
+      Ex[I] = Operand::imm(Cur.u16(), 2);
+      break;
+    case Slot::Imm32:
+      Ex[I] = Operand::imm(Cur.s32(), 4);
+      break;
+    case Slot::ImmU32:
+      Ex[I] = Operand::imm(int64_t(Cur.u32()), 4);
+      break;
+    case Slot::Rel8: {
+      int8_t Rel = Cur.s8();
+      Ex[I] = Operand::pc(AppPc(Pc + Cur.position() + Rel));
       break;
     }
-  }
-
-  // The mandatory prefixes only combine with 0x0F-escaped opcodes.
-  if ((MandF2 || Mand66) && B0 != 0x0F)
-    return fail();
-
-  Operand Ex[MaxExplicit];
-  uint8_t RegField;
-  static const Opcode AluOps[8] = {OP_add, OP_or,  OP_adc, OP_sbb,
-                                   OP_and, OP_sub, OP_xor, OP_cmp};
-
-  // Two-byte opcodes.
-  if (B0 == 0x0F) {
-    uint8_t B1 = Cur.u8();
-    if (Cur.failed())
-      return fail();
-
-    if (MandF2) {
-      switch (B1) {
-      case 0x10: // movsd xmm, xmm/m64
-        if (!parseModRm(RegClass::Xmm, 8, Ex[1], RegField))
-          return fail();
-        Ex[0] = Operand::reg(regOfClass(RegClass::Xmm, RegField));
-        return finish(Out, OP_movsd, Ex, 2);
-      case 0x11: // movsd xmm/m64, xmm
-        if (!parseModRm(RegClass::Xmm, 8, Ex[0], RegField))
-          return fail();
-        Ex[1] = Operand::reg(regOfClass(RegClass::Xmm, RegField));
-        return finish(Out, OP_movsd, Ex, 2);
-      case 0x2A: // cvtsi2sd xmm, r/m32
-        if (!parseModRm(RegClass::Gr32, 4, Ex[1], RegField))
-          return fail();
-        Ex[0] = Operand::reg(regOfClass(RegClass::Xmm, RegField));
-        return finish(Out, OP_cvtsi2sd, Ex, 2);
-      case 0x2C: // cvttsd2si r32, xmm/m64
-        if (!parseModRm(RegClass::Xmm, 8, Ex[1], RegField))
-          return fail();
-        Ex[0] = Operand::reg(regOfClass(RegClass::Gr32, RegField));
-        return finish(Out, OP_cvttsd2si, Ex, 2);
-      case 0x58:
-      case 0x59:
-      case 0x5C:
-      case 0x5E: {
-        Opcode Op = B1 == 0x58   ? OP_addsd
-                    : B1 == 0x59 ? OP_mulsd
-                    : B1 == 0x5C ? OP_subsd
-                                 : OP_divsd;
-        if (!parseModRm(RegClass::Xmm, 8, Ex[1], RegField))
-          return fail();
-        Ex[0] = Operand::reg(regOfClass(RegClass::Xmm, RegField));
-        return finish(Out, Op, Ex, 2);
-      }
-      default:
-        return fail();
-      }
-    }
-
-    if (Mand66) {
-      if (B1 != 0x2E)
-        return fail();
-      // ucomisd xmm, xmm/m64
-      if (!parseModRm(RegClass::Xmm, 8, Ex[1], RegField))
-        return fail();
-      Ex[0] = Operand::reg(regOfClass(RegClass::Xmm, RegField));
-      return finish(Out, OP_ucomisd, Ex, 2);
-    }
-
-    // Plain two-byte opcodes.
-    if (B1 >= 0x80 && B1 <= 0x8F) { // jcc rel32
+    case Slot::Rel32: {
       int32_t Rel = Cur.s32();
-      if (Cur.failed())
-        return fail();
-      Ex[0] = Operand::pc(AppPc(Pc + Cur.position() + Rel));
-      return finish(Out, condBranchForCode(B1 - 0x80), Ex, 1);
+      Ex[I] = Operand::pc(AppPc(Pc + Cur.position() + Rel));
+      break;
     }
-    switch (B1) {
-    case 0x04: { // clientcall imm32
-      uint32_t Id = Cur.u32();
-      Ex[0] = Operand::imm(int64_t(Id), 4);
-      return finish(Out, OP_clientcall, Ex, 1);
-    }
-    case 0x05: // savef m32 (/0)
-    case 0x06: // restf m32 (/0)
-      if (!parseModRm(RegClass::Gr32, 4, Ex[0], RegField) || RegField != 0)
-        return fail();
-      if (Mode == DecodeMode::Full && !Ex[0].isMem())
-        return fail();
-      return finish(Out, B1 == 0x05 ? OP_savef : OP_restf, Ex, 1);
-    case 0xAF: // imul r32, r/m32
-      if (!parseModRm(RegClass::Gr32, 4, Ex[1], RegField))
-        return fail();
-      Ex[0] = Operand::reg(regOfClass(RegClass::Gr32, RegField));
-      return finish(Out, OP_imul, Ex, 2);
-    case 0xB6: // movzx r32, r/m8
-    case 0xBE: // movsx r32, r/m8
-      if (!parseModRm(RegClass::Gr8, 1, Ex[1], RegField))
-        return fail();
-      Ex[0] = Operand::reg(regOfClass(RegClass::Gr32, RegField));
-      return finish(Out, B1 == 0xB6 ? OP_movzx_b : OP_movsx_b, Ex, 2);
-    case 0xB7: // movzx r32, m16
-    case 0xBF: // movsx r32, m16
-      if (!parseModRm(RegClass::Gr32, 2, Ex[1], RegField))
-        return fail();
-      if (Mode == DecodeMode::Full && !Ex[1].isMem())
-        return fail(); // no 16-bit registers in RIO-32
-      Ex[0] = Operand::reg(regOfClass(RegClass::Gr32, RegField));
-      return finish(Out, B1 == 0xB7 ? OP_movzx_w : OP_movsx_w, Ex, 2);
-    default:
-      return fail();
     }
   }
+  if (Cur.failed())
+    return false;
 
-  // One-byte opcodes.
-  // ALU block 0x00-0x3F: patterns 8d+1 (rm,r), 8d+3 (r,rm), 8d+5 (eax,imm).
-  if (B0 < 0x40) {
-    uint8_t Low = B0 & 7;
-    Opcode Op = AluOps[(B0 >> 3) & 7];
-    if (Low == 1) {
-      if (!parseModRm(RegClass::Gr32, 4, Ex[0], RegField))
-        return fail();
-      Ex[1] = Operand::reg(regOfClass(RegClass::Gr32, RegField));
-      return finish(Out, Op, Ex, 2);
-    }
-    if (Low == 3) {
-      if (!parseModRm(RegClass::Gr32, 4, Ex[1], RegField))
-        return fail();
-      Ex[0] = Operand::reg(regOfClass(RegClass::Gr32, RegField));
-      return finish(Out, Op, Ex, 2);
-    }
-    if (Low == 5) {
-      int32_t Imm = Cur.s32();
-      Ex[0] = Operand::reg(REG_EAX);
-      Ex[1] = Operand::imm(Imm, 4);
-      return finish(Out, Op, Ex, 2);
-    }
-    return fail();
-  }
-
-  if (B0 >= 0x40 && B0 <= 0x4F) { // inc/dec r32
-    Ex[0] = Operand::reg(Register(REG_EAX + (B0 & 7)));
-    return finish(Out, B0 < 0x48 ? OP_inc : OP_dec, Ex, 1);
-  }
-
-  if (B0 >= 0x50 && B0 <= 0x5F) { // push/pop r32
-    Ex[0] = Operand::reg(Register(REG_EAX + (B0 & 7)));
-    return finish(Out, B0 < 0x58 ? OP_push : OP_pop, Ex, 1);
-  }
-
-  if (B0 >= 0x70 && B0 <= 0x7F) { // jcc rel8
-    int8_t Rel = Cur.s8();
-    if (Cur.failed())
-      return fail();
-    Ex[0] = Operand::pc(AppPc(Pc + Cur.position() + Rel));
-    return finish(Out, condBranchForCode(B0 - 0x70), Ex, 1);
-  }
-
-  if (B0 >= 0xB0 && B0 <= 0xB7) { // mov r8, imm8
-    Ex[0] = Operand::reg(Register(REG_AL + (B0 & 7)));
-    Ex[1] = Operand::imm(Cur.s8(), 1);
-    return finish(Out, OP_mov_b, Ex, 2);
-  }
-
-  if (B0 >= 0xB8 && B0 <= 0xBF) { // mov r32, imm32
-    Ex[0] = Operand::reg(Register(REG_EAX + (B0 & 7)));
-    Ex[1] = Operand::imm(Cur.s32(), 4);
-    return finish(Out, OP_mov, Ex, 2);
-  }
-
-  switch (B0) {
-  case 0x68: // push imm32
-    Ex[0] = Operand::imm(Cur.s32(), 4);
-    return finish(Out, OP_push, Ex, 1);
-  case 0x6A: // push imm8 (sign-extended)
-    Ex[0] = Operand::imm(Cur.s8(), 4);
-    return finish(Out, OP_push, Ex, 1);
-
-  case 0x69: // imul r32, r/m32, imm32
-  case 0x6B: // imul r32, r/m32, imm8
-    if (!parseModRm(RegClass::Gr32, 4, Ex[1], RegField))
-      return fail();
-    Ex[0] = Operand::reg(regOfClass(RegClass::Gr32, RegField));
-    Ex[2] = Operand::imm(B0 == 0x69 ? int64_t(Cur.s32()) : int64_t(Cur.s8()), 4);
-    return finish(Out, OP_imul, Ex, 3);
-
-  case 0x81:   // group1 rm32, imm32
-  case 0x83: { // group1 rm32, imm8
-    if (!parseModRm(RegClass::Gr32, 4, Ex[0], RegField))
-      return fail();
-    Opcode Op = AluOps[RegField];
-    Ex[1] = Operand::imm(B0 == 0x81 ? int64_t(Cur.s32()) : int64_t(Cur.s8()), 4);
-    return finish(Out, Op, Ex, 2);
-  }
-
-  case 0x85: // test rm32, r32
-    if (!parseModRm(RegClass::Gr32, 4, Ex[0], RegField))
-      return fail();
-    Ex[1] = Operand::reg(regOfClass(RegClass::Gr32, RegField));
-    return finish(Out, OP_test, Ex, 2);
-  case 0xA9: // test eax, imm32
-    Ex[0] = Operand::reg(REG_EAX);
-    Ex[1] = Operand::imm(Cur.s32(), 4);
-    return finish(Out, OP_test, Ex, 2);
-
-  case 0x87: // xchg rm32, r32
-    if (!parseModRm(RegClass::Gr32, 4, Ex[0], RegField))
-      return fail();
-    Ex[1] = Operand::reg(regOfClass(RegClass::Gr32, RegField));
-    return finish(Out, OP_xchg, Ex, 2);
-
-  case 0x88: // mov rm8, r8
-    if (!parseModRm(RegClass::Gr8, 1, Ex[0], RegField))
-      return fail();
-    Ex[1] = Operand::reg(regOfClass(RegClass::Gr8, RegField));
-    return finish(Out, OP_mov_b, Ex, 2);
-  case 0x8A: // mov r8, rm8
-    if (!parseModRm(RegClass::Gr8, 1, Ex[1], RegField))
-      return fail();
-    Ex[0] = Operand::reg(regOfClass(RegClass::Gr8, RegField));
-    return finish(Out, OP_mov_b, Ex, 2);
-  case 0x89: // mov rm32, r32
-    if (!parseModRm(RegClass::Gr32, 4, Ex[0], RegField))
-      return fail();
-    Ex[1] = Operand::reg(regOfClass(RegClass::Gr32, RegField));
-    return finish(Out, OP_mov, Ex, 2);
-  case 0x8B: // mov r32, rm32
-    if (!parseModRm(RegClass::Gr32, 4, Ex[1], RegField))
-      return fail();
-    Ex[0] = Operand::reg(regOfClass(RegClass::Gr32, RegField));
-    return finish(Out, OP_mov, Ex, 2);
-
-  case 0x8D: // lea r32, mem
-    if (!parseModRm(RegClass::Gr32, 4, Ex[1], RegField))
-      return fail();
-    if (Mode == DecodeMode::Full && !Ex[1].isMem())
-      return fail();
-    Ex[0] = Operand::reg(regOfClass(RegClass::Gr32, RegField));
-    return finish(Out, OP_lea, Ex, 2);
-
-  case 0x8F: // pop rm32 (/0)
-    if (!parseModRm(RegClass::Gr32, 4, Ex[0], RegField))
-      return fail();
-    if (RegField != 0)
-      return fail();
-    return finish(Out, OP_pop, Ex, 1);
-
-  case 0x90:
-    return finish(Out, OP_nop, nullptr, 0);
-  case 0x99:
-    return finish(Out, OP_cdq, nullptr, 0);
-
-  case 0xC1:   // shift rm32, imm8
-  case 0xD1:   // shift rm32, 1
-  case 0xD3: { // shift rm32, cl
-    if (!parseModRm(RegClass::Gr32, 4, Ex[0], RegField))
-      return fail();
-    Opcode Op;
-    if (RegField == 4)
-      Op = OP_shl;
-    else if (RegField == 5)
-      Op = OP_shr;
-    else if (RegField == 7)
-      Op = OP_sar;
-    else
-      return fail();
-    uint32_t Eflags;
-    if (B0 == 0xC1) {
-      uint8_t Count = Cur.u8();
-      Ex[1] = Operand::imm(Count, 1);
-      // Refined effect: a zero count leaves flags untouched; any other
-      // immediate count writes them all.
-      Eflags = (Count & 31) == 0 ? 0u : uint32_t(EFLAGS_WRITE_ARITH);
-    } else if (B0 == 0xD1) {
-      Ex[1] = Operand::imm(1, 1);
-      Eflags = EFLAGS_WRITE_ARITH;
-    } else {
-      Ex[1] = Operand::reg(REG_CL);
-      Eflags = EFLAGS_READ_ALL | EFLAGS_WRITE_ALL; // conditional write
-    }
-    return finish(Out, Op, Ex, 2, Eflags);
-  }
-
-  case 0xC2: // ret imm16
-    Ex[0] = Operand::imm(Cur.u16(), 2);
-    return finish(Out, OP_ret_imm, Ex, 1);
-  case 0xC3:
-    return finish(Out, OP_ret, nullptr, 0);
-
-  case 0xC6: // mov rm8, imm8 (/0)
-    if (!parseModRm(RegClass::Gr8, 1, Ex[0], RegField) || RegField != 0)
-      return fail();
-    Ex[1] = Operand::imm(Cur.s8(), 1);
-    return finish(Out, OP_mov_b, Ex, 2);
-  case 0xC7: // mov rm32, imm32 (/0)
-    if (!parseModRm(RegClass::Gr32, 4, Ex[0], RegField) || RegField != 0)
-      return fail();
-    Ex[1] = Operand::imm(Cur.s32(), 4);
-    return finish(Out, OP_mov, Ex, 2);
-
-  case 0xCD: // int imm8
-    Ex[0] = Operand::imm(Cur.u8(), 1);
-    return finish(Out, OP_int, Ex, 1);
-
-  case 0xE8: { // call rel32
-    int32_t Rel = Cur.s32();
-    if (Cur.failed())
-      return fail();
-    Ex[0] = Operand::pc(AppPc(Pc + Cur.position() + Rel));
-    return finish(Out, OP_call, Ex, 1);
-  }
-  case 0xE9: { // jmp rel32
-    int32_t Rel = Cur.s32();
-    if (Cur.failed())
-      return fail();
-    Ex[0] = Operand::pc(AppPc(Pc + Cur.position() + Rel));
-    return finish(Out, OP_jmp, Ex, 1);
-  }
-  case 0xEB: { // jmp rel8
-    int8_t Rel = Cur.s8();
-    if (Cur.failed())
-      return fail();
-    Ex[0] = Operand::pc(AppPc(Pc + Cur.position() + Rel));
-    return finish(Out, OP_jmp, Ex, 1);
-  }
-  case 0xE3: { // jecxz rel8
-    int8_t Rel = Cur.s8();
-    if (Cur.failed())
-      return fail();
-    Ex[0] = Operand::pc(AppPc(Pc + Cur.position() + Rel));
-    return finish(Out, OP_jecxz, Ex, 1);
-  }
-
-  case 0xF4:
-    return finish(Out, OP_hlt, nullptr, 0);
-
-  case 0xF7: { // group3
-    if (!parseModRm(RegClass::Gr32, 4, Ex[0], RegField))
-      return fail();
-    switch (RegField) {
-    case 0: // test rm32, imm32
-      Ex[1] = Operand::imm(Cur.s32(), 4);
-      return finish(Out, OP_test, Ex, 2);
-    case 2:
-      return finish(Out, OP_not, Ex, 1);
-    case 3:
-      return finish(Out, OP_neg, Ex, 1);
-    case 4:
-      return finish(Out, OP_mul, Ex, 1);
-    case 7:
-      return finish(Out, OP_idiv, Ex, 1);
-    default:
-      return fail();
-    }
-  }
-
-  case 0xFF: { // group5
-    if (!parseModRm(RegClass::Gr32, 4, Ex[0], RegField))
-      return fail();
-    switch (RegField) {
-    case 0:
-      return finish(Out, OP_inc, Ex, 1);
-    case 1:
-      return finish(Out, OP_dec, Ex, 1);
-    case 2:
-      return finish(Out, OP_call_ind, Ex, 1);
-    case 4:
-      return finish(Out, OP_jmp_ind, Ex, 1);
-    case 6:
-      return finish(Out, OP_push, Ex, 1);
-    default:
-      return fail();
-    }
-  }
-
-  default:
-    return fail();
-  }
+  Op = F->Ext == PlusCc ? Opcode(F->Op + Low) : F->Op;
+  Length = int(Cur.position());
+  if (F->Flags & FORM_SHIFT_COUNT)
+    Eflags = (Ex[1].getImm() & 31) == 0 ? 0u : uint32_t(EFLAGS_WRITE_ARITH);
+  else
+    Eflags = opcodeInfo(Op).EflagsEffect;
+  if (!Full)
+    return true;
+  Full->Op = Op;
+  Full->Length = uint8_t(Length);
+  Full->Prefixes = Prefixes;
+  Full->Eflags = Eflags;
+  unsigned NumSrcs = 0, NumDsts = 0;
+  if (!buildCanonicalOperands(Op, Ex, F->NumOps, Full->Srcs, NumSrcs,
+                              Full->Dsts, NumDsts))
+    return false;
+  Full->NumSrcs = uint8_t(NumSrcs);
+  Full->NumDsts = uint8_t(NumDsts);
+  return true;
 }
 
 } // namespace
 
 bool rio::decodeInstr(const uint8_t *Bytes, size_t Avail, AppPc Pc,
                       DecodedInstr &Out) {
-  Decoder D(Bytes, Avail, Pc, DecodeMode::Full);
-  return D.run(Out);
+  Opcode Op;
+  uint32_t Eflags;
+  int Length;
+  return decode(Bytes, Avail, Pc, Op, Eflags, Length, &Out);
 }
 
 int rio::decodeLength(const uint8_t *Bytes, size_t Avail) {
-  DecodedInstr Scratch;
-  Decoder D(Bytes, Avail, /*Pc=*/0, DecodeMode::LengthOnly);
-  if (!D.run(Scratch))
-    return -1;
-  return Scratch.Length;
+  Opcode Op;
+  uint32_t Eflags;
+  int Length;
+  return decode(Bytes, Avail, /*Pc=*/0, Op, Eflags, Length, nullptr) ? Length
+                                                                      : -1;
 }
 
 bool rio::decodeOpcodeAndEflags(const uint8_t *Bytes, size_t Avail, Opcode &Op,
                                 uint32_t &Eflags, int &Length) {
-  DecodedInstr Scratch;
-  Decoder D(Bytes, Avail, /*Pc=*/0, DecodeMode::OpcodeOnly);
-  if (!D.run(Scratch))
-    return false;
-  Op = Scratch.Op;
-  Eflags = Scratch.Eflags;
-  Length = Scratch.Length;
-  return true;
+  return decode(Bytes, Avail, /*Pc=*/0, Op, Eflags, Length, nullptr);
 }

@@ -14,6 +14,9 @@
 ///   decodeOpcodeAndEflags - opcode + eflags effects (Level 2)
 ///   decodeInstr           - full decode with all operands (Levels 3 and 4)
 ///
+/// All three read the one form table (isa/Forms.h), so they accept exactly
+/// the same bytes; the cheaper ones only skip building operands.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RIO_ISA_DECODE_H

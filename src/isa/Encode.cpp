@@ -7,8 +7,7 @@
 
 #include "isa/Encode.h"
 
-#include "isa/Eflags.h"
-#include "isa/OperandLayout.h"
+#include "isa/Forms.h"
 #include "support/Compiler.h"
 
 using namespace rio;
@@ -37,6 +36,7 @@ public:
     u8(uint8_t(Value >> 24));
   }
   unsigned length() const { return Len; }
+  void truncate(unsigned Length) { Len = Length; }
 
 private:
   uint8_t *Out;
@@ -111,21 +111,91 @@ void emitModRm(Emitter &E, uint8_t RegField, const Operand &Rm) {
     E.u32(uint32_t(Disp));
 }
 
-bool isRm32(const Operand &Op) {
-  return (Op.isReg() && isGpr32(Op.getReg())) ||
-         (Op.isMem() && Op.sizeBytes() == 4);
+constexpr uint64_t bit(Slot S) { return slotBit(S, 0); }
+
+/// The set of slots operand \p O fits, as a mask of bit(Slot). Branch
+/// targets fit both rel slots here; a rel8 range is checked as the row is
+/// emitted.
+uint64_t slotsFitting(const Operand &O) {
+  if (O.isReg()) {
+    Register R = O.getReg();
+    if (isGpr32(R))
+      return bit(Slot::R32) | bit(Slot::Rm32) |
+             (R == REG_EAX ? bit(Slot::Eax) : 0);
+    if (isGpr8(R))
+      return bit(Slot::R8) | bit(Slot::Rm8) | (R == REG_CL ? bit(Slot::Cl) : 0);
+    return isXmm(R) ? bit(Slot::Xmm) | bit(Slot::Xm64) : 0;
+  }
+  if (O.isMem()) {
+    uint8_t Size = O.sizeBytes();
+    return bit(Slot::M) | (Size == 1 ? bit(Slot::Rm8) : 0) |
+           (Size == 2 ? bit(Slot::M16) : 0) |
+           (Size == 4 ? bit(Slot::Rm32) : 0) |
+           (Size == 8 ? bit(Slot::Xm64) : 0);
+  }
+  if (O.isImm())
+    return bit(Slot::Imm8) | bit(Slot::ImmU8) | bit(Slot::ImmU16) |
+           bit(Slot::Imm32) | bit(Slot::ImmU32) |
+           (fitsInt8(O.getImm()) ? bit(Slot::ImmS8) : 0) |
+           (O.getImm() == 1 ? bit(Slot::One) : 0);
+  return O.isPc() ? bit(Slot::Rel8) | bit(Slot::Rel32) : 0;
 }
-bool isRm8(const Operand &Op) {
-  return (Op.isReg() && isGpr8(Op.getReg())) ||
-         (Op.isMem() && Op.sizeBytes() == 1);
+
+/// Emits form \p F of \p Op with explicit operands \p Ex, which fit its
+/// slots. \returns false if a rel8 target is out of range.
+bool emitForm(Emitter &E, const Form &F, Opcode Op, const Operand *Ex,
+              AppPc Pc) {
+  if (F.Map == OpMap::F2Esc0F)
+    E.u8(0xF2);
+  else if (F.Map == OpMap::P66Esc0F)
+    E.u8(0x66);
+  if (F.Map != OpMap::OneByte)
+    E.u8(0x0F);
+
+  uint8_t Byte = F.Byte;
+  if (F.Ext == PlusR)
+    Byte = uint8_t(Byte + regEncoding(Ex[F.RegIdx].getReg()));
+  else if (F.Ext == PlusCc)
+    Byte = uint8_t(Byte + (Op - F.Op));
+  E.u8(Byte);
+  if (F.hasModRm())
+    emitModRm(E,
+              F.Ext == SlashR ? regEncoding(Ex[F.RegIdx].getReg())
+                              : uint8_t(F.Ext),
+              Ex[F.RmIdx]);
+
+  if (F.NumOps == 0)
+    return true;
+  const Operand &Last = Ex[F.NumOps - 1];
+  switch (F.Ops[F.NumOps - 1]) {
+  case Slot::ImmS8:
+  case Slot::Imm8:
+  case Slot::ImmU8:
+    E.u8(uint8_t(Last.getImm()));
+    break;
+  case Slot::ImmU16:
+    E.u16(uint16_t(Last.getImm()));
+    break;
+  case Slot::Imm32:
+  case Slot::ImmU32:
+    E.u32(uint32_t(Last.getImm()));
+    break;
+  case Slot::Rel8: {
+    int64_t Rel = int64_t(Last.getPc()) - int64_t(Pc + E.length() + 1);
+    if (!fitsInt8(Rel))
+      return false;
+    E.u8(uint8_t(int8_t(Rel)));
+    break;
+  }
+  case Slot::Rel32:
+    E.u32(uint32_t(
+        int32_t(int64_t(Last.getPc()) - int64_t(Pc + E.length() + 4))));
+    break;
+  default:
+    break; // registers, memory and implicit operands: placed above
+  }
+  return true;
 }
-bool isXm64(const Operand &Op) {
-  return (Op.isReg() && isXmm(Op.getReg())) ||
-         (Op.isMem() && Op.sizeBytes() == 8);
-}
-bool isReg32(const Operand &Op) { return Op.isReg() && isGpr32(Op.getReg()); }
-bool isReg8(const Operand &Op) { return Op.isReg() && isGpr8(Op.getReg()); }
-bool isRegXmm(const Operand &Op) { return Op.isReg() && isXmm(Op.getReg()); }
 
 } // namespace
 
@@ -145,442 +215,20 @@ int rio::encodeInstr(Opcode Op, uint8_t Prefixes, const Operand *Srcs,
     E.u8(0x3E);
   unsigned PrefixLen = E.length();
 
-  auto modRmForm = [&](uint8_t Byte, uint8_t RegField, const Operand &Rm,
-                       bool TwoByte = false, uint8_t MandPrefix = 0) {
-    if (MandPrefix)
-      E.u8(MandPrefix);
-    if (TwoByte)
-      E.u8(0x0F);
-    E.u8(Byte);
-    emitModRm(E, RegField, Rm);
-  };
+  uint64_t Fitting = 0;
+  for (unsigned Pos = 0; Pos != MaxExplicit; ++Pos)
+    Fitting |= Pos < NumEx ? slotsFitting(Ex[Pos]) << (Pos * NumSlots)
+                           : slotBit(Slot::None, Pos);
 
-  static const uint8_t AluIndex[] = {0, 1, 2, 3, 4, 5, 6, 7};
-  (void)AluIndex;
-
-  switch (Op) {
-  case OP_mov:
-    // mov rm32, r32 | mov r32, rm32 | mov r32, imm32 | mov rm32, imm32
-    if (isRm32(Ex[0]) && isReg32(Ex[1])) {
-      modRmForm(0x89, regEncoding(Ex[1].getReg()), Ex[0]);
+  // The first row whose pattern accepts the operands; rows are listed
+  // shortest first.
+  for (const Form *F : formsForOpcode(Op)) {
+    if ((F->Pattern & Fitting) != F->Pattern ||
+        ((F->Flags & FORM_SHORT_BRANCH) && !Opts.AllowShortBranches))
+      continue;
+    if (emitForm(E, *F, Op, Ex, Pc))
       return int(E.length());
-    }
-    if (isReg32(Ex[0]) && isRm32(Ex[1])) {
-      modRmForm(0x8B, regEncoding(Ex[0].getReg()), Ex[1]);
-      return int(E.length());
-    }
-    if (isReg32(Ex[0]) && Ex[1].isImm()) {
-      E.u8(uint8_t(0xB8 + regEncoding(Ex[0].getReg())));
-      E.u32(uint32_t(Ex[1].getImm()));
-      return int(E.length());
-    }
-    if (Ex[0].isMem() && Ex[0].sizeBytes() == 4 && Ex[1].isImm()) {
-      modRmForm(0xC7, 0, Ex[0]);
-      E.u32(uint32_t(Ex[1].getImm()));
-      return int(E.length());
-    }
-    return -1;
-
-  case OP_mov_b:
-    if (isRm8(Ex[0]) && isReg8(Ex[1])) {
-      modRmForm(0x88, regEncoding(Ex[1].getReg()), Ex[0]);
-      return int(E.length());
-    }
-    if (isReg8(Ex[0]) && Ex[1].isMem() && Ex[1].sizeBytes() == 1) {
-      modRmForm(0x8A, regEncoding(Ex[0].getReg()), Ex[1]);
-      return int(E.length());
-    }
-    if (isReg8(Ex[0]) && Ex[1].isImm()) {
-      E.u8(uint8_t(0xB0 + regEncoding(Ex[0].getReg())));
-      E.u8(uint8_t(Ex[1].getImm()));
-      return int(E.length());
-    }
-    if (Ex[0].isMem() && Ex[0].sizeBytes() == 1 && Ex[1].isImm()) {
-      modRmForm(0xC6, 0, Ex[0]);
-      E.u8(uint8_t(Ex[1].getImm()));
-      return int(E.length());
-    }
-    return -1;
-
-  case OP_movzx_b:
-  case OP_movsx_b:
-    if (!isReg32(Ex[0]) || !isRm8(Ex[1]))
-      return -1;
-    modRmForm(Op == OP_movzx_b ? 0xB6 : 0xBE, regEncoding(Ex[0].getReg()),
-              Ex[1], /*TwoByte=*/true);
-    return int(E.length());
-
-  case OP_movzx_w:
-  case OP_movsx_w:
-    if (!isReg32(Ex[0]) || !Ex[1].isMem() || Ex[1].sizeBytes() != 2)
-      return -1;
-    modRmForm(Op == OP_movzx_w ? 0xB7 : 0xBF, regEncoding(Ex[0].getReg()),
-              Ex[1], /*TwoByte=*/true);
-    return int(E.length());
-
-  case OP_lea:
-    if (!isReg32(Ex[0]) || !Ex[1].isMem())
-      return -1;
-    modRmForm(0x8D, regEncoding(Ex[0].getReg()), Ex[1]);
-    return int(E.length());
-
-  case OP_xchg:
-    if (isRm32(Ex[0]) && isReg32(Ex[1])) {
-      modRmForm(0x87, regEncoding(Ex[1].getReg()), Ex[0]);
-      return int(E.length());
-    }
-    if (isReg32(Ex[0]) && isRm32(Ex[1])) {
-      modRmForm(0x87, regEncoding(Ex[0].getReg()), Ex[1]);
-      return int(E.length());
-    }
-    return -1;
-
-  case OP_push:
-    if (isReg32(Ex[0])) {
-      E.u8(uint8_t(0x50 + regEncoding(Ex[0].getReg())));
-      return int(E.length());
-    }
-    if (Ex[0].isImm()) {
-      if (fitsInt8(Ex[0].getImm())) {
-        E.u8(0x6A);
-        E.u8(uint8_t(Ex[0].getImm()));
-      } else {
-        E.u8(0x68);
-        E.u32(uint32_t(Ex[0].getImm()));
-      }
-      return int(E.length());
-    }
-    if (Ex[0].isMem() && Ex[0].sizeBytes() == 4) {
-      modRmForm(0xFF, 6, Ex[0]);
-      return int(E.length());
-    }
-    return -1;
-
-  case OP_pop:
-    if (isReg32(Ex[0])) {
-      E.u8(uint8_t(0x58 + regEncoding(Ex[0].getReg())));
-      return int(E.length());
-    }
-    if (Ex[0].isMem() && Ex[0].sizeBytes() == 4) {
-      modRmForm(0x8F, 0, Ex[0]);
-      return int(E.length());
-    }
-    return -1;
-
-  case OP_add:
-  case OP_or:
-  case OP_adc:
-  case OP_sbb:
-  case OP_and:
-  case OP_sub:
-  case OP_xor:
-  case OP_cmp: {
-    static const uint8_t Digit[] = {0, 1, 2, 3, 4, 5, 6, 7};
-    unsigned D;
-    switch (Op) {
-    case OP_add: D = 0; break;
-    case OP_or:  D = 1; break;
-    case OP_adc: D = 2; break;
-    case OP_sbb: D = 3; break;
-    case OP_and: D = 4; break;
-    case OP_sub: D = 5; break;
-    case OP_xor: D = 6; break;
-    default:     D = 7; break; // OP_cmp
-    }
-    (void)Digit;
-    const Operand &L = Ex[0];
-    const Operand &R = Ex[1];
-    if (isRm32(L) && isReg32(R)) {
-      modRmForm(uint8_t(8 * D + 0x01), regEncoding(R.getReg()), L);
-      return int(E.length());
-    }
-    if (isReg32(L) && R.isMem() && R.sizeBytes() == 4) {
-      modRmForm(uint8_t(8 * D + 0x03), regEncoding(L.getReg()), R);
-      return int(E.length());
-    }
-    if (R.isImm() && isRm32(L)) {
-      if (fitsInt8(R.getImm())) {
-        modRmForm(0x83, uint8_t(D), L);
-        E.u8(uint8_t(R.getImm()));
-        return int(E.length());
-      }
-      if (L.isReg() && L.getReg() == REG_EAX) {
-        E.u8(uint8_t(8 * D + 0x05));
-        E.u32(uint32_t(R.getImm()));
-        return int(E.length());
-      }
-      modRmForm(0x81, uint8_t(D), L);
-      E.u32(uint32_t(R.getImm()));
-      return int(E.length());
-    }
-    return -1;
+    E.truncate(PrefixLen);
   }
-
-  case OP_test:
-    if (isRm32(Ex[0]) && isReg32(Ex[1])) {
-      modRmForm(0x85, regEncoding(Ex[1].getReg()), Ex[0]);
-      return int(E.length());
-    }
-    if (Ex[1].isImm() && isRm32(Ex[0])) {
-      if (Ex[0].isReg() && Ex[0].getReg() == REG_EAX) {
-        E.u8(0xA9);
-        E.u32(uint32_t(Ex[1].getImm()));
-        return int(E.length());
-      }
-      modRmForm(0xF7, 0, Ex[0]);
-      E.u32(uint32_t(Ex[1].getImm()));
-      return int(E.length());
-    }
-    return -1;
-
-  case OP_inc:
-  case OP_dec:
-    if (isReg32(Ex[0])) {
-      E.u8(uint8_t((Op == OP_inc ? 0x40 : 0x48) + regEncoding(Ex[0].getReg())));
-      return int(E.length());
-    }
-    if (Ex[0].isMem() && Ex[0].sizeBytes() == 4) {
-      modRmForm(0xFF, Op == OP_inc ? 0 : 1, Ex[0]);
-      return int(E.length());
-    }
-    return -1;
-
-  case OP_neg:
-  case OP_not:
-    if (!isRm32(Ex[0]))
-      return -1;
-    modRmForm(0xF7, Op == OP_neg ? 3 : 2, Ex[0]);
-    return int(E.length());
-
-  case OP_mul:
-  case OP_idiv:
-    if (!isRm32(Ex[0]))
-      return -1;
-    modRmForm(0xF7, Op == OP_mul ? 4 : 7, Ex[0]);
-    return int(E.length());
-
-  case OP_imul:
-    if (NumEx == 2) {
-      if (!isReg32(Ex[0]) || !isRm32(Ex[1]))
-        return -1;
-      modRmForm(0xAF, regEncoding(Ex[0].getReg()), Ex[1], /*TwoByte=*/true);
-      return int(E.length());
-    }
-    if (NumEx == 3) {
-      if (!isReg32(Ex[0]) || !isRm32(Ex[1]) || !Ex[2].isImm())
-        return -1;
-      bool Short = fitsInt8(Ex[2].getImm());
-      modRmForm(Short ? 0x6B : 0x69, regEncoding(Ex[0].getReg()), Ex[1]);
-      if (Short)
-        E.u8(uint8_t(Ex[2].getImm()));
-      else
-        E.u32(uint32_t(Ex[2].getImm()));
-      return int(E.length());
-    }
-    return -1;
-
-  case OP_cdq:
-    E.u8(0x99);
-    return int(E.length());
-
-  case OP_shl:
-  case OP_shr:
-  case OP_sar: {
-    unsigned D = Op == OP_shl ? 4 : Op == OP_shr ? 5 : 7;
-    if (!isRm32(Ex[0]))
-      return -1;
-    if (Ex[1].isImm()) {
-      if (Ex[1].getImm() == 1) {
-        modRmForm(0xD1, uint8_t(D), Ex[0]);
-        return int(E.length());
-      }
-      modRmForm(0xC1, uint8_t(D), Ex[0]);
-      E.u8(uint8_t(Ex[1].getImm()));
-      return int(E.length());
-    }
-    if (Ex[1].isReg() && Ex[1].getReg() == REG_CL) {
-      modRmForm(0xD3, uint8_t(D), Ex[0]);
-      return int(E.length());
-    }
-    return -1;
-  }
-
-  case OP_jmp: {
-    if (!Ex[0].isPc())
-      return -1;
-    AppPc Target = Ex[0].getPc();
-    if (Opts.AllowShortBranches) {
-      int64_t Rel8 = int64_t(Target) - int64_t(Pc + PrefixLen + 2);
-      if (fitsInt8(Rel8)) {
-        E.u8(0xEB);
-        E.u8(uint8_t(int8_t(Rel8)));
-        return int(E.length());
-      }
-    }
-    int64_t Rel32 = int64_t(Target) - int64_t(Pc + PrefixLen + 5);
-    E.u8(0xE9);
-    E.u32(uint32_t(int32_t(Rel32)));
-    return int(E.length());
-  }
-
-  case OP_call: {
-    if (!Ex[0].isPc())
-      return -1;
-    int64_t Rel32 = int64_t(Ex[0].getPc()) - int64_t(Pc + PrefixLen + 5);
-    E.u8(0xE8);
-    E.u32(uint32_t(int32_t(Rel32)));
-    return int(E.length());
-  }
-
-  case OP_jmp_ind:
-  case OP_call_ind:
-    if (!isRm32(Ex[0]))
-      return -1;
-    modRmForm(0xFF, Op == OP_jmp_ind ? 4 : 2, Ex[0]);
-    return int(E.length());
-
-  case OP_ret:
-    E.u8(0xC3);
-    return int(E.length());
-
-  case OP_ret_imm:
-    if (!Ex[0].isImm())
-      return -1;
-    E.u8(0xC2);
-    E.u16(uint16_t(Ex[0].getImm()));
-    return int(E.length());
-
-  case OP_jo:
-  case OP_jno:
-  case OP_jb:
-  case OP_jnb:
-  case OP_jz:
-  case OP_jnz:
-  case OP_jbe:
-  case OP_jnbe:
-  case OP_js:
-  case OP_jns:
-  case OP_jp:
-  case OP_jnp:
-  case OP_jl:
-  case OP_jnl:
-  case OP_jle:
-  case OP_jnle: {
-    if (!Ex[0].isPc())
-      return -1;
-    unsigned Cc = condCodeOf(Op);
-    AppPc Target = Ex[0].getPc();
-    if (Opts.AllowShortBranches) {
-      int64_t Rel8 = int64_t(Target) - int64_t(Pc + PrefixLen + 2);
-      if (fitsInt8(Rel8)) {
-        E.u8(uint8_t(0x70 + Cc));
-        E.u8(uint8_t(int8_t(Rel8)));
-        return int(E.length());
-      }
-    }
-    int64_t Rel32 = int64_t(Target) - int64_t(Pc + PrefixLen + 6);
-    E.u8(0x0F);
-    E.u8(uint8_t(0x80 + Cc));
-    E.u32(uint32_t(int32_t(Rel32)));
-    return int(E.length());
-  }
-
-  case OP_jecxz: {
-    // jecxz exists only in a rel8 form; out-of-range targets are an
-    // encoding error (callers keep their jecxz targets nearby, as
-    // DynamoRIO's mangling does).
-    if (!Ex[0].isPc())
-      return -1;
-    int64_t Rel8 = int64_t(Ex[0].getPc()) - int64_t(Pc + PrefixLen + 2);
-    if (!fitsInt8(Rel8))
-      return -1;
-    E.u8(0xE3);
-    E.u8(uint8_t(int8_t(Rel8)));
-    return int(E.length());
-  }
-
-  case OP_int:
-    if (!Ex[0].isImm())
-      return -1;
-    E.u8(0xCD);
-    E.u8(uint8_t(Ex[0].getImm()));
-    return int(E.length());
-
-  case OP_hlt:
-    E.u8(0xF4);
-    return int(E.length());
-
-  case OP_nop:
-    E.u8(0x90);
-    return int(E.length());
-
-  case OP_movsd:
-    if (isRegXmm(Ex[0]) && isXm64(Ex[1])) {
-      modRmForm(0x10, regEncoding(Ex[0].getReg()), Ex[1], /*TwoByte=*/true,
-                /*MandPrefix=*/0xF2);
-      return int(E.length());
-    }
-    if (Ex[0].isMem() && Ex[0].sizeBytes() == 8 && isRegXmm(Ex[1])) {
-      modRmForm(0x11, regEncoding(Ex[1].getReg()), Ex[0], /*TwoByte=*/true,
-                /*MandPrefix=*/0xF2);
-      return int(E.length());
-    }
-    return -1;
-
-  case OP_addsd:
-  case OP_subsd:
-  case OP_mulsd:
-  case OP_divsd: {
-    uint8_t Byte = Op == OP_addsd   ? 0x58
-                   : Op == OP_mulsd ? 0x59
-                   : Op == OP_subsd ? 0x5C
-                                    : 0x5E;
-    if (!isRegXmm(Ex[0]) || !isXm64(Ex[1]))
-      return -1;
-    modRmForm(Byte, regEncoding(Ex[0].getReg()), Ex[1], /*TwoByte=*/true,
-              /*MandPrefix=*/0xF2);
-    return int(E.length());
-  }
-
-  case OP_ucomisd:
-    if (!isRegXmm(Ex[0]) || !isXm64(Ex[1]))
-      return -1;
-    modRmForm(0x2E, regEncoding(Ex[0].getReg()), Ex[1], /*TwoByte=*/true,
-              /*MandPrefix=*/0x66);
-    return int(E.length());
-
-  case OP_cvtsi2sd:
-    if (!isRegXmm(Ex[0]) || !isRm32(Ex[1]))
-      return -1;
-    modRmForm(0x2A, regEncoding(Ex[0].getReg()), Ex[1], /*TwoByte=*/true,
-              /*MandPrefix=*/0xF2);
-    return int(E.length());
-
-  case OP_cvttsd2si:
-    if (!isReg32(Ex[0]) || !isXm64(Ex[1]))
-      return -1;
-    modRmForm(0x2C, regEncoding(Ex[0].getReg()), Ex[1], /*TwoByte=*/true,
-              /*MandPrefix=*/0xF2);
-    return int(E.length());
-
-  case OP_clientcall:
-    if (!Ex[0].isImm())
-      return -1;
-    E.u8(0x0F);
-    E.u8(0x04);
-    E.u32(uint32_t(Ex[0].getImm()));
-    return int(E.length());
-
-  case OP_savef:
-  case OP_restf:
-    if (!Ex[0].isMem())
-      return -1;
-    modRmForm(Op == OP_savef ? 0x05 : 0x06, 0, Ex[0], /*TwoByte=*/true);
-    return int(E.length());
-
-  case OP_INVALID:
-  case OP_label:
-  default:
-    return -1;
-  }
+  return -1;
 }

@@ -43,6 +43,7 @@ class BenchCompareTest(unittest.TestCase):
     def test_every_paper_number_has_a_baseline(self):
         names = {os.path.basename(p) for p in BASELINES}
         self.assertIn("BENCH_table1.baseline.json", names)
+        self.assertIn("BENCH_table2.baseline.json", names)
         self.assertIn("BENCH_figure5.baseline.json", names)
 
     def test_baseline_against_itself_passes(self):
