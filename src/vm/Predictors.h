@@ -71,6 +71,8 @@ public:
       C = 1; // weakly not-taken
     for (auto &B : Btb)
       B = 0;
+    for (auto &R : Ras)
+      R = 0; // never predicted from, but saved in cache images
     RasTop = 0;
   }
 
