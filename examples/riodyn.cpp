@@ -649,10 +649,13 @@ int main(int argc, char **argv) {
             (unsigned long long)R.Cycles);
 
   if (!CacheSaveFile.empty() && RT) {
+    // The image holds the live fragments; numFragments() also counts the
+    // retired records still awaiting reclaim.
+    size_t Live = 0;
+    RT->forEachFragment([&](const Fragment &) { ++Live; });
     if (dr_cache_save(RT.get(), CacheSaveFile.c_str()))
       OS.printf("cache: saved %llu fragments -> '%s'\n",
-                (unsigned long long)RT->numFragments(),
-                CacheSaveFile.c_str());
+                (unsigned long long)Live, CacheSaveFile.c_str());
     else
       OS.printf("cache: save to '%s' failed\n", CacheSaveFile.c_str());
   }

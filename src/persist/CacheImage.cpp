@@ -8,16 +8,13 @@
 // Image layout (all integers little-endian):
 //
 //   header   magic "RIOC" | u32 version | u64 fnv1a-64 payload checksum
-//   payload  u64 config hash (RuntimeConfig + CostModel + region layout)
-//            u64 app-code hash (bytes of every fragment's AppRanges)
-//            u64 write-monitor generation (machine code-write log length)
-//            u32 saved runtime-region base
-//            u32 x4 bb/trace cache bounds, base-relative
-//            u32 fragment count, then per fragment:
-//              identity/geometry, exit records (base-relative offsets),
-//              app ranges, code map, raw slot bytes (body + stubs)
-//            fragment-table entries (tag, fragment index, head counter,
-//              marked bit), sorted by tag
+//   payload  preamble: config hash, app-code hash, write-monitor
+//              generation, saved runtime-region base, base-relative
+//              bb/trace cache bounds
+//            u32 fragment count, then per fragment: identity/geometry,
+//              exit records, app ranges, code map, OSR descriptors, trace
+//              block tags, raw slot bytes (body + stubs)
+//            fragment-table entries, sorted by tag
 //            indirect-branch site histograms, sorted by site pc
 //            shadow-block bindings (tag -> fragment index), sorted by tag:
 //              the unregistered per-tag stand-ins trace recording runs when
@@ -27,13 +24,22 @@
 //              run reproduces the saved run's steady-state cycle model — a
 //              reset counter can settle into a different, costlier limit
 //              cycle on a periodic branch pattern
+//            speculation history: guard-failure counters, blacklisted tags
 //
-// The loader is strictly parse-then-apply: parse() bounds-checks every
-// record, enforces the canonical sorted key order of the three tables
-// above, resolves link indices, verifies all four validation hashes,
-// relocates instruction bytes for a base shift, and renumbers exit ids —
-// all into host memory. Only a fully valid image reaches apply(), which
-// performs the (infallible) machine and runtime mutation.
+// Each record's fields are named exactly once, in a CacheCodec::Walk member
+// templated on direction: save() runs the walks over a ByteWriter, parse()
+// over the bounds-checked ByteReader, so a field cannot be written in one
+// order and read in another. The walks are the format's definition.
+//
+// The loader is strictly parse-then-apply: parse() reads straight into
+// unregistered runtime fragments and tables held in the Image, checking
+// every record next to the read it guards (the walks run those checks on
+// save too, where they hold by construction), enforcing the canonical
+// sorted key order of the tables, resolving link indices, verifying all
+// four validation hashes, relocating instruction bytes for a base shift,
+// and renumbering exit ids — all in host memory. Only a fully valid image
+// reaches apply(), which places, carves and registers the fragments and
+// installs the tables (infallibly).
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,6 +52,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
+#include <unordered_map>
+#include <utility>
 
 using namespace rio;
 using namespace rio::persist;
@@ -111,8 +120,23 @@ uint64_t fnvU64(uint64_t H, uint64_t V) {
   return fnvU32(fnvU32(H, uint32_t(V)), uint32_t(V >> 32));
 }
 
+/// Folds one application range — its bounds, then the machine's current
+/// bytes in it — into the app-code hash.
+uint64_t hashAppRange(uint64_t H, Machine &M, const AppRange &R) {
+  H = fnvU32(fnvU32(H, R.Lo), R.Hi);
+  M.mem().forEachSpan(R.Lo, R.Hi - R.Lo,
+                      [&](const uint8_t *Run, uint32_t Len) {
+                        H = fnv1a(H, Run, Len);
+                      });
+  return H;
+}
+
+/// Little-endian image writer with ByteReader's interface, so one record
+/// walk serves both directions.
 class ByteWriter {
 public:
+  static constexpr bool Reading = false;
+
   void u8(uint8_t V) { Buf.push_back(V); }
   void u32(uint32_t V) {
     Buf.push_back(uint8_t(V));
@@ -127,43 +151,41 @@ public:
   void bytes(const uint8_t *Src, size_t Len) {
     Buf.insert(Buf.end(), Src, Src + Len);
   }
-  std::vector<uint8_t> take() { return std::move(Buf); }
-  const std::vector<uint8_t> &data() const { return Buf; }
+  bool ok() const { return true; }
 
-private:
   std::vector<uint8_t> Buf;
 };
 
-/// Bounds-checked little-endian reader. Every accessor returns zero past
-/// the end and latches !ok(); callers check once per record, so a
-/// truncated image can never read out of bounds or spin on garbage counts.
+/// Bounds-checked little-endian reader. Every accessor stores zero past
+/// the end and latches !ok(); walks check once per record, so a truncated
+/// image can never read out of bounds or spin on garbage counts.
 class ByteReader {
 public:
+  static constexpr bool Reading = true;
+
   ByteReader(const uint8_t *Data, size_t Size) : Data(Data), Size(Size) {}
 
-  uint8_t u8() {
-    if (!ensure(1))
-      return 0;
-    return Data[Pos++];
-  }
-  uint32_t u32() {
-    if (!ensure(4))
-      return 0;
-    uint32_t V = uint32_t(Data[Pos]) | uint32_t(Data[Pos + 1]) << 8 |
-                 uint32_t(Data[Pos + 2]) << 16 | uint32_t(Data[Pos + 3]) << 24;
+  void u8(uint8_t &V) { V = ensure(1) ? Data[Pos++] : 0; }
+  void u32(uint32_t &V) {
+    if (!ensure(4)) {
+      V = 0;
+      return;
+    }
+    V = uint32_t(Data[Pos]) | uint32_t(Data[Pos + 1]) << 8 |
+        uint32_t(Data[Pos + 2]) << 16 | uint32_t(Data[Pos + 3]) << 24;
     Pos += 4;
-    return V;
   }
-  uint64_t u64() {
-    uint64_t Lo = u32();
-    return Lo | uint64_t(u32()) << 32;
+  void u64(uint64_t &V) {
+    uint32_t Lo = 0, Hi = 0;
+    u32(Lo);
+    u32(Hi);
+    V = Lo | uint64_t(Hi) << 32;
   }
-  bool bytes(uint8_t *Dst, size_t Len) {
+  void bytes(uint8_t *Dst, size_t Len) {
     if (!ensure(Len))
-      return false;
+      return;
     std::memcpy(Dst, Data + Pos, Len);
     Pos += Len;
-    return true;
   }
   bool ok() const { return Ok; }
   bool atEnd() const { return Ok && Pos == Size; }
@@ -183,15 +205,6 @@ private:
   bool Ok = true;
 };
 
-/// Reserve ceiling for a vector sized from an image-claimed \p Count: the
-/// remaining payload can hold at most remaining()/MinRecordBytes records,
-/// so a short file never commands a large up-front allocation. The vector
-/// still grows normally if the clamp underestimates.
-size_t clampedReserve(const ByteReader &R, uint32_t Count,
-                      size_t MinRecordBytes) {
-  return std::min<size_t>(Count, R.remaining() / MinRecordBytes);
-}
-
 void write32At(std::vector<uint8_t> &Buf, size_t Off, uint32_t V) {
   Buf[Off] = uint8_t(V);
   Buf[Off + 1] = uint8_t(V >> 8);
@@ -199,12 +212,23 @@ void write32At(std::vector<uint8_t> &Buf, size_t Off, uint32_t V) {
   Buf[Off + 3] = uint8_t(V >> 24);
 }
 
-// Exit flag bits.
-constexpr uint8_t FlagAlwaysThroughStub = 1u << 0;
-constexpr uint8_t FlagLinked = 1u << 1;
-constexpr uint8_t FlagIsIbArm = 1u << 2;
-constexpr uint8_t FlagIbMiss = 1u << 3;
-constexpr uint8_t FlagIsGuard = 1u << 4;
+/// The exit flag byte: one bit per FragmentExit flag.
+constexpr std::pair<uint8_t, bool FragmentExit::*> ExitFlags[] = {
+    {1u << 0, &FragmentExit::AlwaysThroughStub},
+    {1u << 1, &FragmentExit::Linked},
+    {1u << 2, &FragmentExit::IsIbArm},
+    {1u << 3, &FragmentExit::IbMiss},
+    {1u << 4, &FragmentExit::IsGuard},
+};
+
+/// The payload's fixed-size start.
+struct Preamble {
+  uint64_t ConfigHash = 0; ///< RuntimeConfig + CostModel + region layout
+  uint64_t AppHash = 0;    ///< bytes of every fragment's AppRanges
+  uint64_t WriteGen = 0;   ///< machine code-write log length
+  uint32_t Base = 0;       ///< saved runtime-region base
+  uint32_t Bounds[4] = {}; ///< bb start/end, trace start/end; base-relative
+};
 
 /// True when \p Op is an absolute-memory reference into the saved runtime
 /// region [Lo, Hi) — the only operand shape a base shift invalidates.
@@ -258,62 +282,350 @@ bool relocateRange(std::vector<uint8_t> &Buf, uint32_t Start, uint32_t End,
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Host-side image representation
+// Host-side image
 //===----------------------------------------------------------------------===//
 
+/// The runtime's own types, unregistered. parse() fills every member;
+/// save() fills the tables (sorted) to walk them.
 struct CacheCodec::Image {
-  struct Exit {
-    uint8_t ExitKind = 0; // 0 direct, 1 indirect
-    uint8_t Flags = 0;
-    uint32_t TargetTag = 0;
-    uint32_t CtiOff = 0, CtiLen = 0;
-    uint32_t StubOff = 0, StubJmpOff = 0, StubJmpLen = 0;
-    uint32_t SourceAppPc = 0;
-    uint32_t LinkedToIdx = ~0u;
-    uint32_t NewExitId = 0; // assigned at parse; direct exits only
-  };
-  struct Frag {
-    uint32_t Tag = 0;
-    uint8_t Kind = 0; // 0 basic block, 1 trace
-    uint8_t IsTraceHead = 0;
-    uint32_t NewAddr = 0; // absolute in the loading runtime
-    uint32_t CodeSize = 0, StubsSize = 0, NumInstrs = 0;
-    uint64_t BirthCycles = 0;
-    std::vector<Exit> Exits;
-    std::vector<AppRange> Ranges;
-    std::vector<CodePoint> Points;
-    std::vector<OsrPoint> Osr;        // trace OSR descriptors
-    std::vector<uint32_t> NetBlocks;  // trace constituent block tags
-    std::vector<uint8_t> Bytes; // relocated, exit-id-renumbered slot bytes
-  };
-  struct TableEntry {
-    uint32_t Tag = 0;
-    uint32_t FragIdx = ~0u;
-    uint32_t HeadCounter = 0;
-    uint8_t Marked = 0;
-  };
-  struct IbSite {
-    uint32_t SiteAppPc = 0;
-    uint64_t Total = 0, Other = 0;
-    uint32_t Targets[8] = {};
-    uint64_t Counts[8] = {};
-  };
-  struct Shadow {
-    uint32_t Tag = 0;
-    uint32_t FragIdx = ~0u;
-  };
+  /// Fragments in image order: exit ids renumbered, links and incoming
+  /// links wired between these objects.
+  std::vector<std::unique_ptr<Fragment>> Frags;
+  std::vector<std::vector<uint8_t>> Slots; ///< per fragment, relocated
+  std::vector<FragmentEntry> Entries;      ///< Frag points into Frags
+  std::vector<std::pair<AppPc, Runtime::IbSiteProfile>> IbSites;
+  std::vector<std::pair<AppPc, Fragment *>> Shadows;
+  BranchPredictors Pred;
+  std::vector<std::pair<AppPc, uint32_t>> GuardFails;
+  std::vector<AppPc> Blacklist;
+};
 
-  std::vector<Frag> Frags;
-  std::vector<TableEntry> Entries;
-  std::vector<IbSite> IbSites;
-  std::vector<Shadow> Shadows;
-  std::vector<uint8_t> CondTable;
-  std::vector<uint32_t> Btb;
-  std::vector<uint32_t> Ras;
-  uint32_t RasTop = 0;
-  uint32_t NumExitRecords = 0;
-  std::vector<std::pair<uint32_t, uint32_t>> GuardFails; // tag -> failures
-  std::vector<uint32_t> Blacklist;                       // tags, sorted
+//===----------------------------------------------------------------------===//
+// Record walks
+//===----------------------------------------------------------------------===//
+
+/// One walk per record, templated on the byte stream: each names the
+/// record's fields in image order, then checks them against the geometry
+/// of the runtime being saved or loaded. Values are read or written in
+/// place; on save the assignments after the reads store back what was just
+/// written. A walk returns false with Status set on the first failure.
+struct CacheCodec::Walk {
+  Walk(Runtime &RT, bool HashApp) : RT(RT), HashApp(HashApp) {}
+
+  Runtime &RT;
+  const bool HashApp; ///< fold app ranges into AppHash (parse)
+  const uint32_t Base = RT.Slots.DispatcherEntry;
+  /// Absolute cache bounds, indexed by isTrace().
+  const uint32_t Start[2] = {RT.CM.cacheStart(Fragment::Kind::BasicBlock),
+                             RT.CM.cacheStart(Fragment::Kind::Trace)};
+  const uint32_t End[2] = {RT.CM.cacheEnd(Fragment::Kind::BasicBlock),
+                           RT.CM.cacheEnd(Fragment::Kind::Trace)};
+  uint64_t AppHash = fnv1aInit();
+  uint32_t NumFrags = 0;
+  std::vector<Fragment *> Frags; ///< image index -> fragment
+  std::unordered_map<const Fragment *, uint32_t> Index; ///< save: inverse
+  std::vector<uint32_t> Links; ///< per exit: linked fragment index or ~0u
+  LoadStatus Status = LoadStatus::Ok;
+
+  bool fail(LoadStatus S) {
+    Status = S;
+    return false;
+  }
+  bool malformed() { return fail(LoadStatus::Malformed); }
+  template <class IO> bool got(IO &P) {
+    return P.ok() || fail(LoadStatus::Truncated);
+  }
+  uint32_t indexOf(const Fragment *F) const {
+    auto It = Index.find(F);
+    return It == Index.end() ? ~0u : It->second;
+  }
+
+  /// A u32 count (over \p Max is malformed), then \p Each(element, previous
+  /// element or null) over that many elements of \p V. Reading appends to
+  /// an empty \p V, reserving no more than the remaining bytes can hold at
+  /// \p MinBytes per element, so a short file never commands a large
+  /// allocation.
+  template <class IO, class T, class Fn>
+  bool seq(IO &P, std::vector<T> &V, uint32_t Max, size_t MinBytes, Fn Each) {
+    uint32_t N = uint32_t(V.size());
+    if (!count(P, N, Max))
+      return false;
+    if constexpr (IO::Reading)
+      V.reserve(std::min<size_t>(N, P.remaining() / MinBytes));
+    for (uint32_t I = 0; I != N; ++I) {
+      if constexpr (IO::Reading)
+        V.emplace_back();
+      if (!Each(V[I], I ? &V[I - 1] : nullptr))
+        return false;
+    }
+    return true;
+  }
+  template <class IO> bool count(IO &P, uint32_t &N, uint32_t Max) {
+    P.u32(N);
+    return got(P) && (N <= Max || malformed());
+  }
+
+  template <class IO> bool preamble(IO &P, Preamble &H) {
+    P.u64(H.ConfigHash);
+    P.u64(H.AppHash);
+    P.u64(H.WriteGen);
+    P.u32(H.Base);
+    for (uint32_t &B : H.Bounds)
+      P.u32(B);
+    if (H.ConfigHash != configHash(RT))
+      return fail(LoadStatus::ConfigMismatch);
+    if (!got(P))
+      return false;
+    if (H.Bounds[0] != Start[0] - Base || H.Bounds[1] != End[0] - Base ||
+        H.Bounds[2] != Start[1] - Base || H.Bounds[3] != End[1] - Base)
+      return fail(LoadStatus::GeometryMismatch);
+    return true;
+  }
+
+  template <class IO> bool fragmentCount(IO &P) {
+    NumFrags = uint32_t(Frags.size());
+    return count(P, NumFrags, MaxFragments);
+  }
+
+  template <class IO>
+  bool fragment(IO &P, Fragment &F, std::vector<uint8_t> &Slot) {
+    uint8_t Kind = F.isTrace(), Head = F.IsTraceHead;
+    uint32_t AddrRel = F.CacheAddr - Base;
+    P.u32(F.Tag);
+    P.u8(Kind);
+    P.u8(Head);
+    P.u32(AddrRel);
+    P.u32(F.CodeSize);
+    P.u32(F.StubsSize);
+    P.u32(F.NumInstrs);
+    P.u64(F.BirthCycles);
+    if (!got(P))
+      return false;
+    if (Kind > 1 || F.CodeSize == 0)
+      return malformed();
+    F.FragKind = Kind ? Fragment::Kind::Trace : Fragment::Kind::BasicBlock;
+    F.IsTraceHead = Head != 0;
+    F.CacheAddr = Base + AddrRel;
+    uint64_t SlotLen = uint64_t(F.CodeSize) + F.StubsSize;
+    uint64_t SlotRounded = (SlotLen + 3u) & ~uint64_t(3);
+    if (F.CacheAddr < Start[Kind] || SlotRounded > End[Kind] ||
+        uint64_t(F.CacheAddr) + SlotRounded > End[Kind] ||
+        (F.CacheAddr & 3u) != 0)
+      return malformed();
+
+    uint32_t AppLimit = RT.M.runtimeBase();
+    auto Exit = [&](FragmentExit &E, const FragmentExit *) {
+      return exit(P, F, E);
+    };
+    auto Range = [&](AppRange &R, const AppRange *) {
+      P.u32(R.Lo);
+      P.u32(R.Hi);
+      if (!got(P))
+        return false;
+      if (R.Lo >= R.Hi || R.Hi > AppLimit)
+        return malformed();
+      if (HashApp)
+        AppHash = hashAppRange(AppHash, RT.M, R);
+      return true;
+    };
+    auto Point = [&](CodePoint &C, const CodePoint *) {
+      uint8_t Linear = C.Linear;
+      P.u32(C.Off);
+      P.u32(C.App);
+      P.u8(Linear);
+      C.Linear = Linear != 0;
+      return got(P) && (C.Off < F.CodeSize || malformed());
+    };
+    // Versioned-publication metadata: the OSR descriptors let a loaded
+    // trace's threads transfer out when a sideline publication supersedes
+    // it, and the constituent block list is what deoptimization rebuilds
+    // from. Offsets are slot-relative: the CTI inside the body, the stub
+    // range inside the stub area, app pcs inside the application region.
+    auto Osr = [&](OsrPoint &O, const OsrPoint *) {
+      P.u32(O.CtiOff);
+      P.u32(O.StubOff);
+      P.u32(O.StubEnd);
+      P.u32(O.ResumeApp);
+      P.u32(O.TakenApp);
+      if (!got(P))
+        return false;
+      if (O.CtiOff >= F.CodeSize || O.StubOff < F.CodeSize ||
+          uint64_t(O.StubEnd) > SlotLen || O.StubEnd <= O.StubOff ||
+          O.ResumeApp >= AppLimit || O.TakenApp >= AppLimit)
+        return malformed();
+      return true;
+    };
+    auto Block = [&](AppPc &B, const AppPc *) {
+      P.u32(B);
+      return got(P) && (B < AppLimit || malformed());
+    };
+    // Both trace-only lists are empty for a basic block.
+    bool Trace = F.isTrace();
+    if (!seq(P, F.Exits, MaxExitsPerFragment, 34, Exit) ||
+        !seq(P, F.AppRanges, MaxRecordsPerFragment, 8, Range) ||
+        !seq(P, F.CodeMap, MaxRecordsPerFragment, 9, Point) ||
+        !seq(P, F.OsrPoints, Trace ? MaxExitsPerFragment : 0, 20, Osr) ||
+        !seq(P, F.TraceBlocks, Trace ? MaxRecordsPerFragment : 0, 4, Block))
+      return false;
+
+    Slot.resize(size_t(SlotLen));
+    P.bytes(Slot.data(), Slot.size());
+    return got(P);
+  }
+
+  template <class IO>
+  bool exit(IO &P, const Fragment &F, FragmentExit &E) {
+    uint8_t Kind = E.ExitKind == FragmentExit::Kind::Indirect;
+    uint8_t Flags = 0;
+    for (auto [Bit, Field] : ExitFlags)
+      Flags |= E.*Field ? Bit : 0;
+    uint32_t Link = E.Linked ? indexOf(E.LinkedTo) : ~0u;
+    P.u8(Kind);
+    P.u8(Flags);
+    P.u32(E.TargetTag);
+    P.u32(E.CtiOff);
+    P.u32(E.CtiLen);
+    P.u32(E.StubOff);
+    P.u32(E.StubJmpOff);
+    P.u32(E.StubJmpLen);
+    P.u32(E.SourceAppPc);
+    P.u32(Link);
+    if (!got(P))
+      return false;
+    if (Kind > 1)
+      return malformed();
+    E.ExitKind =
+        Kind ? FragmentExit::Kind::Indirect : FragmentExit::Kind::Direct;
+    for (auto [Bit, Field] : ExitFlags)
+      E.*Field = (Flags & Bit) != 0;
+
+    if (uint64_t(E.CtiOff) + E.CtiLen > F.CodeSize ||
+        E.CtiLen > MaxInstrLength)
+      return malformed();
+    if (E.ExitKind == FragmentExit::Kind::Direct) {
+      // The CTI's rel32 is its last four bytes; stubs follow the body, and
+      // the stub's final jmp is preceded by the exit-id (or arm target) mov
+      // whose imm32 ends exactly where the jmp begins. All in 64-bit:
+      // StubOff near UINT32_MAX must not wrap the +4 into a comparison that
+      // accepts StubJmpOff < 4 (and then underflows the exit-id patch).
+      uint64_t SlotLen = uint64_t(F.CodeSize) + F.StubsSize;
+      if (E.CtiLen < 5 || E.StubOff < F.CodeSize ||
+          uint64_t(E.StubOff) >= SlotLen ||
+          uint64_t(E.StubJmpOff) < uint64_t(E.StubOff) + 4 ||
+          uint64_t(E.StubJmpOff) + E.StubJmpLen > SlotLen ||
+          E.StubJmpLen < 5 || E.StubJmpLen > MaxInstrLength)
+        return malformed();
+      // Speculation guards are direct exits that the linker must never
+      // touch: a guard flagged linked contradicts the runtime invariant
+      // and would replay a patched-over bail-out path.
+      if (E.IsGuard && E.Linked)
+        return malformed();
+    } else if (E.Linked || E.IsIbArm || E.AlwaysThroughStub || E.IsGuard) {
+      return malformed();
+    }
+    // On save a link into a doomed fragment has no index: not quiescent.
+    if (E.Linked && Link >= NumFrags)
+      return malformed();
+    Links.push_back(E.Linked ? Link : ~0u);
+    return true;
+  }
+
+  /// The tables after the fragments, in image order. Each is sorted
+  /// strictly increasing by key: that rejects duplicates (which apply()
+  /// would resolve silently) and pins the canonical serialization.
+  template <class IO> bool tables(IO &P, Image &Img) {
+    auto Entry = [&](FragmentEntry &E, const FragmentEntry *Prev) {
+      uint32_t Idx = indexOf(E.Frag);
+      uint8_t Marked = E.Marked;
+      P.u32(E.Tag);
+      P.u32(Idx);
+      P.u32(E.HeadCounter);
+      P.u8(Marked);
+      if (!got(P))
+        return false;
+      if ((Idx != ~0u && (Idx >= Frags.size() || Frags[Idx]->Tag != E.Tag)) ||
+          (Prev && E.Tag <= Prev->Tag))
+        return malformed();
+      E.Frag = Idx == ~0u ? nullptr : Frags[Idx];
+      E.Marked = Marked != 0;
+      E.Used = true;
+      // With traces on, a live basic block under a marked tag has always
+      // been promoted to a trace head; the runtime asserts as much on the
+      // tag's next re-mark.
+      if (RT.Config.EnableTraces && E.Marked && E.Frag && !E.Frag->isTrace() &&
+          !E.Frag->IsTraceHead)
+        return malformed();
+      return true;
+    };
+    using IbSite = std::pair<AppPc, Runtime::IbSiteProfile>;
+    auto Site = [&](IbSite &S, const IbSite *Prev) {
+      Runtime::IbSiteProfile &Prof = S.second;
+      P.u32(S.first);
+      P.u64(Prof.Total);
+      P.u64(Prof.Other);
+      for (unsigned K = 0; K != Runtime::IbSiteProfile::MaxTargets; ++K) {
+        P.u32(Prof.Targets[K]);
+        P.u64(Prof.Counts[K]);
+      }
+      return got(P) && (!Prev || S.first > Prev->first || malformed());
+    };
+    // Shadows are plain cache-resident basic blocks walked above; only the
+    // tag binding is extra.
+    using Shadow = std::pair<AppPc, Fragment *>;
+    auto ShadowBb = [&](Shadow &S, const Shadow *Prev) {
+      uint32_t Idx = indexOf(S.second);
+      P.u32(S.first);
+      P.u32(Idx);
+      if (!got(P))
+        return false;
+      if (Idx >= Frags.size() || Frags[Idx]->Tag != S.first ||
+          Frags[Idx]->isTrace() || (Prev && S.first <= Prev->first))
+        return malformed();
+      S.second = Frags[Idx];
+      return true;
+    };
+    // Speculation history: without it a warm restart would re-speculate
+    // tags the saved run already proved unstable, replaying the whole
+    // deopt storm. A failure count of zero is impossible (the dispatcher
+    // only inserts a counter when it increments it).
+    using GuardFail = std::pair<AppPc, uint32_t>;
+    auto Guard = [&](GuardFail &G, const GuardFail *Prev) {
+      P.u32(G.first);
+      P.u32(G.second);
+      if (!got(P))
+        return false;
+      if (G.second == 0 || (Prev && G.first <= Prev->first))
+        return malformed();
+      return true;
+    };
+    auto Blacklisted = [&](AppPc &Tag, const AppPc *Prev) {
+      P.u32(Tag);
+      return got(P) && (!Prev || Tag > *Prev || malformed());
+    };
+    constexpr size_t SiteBytes =
+        4 + 8 + 8 + 12 * Runtime::IbSiteProfile::MaxTargets;
+    return seq(P, Img.Entries, MaxTableEntries, 13, Entry) &&
+           seq(P, Img.IbSites, MaxIbSites, SiteBytes, Site) &&
+           seq(P, Img.Shadows, MaxFragments, 8, ShadowBb) &&
+           predictors(P, Img.Pred) &&
+           seq(P, Img.GuardFails, MaxFragments, 8, Guard) &&
+           seq(P, Img.Blacklist, MaxFragments, 4, Blacklisted);
+  }
+
+  template <class IO> bool predictors(IO &P, BranchPredictors &Pred) {
+    P.bytes(Pred.condTable(), BranchPredictors::CondEntries);
+    if (!got(P))
+      return false;
+    for (unsigned I = 0; I != BranchPredictors::CondEntries; ++I)
+      if (Pred.condTable()[I] > 3)
+        return malformed(); // two-bit counters
+    for (unsigned I = 0; I != BranchPredictors::BtbEntries; ++I)
+      P.u32(Pred.btb()[I]);
+    for (unsigned I = 0; I != BranchPredictors::RasDepth; ++I)
+      P.u32(Pred.ras()[I]);
+    P.u32(Pred.rasTop());
+    return got(P);
+  }
 };
 
 //===----------------------------------------------------------------------===//
@@ -416,203 +728,75 @@ bool CacheCodec::save(Runtime &RT, std::vector<uint8_t> &Out) {
   if (!quiescent(RT))
     return false;
   Machine &M = RT.M;
-  uint32_t Base = RT.Slots.DispatcherEntry;
+  Walk W(RT, /*HashApp=*/false);
 
   // Live fragments in registration order (restore order reproduces the
   // FIFO). Doomed fragments are dropped: their pending slots become plain
   // free space, which is exactly the state an uninterrupted run reaches at
   // its next allocation (quiescence means no guard pcs block reclaim).
-  std::vector<Fragment *> Live;
-  std::unordered_map<const Fragment *, uint32_t> LiveIdx;
-  for (const auto &F : RT.Fragments) {
-    if (F->Doomed)
-      continue;
-    LiveIdx.emplace(F.get(), uint32_t(Live.size()));
-    Live.push_back(F.get());
+  for (const auto &F : RT.Fragments)
+    if (!F->Doomed) {
+      W.Index.emplace(F.get(), uint32_t(W.Frags.size()));
+      W.Frags.push_back(F.get());
+    }
+
+  Preamble H;
+  H.ConfigHash = configHash(RT);
+  H.AppHash = fnv1aInit();
+  for (const Fragment *F : W.Frags)
+    for (const AppRange &R : F->AppRanges)
+      H.AppHash = hashAppRange(H.AppHash, M, R);
+  H.WriteGen = M.codeWriteLog().size();
+  H.Base = W.Base;
+  for (unsigned K = 0; K != 2; ++K) {
+    H.Bounds[2 * K] = W.Start[K] - W.Base;
+    H.Bounds[2 * K + 1] = W.End[K] - W.Base;
   }
 
-  uint64_t AppHash = fnv1aInit();
-  for (const Fragment *F : Live)
-    for (const AppRange &R : F->AppRanges) {
-      AppHash = fnvU32(AppHash, R.Lo);
-      AppHash = fnvU32(AppHash, R.Hi);
-      M.mem().forEachSpan(R.Lo, R.Hi - R.Lo,
-                          [&](const uint8_t *Run, uint32_t Len) {
-                            AppHash = fnv1a(AppHash, Run, Len);
-                          });
-    }
+  // The tables in canonical key order, so identical warmed states
+  // serialize to identical bytes regardless of hash-map history.
+  Image Img;
+  RT.Table.forEachEntry(
+      [&](const FragmentEntry &E) { Img.Entries.push_back(E); });
+  std::sort(Img.Entries.begin(), Img.Entries.end(),
+            [](const FragmentEntry &A, const FragmentEntry &B) {
+              return A.Tag < B.Tag;
+            });
+  Img.IbSites.assign(RT.IbProfiles.begin(), RT.IbProfiles.end());
+  std::sort(Img.IbSites.begin(), Img.IbSites.end(),
+            [](const auto &A, const auto &B) { return A.first < B.first; });
+  Img.Shadows.assign(RT.ShadowBbs.begin(), RT.ShadowBbs.end());
+  std::sort(Img.Shadows.begin(), Img.Shadows.end());
+  Img.Pred = M.predictors();
+  Img.GuardFails.assign(RT.GuardFailCounts.begin(), RT.GuardFailCounts.end());
+  Img.Blacklist.assign(RT.TraceOptBlacklist.begin(),
+                       RT.TraceOptBlacklist.end());
 
   ByteWriter P;
-  P.u64(configHash(RT));
-  P.u64(AppHash);
-  P.u64(uint64_t(M.codeWriteLog().size()));
-  P.u32(Base);
-  P.u32(RT.CM.cacheStart(Fragment::Kind::BasicBlock) - Base);
-  P.u32(RT.CM.cacheEnd(Fragment::Kind::BasicBlock) - Base);
-  P.u32(RT.CM.cacheStart(Fragment::Kind::Trace) - Base);
-  P.u32(RT.CM.cacheEnd(Fragment::Kind::Trace) - Base);
-
-  P.u32(uint32_t(Live.size()));
-  for (const Fragment *F : Live) {
-    P.u32(F->Tag);
-    P.u8(F->isTrace() ? 1 : 0);
-    P.u8(F->IsTraceHead ? 1 : 0);
-    P.u32(F->CacheAddr - Base);
-    P.u32(F->CodeSize);
-    P.u32(F->StubsSize);
-    P.u32(F->NumInstrs);
-    P.u64(F->BirthCycles);
-
-    P.u32(uint32_t(F->Exits.size()));
-    for (const FragmentExit &E : F->Exits) {
-      bool Direct = E.ExitKind == FragmentExit::Kind::Direct;
-      P.u8(Direct ? 0 : 1);
-      uint8_t Flags = 0;
-      if (E.AlwaysThroughStub)
-        Flags |= FlagAlwaysThroughStub;
-      if (E.Linked)
-        Flags |= FlagLinked;
-      if (E.IsIbArm)
-        Flags |= FlagIsIbArm;
-      if (E.IbMiss)
-        Flags |= FlagIbMiss;
-      if (E.IsGuard)
-        Flags |= FlagIsGuard;
-      P.u8(Flags);
-      P.u32(E.TargetTag);
-      P.u32(E.CtiOff);
-      P.u32(E.CtiLen);
-      P.u32(E.StubOff);
-      P.u32(E.StubJmpOff);
-      P.u32(E.StubJmpLen);
-      P.u32(E.SourceAppPc);
-      uint32_t LinkedIdx = ~0u;
-      if (E.Linked) {
-        auto It = LiveIdx.find(E.LinkedTo);
-        if (It == LiveIdx.end())
-          return false; // linked to a doomed fragment: not quiescent after all
-        LinkedIdx = It->second;
-      }
-      P.u32(LinkedIdx);
-    }
-
-    P.u32(uint32_t(F->AppRanges.size()));
-    for (const AppRange &R : F->AppRanges) {
-      P.u32(R.Lo);
-      P.u32(R.Hi);
-    }
-    P.u32(uint32_t(F->CodeMap.size()));
-    for (const CodePoint &C : F->CodeMap) {
-      P.u32(C.Off);
-      P.u32(C.App);
-      P.u8(C.Linear ? 1 : 0);
-    }
-    // Versioned-publication metadata (traces; empty for basic blocks): the
-    // OSR descriptors let a loaded trace's threads transfer out when a
-    // sideline publication supersedes it, and the constituent block list
-    // is what deoptimization rebuilds from.
-    P.u32(uint32_t(F->OsrPoints.size()));
-    for (const OsrPoint &O : F->OsrPoints) {
-      P.u32(O.CtiOff);
-      P.u32(O.StubOff);
-      P.u32(O.StubEnd);
-      P.u32(O.ResumeApp);
-      P.u32(O.TakenApp);
-    }
-    P.u32(uint32_t(F->TraceBlocks.size()));
-    for (AppPc B : F->TraceBlocks)
-      P.u32(B);
-    M.mem().forEachSpan(
-        F->CacheAddr, F->CodeSize + F->StubsSize,
-        [&](const uint8_t *Run, uint32_t Len) { P.bytes(Run, Len); });
+  if (!W.preamble(P, H) || !W.fragmentCount(P))
+    return false;
+  std::vector<uint8_t> Slot;
+  for (Fragment *F : W.Frags) {
+    Slot.clear();
+    M.mem().forEachSpan(F->CacheAddr, F->CodeSize + F->StubsSize,
+                        [&](const uint8_t *Run, uint32_t Len) {
+                          Slot.insert(Slot.end(), Run, Run + Len);
+                        });
+    if (!W.fragment(P, *F, Slot))
+      return false;
   }
+  if (!W.tables(P, Img))
+    return false;
 
-  // Fragment-table entries, sorted by tag so identical warmed states
-  // serialize to identical bytes regardless of table history.
-  std::vector<const FragmentEntry *> Entries;
-  RT.Table.forEachEntry([&](const FragmentEntry &E) { Entries.push_back(&E); });
-  std::sort(Entries.begin(), Entries.end(),
-            [](const FragmentEntry *A, const FragmentEntry *B) {
-              return A->Tag < B->Tag;
-            });
-  P.u32(uint32_t(Entries.size()));
-  for (const FragmentEntry *E : Entries) {
-    P.u32(E->Tag);
-    uint32_t FragIdx = ~0u;
-    if (E->Frag) {
-      auto It = LiveIdx.find(E->Frag);
-      FragIdx = It == LiveIdx.end() ? ~0u : It->second;
-    }
-    P.u32(FragIdx);
-    P.u32(E->HeadCounter);
-    P.u8(E->Marked ? 1 : 0);
-  }
-
-  // Indirect-branch site histograms, sorted by site pc (same reason).
-  std::vector<AppPc> Sites;
-  for (const auto &[Site, Prof] : RT.IbProfiles)
-    Sites.push_back(Site);
-  std::sort(Sites.begin(), Sites.end());
-  P.u32(uint32_t(Sites.size()));
-  for (AppPc Site : Sites) {
-    const Runtime::IbSiteProfile &Prof = RT.IbProfiles[Site];
-    P.u32(Site);
-    P.u64(Prof.Total);
-    P.u64(Prof.Other);
-    for (unsigned K = 0; K != Runtime::IbSiteProfile::MaxTargets; ++K) {
-      P.u32(Prof.Targets[K]);
-      P.u64(Prof.Counts[K]);
-    }
-  }
-
-  // Shadow-block bindings, sorted by tag. Shadows are plain cache-resident
-  // fragments already serialized above; only the tag binding is extra.
-  std::vector<std::pair<AppPc, const Fragment *>> Shadows(RT.ShadowBbs.begin(),
-                                                          RT.ShadowBbs.end());
-  std::sort(Shadows.begin(), Shadows.end());
-  P.u32(uint32_t(Shadows.size()));
-  for (const auto &[Tag, Frag] : Shadows) {
-    auto It = LiveIdx.find(Frag);
-    if (It == LiveIdx.end())
-      return false; // shadow map points at a doomed fragment
-    P.u32(Tag);
-    P.u32(It->second);
-  }
-
-  // Simulated front-end state (see the file comment: restoring it is what
-  // makes warm steady-state cycle accounting match the saved run's).
-  BranchPredictors &Pred = M.predictors();
-  P.bytes(Pred.condTable(), BranchPredictors::CondEntries);
-  for (unsigned I = 0; I != BranchPredictors::BtbEntries; ++I)
-    P.u32(Pred.btb()[I]);
-  for (unsigned I = 0; I != BranchPredictors::RasDepth; ++I)
-    P.u32(Pred.ras()[I]);
-  P.u32(Pred.rasTop());
-
-  // Speculation history: per-tag guard-failure counters and the blacklist.
-  // Without these a warm restart would re-speculate tags the saved run
-  // already proved unstable, replaying the whole deopt storm; with them the
-  // restored run resumes from the same refuse-to-speculate state. Both
-  // containers are ordered, so the serialization is canonical.
-  P.u32(uint32_t(RT.GuardFailCounts.size()));
-  for (const auto &[Tag, Fails] : RT.GuardFailCounts) {
-    P.u32(Tag);
-    P.u32(Fails);
-  }
-  P.u32(uint32_t(RT.TraceOptBlacklist.size()));
-  for (AppPc Tag : RT.TraceOptBlacklist)
-    P.u32(Tag);
-
-  std::vector<uint8_t> Payload = P.take();
-  ByteWriter H;
-  H.u32(CacheImageMagic);
-  H.u32(CacheImageVersion);
-  H.u64(fnv1a(fnv1aInit(), Payload.data(), Payload.size()));
-  Out = H.take();
-  Out.insert(Out.end(), Payload.begin(), Payload.end());
+  ByteWriter Header;
+  Header.u32(CacheImageMagic);
+  Header.u32(CacheImageVersion);
+  Header.u64(fnv1a(fnv1aInit(), P.Buf.data(), P.Buf.size()));
+  Out = std::move(Header.Buf);
+  Out.insert(Out.end(), P.Buf.begin(), P.Buf.end());
 
   RT.S.PersistBytesWritten += Out.size();
-  RT.obsEvent(TraceEventKind::PersistSaved, uint32_t(Live.size()),
+  RT.obsEvent(TraceEventKind::PersistSaved, uint32_t(W.Frags.size()),
               uint32_t(Out.size()));
   return true;
 }
@@ -622,7 +806,7 @@ bool CacheCodec::save(Runtime &RT, std::vector<uint8_t> &Out) {
 //===----------------------------------------------------------------------===//
 
 LoadStatus CacheCodec::parse(Runtime &RT, const uint8_t *Data, size_t Size,
-                             Image &Out, bool Trusted) {
+                             Image &Img, bool Trusted) {
   // The target must be cold: restoring over built state would corrupt the
   // link graph and exit-record numbering.
   if ((RT.TheClient && !RT.TheClient->persistSafe()) ||
@@ -632,384 +816,110 @@ LoadStatus CacheCodec::parse(Runtime &RT, const uint8_t *Data, size_t Size,
 
   if (!Data || Size < HeaderBytes)
     return LoadStatus::Truncated;
-  ByteReader H(Data, HeaderBytes);
-  if (H.u32() != CacheImageMagic)
+  ByteReader Header(Data, HeaderBytes);
+  uint32_t Magic = 0, Version = 0;
+  uint64_t Checksum = 0;
+  Header.u32(Magic);
+  Header.u32(Version);
+  Header.u64(Checksum);
+  if (Magic != CacheImageMagic)
     return LoadStatus::BadMagic;
-  if (H.u32() != CacheImageVersion)
+  if (Version != CacheImageVersion)
     return LoadStatus::BadVersion;
-  uint64_t Checksum = H.u64();
   const uint8_t *Payload = Data + HeaderBytes;
   size_t PayloadSize = Size - HeaderBytes;
   if (fnv1a(fnv1aInit(), Payload, PayloadSize) != Checksum)
     return LoadStatus::BadChecksum;
 
-  Machine &M = RT.M;
-  uint32_t NewBase = RT.Slots.DispatcherEntry;
-  uint32_t BbStart = RT.CM.cacheStart(Fragment::Kind::BasicBlock);
-  uint32_t BbEnd = RT.CM.cacheEnd(Fragment::Kind::BasicBlock);
-  uint32_t TrStart = RT.CM.cacheStart(Fragment::Kind::Trace);
-  uint32_t TrEnd = RT.CM.cacheEnd(Fragment::Kind::Trace);
-
+  Walk W(RT, /*HashApp=*/!Trusted);
   ByteReader R(Payload, PayloadSize);
-  if (R.u64() != configHash(RT))
-    return LoadStatus::ConfigMismatch;
-  uint64_t AppHash = R.u64();
-  uint64_t WriteGen = R.u64();
-  uint32_t SavedBase = R.u32();
-  uint32_t BbStartRel = R.u32(), BbEndRel = R.u32();
-  uint32_t TrStartRel = R.u32(), TrEndRel = R.u32();
-  if (!R.ok())
-    return LoadStatus::Truncated;
-  if (BbStartRel != BbStart - NewBase || BbEndRel != BbEnd - NewBase ||
-      TrStartRel != TrStart - NewBase || TrEndRel != TrEnd - NewBase)
-    return LoadStatus::GeometryMismatch;
+  Preamble H;
+  if (!W.preamble(R, H))
+    return W.Status;
 
   // SMC generation: on the machine the image was saved from, the log must
   // not have grown since (no code writes behind the image's back); a fresh
   // machine has an empty log, and the app-code hash below is the actual
   // content check.
-  uint64_t CurGen = uint64_t(M.codeWriteLog().size());
-  if (!Trusted && CurGen != 0 && CurGen != WriteGen)
+  uint64_t CurGen = RT.M.codeWriteLog().size();
+  if (!Trusted && CurGen != 0 && CurGen != H.WriteGen)
     return LoadStatus::SmcGeneration;
 
-  uint32_t Delta = NewBase - SavedBase; // mod 2^32: wrapping add relocates
-  uint32_t SavedLo = SavedBase;
-  uint32_t SavedHi = SavedBase + TrEndRel;
-
-  uint32_t NumFrags = R.u32();
-  if (!R.ok() || NumFrags > MaxFragments)
-    return NumFrags > MaxFragments ? LoadStatus::Malformed
-                                   : LoadStatus::Truncated;
-
-  uint64_t LiveAppHash = fnv1aInit();
-  Out.Frags.clear();
-  Out.Frags.reserve(clampedReserve(R, NumFrags, 30)); // fixed frag fields
-  Out.NumExitRecords = 0;
-
-  for (uint32_t FI = 0; FI != NumFrags; ++FI) {
-    Image::Frag F;
-    F.Tag = R.u32();
-    F.Kind = R.u8();
-    F.IsTraceHead = R.u8();
-    uint32_t AddrRel = R.u32();
-    F.CodeSize = R.u32();
-    F.StubsSize = R.u32();
-    F.NumInstrs = R.u32();
-    F.BirthCycles = R.u64();
-    if (!R.ok())
-      return LoadStatus::Truncated;
-    if (F.Kind > 1 || F.CodeSize == 0)
-      return LoadStatus::Malformed;
-
-    uint32_t KindStart = F.Kind ? TrStart : BbStart;
-    uint32_t KindEnd = F.Kind ? TrEnd : BbEnd;
-    uint64_t SlotLen = uint64_t(F.CodeSize) + F.StubsSize;
-    uint64_t SlotRounded = (SlotLen + 3u) & ~uint64_t(3);
-    F.NewAddr = AddrRel + NewBase;
-    if (F.NewAddr < KindStart || SlotRounded > KindEnd ||
-        uint64_t(F.NewAddr) + SlotRounded > KindEnd || (F.NewAddr & 3u) != 0)
-      return LoadStatus::Malformed;
-
-    uint32_t NumExits = R.u32();
-    if (!R.ok())
-      return LoadStatus::Truncated;
-    if (NumExits > MaxExitsPerFragment)
-      return LoadStatus::Malformed;
-    F.Exits.reserve(clampedReserve(R, NumExits, 34));
-    for (uint32_t EI = 0; EI != NumExits; ++EI) {
-      Image::Exit E;
-      E.ExitKind = R.u8();
-      E.Flags = R.u8();
-      E.TargetTag = R.u32();
-      E.CtiOff = R.u32();
-      E.CtiLen = R.u32();
-      E.StubOff = R.u32();
-      E.StubJmpOff = R.u32();
-      E.StubJmpLen = R.u32();
-      E.SourceAppPc = R.u32();
-      E.LinkedToIdx = R.u32();
-      if (!R.ok())
-        return LoadStatus::Truncated;
-      if (E.ExitKind > 1)
-        return LoadStatus::Malformed;
-      if (uint64_t(E.CtiOff) + E.CtiLen > F.CodeSize ||
-          E.CtiLen > MaxInstrLength)
-        return LoadStatus::Malformed;
-      bool Direct = E.ExitKind == 0;
-      if (Direct) {
-        // The CTI's rel32 is its last four bytes; stubs follow the body,
-        // and the stub's final jmp is preceded by the exit-id (or arm
-        // target) mov whose imm32 ends exactly where the jmp begins.
-        if (E.CtiLen < 5)
-          return LoadStatus::Malformed;
-        // All in 64-bit: StubOff near UINT32_MAX must not wrap the +4 into
-        // a comparison that accepts StubJmpOff < 4 (and then underflows the
-        // exit-id patch offset below).
-        if (E.StubOff < F.CodeSize || uint64_t(E.StubOff) >= SlotLen ||
-            uint64_t(E.StubJmpOff) < uint64_t(E.StubOff) + 4 ||
-            uint64_t(E.StubJmpOff) + E.StubJmpLen > SlotLen ||
-            E.StubJmpLen < 5 || E.StubJmpLen > MaxInstrLength)
-          return LoadStatus::Malformed;
-        E.NewExitId = Out.NumExitRecords++;
-        // Speculation guards are direct exits that the linker must never
-        // touch: a guard flagged linked contradicts the runtime invariant
-        // and would replay a patched-over bail-out path.
-        if ((E.Flags & FlagIsGuard) && (E.Flags & FlagLinked))
-          return LoadStatus::Malformed;
-      } else {
-        if (E.Flags &
-            (FlagLinked | FlagIsIbArm | FlagAlwaysThroughStub | FlagIsGuard))
-          return LoadStatus::Malformed;
-      }
-      if ((E.Flags & FlagLinked) && E.LinkedToIdx >= NumFrags)
-        return LoadStatus::Malformed;
-      if (!(E.Flags & FlagLinked))
-        E.LinkedToIdx = ~0u;
-      F.Exits.push_back(E);
-    }
-
-    uint32_t NumRanges = R.u32();
-    if (!R.ok() || NumRanges > MaxRecordsPerFragment)
-      return R.ok() ? LoadStatus::Malformed : LoadStatus::Truncated;
-    F.Ranges.reserve(clampedReserve(R, NumRanges, 8));
-    for (uint32_t RI = 0; RI != NumRanges; ++RI) {
-      AppRange Range;
-      Range.Lo = R.u32();
-      Range.Hi = R.u32();
-      if (!R.ok())
-        return LoadStatus::Truncated;
-      if (Range.Lo >= Range.Hi || Range.Hi > M.runtimeBase())
-        return LoadStatus::Malformed;
-      if (!Trusted) {
-        LiveAppHash = fnvU32(LiveAppHash, Range.Lo);
-        LiveAppHash = fnvU32(LiveAppHash, Range.Hi);
-        M.mem().forEachSpan(Range.Lo, Range.Hi - Range.Lo,
-                            [&](const uint8_t *Run, uint32_t Len) {
-                              LiveAppHash = fnv1a(LiveAppHash, Run, Len);
-                            });
-      }
-      F.Ranges.push_back(Range);
-    }
-
-    uint32_t NumPoints = R.u32();
-    if (!R.ok() || NumPoints > MaxRecordsPerFragment)
-      return R.ok() ? LoadStatus::Malformed : LoadStatus::Truncated;
-    F.Points.reserve(clampedReserve(R, NumPoints, 9));
-    for (uint32_t PI = 0; PI != NumPoints; ++PI) {
-      CodePoint Pt;
-      Pt.Off = R.u32();
-      Pt.App = R.u32();
-      Pt.Linear = R.u8() != 0;
-      if (!R.ok())
-        return LoadStatus::Truncated;
-      if (Pt.Off >= F.CodeSize)
-        return LoadStatus::Malformed;
-      F.Points.push_back(Pt);
-    }
-
-    uint32_t NumOsr = R.u32();
-    if (!R.ok() || NumOsr > MaxExitsPerFragment)
-      return R.ok() ? LoadStatus::Malformed : LoadStatus::Truncated;
-    if (F.Kind == 0 && NumOsr != 0)
-      return LoadStatus::Malformed; // OSR descriptors are trace-only
-    F.Osr.reserve(clampedReserve(R, NumOsr, 20));
-    for (uint32_t OI = 0; OI != NumOsr; ++OI) {
-      OsrPoint O;
-      O.CtiOff = R.u32();
-      O.StubOff = R.u32();
-      O.StubEnd = R.u32();
-      O.ResumeApp = R.u32();
-      O.TakenApp = R.u32();
-      if (!R.ok())
-        return LoadStatus::Truncated;
-      // Offsets are slot-relative: the CTI inside the body, the stub range
-      // inside the stub area, app pcs inside the application region.
-      if (O.CtiOff >= F.CodeSize || O.StubOff < F.CodeSize ||
-          uint64_t(O.StubEnd) > SlotLen || O.StubEnd <= O.StubOff ||
-          O.ResumeApp >= M.runtimeBase() || O.TakenApp >= M.runtimeBase())
-        return LoadStatus::Malformed;
-      F.Osr.push_back(O);
-    }
-
-    uint32_t NumBlocks = R.u32();
-    if (!R.ok() || NumBlocks > MaxRecordsPerFragment)
-      return R.ok() ? LoadStatus::Malformed : LoadStatus::Truncated;
-    if (F.Kind == 0 && NumBlocks != 0)
-      return LoadStatus::Malformed; // block lists are trace-only
-    F.NetBlocks.reserve(clampedReserve(R, NumBlocks, 4));
-    for (uint32_t BI = 0; BI != NumBlocks; ++BI) {
-      uint32_t B = R.u32();
-      if (!R.ok())
-        return LoadStatus::Truncated;
-      if (B >= M.runtimeBase())
-        return LoadStatus::Malformed;
-      F.NetBlocks.push_back(B);
-    }
-
-    F.Bytes.resize(size_t(SlotLen));
-    if (!R.bytes(F.Bytes.data(), size_t(SlotLen)))
-      return LoadStatus::Truncated;
-    Out.Frags.push_back(std::move(F));
+  if (!W.fragmentCount(R))
+    return W.Status;
+  Img.Frags.reserve(std::min<size_t>(W.NumFrags, R.remaining() / 30));
+  for (uint32_t FI = 0; FI != W.NumFrags; ++FI) {
+    Fragment &F = *Img.Frags.emplace_back(std::make_unique<Fragment>());
+    if (!W.fragment(R, F, Img.Slots.emplace_back()))
+      return W.Status;
+    W.Frags.push_back(&F);
   }
 
   // Cross-fragment checks: link targets must carry the tag the exit was
   // linked for, and slots must not overlap (the target caches are empty,
   // so non-overlapping in-range slots are guaranteed carveable).
-  for (const Image::Frag &F : Out.Frags)
-    for (const Image::Exit &E : F.Exits)
-      if (E.LinkedToIdx != ~0u &&
-          Out.Frags[E.LinkedToIdx].Tag != E.TargetTag)
+  const uint32_t *Link = W.Links.data();
+  for (const auto &F : Img.Frags)
+    for (FragmentExit &E : F->Exits) {
+      uint32_t Idx = *Link++;
+      if (!E.Linked)
+        continue;
+      E.LinkedTo = W.Frags[Idx];
+      if (E.LinkedTo->Tag != E.TargetTag)
         return LoadStatus::Malformed;
+    }
   {
     std::vector<std::pair<uint32_t, uint32_t>> Slots; // addr, rounded len
-    Slots.reserve(Out.Frags.size());
-    for (const Image::Frag &F : Out.Frags)
-      Slots.emplace_back(F.NewAddr,
-                         (F.CodeSize + F.StubsSize + 3u) & ~3u);
+    Slots.reserve(Img.Frags.size());
+    for (const auto &F : Img.Frags)
+      Slots.emplace_back(F->CacheAddr, (F->CodeSize + F->StubsSize + 3u) & ~3u);
     std::sort(Slots.begin(), Slots.end());
     for (size_t I = 1; I < Slots.size(); ++I)
       if (Slots[I - 1].first + Slots[I - 1].second > Slots[I].first)
         return LoadStatus::Malformed;
   }
 
-  if (!Trusted && LiveAppHash != AppHash)
+  if (!Trusted && W.AppHash != H.AppHash)
     return LoadStatus::AppImageMismatch;
 
-  uint32_t NumEntries = R.u32();
-  if (!R.ok() || NumEntries > MaxTableEntries)
-    return R.ok() ? LoadStatus::Malformed : LoadStatus::Truncated;
-  Out.Entries.clear();
-  Out.Entries.reserve(clampedReserve(R, NumEntries, 13));
-  for (uint32_t I = 0; I != NumEntries; ++I) {
-    Image::TableEntry E;
-    E.Tag = R.u32();
-    E.FragIdx = R.u32();
-    E.HeadCounter = R.u32();
-    E.Marked = R.u8();
-    if (!R.ok())
-      return LoadStatus::Truncated;
-    if (E.FragIdx != ~0u &&
-        (E.FragIdx >= NumFrags || Out.Frags[E.FragIdx].Tag != E.Tag))
-      return LoadStatus::Malformed;
-    // save() writes entries sorted by tag; demanding strictly increasing
-    // keys both rejects duplicates (which apply() would resolve last-wins,
-    // silently) and pins the canonical serialization.
-    if (!Out.Entries.empty() && E.Tag <= Out.Entries.back().Tag)
-      return LoadStatus::Malformed;
-    Out.Entries.push_back(E);
-  }
-
-  uint32_t NumSites = R.u32();
-  if (!R.ok() || NumSites > MaxIbSites)
-    return R.ok() ? LoadStatus::Malformed : LoadStatus::Truncated;
-  Out.IbSites.clear();
-  Out.IbSites.reserve(clampedReserve(R, NumSites, 116));
-  for (uint32_t I = 0; I != NumSites; ++I) {
-    Image::IbSite S;
-    S.SiteAppPc = R.u32();
-    S.Total = R.u64();
-    S.Other = R.u64();
-    for (unsigned K = 0; K != 8; ++K) {
-      S.Targets[K] = R.u32();
-      S.Counts[K] = R.u64();
-    }
-    if (!R.ok())
-      return LoadStatus::Truncated;
-    if (!Out.IbSites.empty() && S.SiteAppPc <= Out.IbSites.back().SiteAppPc)
-      return LoadStatus::Malformed; // must be sorted by site pc, unique
-    Out.IbSites.push_back(S);
-  }
-
-  uint32_t NumShadows = R.u32();
-  if (!R.ok() || NumShadows > MaxFragments)
-    return R.ok() ? LoadStatus::Malformed : LoadStatus::Truncated;
-  Out.Shadows.clear();
-  Out.Shadows.reserve(clampedReserve(R, NumShadows, 8));
-  for (uint32_t I = 0; I != NumShadows; ++I) {
-    Image::Shadow S;
-    S.Tag = R.u32();
-    S.FragIdx = R.u32();
-    if (!R.ok())
-      return LoadStatus::Truncated;
-    if (S.FragIdx >= NumFrags || Out.Frags[S.FragIdx].Tag != S.Tag ||
-        Out.Frags[S.FragIdx].Kind != 0)
-      return LoadStatus::Malformed; // shadows are always basic blocks
-    if (!Out.Shadows.empty() && S.Tag <= Out.Shadows.back().Tag)
-      return LoadStatus::Malformed; // must be sorted by tag, unique
-    Out.Shadows.push_back(S);
-  }
-
-  Out.CondTable.resize(BranchPredictors::CondEntries);
-  if (!R.bytes(Out.CondTable.data(), Out.CondTable.size()))
-    return LoadStatus::Truncated;
-  for (uint8_t C : Out.CondTable)
-    if (C > 3)
-      return LoadStatus::Malformed; // two-bit counters
-  Out.Btb.resize(BranchPredictors::BtbEntries);
-  for (uint32_t &B : Out.Btb)
-    B = R.u32();
-  Out.Ras.resize(BranchPredictors::RasDepth);
-  for (uint32_t &V : Out.Ras)
-    V = R.u32();
-  Out.RasTop = R.u32();
-  if (!R.ok())
-    return LoadStatus::Truncated;
-
-  // Speculation history tables (see save). Both are sorted strictly
-  // increasing by tag — the canonical form std::map/std::set serialize to —
-  // and a failure count of zero is impossible (the dispatcher only inserts
-  // a counter when it increments it).
-  uint32_t NumGuardFails = R.u32();
-  if (!R.ok() || NumGuardFails > MaxFragments)
-    return R.ok() ? LoadStatus::Malformed : LoadStatus::Truncated;
-  Out.GuardFails.clear();
-  Out.GuardFails.reserve(clampedReserve(R, NumGuardFails, 8));
-  for (uint32_t I = 0; I != NumGuardFails; ++I) {
-    uint32_t Tag = R.u32();
-    uint32_t Fails = R.u32();
-    if (!R.ok())
-      return LoadStatus::Truncated;
-    if (Fails == 0 ||
-        (!Out.GuardFails.empty() && Tag <= Out.GuardFails.back().first))
-      return LoadStatus::Malformed;
-    Out.GuardFails.emplace_back(Tag, Fails);
-  }
-  uint32_t NumBlacklisted = R.u32();
-  if (!R.ok() || NumBlacklisted > MaxFragments)
-    return R.ok() ? LoadStatus::Malformed : LoadStatus::Truncated;
-  Out.Blacklist.clear();
-  Out.Blacklist.reserve(clampedReserve(R, NumBlacklisted, 4));
-  for (uint32_t I = 0; I != NumBlacklisted; ++I) {
-    uint32_t Tag = R.u32();
-    if (!R.ok())
-      return LoadStatus::Truncated;
-    if (!Out.Blacklist.empty() && Tag <= Out.Blacklist.back())
-      return LoadStatus::Malformed;
-    Out.Blacklist.push_back(Tag);
-  }
-
+  if (!W.tables(R, Img))
+    return W.Status;
   if (!R.atEnd())
     return LoadStatus::Malformed; // trailing garbage
 
   // Relocate instruction bytes for the base shift (no-op when the image
-  // loads at the base it was saved from), then renumber exit-id stub
-  // immediates: the image's ids were positions in the *saved* exit-record
-  // array; the restored array is packed in restore order.
+  // loads at the base it was saved from), then renumber exit ids: the
+  // image's ids were positions in the *saved* exit-record array; the
+  // restored array is packed in restore order. Each stub's exit-id
+  // immediate is patched, and linked exits join their target's incoming
+  // list under the new id.
+  uint32_t Delta = W.Base - H.Base; // mod 2^32: wrapping add relocates
+  uint32_t SavedLo = H.Base;
+  uint32_t SavedHi = H.Base + H.Bounds[3];
+  uint32_t NextExitId = 0;
   Arena A(1u << 12);
-  for (Image::Frag &F : Out.Frags) {
+  for (size_t FI = 0; FI != Img.Frags.size(); ++FI) {
+    Fragment &F = *Img.Frags[FI];
+    std::vector<uint8_t> &Slot = Img.Slots[FI];
     if (Delta != 0) {
-      if (!relocateRange(F.Bytes, 0, F.CodeSize, F.NewAddr, Delta, SavedLo,
+      if (!relocateRange(Slot, 0, F.CodeSize, F.CacheAddr, Delta, SavedLo,
                          SavedHi, A))
         return LoadStatus::Malformed;
-      for (const Image::Exit &E : F.Exits)
-        if (E.ExitKind == 0 &&
-            !relocateRange(F.Bytes, E.StubOff, E.StubJmpOff + E.StubJmpLen,
-                           F.NewAddr, Delta, SavedLo, SavedHi, A))
+      for (const FragmentExit &E : F.Exits)
+        if (E.ExitKind == FragmentExit::Kind::Direct &&
+            !relocateRange(Slot, E.StubOff, E.StubJmpOff + E.StubJmpLen,
+                           F.CacheAddr, Delta, SavedLo, SavedHi, A))
           return LoadStatus::Malformed;
     }
-    for (const Image::Exit &E : F.Exits)
-      if (E.ExitKind == 0 && !(E.Flags & FlagIsIbArm))
-        write32At(F.Bytes, E.StubJmpOff - 4, E.NewExitId);
+    for (FragmentExit &E : F.Exits) {
+      if (E.ExitKind != FragmentExit::Kind::Direct)
+        continue;
+      E.ExitId = NextExitId++;
+      if (!E.IsIbArm)
+        write32At(Slot, E.StubJmpOff - 4, E.ExitId);
+      if (E.Linked)
+        E.LinkedTo->IncomingLinks.push_back(E.ExitId);
+    }
   }
   return LoadStatus::Ok;
 }
@@ -1021,108 +931,39 @@ LoadStatus CacheCodec::parse(Runtime &RT, const uint8_t *Data, size_t Size,
 void CacheCodec::apply(Runtime &RT, Image &Img, size_t ImageBytes,
                        bool Trusted) {
   Machine &M = RT.M;
-  std::vector<Fragment *> Frags;
-  Frags.reserve(Img.Frags.size());
-
-  for (const Image::Frag &F : Img.Frags) {
-    auto *G = new Fragment();
-    RT.Fragments.emplace_back(G);
-    G->Tag = F.Tag;
-    G->FragKind = F.Kind ? Fragment::Kind::Trace : Fragment::Kind::BasicBlock;
-    G->CacheAddr = F.NewAddr;
-    G->CodeSize = F.CodeSize;
-    G->StubsSize = F.StubsSize;
-    G->NumInstrs = F.NumInstrs;
-    G->BirthCycles = F.BirthCycles;
-    G->IsTraceHead = F.IsTraceHead != 0;
-    G->AppRanges = F.Ranges;
-    G->CodeMap = F.Points;
-    G->OsrPoints = F.Osr;
-    G->TraceBlocks.assign(F.NetBlocks.begin(), F.NetBlocks.end());
-    for (const Image::Exit &E : F.Exits) {
-      FragmentExit X;
-      X.ExitKind = E.ExitKind == 0 ? FragmentExit::Kind::Direct
-                                   : FragmentExit::Kind::Indirect;
-      X.TargetTag = E.TargetTag;
-      X.CtiOff = E.CtiOff;
-      X.CtiLen = E.CtiLen;
-      X.StubOff = E.StubOff;
-      X.StubJmpOff = E.StubJmpOff;
-      X.StubJmpLen = E.StubJmpLen;
-      X.SourceAppPc = E.SourceAppPc;
-      X.AlwaysThroughStub = (E.Flags & FlagAlwaysThroughStub) != 0;
-      X.IsIbArm = (E.Flags & FlagIsIbArm) != 0;
-      X.IbMiss = (E.Flags & FlagIbMiss) != 0;
-      X.IsGuard = (E.Flags & FlagIsGuard) != 0;
-      if (X.ExitKind == FragmentExit::Kind::Direct) {
-        X.ExitId = E.NewExitId;
-        assert(E.NewExitId == RT.ExitRecords.size() &&
-               "restore order must match exit-id numbering");
-        RT.ExitRecords.emplace_back(G, unsigned(G->Exits.size()));
-      }
-      G->Exits.push_back(X);
-    }
-
-    uint32_t Len = F.CodeSize + F.StubsSize;
-    M.mem().writeBlock(F.NewAddr, F.Bytes.data(), Len);
-    M.invalidateDecodeRange(F.NewAddr, F.NewAddr + Len);
-    bool Carved = RT.CM.carveRange(G->FragKind, F.NewAddr, Len);
+  size_t NumFrags = Img.Frags.size();
+  for (size_t FI = 0; FI != NumFrags; ++FI) {
+    Fragment *F = Img.Frags[FI].get();
+    RT.Fragments.push_back(std::move(Img.Frags[FI]));
+    uint32_t Len = F->CodeSize + F->StubsSize;
+    M.mem().writeBlock(F->CacheAddr, Img.Slots[FI].data(), Len);
+    M.invalidateDecodeRange(F->CacheAddr, F->CacheAddr + Len);
+    bool Carved = RT.CM.carveRange(F->FragKind, F->CacheAddr, Len);
     assert(Carved && "validated slot must be carveable from a cold cache");
     (void)Carved;
-    RT.CM.registerFragment(G);
+    RT.CM.registerFragment(F);
 
-    for (FragmentExit &X : G->Exits)
-      if (X.IsIbArm) {
-        RT.addIbArmPc(X.ctiAddr(*G), X.ExitId);
-        RT.IbArmStubSites[X.stubJmpAddr(*G)] = X.ExitId;
+    // Link state came wired from parse: restoration neither re-patches
+    // bytes (they are already linked) nor counts toward links_made.
+    for (unsigned EI = 0; EI != F->Exits.size(); ++EI) {
+      const FragmentExit &X = F->Exits[EI];
+      if (X.ExitKind == FragmentExit::Kind::Direct) {
+        assert(X.ExitId == RT.ExitRecords.size() &&
+               "restore order must match exit-id numbering");
+        RT.ExitRecords.emplace_back(F, EI);
       }
-    Frags.push_back(G);
-  }
-
-  // Link state: set directly from the image rather than via linkExit so
-  // restoration neither re-patches bytes (they are already linked) nor
-  // counts toward links_made.
-  for (size_t FI = 0; FI != Img.Frags.size(); ++FI) {
-    Fragment *G = Frags[FI];
-    const Image::Frag &F = Img.Frags[FI];
-    for (size_t EI = 0; EI != F.Exits.size(); ++EI) {
-      const Image::Exit &E = F.Exits[EI];
-      if (E.LinkedToIdx == ~0u)
-        continue;
-      FragmentExit &X = G->Exits[EI];
-      X.Linked = true;
-      X.LinkedTo = Frags[E.LinkedToIdx];
-      X.LinkedTo->IncomingLinks.push_back(X.ExitId);
+      if (X.IsIbArm) {
+        RT.addIbArmPc(X.ctiAddr(*F), X.ExitId);
+        RT.IbArmStubSites[X.stubJmpAddr(*F)] = X.ExitId;
+      }
     }
   }
 
-  for (const Image::TableEntry &E : Img.Entries) {
-    FragmentEntry &Slot = RT.Table.slot(E.Tag);
-    Slot.HeadCounter = E.HeadCounter;
-    Slot.Marked = E.Marked != 0;
-    if (E.FragIdx != ~0u)
-      Slot.Frag = Frags[E.FragIdx];
-  }
-
-  for (const Image::Shadow &S : Img.Shadows)
-    RT.ShadowBbs[S.Tag] = Frags[S.FragIdx];
-
-  BranchPredictors &Pred = M.predictors();
-  std::memcpy(Pred.condTable(), Img.CondTable.data(), Img.CondTable.size());
-  std::memcpy(Pred.btb(), Img.Btb.data(), Img.Btb.size() * sizeof(uint32_t));
-  std::memcpy(Pred.ras(), Img.Ras.data(), Img.Ras.size() * sizeof(uint32_t));
-  Pred.rasTop() = Img.RasTop;
-
-  for (const Image::IbSite &S : Img.IbSites) {
-    Runtime::IbSiteProfile P;
-    P.Total = S.Total;
-    P.Other = S.Other;
-    for (unsigned K = 0; K != Runtime::IbSiteProfile::MaxTargets; ++K) {
-      P.Targets[K] = S.Targets[K];
-      P.Counts[K] = S.Counts[K];
-    }
-    RT.IbProfiles.emplace(S.SiteAppPc, P);
-  }
+  for (const FragmentEntry &E : Img.Entries)
+    RT.Table.slot(E.Tag) = E;
+  RT.ShadowBbs.insert(Img.Shadows.begin(), Img.Shadows.end());
+  M.predictors() = Img.Pred;
+  RT.IbProfiles.insert(Img.IbSites.begin(), Img.IbSites.end());
 
   // Speculation history: restored on the trusted (fork/unshare) path too —
   // a tenant that unshares must keep refusing tags its shared ancestry
@@ -1134,8 +975,7 @@ void CacheCodec::apply(Runtime &RT, Image &Img, size_t ImageBytes,
     uint32_t &Slot = RT.GuardFailCounts[Tag];
     Slot = std::max(Slot, Fails);
   }
-  for (uint32_t Tag : Img.Blacklist)
-    RT.TraceOptBlacklist.insert(Tag);
+  RT.TraceOptBlacklist.insert(Img.Blacklist.begin(), Img.Blacklist.end());
 
   if (Trusted)
     return; // clone restore: the fork engine owns the cursor (pending SMC
@@ -1147,8 +987,8 @@ void CacheCodec::apply(Runtime &RT, Image &Img, size_t ImageBytes,
   // fragment whose source was ever written.
   RT.CodeWriteCursor = M.codeWriteLog().size();
 
-  RT.S.CacheWarmHits += Img.Frags.size();
-  RT.obsEvent(TraceEventKind::PersistLoaded, uint32_t(Img.Frags.size()),
+  RT.S.CacheWarmHits += NumFrags;
+  RT.obsEvent(TraceEventKind::PersistLoaded, uint32_t(NumFrags),
               uint32_t(ImageBytes));
 }
 

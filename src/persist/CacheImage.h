@@ -107,9 +107,12 @@ public:
   static LoadStatus loadClone(Runtime &RT, const uint8_t *Data, size_t Size);
 
 private:
-  /// Host-side decoded image (CacheImage.cpp). parse() fully validates and
-  /// relocates into this; apply() then cannot fail.
+  /// Host-side decoded image (CacheImage.cpp): unregistered runtime
+  /// fragments and tables. parse() fully validates and relocates into
+  /// this; apply() then cannot fail.
   struct Image;
+  /// The per-record field walks save() and parse() share (CacheImage.cpp).
+  struct Walk;
   static bool quiescent(Runtime &RT);
   static uint64_t configHash(Runtime &RT);
   static LoadStatus parse(Runtime &RT, const uint8_t *Data, size_t Size,
