@@ -13,6 +13,7 @@
 #include "support/Compiler.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstring>
 
 using namespace rio;
@@ -99,7 +100,22 @@ bool isNumber(const std::string &S) {
   return std::isdigit(uint8_t(S[I])) != 0;
 }
 
-int64_t parseNumber(const std::string &S) { return std::strtoll(S.c_str(), nullptr, 0); }
+/// Parses all of \p S as an integer in [Lo, Hi]. False if \p S is
+/// malformed or its value is out of range (strtoll's clamp included).
+bool parseNumber(const std::string &S, int64_t &V, int64_t Lo = INT64_MIN,
+                 int64_t Hi = INT64_MAX) {
+  errno = 0;
+  char *End = nullptr;
+  V = std::strtoll(S.c_str(), &End, 0);
+  return errno == 0 && End == S.c_str() + S.size() && V >= Lo && V <= Hi;
+}
+
+/// A 32-bit word, signed or unsigned: data words, displacements, addends.
+constexpr int64_t WordMin = INT32_MIN, WordMax = UINT32_MAX;
+
+/// The largest image the assembler lays out (eight default application
+/// regions); bounds .space, .align and the total before any allocation.
+constexpr int64_t MaxImageBytes = 64 << 20;
 
 bool isFloatNumber(const std::string &S) {
   return isNumber(S) || S.find('.') != std::string::npos ||
@@ -141,56 +157,23 @@ struct Item {
   unsigned Size = 0;
 };
 
-struct MnemonicEntry {
-  const char *Name;
-  Opcode Op;
-  uint8_t MemSize; // default memory-operand access size
+/// Condition-code spellings the opcode table does not use.
+const std::pair<const char *, Opcode> Aliases[] = {
+    {"je", OP_jz},   {"jne", OP_jnz}, {"ja", OP_jnbe},
+    {"jae", OP_jnb}, {"jge", OP_jnl}, {"jg", OP_jnle},
 };
 
-const MnemonicEntry Mnemonics[] = {
-    {"mov", OP_mov, 4},       {"movb", OP_mov_b, 1},
-    {"movzxb", OP_movzx_b, 1}, {"movzxw", OP_movzx_w, 2},
-    {"movsxb", OP_movsx_b, 1}, {"movsxw", OP_movsx_w, 2},
-    {"lea", OP_lea, 4},       {"xchg", OP_xchg, 4},
-    {"push", OP_push, 4},     {"pop", OP_pop, 4},
-    {"add", OP_add, 4},       {"or", OP_or, 4},
-    {"adc", OP_adc, 4},       {"sbb", OP_sbb, 4},
-    {"and", OP_and, 4},       {"sub", OP_sub, 4},
-    {"xor", OP_xor, 4},       {"cmp", OP_cmp, 4},
-    {"inc", OP_inc, 4},       {"dec", OP_dec, 4},
-    {"neg", OP_neg, 4},       {"not", OP_not, 4},
-    {"test", OP_test, 4},     {"imul", OP_imul, 4},
-    {"mul", OP_mul, 4},       {"idiv", OP_idiv, 4},
-    {"cdq", OP_cdq, 4},       {"shl", OP_shl, 4},
-    {"shr", OP_shr, 4},       {"sar", OP_sar, 4},
-    {"jmp", OP_jmp, 4},       {"call", OP_call, 4},
-    {"ret", OP_ret, 4},       {"int", OP_int, 4},
-    {"hlt", OP_hlt, 4},       {"nop", OP_nop, 4},
-    {"jo", OP_jo, 4},         {"jno", OP_jno, 4},
-    {"jb", OP_jb, 4},         {"jnb", OP_jnb, 4},
-    {"jz", OP_jz, 4},         {"jnz", OP_jnz, 4},
-    {"je", OP_jz, 4},         {"jne", OP_jnz, 4},
-    {"jbe", OP_jbe, 4},       {"jnbe", OP_jnbe, 4},
-    {"ja", OP_jnbe, 4},       {"jae", OP_jnb, 4},
-    {"js", OP_js, 4},         {"jns", OP_jns, 4},
-    {"jp", OP_jp, 4},         {"jnp", OP_jnp, 4},
-    {"jl", OP_jl, 4},         {"jnl", OP_jnl, 4},
-    {"jge", OP_jnl, 4},       {"jle", OP_jle, 4},
-    {"jnle", OP_jnle, 4},     {"jg", OP_jnle, 4},
-    {"jecxz", OP_jecxz, 4},
-    {"movsd", OP_movsd, 8},   {"addsd", OP_addsd, 8},
-    {"subsd", OP_subsd, 8},   {"mulsd", OP_mulsd, 8},
-    {"divsd", OP_divsd, 8},   {"ucomisd", OP_ucomisd, 8},
-    {"cvtsi2sd", OP_cvtsi2sd, 4}, {"cvttsd2si", OP_cvttsd2si, 8},
-    {"clientcall", OP_clientcall, 4},
-    {"savef", OP_savef, 4},   {"restf", OP_restf, 4},
-};
-
-const MnemonicEntry *findMnemonic(const std::string &Name) {
-  for (const auto &M : Mnemonics)
-    if (Name == M.Name)
-      return &M;
-  return nullptr;
+/// The opcode \p Name spells: the first opcode-table entry of that name (so
+/// jmp, call and ret name their direct forms), else an alias; OP_INVALID if
+/// none.
+Opcode opcodeForMnemonic(const std::string &Name) {
+  for (unsigned Op = OP_INVALID + 1; Op != NUM_OPCODES; ++Op)
+    if (Name == opcodeName(Opcode(Op)))
+      return Opcode(Op);
+  for (const auto &[Alias, Op] : Aliases)
+    if (Name == Alias)
+      return Op;
+  return OP_INVALID;
 }
 
 //===----------------------------------------------------------------------===//
@@ -203,10 +186,11 @@ public:
 
 private:
   bool parseLine(const std::string &Line, unsigned LineNo);
-  bool parseOperand(const std::vector<Token> &Toks, size_t &I, uint8_t MemSize,
-                    POperand &Out);
+  bool parseOperand(const std::vector<Token> &Toks, size_t &I, POperand &Out);
   bool layoutAndEncode(Program &Out);
   bool resolveOperand(const POperand &P, uint8_t MemSize, Operand &Out);
+  bool encodeInstruction(const Item &It, bool Sizing, uint8_t *Buf,
+                         unsigned &Len);
 
   bool err(unsigned LineNo, const std::string &Msg) {
     ErrorText = "line " + std::to_string(LineNo) + ": " + Msg;
@@ -224,7 +208,7 @@ private:
 };
 
 bool Assembler::parseOperand(const std::vector<Token> &Toks, size_t &I,
-                             uint8_t MemSize, POperand &Out) {
+                             POperand &Out) {
   if (I >= Toks.size())
     return false;
   const std::string &T = Toks[I].Text;
@@ -248,17 +232,21 @@ bool Assembler::parseOperand(const std::vector<Token> &Toks, size_t &I,
       }
       Register R = registerFromName(P.c_str(), P.size());
       if (R != REG_NULL) {
-        // Register term; check for *scale.
-        uint8_t Scale = 1;
+        // Register term (a 32-bit address register); check for *scale.
+        if (!isGpr32(R))
+          return false;
+        int64_t Scale = 1;
         if (I + 2 < Toks.size() && Toks[I + 1].Text == "*") {
-          Scale = uint8_t(parseNumber(Toks[I + 2].Text));
+          if (!parseNumber(Toks[I + 2].Text, Scale, 1, 8) ||
+              (Scale & (Scale - 1)))
+            return false;
           I += 2;
         }
         if (Scale != 1) {
           if (Out.Index != REG_NULL)
             return false;
           Out.Index = R;
-          Out.Scale = Scale;
+          Out.Scale = uint8_t(Scale);
         } else if (Out.Base == REG_NULL) {
           Out.Base = R;
         } else if (Out.Index == REG_NULL) {
@@ -266,11 +254,15 @@ bool Assembler::parseOperand(const std::vector<Token> &Toks, size_t &I,
         } else {
           return false;
         }
+        if (Out.Index == REG_ESP)
+          return false; // esp cannot index
         ++I;
         continue;
       }
       if (isNumber(P)) {
-        int64_t V = parseNumber(P);
+        int64_t V;
+        if (!parseNumber(P, V, 0, WordMax))
+          return false;
         Out.Disp += Neg ? -V : V;
         ++I;
         continue;
@@ -281,10 +273,9 @@ bool Assembler::parseOperand(const std::vector<Token> &Toks, size_t &I,
       Out.DispSymbol = P;
       ++I;
     }
-    if (I >= Toks.size())
+    if (I >= Toks.size() || Out.Disp < WordMin || Out.Disp > WordMax)
       return false;
     ++I; // ']'
-    (void)MemSize;
     return true;
   }
 
@@ -300,15 +291,16 @@ bool Assembler::parseOperand(const std::vector<Token> &Toks, size_t &I,
   // Number (possibly negative via separate '-' token).
   if (T == "-" && I + 1 < Toks.size() && isNumber(Toks[I + 1].Text)) {
     Out.K = POperand::Imm;
-    Out.Value = -parseNumber(Toks[I + 1].Text);
+    if (!parseNumber(Toks[I + 1].Text, Out.Value))
+      return false;
+    Out.Value = -Out.Value;
     I += 2;
     return true;
   }
   if (isNumber(T)) {
     Out.K = POperand::Imm;
-    Out.Value = parseNumber(T);
     ++I;
-    return true;
+    return parseNumber(T, Out.Value);
   }
 
   // Symbol (label used as immediate / branch target), with an optional
@@ -319,7 +311,9 @@ bool Assembler::parseOperand(const std::vector<Token> &Toks, size_t &I,
   while (I + 1 < Toks.size() &&
          (Toks[I].Text == "+" || Toks[I].Text == "-") &&
          isNumber(Toks[I + 1].Text)) {
-    int64_t V = parseNumber(Toks[I + 1].Text);
+    int64_t V;
+    if (!parseNumber(Toks[I + 1].Text, V, 0, WordMax))
+      return false;
     Out.Value += Toks[I].Text == "+" ? V : -V;
     I += 2;
   }
@@ -336,7 +330,7 @@ bool Assembler::parseLine(const std::string &Line, unsigned LineNo) {
   // Leading labels ("name:").
   while (I + 1 < Toks.size() && Toks[I + 1].Text == ":") {
     const std::string &Name = Toks[I].Text;
-    if (findMnemonic(Name) || isNumber(Name))
+    if (opcodeForMnemonic(Name) != OP_INVALID || isNumber(Name))
       return err(LineNo, "bad label name '" + Name + "'");
     if (LabelToItem.count(Name))
       return err(LineNo, "duplicate label '" + Name + "'");
@@ -351,10 +345,11 @@ bool Assembler::parseLine(const std::string &Line, unsigned LineNo) {
   // Directives.
   if (Head[0] == '.') {
     ++I;
+    int64_t V;
     if (Head == ".org") {
-      if (I >= Toks.size() || !isNumber(Toks[I].Text))
+      if (I >= Toks.size() || !parseNumber(Toks[I].Text, V, 0, UINT32_MAX))
         return err(LineNo, ".org needs an address");
-      OrgAddr = AppPc(parseNumber(Toks[I].Text));
+      OrgAddr = AppPc(V);
       return true;
     }
     if (Head == ".entry") {
@@ -366,26 +361,27 @@ bool Assembler::parseLine(const std::string &Line, unsigned LineNo) {
     Item It;
     It.LineNo = LineNo;
     if (Head == ".align") {
-      if (I >= Toks.size() || !isNumber(Toks[I].Text))
+      if (I >= Toks.size() || !parseNumber(Toks[I].Text, V, 1, MaxImageBytes) ||
+          (V & (V - 1)))
         return err(LineNo, ".align needs a power of two");
       It.K = Item::Align;
-      It.AlignTo = unsigned(parseNumber(Toks[I].Text));
-      if (It.AlignTo == 0 || (It.AlignTo & (It.AlignTo - 1)))
-        return err(LineNo, ".align needs a power of two");
+      It.AlignTo = unsigned(V);
       Items.push_back(std::move(It));
       return true;
     }
     It.K = Item::Data;
     if (Head == ".byte") {
       for (; I < Toks.size(); ++I) {
-        if (!isNumber(Toks[I].Text))
-          return err(LineNo, ".byte needs numbers");
-        It.DataBytes.push_back(uint8_t(parseNumber(Toks[I].Text)));
+        if (!parseNumber(Toks[I].Text, V, 0, UINT8_MAX))
+          return err(LineNo, ".byte needs numbers 0-255");
+        It.DataBytes.push_back(uint8_t(V));
       }
     } else if (Head == ".word" || Head == ".long") {
       for (; I < Toks.size(); ++I) {
         if (isNumber(Toks[I].Text)) {
-          It.WordValues.push_back(parseNumber(Toks[I].Text));
+          if (!parseNumber(Toks[I].Text, V, 0, WordMax))
+            return err(LineNo, Head + " value out of range");
+          It.WordValues.push_back(V);
           It.WordIsSymbol.push_back(false);
           It.WordSymbols.emplace_back();
         } else {
@@ -404,9 +400,10 @@ bool Assembler::parseLine(const std::string &Line, unsigned LineNo) {
         It.DataBytes.insert(It.DataBytes.end(), Buf, Buf + 8);
       }
     } else if (Head == ".space") {
-      if (I >= Toks.size() || !isNumber(Toks[I].Text))
-        return err(LineNo, ".space needs a size");
-      It.DataBytes.assign(size_t(parseNumber(Toks[I].Text)), 0);
+      if (I >= Toks.size() || !parseNumber(Toks[I].Text, V, 0, MaxImageBytes))
+        return err(LineNo, ".space needs a size up to " +
+                               std::to_string(MaxImageBytes));
+      It.DataBytes.assign(size_t(V), 0);
     } else if (Head == ".ascii" || Head == ".asciz") {
       if (I >= Toks.size() || Toks[I].Text[0] != '"')
         return err(LineNo, Head + " needs a string");
@@ -422,16 +419,15 @@ bool Assembler::parseLine(const std::string &Line, unsigned LineNo) {
   }
 
   // Instruction.
-  const MnemonicEntry *M = findMnemonic(Head);
-  if (!M)
-    return err(LineNo, "unknown mnemonic '" + Head + "'");
-  ++I;
   Item It;
   It.LineNo = LineNo;
-  It.Op = M->Op;
+  It.Op = opcodeForMnemonic(Head);
+  if (It.Op == OP_INVALID)
+    return err(LineNo, "unknown mnemonic '" + Head + "'");
+  ++I;
   while (I < Toks.size()) {
     POperand P;
-    if (!parseOperand(Toks, I, M->MemSize, P))
+    if (!parseOperand(Toks, I, P))
       return err(LineNo, "bad operand");
     It.Ops.push_back(P);
   }
@@ -483,13 +479,54 @@ bool Assembler::resolveOperand(const POperand &P, uint8_t MemSize,
   return false;
 }
 
+/// Encodes instruction item \p It at its address into \p Buf, setting
+/// \p Len. In the sizing pass, symbols not yet bound take a far placeholder
+/// that forces the wide forms (except for the rel8-only jecxz, which must
+/// assume a nearby target).
+bool Assembler::encodeInstruction(const Item &It, bool Sizing, uint8_t *Buf,
+                                  unsigned &Len) {
+  uint8_t MemSize = operandRow(It.Op).MemSize;
+  Operand Ex[MaxExplicit];
+  unsigned NumEx = 0;
+  for (const auto &P : It.Ops) {
+    if (NumEx >= MaxExplicit)
+      return err(It.LineNo, "too many operands");
+    Operand O;
+    if (Sizing && P.K == POperand::Sym && !Symbols.count(P.Symbol))
+      O = Operand::imm(It.Op == OP_jecxz ? int64_t(It.Addr) : 0x7FFF0000, 4);
+    else if (Sizing && P.K == POperand::Mem && !P.DispSymbol.empty() &&
+             !Symbols.count(P.DispSymbol))
+      O = Operand::mem(P.Base, 0x7FFF0000, MemSize, P.Index, P.Scale);
+    else if (!resolveOperand(P, MemSize, O))
+      return err(It.LineNo, "undefined symbol in operand");
+    Ex[NumEx++] = O;
+  }
+  // Direct branches take a pc operand.
+  if ((It.Op == OP_jmp || It.Op == OP_call || opcodeIsCondBranch(It.Op)) &&
+      NumEx == 1 && Ex[0].isImm())
+    Ex[0] = Operand::pc(AppPc(Ex[0].getImm()));
+  Operand Srcs[MaxSrcs], Dsts[MaxDsts];
+  unsigned NumSrcs = 0, NumDsts = 0;
+  if (!buildCanonicalOperands(It.Op, Ex, NumEx, Srcs, NumSrcs, Dsts, NumDsts))
+    return err(It.LineNo, "operands do not fit instruction");
+  EncodeOptions Opts;
+  Opts.AllowShortBranches = false;
+  int N =
+      encodeInstr(It.Op, 0, Srcs, NumSrcs, Dsts, NumDsts, It.Addr, Buf, Opts);
+  if (N < 0)
+    return err(It.LineNo, "no encoding for operand combination");
+  Len = unsigned(N);
+  return true;
+}
+
 bool Assembler::layoutAndEncode(Program &Out) {
   // Pass 1: sizes with placeholder symbol values that force wide forms.
   // Labels all resolve to >= 0x1000, so no imm/rel form can shrink later.
   // Layout is therefore exact after one pass.
-  AppPc Addr = OrgAddr;
+  uint64_t Addr = OrgAddr;
+  uint8_t Buf[MaxInstrLength];
   for (auto &It : Items) {
-    It.Addr = Addr;
+    It.Addr = AppPc(Addr);
     switch (It.K) {
     case Item::Align:
       It.Size = unsigned((It.AlignTo - (Addr % It.AlignTo)) % It.AlignTo);
@@ -497,61 +534,24 @@ bool Assembler::layoutAndEncode(Program &Out) {
     case Item::Data:
       It.Size = unsigned(It.DataBytes.size() + 4 * It.WordValues.size());
       break;
-    case Item::Instruction: {
-      // Build operands with placeholder symbols resolved to a far dummy.
-      uint8_t MemSize = 4;
-      for (const auto &M : Mnemonics)
-        if (M.Op == It.Op) {
-          MemSize = M.MemSize;
-          break;
-        }
-      Operand Ex[MaxExplicit];
-      unsigned NumEx = 0;
-      for (const auto &P : It.Ops) {
-        if (NumEx >= MaxExplicit)
-          return err(It.LineNo, "too many operands");
-        Operand O;
-        // Temporarily bind unresolved symbols far away (except for the
-        // rel8-only jecxz, which must assume a nearby target).
-        if (P.K == POperand::Sym && !Symbols.count(P.Symbol))
-          O = Operand::imm(It.Op == OP_jecxz ? int64_t(Addr) : 0x7FFF0000, 4);
-        else if (P.K == POperand::Mem && !P.DispSymbol.empty() &&
-                 !Symbols.count(P.DispSymbol))
-          O = Operand::mem(P.Base, 0x7FFF0000, MemSize, P.Index, P.Scale);
-        else if (!resolveOperand(P, MemSize, O))
-          return err(It.LineNo, "undefined symbol in operand");
-        Ex[NumEx++] = O;
-      }
-      // Direct branches take a pc operand.
-      if ((It.Op == OP_jmp || It.Op == OP_call || opcodeIsCondBranch(It.Op)) &&
-          NumEx == 1 && Ex[0].isImm())
-        Ex[0] = Operand::pc(AppPc(Ex[0].getImm()));
-      Operand Srcs[MaxSrcs], Dsts[MaxDsts];
-      unsigned NumSrcs = 0, NumDsts = 0;
-      if (!buildCanonicalOperands(It.Op, Ex, NumEx, Srcs, NumSrcs, Dsts,
-                                  NumDsts))
-        return err(It.LineNo, "operands do not fit instruction");
-      uint8_t Buf[MaxInstrLength];
-      EncodeOptions Opts;
-      Opts.AllowShortBranches = false;
-      int Len = encodeInstr(It.Op, 0, Srcs, NumSrcs, Dsts, NumDsts, Addr, Buf,
-                            Opts);
-      if (Len < 0)
-        return err(It.LineNo, "no encoding for operand combination");
-      It.Size = unsigned(Len);
+    case Item::Instruction:
+      if (!encodeInstruction(It, /*Sizing=*/true, Buf, It.Size))
+        return false;
       break;
     }
-    }
     Addr += It.Size;
+    if (Addr - OrgAddr > uint64_t(MaxImageBytes) || Addr > UINT32_MAX)
+      return err(It.LineNo, "image exceeds " + std::to_string(MaxImageBytes) +
+                                " bytes or the address space");
   }
 
   // Bind labels now that every item has an address.
   for (const auto &[Name, ItemIdx] : LabelToItem)
-    Symbols[Name] = ItemIdx < Items.size() ? Items[ItemIdx].Addr : Addr;
+    Symbols[Name] = ItemIdx < Items.size() ? Items[ItemIdx].Addr : AppPc(Addr);
 
   // Pass 2: encode with real symbol values.
   Out.LoadAddr = OrgAddr;
-  Out.Bytes.assign(Addr - OrgAddr, 0);
+  Out.Bytes.assign(size_t(Addr - OrgAddr), 0);
   for (auto &It : Items) {
     uint8_t *Dst = Out.Bytes.data() + (It.Addr - OrgAddr);
     switch (It.K) {
@@ -577,38 +577,14 @@ bool Assembler::layoutAndEncode(Program &Out) {
       break;
     }
     case Item::Instruction: {
-      uint8_t MemSize = 4;
-      for (const auto &M : Mnemonics)
-        if (M.Op == It.Op) {
-          MemSize = M.MemSize;
-          break;
-        }
-      Operand Ex[MaxExplicit];
-      unsigned NumEx = 0;
-      for (const auto &P : It.Ops) {
-        Operand O;
-        if (!resolveOperand(P, MemSize, O))
-          return err(It.LineNo, "undefined symbol in operand");
-        Ex[NumEx++] = O;
-      }
-      if ((It.Op == OP_jmp || It.Op == OP_call || opcodeIsCondBranch(It.Op)) &&
-          NumEx == 1 && Ex[0].isImm())
-        Ex[0] = Operand::pc(AppPc(Ex[0].getImm()));
-      Operand Srcs[MaxSrcs], Dsts[MaxDsts];
-      unsigned NumSrcs = 0, NumDsts = 0;
-      if (!buildCanonicalOperands(It.Op, Ex, NumEx, Srcs, NumSrcs, Dsts,
-                                  NumDsts))
-        return err(It.LineNo, "operands do not fit instruction");
-      uint8_t Buf[MaxInstrLength];
-      EncodeOptions Opts;
-      Opts.AllowShortBranches = false;
-      int Len = encodeInstr(It.Op, 0, Srcs, NumSrcs, Dsts, NumDsts, It.Addr,
-                            Buf, Opts);
-      if (Len < 0 || unsigned(Len) > It.Size)
+      unsigned Len;
+      if (!encodeInstruction(It, /*Sizing=*/false, Buf, Len))
+        return false;
+      if (Len > It.Size)
         return err(It.LineNo, "encoding changed size between passes");
-      std::memcpy(Dst, Buf, size_t(Len));
+      std::memcpy(Dst, Buf, Len);
       // Shrunk encodings (symbol landed in imm8 range) get nop padding.
-      std::memset(Dst + Len, 0x90, It.Size - unsigned(Len));
+      std::memset(Dst + Len, 0x90, It.Size - Len);
       break;
     }
     }

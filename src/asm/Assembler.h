@@ -31,8 +31,11 @@
 ///     int   0x80
 /// \endcode
 ///
-/// Memory operand sizes come from the mnemonic (mov=4, movb=1, movzxw=2,
-/// movsd=8), so no "dword ptr" annotations are needed.
+/// Memory operand sizes come from the mnemonic's operand row in
+/// isa/OperandLayout.cpp (mov=4, movb=1, movzxw=2, movsd=8), so no
+/// "dword ptr" annotations are needed. Numbers, data values, displacements
+/// and the image size are range-checked: a value that does not fit is an
+/// error, never truncated.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -204,23 +204,7 @@ bool Runtime::ibRewriteSite(Fragment *Owner, unsigned ExitIdx,
 
   // Materialize the target into [T] (and ecx).
   add(Instr::createSynth(A, OP_mov, {X, Ecx}));
-  switch (Op) {
-  case OP_ret:
-  case OP_ret_imm: {
-    add(Instr::createSynth(A, OP_mov, {Ecx, Operand::mem(REG_ESP, 0, 4)}));
-    int32_t Pop = 4;
-    if (Op == OP_ret_imm)
-      Pop += int32_t(SiteI->getSrc(0).getImm());
-    add(Instr::createSynth(
-        A, OP_lea, {Operand::reg(REG_ESP), Operand::mem(REG_ESP, Pop, 4)}));
-    break;
-  }
-  case OP_jmp_ind:
-    add(Instr::createSynth(A, OP_mov, {Ecx, SiteI->getSrc(0)}));
-    break;
-  default:
-    RIO_UNREACHABLE("filtered above");
-  }
+  loadIndirectTarget(A, *SiteI, add);
   add(Instr::createSynth(A, OP_mov, {T, Ecx}));
   add(Instr::createSynth(A, OP_mov, {Ecx, X}));
 

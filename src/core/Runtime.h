@@ -559,6 +559,11 @@ private:
                             unsigned &NumInstrs);
   void inlineIndirectCheck(InstrList &IL, Instr *IndirectCti, AppPc NextTag,
                            InstrList &MissCode);
+  /// Passes to \p Add the instructions that load the target of indirect
+  /// CTI \p Cti into ecx: `mov ecx, [esp]` and a popping `lea esp` for
+  /// ret and ret imm, `mov ecx, rm` for jmp* and call*.
+  static void loadIndirectTarget(Arena &A, Instr &Cti,
+                                 const std::function<void(Instr *)> &Add);
 
   Machine &M;
   RuntimeConfig Config;

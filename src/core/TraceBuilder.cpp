@@ -277,11 +277,33 @@ InstrList *Runtime::buildTraceList(const std::vector<AppPc> &Blocks,
   return IL;
 }
 
+void Runtime::loadIndirectTarget(Arena &A, Instr &Cti,
+                                 const std::function<void(Instr *)> &Add) {
+  Operand Ecx = Operand::reg(REG_ECX);
+  switch (Opcode Op = Cti.getOpcode()) {
+  case OP_ret:
+  case OP_ret_imm: {
+    Add(Instr::createSynth(A, OP_mov, {Ecx, Operand::mem(REG_ESP, 0, 4)}));
+    int32_t Pop = 4;
+    if (Op == OP_ret_imm)
+      Pop += int32_t(Cti.getSrc(0).getImm());
+    Add(Instr::createSynth(
+        A, OP_lea, {Operand::reg(REG_ESP), Operand::mem(REG_ESP, Pop, 4)}));
+    break;
+  }
+  case OP_jmp_ind:
+  case OP_call_ind:
+    Add(Instr::createSynth(A, OP_mov, {Ecx, Cti.getSrc(0)}));
+    break;
+  default:
+    RIO_UNREACHABLE("not an indirect CTI");
+  }
+}
+
 void Runtime::inlineIndirectCheck(InstrList &IL, Instr *IndirectCti,
                                   AppPc NextTag, InstrList &MissCode) {
   (void)MissCode; // miss code is inline (jecxz is rel8-only)
   Arena &A = IL.arena();
-  Opcode Op = IndirectCti->getOpcode();
 
   // The check must not touch eflags: the branch may leave the trace to an
   // unknown continuation where flags are live. Like DynamoRIO, we build
@@ -313,30 +335,12 @@ void Runtime::inlineIndirectCheck(InstrList &IL, Instr *IndirectCti,
   };
 
   add(Instr::createSynth(A, OP_mov, {Spill, Ecx}));
-  switch (Op) {
-  case OP_ret:
-  case OP_ret_imm: {
-    add(Instr::createSynth(A, OP_mov, {Ecx, Operand::mem(REG_ESP, 0, 4)}));
-    int32_t Pop = 4;
-    if (Op == OP_ret_imm)
-      Pop += int32_t(IndirectCti->getSrc(0).getImm());
-    add(Instr::createSynth(
-        A, OP_lea, {Operand::reg(REG_ESP), Operand::mem(REG_ESP, Pop, 4)}));
-    break;
-  }
-  case OP_jmp_ind:
-    add(Instr::createSynth(A, OP_mov, {Ecx, IndirectCti->getSrc(0)}));
-    break;
-  case OP_call_ind: {
-    // Compute the target before pushing (hardware operand order; the
-    // operand may address through esp).
-    add(Instr::createSynth(A, OP_mov, {Ecx, IndirectCti->getSrc(0)}));
+  loadIndirectTarget(A, *IndirectCti, add);
+  if (IndirectCti->getOpcode() == OP_call_ind) {
+    // Push after computing the target (hardware operand order; the operand
+    // may address through esp).
     AppPc Ret = IndirectCti->appAddr() + IndirectCti->rawLength();
     add(Instr::createSynth(A, OP_push, {Operand::imm(int64_t(Ret), 4)}));
-    break;
-  }
-  default:
-    RIO_UNREACHABLE("not an indirect CTI");
   }
 
   add(Instr::createSynth(A, OP_lea, {Ecx, EcxMem}));

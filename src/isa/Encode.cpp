@@ -16,6 +16,12 @@ namespace {
 
 bool fitsInt8(int64_t Value) { return Value >= -128 && Value <= 127; }
 
+/// True if \p Value fits an n-bit immediate slot read either signed or
+/// unsigned: [-2^(n-1), 2^n - 1].
+bool fitsBits(int64_t Value, unsigned Bits) {
+  return Value >= -(int64_t(1) << (Bits - 1)) && Value < int64_t(1) << Bits;
+}
+
 /// Byte emitter with a fixed-size output buffer.
 class Emitter {
 public:
@@ -113,9 +119,9 @@ void emitModRm(Emitter &E, uint8_t RegField, const Operand &Rm) {
 
 constexpr uint64_t bit(Slot S) { return slotBit(S, 0); }
 
-/// The set of slots operand \p O fits, as a mask of bit(Slot). Branch
-/// targets fit both rel slots here; a rel8 range is checked as the row is
-/// emitted.
+/// The set of slots operand \p O fits, as a mask of bit(Slot). An
+/// immediate fits the slots wide enough to hold it. Branch targets fit both
+/// rel slots here; a rel8 range is checked as the row is emitted.
 uint64_t slotsFitting(const Operand &O) {
   if (O.isReg()) {
     Register R = O.getReg();
@@ -133,11 +139,13 @@ uint64_t slotsFitting(const Operand &O) {
            (Size == 4 ? bit(Slot::Rm32) : 0) |
            (Size == 8 ? bit(Slot::Xm64) : 0);
   }
-  if (O.isImm())
-    return bit(Slot::Imm8) | bit(Slot::ImmU8) | bit(Slot::ImmU16) |
-           bit(Slot::Imm32) | bit(Slot::ImmU32) |
-           (fitsInt8(O.getImm()) ? bit(Slot::ImmS8) : 0) |
-           (O.getImm() == 1 ? bit(Slot::One) : 0);
+  if (O.isImm()) {
+    int64_t V = O.getImm();
+    return (fitsBits(V, 8) ? bit(Slot::Imm8) | bit(Slot::ImmU8) : 0) |
+           (fitsBits(V, 16) ? bit(Slot::ImmU16) : 0) |
+           (fitsBits(V, 32) ? bit(Slot::Imm32) | bit(Slot::ImmU32) : 0) |
+           (fitsInt8(V) ? bit(Slot::ImmS8) : 0) | (V == 1 ? bit(Slot::One) : 0);
+  }
   return O.isPc() ? bit(Slot::Rel8) | bit(Slot::Rel32) : 0;
 }
 

@@ -59,97 +59,6 @@ void Machine::fault(const std::string &Reason) {
 
 namespace {
 
-/// How the interpreter accesses one operand slot of an opcode.
-enum class Use : uint8_t {
-  None,     ///< not accessed through the operand (or implicit)
-  Read32,   ///< 32-bit read: gpr32, gpr8 (zero-extended), imm, pc, mem
-  Write32,  ///< 32-bit write: gpr32, mem
-  Read8,    ///< byte read: gpr8, imm, mem
-  Write8,   ///< byte write: gpr8, mem
-  ReadF64,  ///< double read: xmm, mem
-  WriteF64, ///< double write: xmm, mem
-  Addr,     ///< address computation only: mem
-  Target,   ///< direct branch target: pc
-  Imm       ///< immediate: imm
-};
-
-/// Operand uses of Srcs[0], Srcs[1], Dsts[0], Dsts[1] for each opcode:
-/// the accesses Machine::execute makes (isa/OperandLayout.h has the full
-/// canonical layouts, implicit operands included).
-struct Uses {
-  Use S0 = Use::None, S1 = Use::None, D0 = Use::None, D1 = Use::None;
-};
-
-Uses usesOf(Opcode Op) {
-  switch (Op) {
-  case OP_mov:
-  case OP_inc:
-  case OP_dec:
-  case OP_neg:
-  case OP_not:
-    return {Use::Read32, Use::None, Use::Write32};
-  case OP_mov_b:
-    return {Use::Read8, Use::None, Use::Write8};
-  case OP_movzx_b:
-  case OP_movsx_b:
-    return {Use::Read8, Use::None, Use::Write32};
-  case OP_movzx_w:
-  case OP_movsx_w:
-  case OP_lea:
-    return {Use::Addr, Use::None, Use::Write32};
-  case OP_xchg:
-    return {Use::Read32, Use::Read32, Use::Write32, Use::Write32};
-  case OP_push:
-  case OP_mul:
-  case OP_idiv:
-  case OP_jmp_ind:
-  case OP_call_ind:
-    return {Use::Read32};
-  case OP_pop:
-    return {Use::None, Use::None, Use::Write32};
-  case OP_add:
-  case OP_adc:
-  case OP_sub:
-  case OP_sbb:
-  case OP_and:
-  case OP_or:
-  case OP_xor:
-  case OP_imul:
-  case OP_shl:
-  case OP_shr:
-  case OP_sar:
-    return {Use::Read32, Use::Read32, Use::Write32};
-  case OP_cmp:
-  case OP_test:
-    return {Use::Read32, Use::Read32};
-  case OP_movsd:
-    return {Use::ReadF64, Use::None, Use::WriteF64};
-  case OP_addsd:
-  case OP_subsd:
-  case OP_mulsd:
-  case OP_divsd:
-    return {Use::ReadF64, Use::ReadF64, Use::WriteF64};
-  case OP_ucomisd:
-    return {Use::ReadF64, Use::ReadF64};
-  case OP_cvtsi2sd:
-    return {Use::Read32, Use::None, Use::WriteF64};
-  case OP_cvttsd2si:
-    return {Use::ReadF64, Use::None, Use::Write32};
-  case OP_ret_imm:
-  case OP_clientcall:
-    return {Use::Imm};
-  case OP_savef:
-    return {Use::None, Use::None, Use::Addr};
-  case OP_restf:
-    return {Use::Addr};
-  default:
-    if (Op == OP_jmp || Op == OP_call || Op == OP_jecxz ||
-        (Op >= OP_jo && Op <= OP_jnle))
-      return {Use::Target};
-    return {};
-  }
-}
-
 /// True if \p Op may be accessed as \p U: the register-class, operand-kind
 /// and address-register invariants the interpreter relies on. A null
 /// operand is accepted wherever the old per-access paths failed softly
@@ -382,11 +291,12 @@ unsigned formOf(const PredecodedInstr &R) {
 /// Builds the record the interpreter runs from \p DI, asserting once the
 /// operand invariants every execution of it relies on.
 void predecode(const DecodedInstr &DI, unsigned Cost, PredecodedInstr &R) {
-  const Uses U = usesOf(DI.Op);
-  assert(usable(DI.Srcs[0], U.S0) && usable(DI.Srcs[1], U.S1) &&
-         usable(DI.Dsts[0], U.D0) && usable(DI.Dsts[1], U.D1) &&
+#ifndef NDEBUG
+  const Use *U = operandRow(DI.Op).Uses;
+  assert(usable(DI.Srcs[0], U[0]) && usable(DI.Srcs[1], U[1]) &&
+         usable(DI.Dsts[0], U[2]) && usable(DI.Dsts[1], U[3]) &&
          "operand does not fit its opcode's use");
-  (void)U;
+#endif
   R.Op = DI.Op;
   R.Length = DI.Length;
   R.Stop = false;

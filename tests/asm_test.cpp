@@ -129,6 +129,53 @@ TEST(Assembler, JecxzAssembles) {
   EXPECT_EQ(R.ExitCode, 1);
 }
 
+/// Hostile lines — a bad address register or scale, a value wider than its
+/// field, an image too large to allocate — are assembly errors reported on
+/// their own line: never a host abort, never a truncated value.
+TEST(Assembler, HostileLinesAreRejected) {
+  const char *Lines[] = {
+      "movb bl, 300",
+      "mov ebx, 0x1FFFFFFFF",
+      "add ebx, 0x100000000",
+      "ret 0x10000",
+      "mov eax, [eax*3]",
+      "mov eax, [esp*2]",
+      "mov eax, [eax+esp]",
+      "mov eax, [xmm0]",
+      "mov eax, [al]",
+      "mov eax, [eax+0x1FFFFFFFF]",
+      "mov eax, [eax*99999999999999999999]",
+      ".space 99999999999",
+      ".align 0x100000002",
+      ".org 0x100000000",
+      ".byte 300",
+      ".word 0x1FFFFFFFF",
+      "mov eax, 99999999999999999999999",
+      "mov eax, 12abc",
+  };
+  for (const char *Line : Lines) {
+    Program P;
+    std::string Error;
+    EXPECT_FALSE(assemble(std::string("main:\n  ") + Line + "\n  hlt\n", P,
+                          Error))
+        << Line;
+    EXPECT_NE(Error.find("line 2"), std::string::npos) << Line << ": " << Error;
+  }
+  // Images past the size bound or the 32-bit address space are refused
+  // before the image is allocated.
+  const char *Layouts[] = {
+      "main:\n  hlt\n  .align 0x2000000\n  .byte 1\n  .align 0x2000000\n"
+      "  .byte 1\n  .align 0x2000000\n",
+      "main:\n  hlt\n  .org 0xFFFFF000\n  .byte 1\n  .space 0x2000\n  hlt\n",
+  };
+  for (const char *Source : Layouts) {
+    Program P;
+    std::string Error;
+    EXPECT_FALSE(assemble(Source, P, Error)) << Source;
+    EXPECT_NE(Error.find("exceeds"), std::string::npos) << Error;
+  }
+}
+
 TEST(Disasm, RoundTripsAProgram) {
   Program P = assembleOrDie(R"(
     main:
