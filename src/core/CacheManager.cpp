@@ -86,6 +86,8 @@ uint32_t CacheManager::allocateEvicting(
     Fragment::Kind Kind, uint32_t Size, const std::vector<uint32_t> &GuardPcs,
     const std::function<void(Fragment *)> &Evict) {
   Cache &C = cacheFor(Kind);
+  if (((Size + 3u) & ~3u) > capacity(Kind))
+    return 0; // no eviction can make room for it
   for (;;) {
     if (uint32_t Addr = allocate(Kind, Size, GuardPcs))
       return Addr;
@@ -272,18 +274,6 @@ uint32_t CacheManager::totalUsedBytes() const {
 
 uint32_t CacheManager::peakBytes(Fragment::Kind Kind) const {
   return cacheFor(Kind).Peak;
-}
-
-uint32_t CacheManager::largestFreeGap(Fragment::Kind Kind) const {
-  const Cache &C = cacheFor(Kind);
-  uint32_t Best = 0;
-  for (const auto &Gap : C.FreeGaps)
-    Best = std::max(Best, Gap.second);
-  // Pending slots become allocatable at the next reclaim; count the largest
-  // one too so "is there headroom" checks don't flush needlessly.
-  for (const auto &Slot : C.Pending)
-    Best = std::max(Best, Slot.Size);
-  return Best;
 }
 
 uint32_t CacheManager::liveFragments(Fragment::Kind Kind) const {

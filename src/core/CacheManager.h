@@ -53,7 +53,7 @@ class EventTrace;
 class CacheManager {
 public:
   /// \p WatchWrites: register fragment app ranges with the machine's write
-  /// monitor (cache consistency; RuntimeConfig::MonitorCodeWrites).
+  /// monitor (cache consistency; the runtime passes true in Cache mode).
   CacheManager(Machine &M, StatisticSet &Stats, bool WatchWrites = true);
 
   CacheManager(const CacheManager &) = delete;
@@ -78,7 +78,7 @@ public:
 
   /// First-fit allocation of \p Size bytes (4-byte aligned) from the free
   /// list, draining reclaimable retired slots first. Returns 0 when no gap
-  /// fits — the caller evicts (allocateEvicting) or flushes. \p GuardPcs
+  /// fits — the caller then evicts (allocateEvicting). \p GuardPcs
   /// are cache pcs execution may still re-enter (suspended threads, a
   /// clean-calling fragment); slots containing one stay unreclaimed.
   uint32_t allocate(Fragment::Kind Kind, uint32_t Size,
@@ -87,7 +87,8 @@ public:
   /// Like allocate(), but when space runs out evicts live fragments in
   /// FIFO order — \p Evict must fully delete the victim (unlink incoming
   /// and outgoing, drop lookup entries, notify the client) and end with
-  /// retireFragment(). Returns 0 only if the cache cannot hold \p Size
+  /// retireFragment(). Returns 0 — evicting nothing — when \p Size exceeds
+  /// the cache's capacity, and otherwise only if the cache cannot hold it
   /// even after evicting everything evictable.
   uint32_t allocateEvicting(Fragment::Kind Kind, uint32_t Size,
                             const std::vector<uint32_t> &GuardPcs,
@@ -151,8 +152,6 @@ public:
   uint32_t totalUsedBytes() const;
   /// Peak of usedBytes over the cache's lifetime.
   uint32_t peakBytes(Fragment::Kind Kind) const;
-  /// Largest single free gap — what the next allocation can actually get.
-  uint32_t largestFreeGap(Fragment::Kind Kind) const;
   uint32_t liveFragments(Fragment::Kind Kind) const;
   /// Bytes sitting in retired slots not yet reclaimed (deferred deletion)
   /// — telemetry for the metrics registry.

@@ -33,27 +33,22 @@ uint32_t Runtime::allocCache(unsigned Size, Fragment::Kind Kind) {
   const std::vector<uint32_t> &Guards = collectGuardPcs();
   uint32_t Addr = CM.allocate(Kind, Size, Guards);
   if (!Addr) {
-    if (Config.Eviction == EvictionPolicy::Fifo) {
-      // Incremental capacity management: make room by evicting the oldest
-      // fragments of this cache (paper Section 6's alternative to flushing
-      // the entire cache). Evicted trace heads stay marked so a re-arrival
-      // re-promotes without recounting from zero.
-      Addr = CM.allocateEvicting(Kind, Size, Guards, [this](Fragment *Victim) {
-        ++S.CacheEvictions;
-        S.CacheEvictedBytes += Victim->CodeSize + Victim->StubsSize;
-        obsEvent(TraceEventKind::CacheEvicted, Victim->Tag,
-                 Victim->CodeSize + Victim->StubsSize);
-        if (Prof)
-          Prof->EvictionAges.add(M.cycles() - Victim->BirthCycles);
-        if (Victim->isTrace())
-          Table.slot(Victim->Tag).Marked = true;
-        chargeRuntime(M.cost().FragmentEvictCost);
-        deleteFragment(Victim);
-      });
-    } else {
-      flushCache(Kind);
-      Addr = CM.allocate(Kind, Size, collectGuardPcs());
-    }
+    // Incremental capacity management: make room by evicting the oldest
+    // fragments of this cache (paper Section 6's alternative to flushing
+    // the entire cache). Evicted trace heads stay marked so a re-arrival
+    // re-promotes without recounting from zero.
+    Addr = CM.allocateEvicting(Kind, Size, Guards, [this](Fragment *Victim) {
+      ++S.CacheEvictions;
+      S.CacheEvictedBytes += Victim->CodeSize + Victim->StubsSize;
+      obsEvent(TraceEventKind::CacheEvicted, Victim->Tag,
+               Victim->CodeSize + Victim->StubsSize);
+      if (Prof)
+        Prof->EvictionAges.add(M.cycles() - Victim->BirthCycles);
+      if (Victim->isTrace())
+        Table.slot(Victim->Tag).Marked = true;
+      chargeRuntime(M.cost().FragmentEvictCost);
+      deleteFragment(Victim);
+    });
   }
   if (!Addr) {
     M.fault("code cache exhausted");
@@ -494,7 +489,6 @@ Fragment *Runtime::emitFragment(AppPc Tag, InstrList &IL, Fragment::Kind Kind,
 
 Fragment *Runtime::buildBasicBlock(AppPc Tag, bool Shadow) {
   ensureUnshared(); // block building emits into the cache
-  maybeFlushForSpace(Fragment::Kind::BasicBlock);
   BlockScan Scan;
   uint32_t AppSize = M.runtimeBase();
   if (!scanBlock(M.mem(), AppSize, Tag, Config.MaxBlockInstrs, Scan)) {
@@ -652,43 +646,24 @@ void Runtime::linkNewFragment(Fragment *Frag) {
 
 void Runtime::flushCaches() {
   ensureUnshared();
-  flushCache(Fragment::Kind::BasicBlock);
-  flushCache(Fragment::Kind::Trace);
-  ++S.CacheFlushes;
-}
-
-void Runtime::flushCache(Fragment::Kind Kind) {
   if (inTraceGen())
     abortTrace();
-  // Delete every live fragment of this cache: dissolve links, notify the
-  // client, drop the lookup entries, and hand the space back. The old
-  // bytes stay in place until their slots are reclaimed at a later
-  // allocation, so execution still suspended inside flushed code remains
-  // well-defined: stale exits resolve through their (persistent) exit
-  // records and fall back to the dispatcher, and the manager never
-  // reclaims a slot the unsafe pc still points into.
+  // Delete every live fragment: dissolve links, notify the client, drop
+  // the lookup entries, and hand the space back. The old bytes stay in
+  // place until their slots are reclaimed at a later allocation, so
+  // execution still suspended inside flushed code remains well-defined:
+  // stale exits resolve through their (persistent) exit records and fall
+  // back to the dispatcher, and the manager never reclaims a slot a guard
+  // pc still points into.
   std::vector<Fragment *> Victims;
   for (const auto &Frag : Fragments)
-    if (!Frag->Doomed && Frag->FragKind == Kind)
+    if (!Frag->Doomed)
       Victims.push_back(Frag.get());
   for (Fragment *Victim : Victims)
     deleteFragment(Victim);
   CM.reclaimPending(collectGuardPcs());
-  ++(Kind == Fragment::Kind::Trace ? S.CacheFlushesTrace : S.CacheFlushesBb);
-  obsEvent(TraceEventKind::CacheFlushed, Kind == Fragment::Kind::Trace ? 1 : 0,
-           uint32_t(Victims.size()));
-}
-
-void Runtime::maybeFlushForSpace(Fragment::Kind Kind) {
-  // FlushAll policy only: empty the pressured cache ahead of emission
-  // (flushing mid-emission would invalidate in-flight state). Pressure in
-  // one cache never flushes the other. Under Fifo, allocation evicts
-  // incrementally instead.
-  if (Config.Eviction != EvictionPolicy::FlushAll)
-    return;
-  uint32_t Headroom = std::min(8u * 1024u, CM.capacity(Kind) / 2);
-  if (CM.largestFreeGap(Kind) < Headroom)
-    flushCache(Kind);
+  ++S.CacheFlushes;
+  obsEvent(TraceEventKind::CacheFlushed, 0, uint32_t(Victims.size()));
 }
 
 void Runtime::deleteFragment(Fragment *Frag) {

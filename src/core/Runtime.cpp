@@ -43,8 +43,6 @@ Runtime::FlowStats::FlowStats(StatisticSet &S)
       BasicBlocksBuilt(S.stat("basic_blocks_built")),
       LinksMade(S.stat("links_made")), LinksRemoved(S.stat("links_removed")),
       CacheFlushes(S.stat("cache_flushes")),
-      CacheFlushesBb(S.stat("cache_flushes_bb")),
-      CacheFlushesTrace(S.stat("cache_flushes_trace")),
       FragmentsDeleted(S.stat("fragments_deleted")),
       FragmentsReplaced(S.stat("fragments_replaced")),
       TraceGenerationsStarted(S.stat("trace_generations_started")),
@@ -72,7 +70,7 @@ Runtime::FlowStats::FlowStats(StatisticSet &S)
 Runtime::Runtime(Machine &M, const RuntimeConfig &Config, Client *TheClient,
                  const RuntimeRegion &Region, HookMode Hooks)
     : M(M), Config(Config), TheClient(TheClient), S(Stats),
-      CM(M, Stats, Config.MonitorCodeWrites && Config.Mode == ExecMode::Cache),
+      CM(M, Stats, Config.Mode == ExecMode::Cache),
       Hooks(Hooks) {
   uint32_t Base = Region.Base ? Region.Base : M.runtimeBase();
   uint32_t Size = Region.Size

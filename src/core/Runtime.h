@@ -348,9 +348,8 @@ public:
 
   /// Empties both code caches: every fragment is deleted (the client's
   /// fragment-deleted hook fires for each), all links dissolve, and the
-  /// space returns to the allocator. Under EvictionPolicy::FlushAll this is
-  /// also what a full cache triggers (the "entire cache must be flushed"
-  /// strategy the paper contrasts adaptive replacement against).
+  /// space returns to the allocator. An explicit request only: a full cache
+  /// makes room by FIFO eviction instead (allocCache).
   void flushCaches();
 
   //===--------------------------------------------------------------------===
@@ -473,16 +472,16 @@ private:
   Fragment *supersede(Fragment *Old, InstrList &IL, bool Osr);
   /// Moves every context suspended inside \p Old onto \p New (on-stack
   /// replacement) where its pc translates; the rest keep Old's bytes
-  /// alive through their guard pcs.
+  /// alive through their guard pcs. Load-bearing for correctness, not
+  /// only a cycle saving: when a guard failure deopts a speculative trace,
+  /// a thread left resuming in the superseded body goes on running code
+  /// specialized to the falsified assumption (skipping this transfer makes
+  /// TraceOptThreads.GuardFailureDeoptTransfersSuspendedThreadsViaOsr print
+  /// 656742 where the native run prints 656820).
   void transferSuspended(Fragment *Old, Fragment *New);
   void deleteFragment(Fragment *Frag);
   void patchRel32(uint32_t CtiAddr, unsigned CtiLen, uint32_t NewTarget);
   uint32_t allocCache(unsigned Size, Fragment::Kind Kind);
-  /// FlushAll policy: empties \p Kind's cache when its headroom runs low
-  /// (pressure in one cache never flushes the other).
-  void maybeFlushForSpace(Fragment::Kind Kind);
-  /// Deletes every live fragment in \p Kind's cache.
-  void flushCache(Fragment::Kind Kind);
   /// Cache pc whose slot must not be reclaimed yet for the *active*
   /// context: the suspended resume point or the pc of a fragment currently
   /// servicing a clean call; 0 when no cache bytes are live-in.
@@ -579,15 +578,14 @@ private:
         RegionFlushedFragments, SmcCodeWrites, SmcInvalidations,
         SecurityViolations, IbDispatcherReturns, CacheEvictions,
         CacheEvictedBytes, ShadowBlocksBuilt, BasicBlocksBuilt, LinksMade,
-        LinksRemoved, CacheFlushes, CacheFlushesBb, CacheFlushesTrace,
-        FragmentsDeleted, FragmentsReplaced, TraceGenerationsStarted,
-        TracesBuilt, TraceBlocksTotal, TraceBranchesInverted,
-        TraceJmpsElided, TraceCallsInlined, IndirectBranchesInlined,
-        ThreadContextSwaps, IbInlineHits, IbInlineMisses, IbInlineRewrites,
-        IbInlineChainEvictions, IbInlineArmRelinks, IbInlineFlagPairsElided,
-        IbInlineSpillsCollapsed, CacheWarmHits, CacheWarmRejects,
-        PersistBytesWritten, ForkCacheUnshares, TraceoptGuardFails,
-        TraceoptBlacklists;
+        LinksRemoved, CacheFlushes, FragmentsDeleted, FragmentsReplaced,
+        TraceGenerationsStarted, TracesBuilt, TraceBlocksTotal,
+        TraceBranchesInverted, TraceJmpsElided, TraceCallsInlined,
+        IndirectBranchesInlined, ThreadContextSwaps, IbInlineHits,
+        IbInlineMisses, IbInlineRewrites, IbInlineChainEvictions,
+        IbInlineArmRelinks, IbInlineFlagPairsElided, IbInlineSpillsCollapsed,
+        CacheWarmHits, CacheWarmRejects, PersistBytesWritten, ForkCacheUnshares,
+        TraceoptGuardFails, TraceoptBlacklists;
 
     explicit FlowStats(StatisticSet &S);
   };

@@ -42,12 +42,12 @@ enum class ExecMode {
   Cache,   ///< copy code into the cache and run it there
 };
 
-/// What a bounded code cache does when it fills (paper Section 6: adaptive
-/// replacement vs the "entire cache must be flushed" strategy).
-enum class EvictionPolicy {
-  FlushAll, ///< empty the pressured cache wholesale and rebuild on demand
-  Fifo,     ///< evict fragments incrementally, oldest first
-};
+/// What a bounded code cache does when it fills. There is one policy: evict
+/// fragments incrementally, oldest first (paper Section 6's adaptive
+/// replacement; wholesale flushing lost to it at every measured size,
+/// EXPERIMENTS.md). The enum has no effect; it survives only so
+/// RuntimeConfig::Eviction stays assignable.
+enum class EvictionPolicy { Fifo };
 
 /// How code caches relate to application threads (paper Section 2). The
 /// paper asserts thread-private caches win because "the cost of duplicating
@@ -109,7 +109,8 @@ struct RuntimeConfig {
   /// the tag, not the body (core/TraceOpt.h).
   unsigned TraceOptBlacklistAfter = 3;
 
-  /// How a full cache makes room (core/CacheManager.h).
+  /// No effect (see EvictionPolicy): a full cache always makes room by FIFO
+  /// eviction (core/CacheManager.h).
   EvictionPolicy Eviction = EvictionPolicy::Fifo;
 
   /// Basic-block cache capacity in bytes; 0 = half of the runtime region's
@@ -119,11 +120,6 @@ struct RuntimeConfig {
   /// Trace cache capacity in bytes; 0 = whatever the basic-block cache
   /// leaves free. Clamped like BbCacheSize.
   uint32_t TraceCacheSize = 0;
-
-  /// Watch application code backing live fragments and flush overlapping
-  /// fragments when the application writes to it (cache consistency for
-  /// self-modifying code). Without it, stale fragments keep executing.
-  bool MonitorCodeWrites = true;
 
   /// Thread-private caches (the paper's design) or one synchronized shared
   /// cache for all threads (the alternative it argues against).

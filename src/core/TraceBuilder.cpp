@@ -112,7 +112,6 @@ void Runtime::finalizeTrace() {
   std::vector<AppPc> Blocks = std::move(TC->TraceGenBlocks);
   TC->TraceGenBlocks.clear();
   Table.slot(Head).HeadCounter = 0;
-  maybeFlushForSpace(Fragment::Kind::Trace);
 
   unsigned NumInstrs = 0;
   InstrList *IL = buildTraceList(Blocks, NumInstrs);

@@ -649,10 +649,12 @@ uint64_t CacheCodec::configHash(Runtime &RT) {
   H = fnvU32(H, uint32_t(C.BbLift));
   H = fnvU32(H, C.IbInline);
   H = fnvU32(H, C.IbInlineThreshold);
-  H = fnvU32(H, uint32_t(C.Eviction));
+  // Two retired knobs keep their former hash words (FIFO eviction was 1,
+  // the always-on code-write monitor was true) so older v3 images load.
+  H = fnvU32(H, 1u);
   H = fnvU32(H, C.BbCacheSize);
   H = fnvU32(H, C.TraceCacheSize);
-  H = fnvU32(H, C.MonitorCodeWrites);
+  H = fnvU32(H, 1u);
   H = fnvU32(H, uint32_t(C.Sharing));
   H = fnvU32(H, C.MaxThreads);
   H = fnvU64(H, C.ThreadQuantum);

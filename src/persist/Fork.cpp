@@ -173,7 +173,7 @@ void Runtime::unshareImpl(Runtime &RT) {
   //    The clone replay re-adds a watch per restored fragment range
   //    (CacheManager::registerFragment); strip the inherited set first so
   //    the per-line counts end up exactly as a cold warm-started runtime's.
-  if (RT.Config.MonitorCodeWrites && RT.Config.Mode == ExecMode::Cache)
+  if (RT.Config.Mode == ExecMode::Cache)
     T.forEachFragment([&RT](const Fragment &F) {
       for (const AppRange &R : F.AppRanges)
         if (R.Lo < R.Hi)

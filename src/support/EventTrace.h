@@ -51,7 +51,7 @@ enum class TraceEventKind : uint8_t {
   IblHit,            ///< Tag = branch target tag, Aux = hit fragment addr
   IblMiss,           ///< Tag = branch target tag, Aux = branch site cache pc
   CacheEvicted,      ///< Tag = victim tag, Aux = victim slot bytes
-  CacheFlushed,      ///< Tag = 0 bb cache / 1 trace cache
+  CacheFlushed,      ///< Aux = fragments deleted (both caches)
   RegionFlushed,     ///< Tag = region start, Aux = region size
   SmcInvalidated,    ///< Tag = victim tag, Aux = victim cache addr
   SlotReclaimed,     ///< Tag = slot cache addr, Aux = slot bytes

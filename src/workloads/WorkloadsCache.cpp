@@ -99,10 +99,9 @@ std::string smcSource(int Scale) {
 /// cachepressure: every iteration runs a hot core (eight small functions
 /// called back to back) and one function picked pseudo-randomly from a
 /// table of 128 bulky bodies whose combined fragments overflow a bounded
-/// block cache. Capacity policy decides how much of that working set
-/// stays translated: incremental eviction retires only the oldest
-/// fragment when room is needed, a wholesale flush re-translates
-/// everything — hot core included — on every overflow.
+/// block cache. Incremental eviction retires only the oldest fragments
+/// when room is needed, so most of the working set stays translated
+/// across each overflow.
 std::string cachePressureSource(int Scale) {
   constexpr int NumCold = 128;
   std::string S = "    .entry main\n    coldtab: .word";

@@ -174,7 +174,34 @@ TEST(CacheMgmt, UnguardedRetiredSlotIsReusedByNextAllocation) {
   // tail, so first fit returns its address again.
   EXPECT_EQ(CM.allocate(Fragment::Kind::BasicBlock, 16), Base);
   EXPECT_EQ(CM.pendingReclaimBytes(Fragment::Kind::BasicBlock), 0u);
-  EXPECT_EQ(CM.largestFreeGap(Fragment::Kind::BasicBlock), 48u);
+  EXPECT_EQ(CM.allocate(Fragment::Kind::BasicBlock, 48), Base + 16);
+}
+
+TEST(CacheMgmt, OversizedRequestEvictsNothing) {
+  // No eviction can make room for a request larger than the whole cache:
+  // allocateEvicting must fail at once, leaving every live fragment alone.
+  constexpr uint32_t Base = 0x10000;
+  Machine M;
+  StatisticSet Stats;
+  CacheManager CM(M, Stats, /*WatchWrites=*/false);
+  CM.configureCache(Fragment::Kind::BasicBlock, Base, Base + 64);
+  CM.configureCache(Fragment::Kind::Trace, Base + 64, Base + 128);
+
+  ASSERT_EQ(CM.allocate(Fragment::Kind::BasicBlock, 16), Base);
+  ASSERT_EQ(CM.allocate(Fragment::Kind::BasicBlock, 16), Base + 16);
+  Fragment A = slotAt(Base), B = slotAt(Base + 16);
+  CM.registerFragment(&A);
+  CM.registerFragment(&B);
+
+  int Evicted = 0;
+  EXPECT_EQ(CM.allocateEvicting(Fragment::Kind::BasicBlock, 65, {},
+                                [&](Fragment *Victim) {
+                                  ++Evicted;
+                                  CM.retireFragment(Victim);
+                                }),
+            0u);
+  EXPECT_EQ(Evicted, 0);
+  EXPECT_EQ(CM.liveFragments(Fragment::Kind::BasicBlock), 2u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -310,23 +337,6 @@ TEST(CacheMgmt, SmcWriteToDecodeCacheAliasedPc) {
   EXPECT_GE(RT.stats().get("smc_invalidations"), 1u);
 }
 
-TEST(CacheMgmt, MonitoringCanBeDisabled) {
-  // With MonitorCodeWrites off the runtime must not fault on code writes
-  // (it just keeps executing the stale translation — the documented
-  // trade-off), and must record no SMC activity.
-  const Workload *W = findWorkload("smc");
-  ASSERT_NE(W, nullptr);
-  Program P = buildWorkload(*W, W->TestScale);
-  Machine M;
-  ASSERT_TRUE(loadProgram(M, P));
-  RuntimeConfig Cfg = RuntimeConfig::full();
-  Cfg.MonitorCodeWrites = false;
-  Runtime RT(M, Cfg);
-  RunResult R = RT.run();
-  ASSERT_EQ(R.Status, RunStatus::Exited) << R.FaultReason;
-  EXPECT_EQ(RT.stats().get("smc_invalidations"), 0u);
-}
-
 //===----------------------------------------------------------------------===//
 // dr_flush_region from a clean call
 //===----------------------------------------------------------------------===//
@@ -373,13 +383,13 @@ TEST(CacheMgmt, FlushRegionFromCleanCallInsideFlushedFragment) {
 }
 
 //===----------------------------------------------------------------------===//
-// Per-cache pressure isolation (maybeFlushForSpace regression)
+// Per-cache pressure isolation
 //===----------------------------------------------------------------------===//
 
 TEST(CacheMgmt, PressureInBlockCacheLeavesTraceCacheAlone) {
   // The chain overflows a small block cache while the hot loop lives as a
-  // trace. Space pressure in the block cache must flush only the block
-  // cache: the trace survives.
+  // trace. Space pressure in the block cache must evict only blocks: the
+  // trace survives to the end of the run.
   Program P = chainProgram(400, 3);
   NativeRun Native = runNative(P);
   ASSERT_EQ(Native.Status, RunStatus::Exited);
@@ -387,15 +397,16 @@ TEST(CacheMgmt, PressureInBlockCacheLeavesTraceCacheAlone) {
   Machine M;
   ASSERT_TRUE(loadProgram(M, P));
   RuntimeConfig Cfg = RuntimeConfig::full();
-  Cfg.Eviction = EvictionPolicy::FlushAll;
   Cfg.BbCacheSize = 8 * 1024;
   Runtime RT(M, Cfg);
   RunResult R = RT.run();
   ASSERT_EQ(R.Status, RunStatus::Exited) << R.FaultReason;
   EXPECT_EQ(M.output(), Native.Output);
   EXPECT_GE(RT.stats().get("traces_built"), 1u);
-  EXPECT_GE(RT.stats().get("cache_flushes_bb"), 1u);
-  EXPECT_EQ(RT.stats().get("cache_flushes_trace"), 0u);
+  EXPECT_GE(RT.stats().get("cache_evictions"), 1u);
+  Fragment *Hot = RT.lookupFragment(P.symbol("hot"));
+  ASSERT_NE(Hot, nullptr);
+  EXPECT_TRUE(Hot->isTrace());
 }
 
 } // namespace

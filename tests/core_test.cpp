@@ -599,22 +599,10 @@ TEST(CoreCacheMgmt, BoundedCacheFlushesAndStaysCorrect) {
   RunResult R = RT.run();
   ASSERT_EQ(R.Status, RunStatus::Exited) << R.FaultReason;
   EXPECT_EQ(M.output(), Native.Output);
-  // The default policy evicts incrementally instead of flushing wholesale.
+  // A full cache makes room by evicting fragments one at a time.
   EXPECT_GE(RT.stats().get("cache_evictions"), 1u);
   // The client was told about every deleted fragment.
   EXPECT_GE(uint64_t(C.Deletes), RT.stats().get("cache_evictions"));
-
-  // The FlushAll policy must also survive the same pressure, by emptying
-  // the pressured cache wholesale.
-  Machine M2(MC);
-  ASSERT_TRUE(loadProgram(M2, P));
-  RuntimeConfig FlushCfg = Cfg;
-  FlushCfg.Eviction = EvictionPolicy::FlushAll;
-  Runtime RT2(M2, FlushCfg);
-  RunResult R2 = RT2.run();
-  ASSERT_EQ(R2.Status, RunStatus::Exited) << R2.FaultReason;
-  EXPECT_EQ(M2.output(), Native.Output);
-  EXPECT_GE(RT2.stats().get("cache_flushes_bb"), 1u);
 }
 
 TEST(CoreCacheMgmt, ExplicitFlushRebuildsOnDemand) {

@@ -528,7 +528,6 @@ TEST(Threads, FifoEvictionUnderThreads) {
        {CacheSharing::ThreadPrivate, CacheSharing::Shared}) {
     RuntimeConfig Config = RuntimeConfig::full();
     Config.Sharing = Sharing;
-    Config.Eviction = EvictionPolicy::Fifo;
     // Shared mode packs every thread's working set into ONE bounded cache,
     // and guard-pinned slots of suspended threads cannot be reclaimed, so
     // its floor is a bit higher than a single private slice's.
@@ -703,7 +702,6 @@ TEST(Threads, SupersededVersionRetirementWithBoundedCaches) {
        {CacheSharing::ThreadPrivate, CacheSharing::Shared}) {
     RuntimeConfig Config = RuntimeConfig::full();
     Config.Sharing = Sharing;
-    Config.Eviction = EvictionPolicy::Fifo;
     bool IsShared = Sharing == CacheSharing::Shared;
     Config.BbCacheSize = IsShared ? 640 : 256;
     Config.TraceCacheSize = IsShared ? 768 : 384;
