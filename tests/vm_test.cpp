@@ -10,8 +10,14 @@
 #include "core/Runtime.h"
 #include "harness/Experiment.h"
 #include "ir/Instr.h"
+#include "isa/Encode.h"
+#include "isa/Forms.h"
+#include "isa/OperandLayout.h"
 #include "support/Arena.h"
 #include "vm/Syscall.h"
+
+#include <functional>
+#include <set>
 
 using namespace rio;
 using namespace rio::test;
@@ -724,6 +730,339 @@ TEST(VmDecodeCache, OutOfRangePcReturnsNull) {
   Machine M;
   EXPECT_EQ(M.fetchDecode(uint32_t(M.mem().size())), nullptr);
   EXPECT_EQ(M.fetchDecode(~0u), nullptr);
+}
+
+//===----------------------------------------------------------------------===//
+// Dispatch coverage
+//===----------------------------------------------------------------------===//
+
+/// Every form id the decode cache can assign: each byte form of the ISA is
+/// encoded over every operand kind its slots admit, placed in memory and
+/// decoded, and the record's Form collected.
+std::set<unsigned> formsTheDecoderCanProduce() {
+  MachineConfig MC;
+  MC.AppRegionSize = 64 * 1024;
+  MC.RuntimeRegionSize = 64 * 1024;
+  Machine M(MC);
+  std::set<unsigned> Forms;
+  AppPc Pc = 0x1000;
+  auto Candidates = [&](Slot S) -> std::vector<Operand> {
+    const Operand Mem32 = Operand::mem(REG_ESI, 8, 4);
+    switch (S) {
+    case Slot::R32:
+      return {Operand::reg(REG_EBX)};
+    case Slot::R8:
+      return {Operand::reg(REG_BL)};
+    case Slot::Xmm:
+      return {Operand::reg(REG_XMM1)};
+    case Slot::Rm32:
+      return {Operand::reg(REG_EBX), Mem32};
+    case Slot::Rm8:
+      return {Operand::reg(REG_BL), Operand::mem(REG_ESI, 8, 1)};
+    case Slot::Xm64:
+      return {Operand::reg(REG_XMM1), Operand::mem(REG_ESI, 8, 8)};
+    case Slot::M16:
+      return {Operand::mem(REG_ESI, 8, 2)};
+    case Slot::M:
+      return {Mem32};
+    case Slot::Eax:
+      return {Operand::reg(REG_EAX)};
+    case Slot::Cl:
+      return {Operand::reg(REG_CL)};
+    case Slot::Rel8:
+    case Slot::Rel32:
+      return {Operand::pc(Pc + 16)};
+    default: // the immediates, One included
+      return {Operand::imm(1, 1), Operand::imm(1, 2), Operand::imm(1, 4),
+              Operand::imm(0x12345, 4)};
+    }
+  };
+  for (unsigned Op = OP_INVALID + 1; Op <= OP_LAST; ++Op) {
+    for (const rio::Form *F : formsForOpcode(Opcode(Op))) {
+      // Every combination of the slots' candidates, odometer style.
+      unsigned Pick[MaxExplicit] = {};
+      for (bool More = true; More;) {
+        Operand Ex[MaxExplicit];
+        for (unsigned I = 0; I != F->NumOps; ++I)
+          Ex[I] = Candidates(F->Ops[I])[Pick[I]];
+        Operand Srcs[MaxSrcs], Dsts[MaxDsts];
+        unsigned NumSrcs = 0, NumDsts = 0;
+        uint8_t Buf[MaxInstrLength];
+        int Len = -1;
+        if (buildCanonicalOperands(Opcode(Op), Ex, F->NumOps, Srcs, NumSrcs,
+                                   Dsts, NumDsts))
+          Len = encodeInstr(Opcode(Op), 0, Srcs, NumSrcs, Dsts, NumDsts, Pc,
+                            Buf);
+        if (Len > 0) {
+          EXPECT_TRUE(M.mem().writeBlock(Pc, Buf, unsigned(Len)));
+          const PredecodedInstr *R = M.fetchDecode(Pc);
+          EXPECT_NE(R, nullptr) << opcodeName(Opcode(Op));
+          if (R)
+            Forms.insert(R->Form);
+          Pc += MaxInstrLength;
+        }
+        More = false;
+        for (unsigned I = 0; I != F->NumOps && !More; ++I) {
+          if (++Pick[I] < Candidates(F->Ops[I]).size())
+            More = true;
+          else
+            Pick[I] = 0;
+        }
+      }
+    }
+  }
+  return Forms;
+}
+
+/// VmDispatch's fixed start state: registers, flags, and memory at
+/// DispData (words 100 and 0xFFFF8081, the double 4.0, then the address of
+/// `target`) and at the stack top DispStack (`target`, then 0xABCD).
+constexpr uint32_t DispData = 0x8000, DispStack = 0x8100;
+constexpr uint32_t Eax0 = RSYS_print_int, Ebx0 = 0x00FF00F7,
+                   Edx0 = 0xFFFFFFFF, Edi0 = 5;
+constexpr uint32_t Eflags0 = EFLAGS_CF;
+
+/// What one dispatch line left behind.
+struct LineRun {
+  Machine &M;
+  StepResult Step;
+  AppPc After;  ///< the pc following the line
+  AppPc Target; ///< the line's branch target
+  uint32_t gpr(Register R) const { return M.cpu().readGpr32(R); }
+  uint32_t word(uint32_t Addr) const {
+    uint32_t V = 0;
+    EXPECT_TRUE(M.mem().read32(Addr, V));
+    return V;
+  }
+  double f64(uint32_t Addr) const {
+    double V = 0;
+    EXPECT_TRUE(M.mem().readF64(Addr, V));
+    return V;
+  }
+  bool flag(uint32_t Bit) const { return M.cpu().flag(Bit); }
+};
+
+/// One line per handler of the interpreter: every specialized form and
+/// every opcode's generic case. Each runs as a single step from the fixed
+/// state; its check names the effect only that handler has. The lines must
+/// reach every form id the decoder can produce, so a handler table that
+/// drops or misroutes an entry fails here rather than in a workload.
+TEST(VmDispatch, EveryHandlerRunsItsInstruction) {
+  const uint32_t D = DispData, S = DispStack;
+  using Check = std::function<void(const LineRun &)>;
+  auto Eq = [](Register R, uint32_t V) -> Check {
+    return [=](const LineRun &X) { EXPECT_EQ(X.gpr(R), V); };
+  };
+  auto Word = [](uint32_t A, uint32_t V) -> Check {
+    return [=](const LineRun &X) { EXPECT_EQ(X.word(A), V); };
+  };
+  auto Xmm0 = [](double V) -> Check {
+    return [=](const LineRun &X) { EXPECT_EQ(X.M.cpu().Xmm[0], V); };
+  };
+  auto Flags = [](bool ZF, bool CF) -> Check {
+    return [=](const LineRun &X) {
+      EXPECT_EQ(X.flag(EFLAGS_ZF), ZF);
+      EXPECT_EQ(X.flag(EFLAGS_CF), CF);
+    };
+  };
+  auto Jumped = [](const LineRun &X) { EXPECT_EQ(X.M.cpu().Pc, X.Target); };
+  auto Pushed = [=](uint32_t V) -> Check {
+    return [=](const LineRun &X) {
+      EXPECT_EQ(X.gpr(REG_ESP), S - 4);
+      EXPECT_EQ(X.word(S - 4), V);
+    };
+  };
+  const int64_t Dividend = int64_t((uint64_t(Edx0) << 32) | Eax0);
+  const struct {
+    const char *Line;
+    Check Effect;
+  } Lines[] = {
+      // Specialized forms.
+      {"mov eax, ebx", Eq(REG_EAX, Ebx0)},
+      {"mov eax, 0x1234", Eq(REG_EAX, 0x1234)},
+      {"mov eax, [esi+4]", Eq(REG_EAX, 0xFFFF8081)},
+      {"mov [esi], ebx", Word(D, Ebx0)},
+      {"mov [esi], 0x55", Word(D, 0x55)},
+      {"add eax, ebx", Eq(REG_EAX, Eax0 + Ebx0)},
+      {"add eax, 40", Eq(REG_EAX, Eax0 + 40)},
+      {"sub eax, ebx", Eq(REG_EAX, Eax0 - Ebx0)},
+      {"sub eax, 1", Eq(REG_EAX, Eax0 - 1)},
+      {"and edx, ebx", Eq(REG_EDX, Edx0 & Ebx0)},
+      {"and edx, 0xF0", Eq(REG_EDX, Edx0 & 0xF0)},
+      {"or eax, ebx", Eq(REG_EAX, Eax0 | Ebx0)},
+      {"or eax, 0x100", Eq(REG_EAX, Eax0 | 0x100)},
+      {"xor eax, ebx", Eq(REG_EAX, Eax0 ^ Ebx0)},
+      {"xor eax, 3", Eq(REG_EAX, Eax0 ^ 3)},
+      {"cmp ebx, ebx", Flags(true, false)},
+      {"cmp eax, 2", Flags(Eax0 == 2, Eax0 < 2)},
+      {"test eax, eax", Flags(false, false)},
+      {"test eax, 1", Flags((Eax0 & 1) == 0, false)},
+      {"shl eax, 3", Eq(REG_EAX, Eax0 << 3)},
+      {"shr ebx, 4", Eq(REG_EBX, Ebx0 >> 4)},
+      {"inc eax",
+       [](const LineRun &X) {
+         EXPECT_EQ(X.gpr(REG_EAX), Eax0 + 1);
+         EXPECT_TRUE(X.flag(EFLAGS_CF)) << "inc keeps CF";
+       }},
+      {"dec eax", Eq(REG_EAX, Eax0 - 1)},
+      {"imul eax, ebx, 3", Eq(REG_EAX, Ebx0 * 3)},
+      {"jb target", Jumped},
+      {"jmp target", Jumped},
+      {"jecxz target", Jumped},
+      {"movzxb eax, [esi+4]", Eq(REG_EAX, 0x81)},
+      {"lea eax, [esi+edi*2+8]", Eq(REG_EAX, D + Edi0 * 2 + 8)},
+      {"push ebx", Pushed(Ebx0)},
+      {"push 9", Pushed(9)},
+      {"pop eax",
+       [=](const LineRun &X) {
+         EXPECT_EQ(X.gpr(REG_EAX), X.Target);
+         EXPECT_EQ(X.gpr(REG_ESP), S + 4);
+       }},
+      {"movsd xmm0, xmm1", Xmm0(2.25)},
+      {"movsd xmm0, [esi+8]", Xmm0(4.0)},
+      {"movsd [esi+8], xmm1",
+       [=](const LineRun &X) { EXPECT_EQ(X.f64(D + 8), 2.25); }},
+      {"addsd xmm0, xmm1", Xmm0(1.5 + 2.25)},
+      {"addsd xmm0, [esi+8]", Xmm0(1.5 + 4.0)},
+      {"mulsd xmm0, xmm1", Xmm0(1.5 * 2.25)},
+      {"mulsd xmm0, [esi+8]", Xmm0(1.5 * 4.0)},
+
+      // Generic cases, one per opcode.
+      {"movb al, bl", Eq(REG_EAX, (Eax0 & ~0xFFu) | (Ebx0 & 0xFF))},
+      {"movzxb eax, bl", Eq(REG_EAX, Ebx0 & 0xFF)},
+      {"movsxb eax, bl", Eq(REG_EAX, uint32_t(int32_t(int8_t(Ebx0))))},
+      {"movzxw eax, [esi+4]", Eq(REG_EAX, 0x8081)},
+      {"movsxw eax, [esi+4]", Eq(REG_EAX, 0xFFFF8081)},
+      {"xchg eax, ebx",
+       [](const LineRun &X) {
+         EXPECT_EQ(X.gpr(REG_EAX), Ebx0);
+         EXPECT_EQ(X.gpr(REG_EBX), Eax0);
+       }},
+      {"push [esi]", Pushed(100)},
+      {"pop [esi+20]",
+       [=](const LineRun &X) {
+         EXPECT_EQ(X.word(D + 20), X.Target);
+         EXPECT_EQ(X.gpr(REG_ESP), S + 4);
+       }},
+      {"add [esi], ebx", Word(D, 100 + Ebx0)},
+      {"adc eax, ebx", Eq(REG_EAX, Eax0 + Ebx0 + 1)},
+      {"sub [esi], ebx", Word(D, 100 - Ebx0)},
+      {"sbb eax, ebx", Eq(REG_EAX, Eax0 - Ebx0 - 1)},
+      {"cmp [esi], 100", Flags(true, false)},
+      {"and [esi], 0x0F", Word(D, 100 & 0x0F)},
+      {"or [esi], 1", Word(D, 100 | 1)},
+      {"xor [esi], ebx", Word(D, 100 ^ Ebx0)},
+      {"test [esi], ebx", Flags((100 & Ebx0) == 0, false)},
+      {"inc [esi]", Word(D, 101)},
+      {"dec [esi]", Word(D, 99)},
+      {"neg eax", Eq(REG_EAX, 0 - Eax0)},
+      {"not eax", Eq(REG_EAX, ~Eax0)},
+      {"imul eax, ebx", Eq(REG_EAX, Eax0 * Ebx0)},
+      {"mul ebx",
+       [](const LineRun &X) {
+         const uint64_t P = uint64_t(Eax0) * Ebx0;
+         EXPECT_EQ(X.gpr(REG_EAX), uint32_t(P));
+         EXPECT_EQ(X.gpr(REG_EDX), uint32_t(P >> 32));
+       }},
+      {"idiv edi",
+       [=](const LineRun &X) {
+         EXPECT_EQ(X.gpr(REG_EAX), uint32_t(int32_t(Dividend / Edi0)));
+         EXPECT_EQ(X.gpr(REG_EDX), uint32_t(int32_t(Dividend % Edi0)));
+       }},
+      {"cdq", Eq(REG_EDX, int32_t(Eax0) < 0 ? 0xFFFFFFFFu : 0u)},
+      {"shl [esi], 2", Word(D, 100 << 2)},
+      {"shr [esi], 1", Word(D, 100 >> 1)},
+      {"sar [esi+4], 4", Word(D + 4, 0xFFFFF808)},
+      {"jmp [esi+16]", Jumped},
+      {"call target",
+       [=](const LineRun &X) {
+         EXPECT_EQ(X.M.cpu().Pc, X.Target);
+         EXPECT_EQ(X.word(S - 4), X.After);
+       }},
+      {"call [esi+16]",
+       [=](const LineRun &X) {
+         EXPECT_EQ(X.M.cpu().Pc, X.Target);
+         EXPECT_EQ(X.word(S - 4), X.After);
+       }},
+      {"ret",
+       [=](const LineRun &X) {
+         EXPECT_EQ(X.M.cpu().Pc, X.Target);
+         EXPECT_EQ(X.gpr(REG_ESP), S + 4);
+       }},
+      {"ret 8",
+       [=](const LineRun &X) {
+         EXPECT_EQ(X.M.cpu().Pc, X.Target);
+         EXPECT_EQ(X.gpr(REG_ESP), S + 12);
+       }},
+      {"int 0x80",
+       [](const LineRun &X) {
+         EXPECT_EQ(X.M.output(), std::to_string(int32_t(Ebx0)) + "\n");
+         EXPECT_EQ(X.M.cpu().Pc, X.After);
+       }},
+      {"hlt",
+       [](const LineRun &X) {
+         EXPECT_EQ(X.Step.Kind, StepKind::Exited);
+         EXPECT_EQ(X.M.status(), RunStatus::Exited);
+       }},
+      {"nop", [](const LineRun &X) { EXPECT_EQ(X.M.cpu().Pc, X.After); }},
+      {"subsd xmm0, xmm1", Xmm0(1.5 - 2.25)},
+      {"divsd xmm0, xmm1", Xmm0(1.5 / 2.25)},
+      {"ucomisd xmm1, xmm0", Flags(false, false)},
+      {"cvtsi2sd xmm0, ebx", Xmm0(double(int32_t(Ebx0)))},
+      {"cvttsd2si eax, xmm2", Eq(REG_EAX, uint32_t(-7))},
+      {"clientcall 5",
+       [](const LineRun &X) {
+         EXPECT_EQ(X.Step.Kind, StepKind::ClientCall);
+         EXPECT_EQ(X.Step.ClientCallId, 5u);
+         EXPECT_EQ(X.M.cpu().Pc, X.After);
+       }},
+      {"savef [esi+24]", Word(D + 24, Eflags0)},
+      {"restf [esi]",
+       [](const LineRun &X) { EXPECT_EQ(X.M.cpu().Eflags, 100u); }},
+  };
+
+  MachineConfig MC;
+  MC.AppRegionSize = 64 * 1024;
+  MC.RuntimeRegionSize = 64 * 1024;
+  std::set<unsigned> Covered;
+  for (const auto &L : Lines) {
+    SCOPED_TRACE(L.Line);
+    Program P = assembleOrDie(std::string("main:\n  ") + L.Line +
+                              "\nafter:\n  hlt\ntarget:\n  hlt\n");
+    Machine M(MC);
+    ASSERT_TRUE(loadProgram(M, P));
+    const AppPc Target = P.symbol("target");
+    CpuState &C = M.cpu();
+    C.writeGpr32(REG_EAX, Eax0);
+    C.writeGpr32(REG_EBX, Ebx0);
+    C.writeGpr32(REG_ECX, 0);
+    C.writeGpr32(REG_EDX, Edx0);
+    C.writeGpr32(REG_ESI, D);
+    C.writeGpr32(REG_EDI, Edi0);
+    C.writeGpr32(REG_ESP, S);
+    C.Xmm[0] = 1.5;
+    C.Xmm[1] = 2.25;
+    C.Xmm[2] = -7.75;
+    C.Eflags = Eflags0;
+    ASSERT_TRUE(M.mem().write32(D, 100) && M.mem().write32(D + 4, 0xFFFF8081) &&
+                M.mem().writeF64(D + 8, 4.0) &&
+                M.mem().write32(D + 16, Target) && M.mem().write32(S, Target) &&
+                M.mem().write32(S + 4, 0xABCD));
+
+    const PredecodedInstr *R = M.fetchDecode(C.Pc);
+    ASSERT_NE(R, nullptr);
+    Covered.insert(R->Form);
+    LineRun X{M, M.step(), P.symbol("after"), Target};
+    EXPECT_NE(M.status(), RunStatus::Faulted) << M.faultReason();
+    EXPECT_EQ(M.faultReason().find("executed invalid opcode"),
+              std::string::npos);
+    EXPECT_EQ(M.instructionsExecuted(), 1u);
+    L.Effect(X);
+  }
+  const std::set<unsigned> Reachable = formsTheDecoderCanProduce();
+  for (unsigned F : Reachable)
+    EXPECT_TRUE(Covered.count(F)) << "no line runs form " << F;
+  EXPECT_EQ(Covered, Reachable);
 }
 
 } // namespace
