@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 
 using namespace rio;
@@ -140,62 +141,130 @@ PredecodedOp predecodeOp(const Operand &Op) {
   return P;
 }
 
-/// The handler ids Machine::run() dispatches on, stored in
-/// PredecodedInstr::Form. An opcode's own value selects its generic case,
-/// which reaches its operands through read32() and friends, each a switch
-/// on the operand kind. The ids past OP_LAST select a case specialized on
-/// operand kinds, which reads and writes register-file slots, immediates
-/// and memory directly. R = gpr, I = immediate, M = memory, X = xmm, in
-/// assembly operand order.
-enum Form : unsigned {
-  F_MovRR = OP_LAST + 1,
-  F_MovRI,
-  F_MovRM,
-  F_MovMR,
-  F_MovMI,
-  F_AddRR,
-  F_AddRI,
-  F_SubRR,
-  F_SubRI,
-  F_AndRR,
-  F_AndRI,
-  F_OrRR,
-  F_OrRI,
-  F_XorRR,
-  F_XorRI,
-  F_CmpRR,
-  F_CmpRI,
-  F_TestRR,
-  F_TestRI,
-  F_ShlRI,
-  F_ShrRI,
-  F_IncR,
-  F_DecR,
-  F_ImulRRI,
-  F_Jcc, ///< jo .. jnle
-  F_Jmp,
-  F_Jecxz,
-  F_MovzxBRM,
-  F_Lea,
-  F_PushR,
-  F_PushI,
-  F_PopR,
-  F_MovsdXX,
-  F_MovsdXM,
-  F_MovsdMX,
-  F_AddsdXX,
-  F_AddsdXM,
-  F_MulsdXX,
-  F_MulsdXM,
+/// The handlers Machine::run() dispatches on, in the order of its label
+/// table; PredecodedInstr::Form holds a record's handler id. The
+/// specialized forms read and write register-file slots, immediates and
+/// memory directly: R = gpr, I = immediate, M = memory, X = xmm, in
+/// assembly operand order. The generic cases reach their operands through
+/// read32() and friends, each a switch on the operand kind, and serve one
+/// opcode or a family of them. Invalid, id 0 and so the form of an
+/// all-zero record, faults.
+#define RIO_FORMS(X)                                                           \
+  X(Invalid)                                                                   \
+  /* specialized forms; Jcc is jo .. jnle */                                   \
+  X(MovRR) X(MovRI) X(MovRM) X(MovMR) X(MovMI)                                 \
+  X(AddRR) X(AddRI) X(SubRR) X(SubRI) X(AndRR) X(AndRI) X(OrRR) X(OrRI)        \
+  X(XorRR) X(XorRI) X(CmpRR) X(CmpRI) X(TestRR) X(TestRI) X(ShlRI) X(ShrRI)    \
+  X(IncR) X(DecR) X(ImulRRI) X(Jcc) X(Jmp) X(Jecxz) X(MovzxBRM) X(Lea)         \
+  X(PushR) X(PushI) X(PopR) X(MovsdXX) X(MovsdXM) X(MovsdMX) X(AddsdXX)        \
+  X(AddsdXM) X(MulsdXX) X(MulsdXM)                                             \
+  /* generic cases */                                                          \
+  X(MovB) X(MovzxB) X(MovsxB) X(MovxW) X(Xchg) X(Push) X(Pop) X(AddAdc)        \
+  X(SubSbb) X(Cmp) X(Logic) X(Test) X(IncDec) X(Neg) X(Not) X(Imul) X(Mul)     \
+  X(Idiv) X(Cdq) X(Shift) X(JmpInd) X(Call) X(CallInd) X(Ret) X(Int) X(Hlt)    \
+  X(Nop) X(ArithSd) X(Ucomisd) X(Cvtsi2sd) X(Cvttsd2si) X(ClientCall)          \
+  X(Savef) X(Restf)
+
+enum Form : uint8_t {
+#define RIO_FORM_ID(Name) F_##Name,
+  RIO_FORMS(RIO_FORM_ID)
+#undef RIO_FORM_ID
   NumForms
 };
-static_assert(NumForms <= 256, "a form fits PredecodedInstr::Form");
+
+/// The generic case serving \p Op; Invalid for label and for the opcodes
+/// that have none (mov, lea, movsd and the direct jumps: every operand
+/// combination the decoder produces for them fits a specialized form).
+Form genericForm(Opcode Op) {
+  switch (Op) {
+  case OP_mov_b:
+    return F_MovB;
+  case OP_movzx_b:
+    return F_MovzxB;
+  case OP_movsx_b:
+    return F_MovsxB;
+  case OP_movzx_w:
+  case OP_movsx_w:
+    return F_MovxW;
+  case OP_xchg:
+    return F_Xchg;
+  case OP_push:
+    return F_Push;
+  case OP_pop:
+    return F_Pop;
+  case OP_add:
+  case OP_adc:
+    return F_AddAdc;
+  case OP_sub:
+  case OP_sbb:
+    return F_SubSbb;
+  case OP_cmp:
+    return F_Cmp;
+  case OP_and:
+  case OP_or:
+  case OP_xor:
+    return F_Logic;
+  case OP_test:
+    return F_Test;
+  case OP_inc:
+  case OP_dec:
+    return F_IncDec;
+  case OP_neg:
+    return F_Neg;
+  case OP_not:
+    return F_Not;
+  case OP_imul:
+    return F_Imul;
+  case OP_mul:
+    return F_Mul;
+  case OP_idiv:
+    return F_Idiv;
+  case OP_cdq:
+    return F_Cdq;
+  case OP_shl:
+  case OP_shr:
+  case OP_sar:
+    return F_Shift;
+  case OP_jmp_ind:
+    return F_JmpInd;
+  case OP_call:
+    return F_Call;
+  case OP_call_ind:
+    return F_CallInd;
+  case OP_ret:
+  case OP_ret_imm:
+    return F_Ret;
+  case OP_int:
+    return F_Int;
+  case OP_hlt:
+    return F_Hlt;
+  case OP_nop:
+    return F_Nop;
+  case OP_addsd:
+  case OP_subsd:
+  case OP_mulsd:
+  case OP_divsd:
+    return F_ArithSd;
+  case OP_ucomisd:
+    return F_Ucomisd;
+  case OP_cvtsi2sd:
+    return F_Cvtsi2sd;
+  case OP_cvttsd2si:
+    return F_Cvttsd2si;
+  case OP_clientcall:
+    return F_ClientCall;
+  case OP_savef:
+    return F_Savef;
+  case OP_restf:
+    return F_Restf;
+  default:
+    return F_Invalid;
+  }
+}
 
 /// The form of \p R: a specialized one when its operand kinds fit one,
-/// else its opcode. mov, lea, movsd and the direct jumps have no generic
-/// case: every operand combination the decoder produces for them fits a
-/// form.
-unsigned formOf(const PredecodedInstr &R) {
+/// else its opcode's generic case.
+Form formOf(const PredecodedInstr &R) {
   using P = PredecodedOp;
   const P::Kind S0 = R.Src[0].K, S1 = R.Src[1].K, D0 = R.Dst[0].K;
   // Two-operand ALU layouts: S = {src, reg}, D = {reg} (compares: D = {}).
@@ -203,9 +272,7 @@ unsigned formOf(const PredecodedInstr &R) {
   const bool RegImm = S0 == P::Imm && S1 == P::Gpr;
   const bool ToReg = D0 == P::Gpr;
   const bool ToXmm = D0 == P::Xmm;
-  auto Pick = [&](bool Fits, Form F) -> unsigned {
-    return Fits ? unsigned(F) : unsigned(R.Op);
-  };
+  auto Pick = [&](bool Fits, Form F) { return Fits ? F : genericForm(R.Op); };
   switch (R.Op) {
   case OP_mov:
     if (ToReg && S0 == P::Gpr)
@@ -279,13 +346,13 @@ unsigned formOf(const PredecodedInstr &R) {
     break;
   default:
     if (R.Op < OP_jo || R.Op > OP_jnle)
-      return R.Op;
+      return genericForm(R.Op);
     if (S0 == P::Imm)
       return F_Jcc;
     break;
   }
   assert(false && "operands fit no form of an opcode without a generic case");
-  return R.Op; // run() faults it as an invalid opcode
+  return F_Invalid;
 }
 
 /// Builds the record the interpreter runs from \p DI, asserting once the
@@ -305,7 +372,7 @@ void predecode(const DecodedInstr &DI, unsigned Cost, PredecodedInstr &R) {
   R.Src[1] = predecodeOp(DI.Srcs[1]);
   R.Dst[0] = predecodeOp(DI.Dsts[0]);
   R.Dst[1] = predecodeOp(DI.Dsts[1]);
-  R.Form = uint8_t(formOf(R));
+  R.Form = formOf(R);
 }
 
 } // namespace
@@ -821,579 +888,575 @@ StepResult Machine::run(const StopSet &StopsIn) {
   uint64_t Cyc = Cycles;
   uint64_t Count = InstrsExecuted;
 
+  // Threaded dispatch: a record's form indexes a table of handler labels,
+  // and every handler ends by jumping to Advance (the following
+  // instruction) or to Next (a branch target) instead of returning to a
+  // loop. The table is constant-initialized, so no guard runs on entry.
+  static const void *const Handlers[] = {
+#define RIO_FORM_LABEL(Name) &&H_##Name,
+      RIO_FORMS(RIO_FORM_LABEL)
+#undef RIO_FORM_LABEL
+  };
+  static_assert(std::size(Handlers) == NumForms, "one handler per form");
+  // The operands of the running record.
+#define S0 (R->Src[0])
+#define S1 (R->Src[1])
+#define D0 (R->Dst[0])
+
   // One line probe serves the record, its memoized cycle cost and its stop
   // mark. The caller has just serviced the first pc's mark.
   const PredecodedInstr *R = fetchDecode(Pc);
-  for (;;) {
-    Last = Pc;
-    if (RIO_UNLIKELY(!R)) {
-      fault("undecodable instruction at pc");
-      Result.Kind = StepKind::Faulted;
-      goto Done;
-    }
-    Cyc += R->Cost;
-    ++Count;
-    {
-      const PredecodedOp &S0 = R->Src[0], &S1 = R->Src[1], &D0 = R->Dst[0];
-      const AppPc Next = Pc + R->Length;
-      const bool InApp = Pc < RuntimeBase;
-      AppPc NewPc = Next; // branches overwrite it
-      bool Ok = true;     // generic cases: false on a memory fault
+  goto Execute;
 
-      switch (R->Form) {
-      //===--- specialized forms -------------------------------------------===
-      case F_MovRR:
-        Gpr[D0.Reg] = Gpr[S0.Reg];
-        break;
-      case F_MovRI:
-        Gpr[D0.Reg] = S0.Value;
-        break;
-      case F_MovRM: {
-        uint32_t V;
-        if (!Mem.read32(addrOf(S0, Gpr), V))
-          goto MemFault;
-        Gpr[D0.Reg] = V;
-        break;
-      }
-      case F_MovMR:
-      case F_MovMI: {
-        const uint32_t V = R->Form == F_MovMR ? Gpr[S0.Reg] : S0.Value;
-        const uint32_t Addr = addrOf(D0, Gpr);
-        if (!Mem.write32(Addr, V))
-          goto MemFault;
-        noteWrite(Addr, 4);
-        break;
-      }
-      case F_AddRR:
-        Gpr[D0.Reg] = doAdd(C, Gpr[S1.Reg], Gpr[S0.Reg], 0);
-        break;
-      case F_AddRI:
-        Gpr[D0.Reg] = doAdd(C, Gpr[S1.Reg], S0.Value, 0);
-        break;
-      case F_SubRR:
-        Gpr[D0.Reg] = doSub(C, Gpr[S1.Reg], Gpr[S0.Reg], 0);
-        break;
-      case F_SubRI:
-        Gpr[D0.Reg] = doSub(C, Gpr[S1.Reg], S0.Value, 0);
-        break;
-      case F_AndRR:
-        Gpr[D0.Reg] = doLogicFlags(C, Gpr[S1.Reg] & Gpr[S0.Reg]);
-        break;
-      case F_AndRI:
-        Gpr[D0.Reg] = doLogicFlags(C, Gpr[S1.Reg] & S0.Value);
-        break;
-      case F_OrRR:
-        Gpr[D0.Reg] = doLogicFlags(C, Gpr[S1.Reg] | Gpr[S0.Reg]);
-        break;
-      case F_OrRI:
-        Gpr[D0.Reg] = doLogicFlags(C, Gpr[S1.Reg] | S0.Value);
-        break;
-      case F_XorRR:
-        Gpr[D0.Reg] = doLogicFlags(C, Gpr[S1.Reg] ^ Gpr[S0.Reg]);
-        break;
-      case F_XorRI:
-        Gpr[D0.Reg] = doLogicFlags(C, Gpr[S1.Reg] ^ S0.Value);
-        break;
-      case F_CmpRR:
-        doSub(C, Gpr[S1.Reg], Gpr[S0.Reg], 0);
-        break;
-      case F_CmpRI:
-        doSub(C, Gpr[S1.Reg], S0.Value, 0);
-        break;
-      case F_TestRR:
-        doLogicFlags(C, Gpr[S1.Reg] & Gpr[S0.Reg]);
-        break;
-      case F_TestRI:
-        doLogicFlags(C, Gpr[S1.Reg] & S0.Value);
-        break;
-      case F_ShlRI:
-        if (const uint32_t N = S0.Value & 31)
-          Gpr[D0.Reg] = doShift(C, OP_shl, Gpr[S1.Reg], N);
-        break;
-      case F_ShrRI:
-        if (const uint32_t N = S0.Value & 31)
-          Gpr[D0.Reg] = doShift(C, OP_shr, Gpr[S1.Reg], N);
-        break;
-      case F_IncR:
-        // inc/dec leave CF untouched — the hinge of the paper's Section 4.2.
-        Gpr[D0.Reg] = doAdd(C, Gpr[S0.Reg], 1, 0, /*WriteCarry=*/false);
-        break;
-      case F_DecR:
-        Gpr[D0.Reg] = doSub(C, Gpr[S0.Reg], 1, 0, /*WriteCarry=*/false);
-        break;
-      case F_ImulRRI:
-        Gpr[D0.Reg] = doImul(C, S0.Value, Gpr[S1.Reg]);
-        break;
-      case F_Jcc:
-      case F_Jecxz: {
-        const bool Taken = R->Form == F_Jecxz
-                               ? Gpr[REG_ECX - REG_EAX] == 0
-                               : condHolds(C, condCodeOf(R->Op));
-        if (!Pred.predictCond(Pc, Taken))
-          Cyc += MispredictCost;
-        if (Taken) {
-          Cyc += TakenCost;
-          NewPc = S0.Value;
-        }
-        break;
-      }
-      case F_Jmp:
-        Cyc += TakenCost;
-        NewPc = S0.Value;
-        break;
-      case F_MovzxBRM: {
-        uint8_t V;
-        if (!Mem.read8(addrOf(S0, Gpr), V))
-          goto MemFault;
-        Gpr[D0.Reg] = V;
-        break;
-      }
-      case F_Lea:
-        Gpr[D0.Reg] = addrOf(S0, Gpr);
-        break;
-      case F_PushR:
-      case F_PushI: {
-        const uint32_t V = R->Form == F_PushR ? Gpr[S0.Reg] : S0.Value;
-        const uint32_t NewEsp = Esp - 4;
-        if (!Mem.write32(NewEsp, V))
-          goto MemFault;
-        noteWrite(NewEsp, 4);
-        Esp = NewEsp;
-        break;
-      }
-      case F_PopR: {
-        const uint32_t OldEsp = Esp;
-        uint32_t V;
-        if (!Mem.read32(OldEsp, V))
-          goto MemFault;
-        // Order matters for `pop esp`: write the value last.
-        Esp = OldEsp + 4;
-        Gpr[D0.Reg] = V;
-        break;
-      }
-      case F_MovsdXX:
-        Xmm[D0.Reg] = Xmm[S0.Reg];
-        break;
-      case F_MovsdXM: {
-        double V;
-        if (!Mem.readF64(addrOf(S0, Gpr), V))
-          goto MemFault;
-        Xmm[D0.Reg] = V;
-        break;
-      }
-      case F_MovsdMX: {
-        const uint32_t Addr = addrOf(D0, Gpr);
-        if (!Mem.writeF64(Addr, Xmm[S0.Reg]))
-          goto MemFault;
-        noteWrite(Addr, 8);
-        break;
-      }
-      case F_AddsdXX:
-        Xmm[D0.Reg] = Xmm[S1.Reg] + Xmm[S0.Reg];
-        break;
-      case F_MulsdXX:
-        Xmm[D0.Reg] = Xmm[S1.Reg] * Xmm[S0.Reg];
-        break;
-      case F_AddsdXM:
-      case F_MulsdXM: {
-        double B;
-        if (!Mem.readF64(addrOf(S0, Gpr), B))
-          goto MemFault;
-        const double A = Xmm[S1.Reg];
-        Xmm[D0.Reg] = R->Form == F_AddsdXM ? A + B : A * B;
-        break;
-      }
-
-      //===--- generic cases: data movement ---------------------------------===
-      case OP_mov_b: {
-        uint8_t V;
-        Ok = read8(S0, V) && write8(D0, V);
-        break;
-      }
-      case OP_movzx_b: {
-        uint8_t V;
-        Ok = read8(S0, V) && write32(D0, V);
-        break;
-      }
-      case OP_movsx_b: {
-        uint8_t V;
-        Ok = read8(S0, V) && write32(D0, uint32_t(int32_t(int8_t(V))));
-        break;
-      }
-      case OP_movzx_w:
-      case OP_movsx_w: {
-        uint16_t V;
-        Ok = Mem.read16(addrOf(S0, Gpr), V);
-        if (Ok)
-          Ok = write32(D0, R->Op == OP_movzx_w ? uint32_t(V)
-                                               : uint32_t(int32_t(int16_t(V))));
-        break;
-      }
-      case OP_xchg: {
-        uint32_t A, B;
-        Ok = read32(S0, A) && read32(S1, B) && write32(D0, B) &&
-             write32(R->Dst[1], A);
-        break;
-      }
-      case OP_push: {
-        uint32_t V;
-        Ok = read32(S0, V);
-        if (Ok) {
-          uint32_t NewEsp = Esp - 4;
-          Ok = Mem.write32(NewEsp, V);
-          if (Ok) {
-            noteWrite(NewEsp, 4);
-            Esp = NewEsp;
-          }
-        }
-        break;
-      }
-      case OP_pop: {
-        uint32_t OldEsp = Esp;
-        uint32_t V;
-        Ok = Mem.read32(OldEsp, V);
-        if (Ok) {
-          // Order matters for `pop esp`-style cases: write the value last.
-          Esp = OldEsp + 4;
-          Ok = write32(D0, V);
-        }
-        break;
-      }
-
-      //===--- generic cases: integer ALU -----------------------------------===
-      case OP_add:
-      case OP_adc: {
-        uint32_t A, B;
-        Ok = read32(S1, A) && read32(S0, B);
-        if (Ok) {
-          uint32_t Cin = R->Op == OP_adc && C.flag(EFLAGS_CF) ? 1 : 0;
-          Ok = write32(D0, doAdd(C, A, B, Cin));
-        }
-        break;
-      }
-      case OP_sub:
-      case OP_sbb: {
-        uint32_t A, B;
-        Ok = read32(S1, A) && read32(S0, B);
-        if (Ok) {
-          uint32_t Bin = R->Op == OP_sbb && C.flag(EFLAGS_CF) ? 1 : 0;
-          Ok = write32(D0, doSub(C, A, B, Bin));
-        }
-        break;
-      }
-      case OP_cmp: {
-        uint32_t A, B;
-        Ok = read32(S1, A) && read32(S0, B);
-        if (Ok)
-          doSub(C, A, B, 0);
-        break;
-      }
-      case OP_and:
-      case OP_or:
-      case OP_xor: {
-        uint32_t A, B;
-        Ok = read32(S1, A) && read32(S0, B);
-        if (Ok) {
-          uint32_t V = R->Op == OP_and  ? (A & B)
-                       : R->Op == OP_or ? (A | B)
-                                        : (A ^ B);
-          Ok = write32(D0, doLogicFlags(C, V));
-        }
-        break;
-      }
-      case OP_test: {
-        uint32_t A, B;
-        Ok = read32(S1, A) && read32(S0, B);
-        if (Ok)
-          doLogicFlags(C, A & B);
-        break;
-      }
-      case OP_inc:
-      case OP_dec: {
-        uint32_t A;
-        Ok = read32(S0, A);
-        if (Ok) {
-          uint32_t V = R->Op == OP_inc
-                           ? doAdd(C, A, 1, 0, /*WriteCarry=*/false)
-                           : doSub(C, A, 1, 0, /*WriteCarry=*/false);
-          Ok = write32(D0, V);
-        }
-        break;
-      }
-      case OP_neg: {
-        uint32_t A;
-        Ok = read32(S0, A);
-        if (Ok)
-          Ok = write32(D0, doSub(C, 0, A, 0));
-        break;
-      }
-      case OP_not: {
-        uint32_t A;
-        Ok = read32(S0, A) && write32(D0, ~A);
-        break;
-      }
-      case OP_imul: {
-        // Two forms share canonical shape S={x, y}, D={r}.
-        uint32_t A, B;
-        Ok = read32(S0, A) && read32(S1, B);
-        if (Ok)
-          Ok = write32(D0, doImul(C, A, B));
-        break;
-      }
-      case OP_mul: {
-        uint32_t Src;
-        Ok = read32(S0, Src);
-        if (Ok) {
-          uint64_t Full = uint64_t(Gpr[REG_EAX - REG_EAX]) * Src;
-          uint32_t Lo = uint32_t(Full), Hi = uint32_t(Full >> 32);
-          Gpr[REG_EAX - REG_EAX] = Lo;
-          Gpr[REG_EDX - REG_EAX] = Hi;
-          C.setFlag(EFLAGS_CF, Hi != 0);
-          C.setFlag(EFLAGS_OF, Hi != 0);
-          C.setFlag(EFLAGS_AF, false);
-          setPZS(C, Lo);
-        }
-        break;
-      }
-      case OP_idiv: {
-        uint32_t Src;
-        Ok = read32(S0, Src);
-        if (Ok) {
-          int64_t Dividend = int64_t((uint64_t(Gpr[REG_EDX - REG_EAX]) << 32) |
-                                     Gpr[REG_EAX - REG_EAX]);
-          int32_t Divisor = int32_t(Src);
-          if (Divisor == 0) {
-            fault("integer divide by zero");
-            Result.Kind = StepKind::Faulted;
-            goto Done;
-          }
-          // INT64_MIN / -1 overflows the host's division too; its quotient
-          // is out of range like every other overflowing one.
-          if (Divisor == -1 &&
-              Dividend == std::numeric_limits<int64_t>::min()) {
-            fault("integer divide overflow");
-            Result.Kind = StepKind::Faulted;
-            goto Done;
-          }
-          int64_t Quot = Dividend / Divisor;
-          if (Quot > std::numeric_limits<int32_t>::max() ||
-              Quot < std::numeric_limits<int32_t>::min()) {
-            fault("integer divide overflow");
-            Result.Kind = StepKind::Faulted;
-            goto Done;
-          }
-          Gpr[REG_EAX - REG_EAX] = uint32_t(int32_t(Quot));
-          Gpr[REG_EDX - REG_EAX] = uint32_t(int32_t(Dividend % Divisor));
-        }
-        break;
-      }
-      case OP_cdq:
-        Gpr[REG_EDX - REG_EAX] =
-            (Gpr[REG_EAX - REG_EAX] & 0x80000000u) ? 0xFFFFFFFFu : 0;
-        break;
-
-      case OP_shl:
-      case OP_shr:
-      case OP_sar: {
-        uint32_t N, A;
-        Ok = read32(S0, N) && read32(S1, A);
-        // A masked count of 0 writes nothing: a memory operand stays
-        // unwritten and unmonitored.
-        if (Ok && (N &= 31) != 0)
-          Ok = write32(D0, doShift(C, R->Op, A, N));
-        break;
-      }
-
-      //===--- generic cases: control transfer ------------------------------===
-      case OP_jmp_ind: {
-        uint32_t Target;
-        if (!read32(S0, Target))
-          goto MemFault;
-        Cyc += TakenCost;
-        if (InApp && !Pred.predictIndirect(Pc, Target))
-          Cyc += MispredictCost;
-        NewPc = Target;
-        break;
-      }
-
-      case OP_call: {
-        uint32_t NewEsp = Esp - 4;
-        if (!Mem.write32(NewEsp, Next))
-          goto MemFault;
-        noteWrite(NewEsp, 4);
-        Esp = NewEsp;
-        Cyc += TakenCost;
-        if (InApp)
-          Pred.pushReturn(Next);
-        NewPc = S0.Value;
-        break;
-      }
-
-      case OP_call_ind: {
-        uint32_t Target;
-        if (!read32(S0, Target))
-          goto MemFault;
-        uint32_t NewEsp = Esp - 4;
-        if (!Mem.write32(NewEsp, Next))
-          goto MemFault;
-        noteWrite(NewEsp, 4);
-        Esp = NewEsp;
-        Cyc += TakenCost;
-        if (InApp) {
-          Pred.pushReturn(Next);
-          if (!Pred.predictIndirect(Pc, Target))
-            Cyc += MispredictCost;
-        }
-        NewPc = Target;
-        break;
-      }
-
-      case OP_ret:
-      case OP_ret_imm: {
-        uint32_t OldEsp = Esp;
-        uint32_t Target;
-        if (!Mem.read32(OldEsp, Target))
-          goto MemFault;
-        uint32_t Extra = R->Op == OP_ret_imm ? S0.Value : 0;
-        Esp = OldEsp + 4 + Extra;
-        Cyc += TakenCost;
-        // Natively, `ret` rides the return-address stack. In the code cache
-        // the runtime charges BTB-style costs at the IBL instead (the
-        // translated return is an indirect jump there — the paper's key
-        // penalty).
-        if (InApp && !Pred.popReturn(Target))
-          Cyc += MispredictCost;
-        NewPc = Target;
-        break;
-      }
-
-      //===--- generic cases: system ----------------------------------------===
-      case OP_int: {
-        Pc = Next; // the syscall returns to the following instruction
-        SyscallResult Sys = doSyscall();
-        if (Sys == SyscallResult::Fault) {
-          Result.Kind = StepKind::Faulted;
-          goto Done;
-        }
-        if (Status == RunStatus::Exited) {
-          Result.Kind = StepKind::Exited;
-          goto Done;
-        }
-        if (Sys == SyscallResult::ThreadExited) {
-          Result.Kind = StepKind::ThreadExited;
-          goto Done;
-        }
-        if (Sys == SyscallResult::Spawned) {
-          Result.Kind = StepKind::ThreadSpawned;
-          goto Done;
-        }
-        assert(&C == CurCpu && "the thread table moved mid-run");
-        break;
-      }
-
-      case OP_hlt:
-        Status = RunStatus::Exited;
-        ExitCode = 0;
-        Result.Kind = StepKind::Exited;
-        goto Done;
-
-      case OP_nop:
-        break;
-
-      //===--- generic cases: scalar double ---------------------------------===
-      case OP_addsd:
-      case OP_subsd:
-      case OP_mulsd:
-      case OP_divsd: {
-        double A, B;
-        Ok = readF64(S1, A) && readF64(S0, B);
-        if (Ok) {
-          double V = R->Op == OP_addsd   ? A + B
-                     : R->Op == OP_subsd ? A - B
-                     : R->Op == OP_mulsd ? A * B
-                                         : A / B;
-          Ok = writeF64(D0, V);
-        }
-        break;
-      }
-      case OP_ucomisd: {
-        double A, B;
-        Ok = readF64(S1, A) && readF64(S0, B);
-        if (Ok) {
-          bool Unordered = std::isnan(A) || std::isnan(B);
-          C.setFlag(EFLAGS_ZF, Unordered || A == B);
-          C.setFlag(EFLAGS_PF, Unordered);
-          C.setFlag(EFLAGS_CF, Unordered || A < B);
-          C.setFlag(EFLAGS_OF, false);
-          C.setFlag(EFLAGS_AF, false);
-          C.setFlag(EFLAGS_SF, false);
-        }
-        break;
-      }
-      case OP_cvtsi2sd: {
-        uint32_t V;
-        Ok = read32(S0, V) && writeF64(D0, double(int32_t(V)));
-        break;
-      }
-      case OP_cvttsd2si: {
-        double V;
-        Ok = readF64(S0, V);
-        if (Ok) {
-          int32_t Int;
-          if (std::isnan(V) || V >= 2147483648.0 || V < -2147483648.0)
-            Int = std::numeric_limits<int32_t>::min(); // "integer indefinite"
-          else
-            Int = int32_t(V);
-          Ok = write32(D0, uint32_t(Int));
-        }
-        break;
-      }
-
-      //===--- generic cases: runtime extensions ----------------------------===
-      case OP_clientcall:
-        Pc = Next;
-        Result.Kind = StepKind::ClientCall;
-        Result.ClientCallId = S0.Value;
-        goto Done;
-
-      case OP_savef: {
-        uint32_t Addr = addrOf(D0, Gpr);
-        Ok = Mem.write32(Addr, C.Eflags);
-        if (Ok)
-          noteWrite(Addr, 4);
-        break;
-      }
-      case OP_restf: {
-        uint32_t V;
-        Ok = Mem.read32(addrOf(S0, Gpr), V);
-        if (Ok)
-          C.Eflags = V;
-        break;
-      }
-
-      default: // OP_label, OP_INVALID, and opcodes whose operands fit no form
-        fault("executed invalid opcode");
-        Result.Kind = StepKind::Faulted;
-        goto Done;
-      }
-
-      if (RIO_UNLIKELY(!Ok))
-        goto MemFault;
-      Pc = NewPc;
-    }
-    if (RIO_UNLIKELY(CodeWritten)) {
-      CodeWritten = false;
-      LogAhead = CodeWrites.size() > Stops.CodeWriteCursor;
-    }
-    if (RIO_UNLIKELY(LogAhead) || RIO_UNLIKELY(Count >= InstrStop))
-      goto Done;
-    if (RIO_UNLIKELY(Pc == Stops.StopPc || Pc < Stops.LowPc ||
-                     Cyc >= Stops.CycleLimit))
-      goto Done;
-    R = fetchDecode(Pc);
-    if (RIO_UNLIKELY(R && R->Stop))
-      goto Done;
+Advance:
+  Pc += R->Length;
+Next:
+  // After each instruction: stop if it grew the code-write log past the
+  // caller's cursor or reached the instruction deadline, or if the pc or
+  // the cycle count meets a stop condition. All of these come before the
+  // probe, so a run that stops never fills the next pc's line.
+  if (RIO_UNLIKELY(CodeWritten)) {
+    CodeWritten = false;
+    LogAhead = CodeWrites.size() > Stops.CodeWriteCursor;
   }
+  if (RIO_UNLIKELY(LogAhead) || RIO_UNLIKELY(Count >= InstrStop))
+    goto Done;
+  if (RIO_UNLIKELY(Pc == Stops.StopPc || Pc < Stops.LowPc ||
+                   Cyc >= Stops.CycleLimit))
+    goto Done;
+  R = fetchDecode(Pc);
+  if (RIO_UNLIKELY(R && R->Stop))
+    goto Done;
+Execute:
+  Last = Pc;
+  if (RIO_UNLIKELY(!R)) {
+    fault("undecodable instruction at pc");
+    Result.Kind = StepKind::Faulted;
+    goto Done;
+  }
+  Cyc += R->Cost;
+  ++Count;
+  goto *Handlers[R->Form];
+
+  //===--- specialized forms -----------------------------------------------===
+H_MovRR:
+  Gpr[D0.Reg] = Gpr[S0.Reg];
+  goto Advance;
+H_MovRI:
+  Gpr[D0.Reg] = S0.Value;
+  goto Advance;
+H_MovRM: {
+  uint32_t V;
+  if (!Mem.read32(addrOf(S0, Gpr), V))
+    goto MemFault;
+  Gpr[D0.Reg] = V;
+  goto Advance;
+}
+H_MovMR:
+H_MovMI: {
+  const uint32_t V = R->Form == F_MovMR ? Gpr[S0.Reg] : S0.Value;
+  const uint32_t Addr = addrOf(D0, Gpr);
+  if (!Mem.write32(Addr, V))
+    goto MemFault;
+  noteWrite(Addr, 4);
+  goto Advance;
+}
+H_AddRR:
+  Gpr[D0.Reg] = doAdd(C, Gpr[S1.Reg], Gpr[S0.Reg], 0);
+  goto Advance;
+H_AddRI:
+  Gpr[D0.Reg] = doAdd(C, Gpr[S1.Reg], S0.Value, 0);
+  goto Advance;
+H_SubRR:
+  Gpr[D0.Reg] = doSub(C, Gpr[S1.Reg], Gpr[S0.Reg], 0);
+  goto Advance;
+H_SubRI:
+  Gpr[D0.Reg] = doSub(C, Gpr[S1.Reg], S0.Value, 0);
+  goto Advance;
+H_AndRR:
+  Gpr[D0.Reg] = doLogicFlags(C, Gpr[S1.Reg] & Gpr[S0.Reg]);
+  goto Advance;
+H_AndRI:
+  Gpr[D0.Reg] = doLogicFlags(C, Gpr[S1.Reg] & S0.Value);
+  goto Advance;
+H_OrRR:
+  Gpr[D0.Reg] = doLogicFlags(C, Gpr[S1.Reg] | Gpr[S0.Reg]);
+  goto Advance;
+H_OrRI:
+  Gpr[D0.Reg] = doLogicFlags(C, Gpr[S1.Reg] | S0.Value);
+  goto Advance;
+H_XorRR:
+  Gpr[D0.Reg] = doLogicFlags(C, Gpr[S1.Reg] ^ Gpr[S0.Reg]);
+  goto Advance;
+H_XorRI:
+  Gpr[D0.Reg] = doLogicFlags(C, Gpr[S1.Reg] ^ S0.Value);
+  goto Advance;
+H_CmpRR:
+  doSub(C, Gpr[S1.Reg], Gpr[S0.Reg], 0);
+  goto Advance;
+H_CmpRI:
+  doSub(C, Gpr[S1.Reg], S0.Value, 0);
+  goto Advance;
+H_TestRR:
+  doLogicFlags(C, Gpr[S1.Reg] & Gpr[S0.Reg]);
+  goto Advance;
+H_TestRI:
+  doLogicFlags(C, Gpr[S1.Reg] & S0.Value);
+  goto Advance;
+H_ShlRI:
+  if (const uint32_t N = S0.Value & 31)
+    Gpr[D0.Reg] = doShift(C, OP_shl, Gpr[S1.Reg], N);
+  goto Advance;
+H_ShrRI:
+  if (const uint32_t N = S0.Value & 31)
+    Gpr[D0.Reg] = doShift(C, OP_shr, Gpr[S1.Reg], N);
+  goto Advance;
+H_IncR:
+  // inc/dec leave CF untouched — the hinge of the paper's Section 4.2.
+  Gpr[D0.Reg] = doAdd(C, Gpr[S0.Reg], 1, 0, /*WriteCarry=*/false);
+  goto Advance;
+H_DecR:
+  Gpr[D0.Reg] = doSub(C, Gpr[S0.Reg], 1, 0, /*WriteCarry=*/false);
+  goto Advance;
+H_ImulRRI:
+  Gpr[D0.Reg] = doImul(C, S0.Value, Gpr[S1.Reg]);
+  goto Advance;
+H_Jcc:
+H_Jecxz: {
+  const bool Taken = R->Form == F_Jecxz ? Gpr[REG_ECX - REG_EAX] == 0
+                                        : condHolds(C, condCodeOf(R->Op));
+  if (!Pred.predictCond(Pc, Taken))
+    Cyc += MispredictCost;
+  if (!Taken)
+    goto Advance;
+  Cyc += TakenCost;
+  Pc = S0.Value;
+  goto Next;
+}
+H_Jmp:
+  Cyc += TakenCost;
+  Pc = S0.Value;
+  goto Next;
+H_MovzxBRM: {
+  uint8_t V;
+  if (!Mem.read8(addrOf(S0, Gpr), V))
+    goto MemFault;
+  Gpr[D0.Reg] = V;
+  goto Advance;
+}
+H_Lea:
+  Gpr[D0.Reg] = addrOf(S0, Gpr);
+  goto Advance;
+H_PushR:
+H_PushI: {
+  const uint32_t V = R->Form == F_PushR ? Gpr[S0.Reg] : S0.Value;
+  const uint32_t NewEsp = Esp - 4;
+  if (!Mem.write32(NewEsp, V))
+    goto MemFault;
+  noteWrite(NewEsp, 4);
+  Esp = NewEsp;
+  goto Advance;
+}
+H_PopR: {
+  const uint32_t OldEsp = Esp;
+  uint32_t V;
+  if (!Mem.read32(OldEsp, V))
+    goto MemFault;
+  // Order matters for `pop esp`: write the value last.
+  Esp = OldEsp + 4;
+  Gpr[D0.Reg] = V;
+  goto Advance;
+}
+H_MovsdXX:
+  Xmm[D0.Reg] = Xmm[S0.Reg];
+  goto Advance;
+H_MovsdXM: {
+  double V;
+  if (!Mem.readF64(addrOf(S0, Gpr), V))
+    goto MemFault;
+  Xmm[D0.Reg] = V;
+  goto Advance;
+}
+H_MovsdMX: {
+  const uint32_t Addr = addrOf(D0, Gpr);
+  if (!Mem.writeF64(Addr, Xmm[S0.Reg]))
+    goto MemFault;
+  noteWrite(Addr, 8);
+  goto Advance;
+}
+H_AddsdXX:
+  Xmm[D0.Reg] = Xmm[S1.Reg] + Xmm[S0.Reg];
+  goto Advance;
+H_MulsdXX:
+  Xmm[D0.Reg] = Xmm[S1.Reg] * Xmm[S0.Reg];
+  goto Advance;
+H_AddsdXM:
+H_MulsdXM: {
+  double B;
+  if (!Mem.readF64(addrOf(S0, Gpr), B))
+    goto MemFault;
+  const double A = Xmm[S1.Reg];
+  Xmm[D0.Reg] = R->Form == F_AddsdXM ? A + B : A * B;
+  goto Advance;
+}
+
+  //===--- generic cases: data movement ------------------------------------===
+H_MovB: {
+  uint8_t V;
+  if (!read8(S0, V) || !write8(D0, V))
+    goto MemFault;
+  goto Advance;
+}
+H_MovzxB: {
+  uint8_t V;
+  if (!read8(S0, V) || !write32(D0, V))
+    goto MemFault;
+  goto Advance;
+}
+H_MovsxB: {
+  uint8_t V;
+  if (!read8(S0, V) || !write32(D0, uint32_t(int32_t(int8_t(V)))))
+    goto MemFault;
+  goto Advance;
+}
+H_MovxW: {
+  uint16_t V;
+  if (!Mem.read16(addrOf(S0, Gpr), V) ||
+      !write32(D0, R->Op == OP_movzx_w ? uint32_t(V)
+                                       : uint32_t(int32_t(int16_t(V)))))
+    goto MemFault;
+  goto Advance;
+}
+H_Xchg: {
+  uint32_t A, B;
+  if (!read32(S0, A) || !read32(S1, B) || !write32(D0, B) ||
+      !write32(R->Dst[1], A))
+    goto MemFault;
+  goto Advance;
+}
+H_Push: {
+  uint32_t V;
+  if (!read32(S0, V))
+    goto MemFault;
+  const uint32_t NewEsp = Esp - 4;
+  if (!Mem.write32(NewEsp, V))
+    goto MemFault;
+  noteWrite(NewEsp, 4);
+  Esp = NewEsp;
+  goto Advance;
+}
+H_Pop: {
+  const uint32_t OldEsp = Esp;
+  uint32_t V;
+  if (!Mem.read32(OldEsp, V))
+    goto MemFault;
+  // Order matters for `pop esp`-style cases: write the value last.
+  Esp = OldEsp + 4;
+  if (!write32(D0, V))
+    goto MemFault;
+  goto Advance;
+}
+
+  //===--- generic cases: integer ALU --------------------------------------===
+H_AddAdc: {
+  uint32_t A, B;
+  if (!read32(S1, A) || !read32(S0, B))
+    goto MemFault;
+  const uint32_t Cin = R->Op == OP_adc && C.flag(EFLAGS_CF) ? 1 : 0;
+  if (!write32(D0, doAdd(C, A, B, Cin)))
+    goto MemFault;
+  goto Advance;
+}
+H_SubSbb: {
+  uint32_t A, B;
+  if (!read32(S1, A) || !read32(S0, B))
+    goto MemFault;
+  const uint32_t Bin = R->Op == OP_sbb && C.flag(EFLAGS_CF) ? 1 : 0;
+  if (!write32(D0, doSub(C, A, B, Bin)))
+    goto MemFault;
+  goto Advance;
+}
+H_Cmp: {
+  uint32_t A, B;
+  if (!read32(S1, A) || !read32(S0, B))
+    goto MemFault;
+  doSub(C, A, B, 0);
+  goto Advance;
+}
+H_Logic: {
+  uint32_t A, B;
+  if (!read32(S1, A) || !read32(S0, B))
+    goto MemFault;
+  const uint32_t V = R->Op == OP_and  ? (A & B)
+                     : R->Op == OP_or ? (A | B)
+                                      : (A ^ B);
+  if (!write32(D0, doLogicFlags(C, V)))
+    goto MemFault;
+  goto Advance;
+}
+H_Test: {
+  uint32_t A, B;
+  if (!read32(S1, A) || !read32(S0, B))
+    goto MemFault;
+  doLogicFlags(C, A & B);
+  goto Advance;
+}
+H_IncDec: {
+  uint32_t A;
+  if (!read32(S0, A))
+    goto MemFault;
+  const uint32_t V = R->Op == OP_inc
+                         ? doAdd(C, A, 1, 0, /*WriteCarry=*/false)
+                         : doSub(C, A, 1, 0, /*WriteCarry=*/false);
+  if (!write32(D0, V))
+    goto MemFault;
+  goto Advance;
+}
+H_Neg: {
+  uint32_t A;
+  if (!read32(S0, A) || !write32(D0, doSub(C, 0, A, 0)))
+    goto MemFault;
+  goto Advance;
+}
+H_Not: {
+  uint32_t A;
+  if (!read32(S0, A) || !write32(D0, ~A))
+    goto MemFault;
+  goto Advance;
+}
+H_Imul: {
+  // Two forms share canonical shape S={x, y}, D={r}.
+  uint32_t A, B;
+  if (!read32(S0, A) || !read32(S1, B) || !write32(D0, doImul(C, A, B)))
+    goto MemFault;
+  goto Advance;
+}
+H_Mul: {
+  uint32_t Src;
+  if (!read32(S0, Src))
+    goto MemFault;
+  const uint64_t Full = uint64_t(Gpr[REG_EAX - REG_EAX]) * Src;
+  const uint32_t Lo = uint32_t(Full), Hi = uint32_t(Full >> 32);
+  Gpr[REG_EAX - REG_EAX] = Lo;
+  Gpr[REG_EDX - REG_EAX] = Hi;
+  C.setFlag(EFLAGS_CF, Hi != 0);
+  C.setFlag(EFLAGS_OF, Hi != 0);
+  C.setFlag(EFLAGS_AF, false);
+  setPZS(C, Lo);
+  goto Advance;
+}
+H_Idiv: {
+  uint32_t Src;
+  if (!read32(S0, Src))
+    goto MemFault;
+  const int64_t Dividend = int64_t(
+      (uint64_t(Gpr[REG_EDX - REG_EAX]) << 32) | Gpr[REG_EAX - REG_EAX]);
+  const int32_t Divisor = int32_t(Src);
+  if (Divisor == 0) {
+    fault("integer divide by zero");
+    Result.Kind = StepKind::Faulted;
+    goto Done;
+  }
+  // INT64_MIN / -1 overflows the host's division too; its quotient is out
+  // of range like every other overflowing one.
+  if (Divisor == -1 && Dividend == std::numeric_limits<int64_t>::min()) {
+    fault("integer divide overflow");
+    Result.Kind = StepKind::Faulted;
+    goto Done;
+  }
+  const int64_t Quot = Dividend / Divisor;
+  if (Quot > std::numeric_limits<int32_t>::max() ||
+      Quot < std::numeric_limits<int32_t>::min()) {
+    fault("integer divide overflow");
+    Result.Kind = StepKind::Faulted;
+    goto Done;
+  }
+  Gpr[REG_EAX - REG_EAX] = uint32_t(int32_t(Quot));
+  Gpr[REG_EDX - REG_EAX] = uint32_t(int32_t(Dividend % Divisor));
+  goto Advance;
+}
+H_Cdq:
+  Gpr[REG_EDX - REG_EAX] =
+      (Gpr[REG_EAX - REG_EAX] & 0x80000000u) ? 0xFFFFFFFFu : 0;
+  goto Advance;
+H_Shift: {
+  uint32_t N, A;
+  if (!read32(S0, N) || !read32(S1, A))
+    goto MemFault;
+  // A masked count of 0 writes nothing: a memory operand stays unwritten
+  // and unmonitored.
+  if ((N &= 31) != 0 && !write32(D0, doShift(C, R->Op, A, N)))
+    goto MemFault;
+  goto Advance;
+}
+
+  //===--- generic cases: control transfer ---------------------------------===
+H_JmpInd: {
+  uint32_t Target;
+  if (!read32(S0, Target))
+    goto MemFault;
+  Cyc += TakenCost;
+  if (Pc < RuntimeBase && !Pred.predictIndirect(Pc, Target))
+    Cyc += MispredictCost;
+  Pc = Target;
+  goto Next;
+}
+H_Call: {
+  const AppPc Next = Pc + R->Length;
+  const uint32_t NewEsp = Esp - 4;
+  if (!Mem.write32(NewEsp, Next))
+    goto MemFault;
+  noteWrite(NewEsp, 4);
+  Esp = NewEsp;
+  Cyc += TakenCost;
+  if (Pc < RuntimeBase)
+    Pred.pushReturn(Next);
+  Pc = S0.Value;
+  goto Next;
+}
+H_CallInd: {
+  uint32_t Target;
+  if (!read32(S0, Target))
+    goto MemFault;
+  const AppPc Next = Pc + R->Length;
+  const uint32_t NewEsp = Esp - 4;
+  if (!Mem.write32(NewEsp, Next))
+    goto MemFault;
+  noteWrite(NewEsp, 4);
+  Esp = NewEsp;
+  Cyc += TakenCost;
+  if (Pc < RuntimeBase) {
+    Pred.pushReturn(Next);
+    if (!Pred.predictIndirect(Pc, Target))
+      Cyc += MispredictCost;
+  }
+  Pc = Target;
+  goto Next;
+}
+H_Ret: {
+  const uint32_t OldEsp = Esp;
+  uint32_t Target;
+  if (!Mem.read32(OldEsp, Target))
+    goto MemFault;
+  const uint32_t Extra = R->Op == OP_ret_imm ? S0.Value : 0;
+  Esp = OldEsp + 4 + Extra;
+  Cyc += TakenCost;
+  // Natively, `ret` rides the return-address stack. In the code cache the
+  // runtime charges BTB-style costs at the IBL instead (the translated
+  // return is an indirect jump there — the paper's key penalty).
+  if (Pc < RuntimeBase && !Pred.popReturn(Target))
+    Cyc += MispredictCost;
+  Pc = Target;
+  goto Next;
+}
+
+  //===--- generic cases: system -------------------------------------------===
+H_Int: {
+  Pc += R->Length; // the syscall returns to the following instruction
+  const SyscallResult Sys = doSyscall();
+  if (Sys == SyscallResult::Fault) {
+    Result.Kind = StepKind::Faulted;
+    goto Done;
+  }
+  if (Status == RunStatus::Exited) {
+    Result.Kind = StepKind::Exited;
+    goto Done;
+  }
+  if (Sys == SyscallResult::ThreadExited) {
+    Result.Kind = StepKind::ThreadExited;
+    goto Done;
+  }
+  if (Sys == SyscallResult::Spawned) {
+    Result.Kind = StepKind::ThreadSpawned;
+    goto Done;
+  }
+  assert(&C == CurCpu && "the thread table moved mid-run");
+  goto Next;
+}
+H_Hlt:
+  Status = RunStatus::Exited;
+  ExitCode = 0;
+  Result.Kind = StepKind::Exited;
+  goto Done;
+H_Nop:
+  goto Advance;
+
+  //===--- generic cases: scalar double ------------------------------------===
+H_ArithSd: {
+  double A, B;
+  if (!readF64(S1, A) || !readF64(S0, B))
+    goto MemFault;
+  const double V = R->Op == OP_addsd   ? A + B
+                   : R->Op == OP_subsd ? A - B
+                   : R->Op == OP_mulsd ? A * B
+                                       : A / B;
+  if (!writeF64(D0, V))
+    goto MemFault;
+  goto Advance;
+}
+H_Ucomisd: {
+  double A, B;
+  if (!readF64(S1, A) || !readF64(S0, B))
+    goto MemFault;
+  const bool Unordered = std::isnan(A) || std::isnan(B);
+  C.setFlag(EFLAGS_ZF, Unordered || A == B);
+  C.setFlag(EFLAGS_PF, Unordered);
+  C.setFlag(EFLAGS_CF, Unordered || A < B);
+  C.setFlag(EFLAGS_OF, false);
+  C.setFlag(EFLAGS_AF, false);
+  C.setFlag(EFLAGS_SF, false);
+  goto Advance;
+}
+H_Cvtsi2sd: {
+  uint32_t V;
+  if (!read32(S0, V) || !writeF64(D0, double(int32_t(V))))
+    goto MemFault;
+  goto Advance;
+}
+H_Cvttsd2si: {
+  double V;
+  if (!readF64(S0, V))
+    goto MemFault;
+  int32_t Int;
+  if (std::isnan(V) || V >= 2147483648.0 || V < -2147483648.0)
+    Int = std::numeric_limits<int32_t>::min(); // "integer indefinite"
+  else
+    Int = int32_t(V);
+  if (!write32(D0, uint32_t(Int)))
+    goto MemFault;
+  goto Advance;
+}
+
+  //===--- generic cases: runtime extensions -------------------------------===
+H_ClientCall:
+  Pc += R->Length;
+  Result.Kind = StepKind::ClientCall;
+  Result.ClientCallId = S0.Value;
+  goto Done;
+H_Savef: {
+  const uint32_t Addr = addrOf(D0, Gpr);
+  if (!Mem.write32(Addr, C.Eflags))
+    goto MemFault;
+  noteWrite(Addr, 4);
+  goto Advance;
+}
+H_Restf: {
+  uint32_t V;
+  if (!Mem.read32(addrOf(S0, Gpr), V))
+    goto MemFault;
+  C.Eflags = V;
+  goto Advance;
+}
+
+H_Invalid: // OP_label, OP_INVALID, and opcodes whose operands fit no form
+  fault("executed invalid opcode");
+  Result.Kind = StepKind::Faulted;
+  goto Done;
+
+#undef D0
+#undef S1
+#undef S0
+#undef RIO_FORMS
 
 MemFault:
   fault("memory access out of bounds at pc " + std::to_string(Pc));

@@ -104,9 +104,9 @@ struct PredecodedOp {
 
 /// A decode-cache record: the instruction as the interpreter runs it, its
 /// memoized cycle cost, whether the pc is stop-marked (see
-/// Machine::setStopPc), and its form: the handler Machine::run() dispatches
-/// on, chosen from the opcode and its operand kinds when the record fills
-/// (see Machine.cpp). Operand slots follow the canonical layout of
+/// Machine::setStopPc), and its form: the id of the handler Machine::run()
+/// jumps to, chosen from the opcode and its operand kinds when the record
+/// fills (see Machine.cpp; 0 is the handler that faults). Operand slots follow the canonical layout of
 /// isa/OperandLayout.h; the interpreter uses at most two sources and two
 /// destinations.
 struct PredecodedInstr {
@@ -319,9 +319,9 @@ private:
   }
   void noteWriteSlow(uint32_t Addr, uint32_t Len, uint32_t State);
 
-  // Operand access on pre-decoded operands of any kind, for the generic
-  // cases of run()'s switch (see Machine.cpp). Register classes were
-  // checked when the record was filled.
+  // Operand access on pre-decoded operands of any kind, for run()'s
+  // generic handlers (see Machine.cpp). Register classes were checked when
+  // the record was filled.
   RIO_ALWAYS_INLINE bool read32(const PredecodedOp &Op, uint32_t &Value);
   RIO_ALWAYS_INLINE bool write32(const PredecodedOp &Op, uint32_t Value);
   RIO_ALWAYS_INLINE bool read8(const PredecodedOp &Op, uint8_t &Value);
