@@ -46,12 +46,17 @@
 ///     -metrics <file>        telemetry snapshots: Prometheus exposition to
 ///                            <file>, the JSON export next to it
 ///     -metrics-interval <n>  rewrite the -metrics files every n simulated
-///                            cycles during the run (default: end only)
+///                            cycles during the run (default: end only;
+///                            default mode only, other modes refuse it)
 ///     -flight-record <file>  post-mortem JSON dump on faults and budget
 ///                            overruns (events + snapshot + profile)
 ///     -budget <n>            abort (exit 124) once the run exceeds n
-///                            simulated instructions
+///                            simulated instructions (default mode and
+///                            -native; other modes refuse it)
 ///     -help                  list every flag
+///
+/// Numeric values are whole numbers, decimal or 0x-prefixed hex; anything
+/// else, or a value outside the flag's range, is a usage error.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,10 +72,12 @@
 #include "support/Profile.h"
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 using namespace rio;
@@ -92,6 +99,25 @@ bool readFile(const char *Path, std::string &Out) {
 /// A -tenants count above this is a typo, not a serving plan: each tenant
 /// is a full (CoW) machine and runtime, and the driver runs them in turn.
 constexpr int MaxTenants = 1024;
+
+/// Parses \p Text as a whole number in [Min, Max]: decimal digits, or hex
+/// digits after "0x". A sign, a blank, a suffix or an out-of-range value
+/// fails.
+bool parseNumber(std::string_view Text, uint64_t Min, uint64_t Max,
+                 uint64_t &Out) {
+  int Base = 10;
+  if (Text.size() > 2 && Text[0] == '0' && (Text[1] == 'x' || Text[1] == 'X')) {
+    Text.remove_prefix(2);
+    Base = 16;
+  }
+  uint64_t V = 0;
+  const char *End = Text.data() + Text.size();
+  auto [Stop, Err] = std::from_chars(Text.data(), End, V, Base);
+  if (Text.empty() || Err != std::errc() || Stop != End || V < Min || V > Max)
+    return false;
+  Out = V;
+  return true;
+}
 
 void printHelp() {
   OutStream &OS = outs();
@@ -120,7 +146,8 @@ void printHelp() {
       "  -ib-inline             adaptive indirect-branch inline caches\n"
       "  -scale <n>             workload scale override\n"
       "  -budget <n>            abort (exit 124) past n simulated "
-      "instructions\n"
+      "instructions (default\n"
+      "                         mode or -native)\n"
       "\n"
       "persistence and forking:\n"
       "  -cache-load <file>     warm-start from a .riocache image\n"
@@ -142,7 +169,8 @@ void printHelp() {
       "  -metrics <file>        telemetry snapshots: Prometheus text to "
       "<file>, JSON beside it\n"
       "  -metrics-interval <n>  rewrite the -metrics files every n "
-      "simulated cycles\n"
+      "simulated cycles (default\n"
+      "                         mode only)\n"
       "  -flight-record <file>  post-mortem JSON dump on faults and budget "
       "overruns\n"
       "\n"
@@ -185,7 +213,23 @@ int main(int argc, char **argv) {
   int Tenants = 0;
   bool TenantsGiven = false;
 
-  for (int I = 1; I < argc; ++I) {
+  // A numeric flag's value, as "-flag <n>" or "-flag=<n>"; a bad value
+  // ends the parse with a usage error.
+  bool BadNumber = false;
+  auto Number = [&](const char *Flag, const char *Text, uint64_t Min,
+                    uint64_t Max, auto &Out) {
+    uint64_t V;
+    if (!parseNumber(Text, Min, Max, V)) {
+      OS.printf("error: %s wants a whole number from %llu to %llu, not "
+                "'%s'\n\n",
+                Flag, (unsigned long long)Min, (unsigned long long)Max, Text);
+      BadNumber = true;
+      return;
+    }
+    Out = decltype(+Out)(V);
+  };
+
+  for (int I = 1; I < argc && !BadNumber; ++I) {
     std::string Arg = argv[I];
     if (Arg == "-help" || Arg == "-h" || Arg == "--help") {
       printHelp();
@@ -199,9 +243,9 @@ int main(int argc, char **argv) {
     else if (Arg == "-sideline" || Arg == "-sideline-async")
       UseSideline = true;
     else if (Arg == "-sideline-seed" && I + 1 < argc)
-      SidelineSeed = std::strtoull(argv[++I], nullptr, 0);
+      Number("-sideline-seed", argv[++I], 0, UINT64_MAX, SidelineSeed);
     else if (Arg.rfind("-sideline-seed=", 0) == 0)
-      SidelineSeed = std::strtoull(Arg.c_str() + 15, nullptr, 0);
+      Number("-sideline-seed", Arg.c_str() + 15, 0, UINT64_MAX, SidelineSeed);
     else if (Arg == "-traceopt")
       TraceOpt = true;
     else if (Arg == "-traceopt-speculate")
@@ -242,7 +286,7 @@ int main(int argc, char **argv) {
     else if (Arg == "-client" && I + 1 < argc)
       ClientName = argv[++I];
     else if (Arg == "-scale" && I + 1 < argc)
-      Scale = std::atoi(argv[++I]);
+      Number("-scale", argv[++I], 0, INT_MAX, Scale);
     else if (Arg == "-disas" && I + 1 < argc)
       DisasSym = argv[++I];
     else if (Arg == "-trace" && I + 1 < argc)
@@ -254,9 +298,10 @@ int main(int argc, char **argv) {
     else if (Arg == "-ib-inline")
       IbInline = true;
     else if (Arg == "-sample-interval" && I + 1 < argc)
-      SampleInterval = std::strtoull(argv[++I], nullptr, 0);
+      Number("-sample-interval", argv[++I], 1, UINT64_MAX, SampleInterval);
     else if (Arg.rfind("-sample-interval=", 0) == 0)
-      SampleInterval = std::strtoull(Arg.c_str() + 17, nullptr, 0);
+      Number("-sample-interval", Arg.c_str() + 17, 1, UINT64_MAX,
+             SampleInterval);
     else if (Arg == "-cache-load" && I + 1 < argc)
       CacheLoadFile = argv[++I];
     else if (Arg.rfind("-cache-load=", 0) == 0)
@@ -266,27 +311,28 @@ int main(int argc, char **argv) {
     else if (Arg.rfind("-cache-save=", 0) == 0)
       CacheSaveFile = Arg.substr(12);
     else if (Arg == "-tenants" && I + 1 < argc) {
-      Tenants = std::atoi(argv[++I]);
+      Number("-tenants", argv[++I], 1, MaxTenants, Tenants);
       TenantsGiven = true;
     } else if (Arg.rfind("-tenants=", 0) == 0) {
-      Tenants = std::atoi(Arg.c_str() + 9);
+      Number("-tenants", Arg.c_str() + 9, 1, MaxTenants, Tenants);
       TenantsGiven = true;
     } else if (Arg == "-metrics" && I + 1 < argc)
       MetricsFile = argv[++I];
     else if (Arg.rfind("-metrics=", 0) == 0)
       MetricsFile = Arg.substr(9);
     else if (Arg == "-metrics-interval" && I + 1 < argc)
-      MetricsInterval = std::strtoull(argv[++I], nullptr, 0);
+      Number("-metrics-interval", argv[++I], 1, UINT64_MAX, MetricsInterval);
     else if (Arg.rfind("-metrics-interval=", 0) == 0)
-      MetricsInterval = std::strtoull(Arg.c_str() + 18, nullptr, 0);
+      Number("-metrics-interval", Arg.c_str() + 18, 1, UINT64_MAX,
+             MetricsInterval);
     else if (Arg == "-flight-record" && I + 1 < argc)
       FlightRecordFile = argv[++I];
     else if (Arg.rfind("-flight-record=", 0) == 0)
       FlightRecordFile = Arg.substr(15);
     else if (Arg == "-budget" && I + 1 < argc)
-      Budget = std::strtoull(argv[++I], nullptr, 0);
+      Number("-budget", argv[++I], 1, UINT64_MAX, Budget);
     else if (Arg.rfind("-budget=", 0) == 0)
-      Budget = std::strtoull(Arg.c_str() + 8, nullptr, 0);
+      Number("-budget", Arg.c_str() + 8, 1, UINT64_MAX, Budget);
     else if (Arg[0] != '-')
       Target = Arg;
     else {
@@ -294,7 +340,7 @@ int main(int argc, char **argv) {
       return usage();
     }
   }
-  if (Target.empty())
+  if (BadNumber || Target.empty())
     return usage();
 
   // Speculation publishes through the sideline's reopt queue; without a
@@ -308,15 +354,28 @@ int main(int argc, char **argv) {
     return usage();
   }
 
+  // The budget and the periodic metrics writer slice one runtime's run;
+  // -native honours the budget with its own deadline. Every other mode
+  // runs several runtimes or its own quanta, so it refuses both rather
+  // than ignore them.
+  if (Budget || MetricsInterval) {
+    const char *Mode = Shared                      ? "-shared"
+                       : Threads                   ? "-threads"
+                       : UseSideline               ? "-sideline"
+                       : TenantsGiven              ? "-tenants"
+                       : Native && MetricsInterval ? "-native"
+                                                   : nullptr;
+    if (Mode) {
+      OS.printf("error: %s cannot be combined with %s\n",
+                MetricsInterval ? "-metrics-interval" : "-budget", Mode);
+      return usage();
+    }
+  }
+
   // -tenants wants the single-runtime cache mode with nothing that would
   // make the template unfreezable (a client, the sideline) or ambiguous
   // about which runtime to snapshot (-cache-save after N tenants ran).
   if (TenantsGiven) {
-    if (Tenants < 1 || Tenants > MaxTenants) {
-      OS.printf("error: -tenants wants a count between 1 and %d\n",
-                MaxTenants);
-      return usage();
-    }
     if (!CacheSaveFile.empty() || UseSideline) {
       OS.printf("error: -tenants cannot be combined with -cache-save or "
                 "-sideline\n");
@@ -377,7 +436,7 @@ int main(int argc, char **argv) {
   // Observability sinks: stack-owned, shared by every runtime the run
   // creates (the config is copied by value, the pointers ride along).
   EventTrace Trace;
-  SampleProfile Profiler(SampleInterval ? SampleInterval : 1000);
+  SampleProfile Profiler(SampleInterval);
   if (!TraceFile.empty())
     Config.Trace = &Trace;
   // The speculative tier of the trace optimizer feeds on the profiler's
@@ -534,8 +593,23 @@ int main(int argc, char **argv) {
   // Function scope (not the -tenants block): tenant gauges registered in
   // Reg must stay readable for the final metrics write below.
   TenantFleet Fleet;
+  // Past the budget: dump the post-mortem and exit 124.
+  auto AbortOverBudget = [&]() {
+    WriteFlight("budget_overrun");
+    if (RT)
+      WriteMetrics();
+    OS.printf("budget: exceeded %llu instructions (at %llu); aborting\n",
+              (unsigned long long)Budget,
+              (unsigned long long)M.instructionsExecuted());
+    return 124;
+  };
+
   if (Native) {
-    R = runThreadedNative(M);
+    // The budget is the scheduler's instruction deadline: the run stops
+    // there, still running, instead of faulting.
+    R = runThreadedNative(M, NativeQuantum, Budget ? Budget : ~0ull);
+    if (R.Status == RunStatus::Running)
+      return AbortOverBudget();
   } else if (Threads) {
     ThreadedRunner Runner(M, Config, ClientPtr);
     R = Runner.run();
@@ -579,14 +653,8 @@ int main(int argc, char **argv) {
     WarmStart(*RT);
     RT->registerMetrics(Reg, TenantsGiven ? "template" : "main");
     R = DrivenRun(*RT);
-    if (BudgetOverrun) {
-      WriteFlight("budget_overrun");
-      WriteMetrics();
-      OS.printf("budget: exceeded %llu instructions (at %llu); aborting\n",
-                (unsigned long long)Budget,
-                (unsigned long long)M.instructionsExecuted());
-      return 124;
-    }
+    if (BudgetOverrun)
+      return AbortOverBudget();
     if (TenantsGiven && R.Status == RunStatus::Exited) {
       // Serve N tenants from the warmed template: rewind the machine to
       // the program entry (memory, caches, and predictors stay warm),

@@ -138,9 +138,11 @@ RunResult ThreadedRunner::run() {
   return Last;
 }
 
-RunResult rio::runThreadedNative(Machine &M, uint64_t Quantum) {
+RunResult rio::runThreadedNative(Machine &M, uint64_t Quantum,
+                                 uint64_t InstrLimit) {
   std::vector<bool> Done;
-  while (M.status() == RunStatus::Running) {
+  while (M.status() == RunStatus::Running &&
+         M.instructionsExecuted() < InstrLimit) {
     bool AnyAlive = false;
     for (unsigned Tid = 0; Tid != M.numThreads(); ++Tid) {
       if (Done.size() <= Tid)
@@ -150,7 +152,8 @@ RunResult rio::runThreadedNative(Machine &M, uint64_t Quantum) {
       AnyAlive = true;
       M.switchToThread(Tid);
       StopSet Slice;
-      Slice.InstrLimit = M.instructionsExecuted() + Quantum;
+      Slice.InstrLimit =
+          std::min(M.instructionsExecuted() + Quantum, InstrLimit);
       while (M.status() == RunStatus::Running &&
              M.instructionsExecuted() < Slice.InstrLimit) {
         StepResult Step = M.run(Slice);
@@ -163,7 +166,8 @@ RunResult rio::runThreadedNative(Machine &M, uint64_t Quantum) {
           break;
         }
       }
-      if (M.status() != RunStatus::Running)
+      if (M.status() != RunStatus::Running ||
+          M.instructionsExecuted() >= InstrLimit)
         break;
     }
     if (!AnyAlive)

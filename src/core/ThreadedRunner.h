@@ -92,10 +92,16 @@ private:
   bool InitFired = false;
 };
 
+/// runThreadedNative's default scheduling slice, in instructions.
+constexpr uint64_t NativeQuantum = 5000;
+
 /// Reference scheduler: runs a multi-threaded application *natively*
 /// (no code cache) with the same round-robin quantum policy. Used to
-/// establish the native baseline the threaded runtime must match.
-RunResult runThreadedNative(Machine &M, uint64_t Quantum = 5000);
+/// establish the native baseline the threaded runtime must match. Stops
+/// once the machine has executed \p InstrLimit instructions, with the
+/// program still running: a deadline on every slice, never a fault.
+RunResult runThreadedNative(Machine &M, uint64_t Quantum = NativeQuantum,
+                            uint64_t InstrLimit = ~0ull);
 
 /// A fleet of forked tenants served from one frozen template — the
 /// "N warmed tenants from one image" pattern behind `riodyn -tenants` and

@@ -211,6 +211,27 @@ TEST(Engine, RunMatchesStepOnThreadedProgram) {
   expectSameRun(ByStep, ByRun);
 }
 
+/// An instruction limit stops the native scheduler on that instruction,
+/// mid-quantum, with the program still running and nothing faulted; a
+/// limit the program never reaches changes nothing.
+TEST(Engine, ThreadedNativeStopsAtItsInstructionLimit) {
+  Program P = threadedProgram();
+  constexpr uint64_t Quantum = 97, Limit = 1000;
+  Machine Stopped, Unlimited, Generous;
+  ASSERT_TRUE(loadProgram(Stopped, P));
+  ASSERT_TRUE(loadProgram(Unlimited, P));
+  ASSERT_TRUE(loadProgram(Generous, P));
+  RunResult R = runThreadedNative(Stopped, Quantum, Limit);
+  EXPECT_EQ(R.Status, RunStatus::Running);
+  EXPECT_EQ(R.Instructions, Limit);
+  EXPECT_EQ(Stopped.faultReason(), "");
+  EXPECT_EQ(Stopped.output(), "");
+  ASSERT_EQ(runThreadedNative(Unlimited, Quantum).Status, RunStatus::Exited);
+  ASSERT_GT(Unlimited.instructionsExecuted(), Limit);
+  runThreadedNative(Generous, Quantum, Unlimited.instructionsExecuted());
+  expectSameRun(Unlimited, Generous);
+}
+
 struct RuntimeRun {
   RunResult Result;
   std::string Output;
