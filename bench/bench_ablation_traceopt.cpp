@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Ablates the non-speculative trace-optimizer pipeline one pass at a time
-/// on a workload whose loop body carries one instance of every pattern the
-/// pipeline targets: a store-immediate/reload pair (constant propagation),
+/// Ablates the trace-optimizer pipeline one pass at a time on a workload
+/// whose loop body carries one instance of every pattern the pipeline
+/// targets: a store-immediate/reload pair (constant propagation),
 /// a repeated same-site load (redundant load forwarding), an overwritten
 /// store (dead-store elimination), and an inc chain ahead of a full flag
 /// writer (strength reduction under the Pentium 4 cost model).

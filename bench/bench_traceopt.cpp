@@ -1,4 +1,4 @@
-//===- bench/bench_traceopt.cpp - Speculative trace optimizer wins -----------===//
+//===- bench/bench_traceopt.cpp - Trace optimizer wins --------------------===//
 //
 // Part of the RIO-DYN reproduction of "An Infrastructure for Adaptive
 // Dynamic Optimization" (CGO 2003).
@@ -8,28 +8,23 @@
 /// \file
 /// Measures what the trace optimizer (core/TraceOpt.h) buys on top of the
 /// asynchronous sideline. Three loop-heavy workloads, each leaning on one
-/// pass of the pipeline, run three ways:
+/// pass of the pipeline, run two ways:
 ///
 ///   * base     — async sideline with a no-op client: traces are decoded,
 ///                "re-optimized" unchanged, and republished. This prices
 ///                the publication machinery identically to the optimized
 ///                runs, so the delta is the optimizer's, not the sideline's;
-///   * traceopt — async sideline with the non-speculative tier: redundant
-///                load removal/forwarding, constant propagation, dead-store
-///                elimination, inc/dec strength reduction;
-///   * spec     — traceopt plus the speculative tier: the sampling profiler
-///                feeds TraceOptClient::observe, stable load sites get
-///                entry guards and their loads fold to immediates.
+///   * traceopt — async sideline with the optimizer: redundant load
+///                removal/forwarding, constant propagation, dead-store
+///                elimination, inc/dec strength reduction.
 ///
 /// The bench hard-asserts the subsystem's contract on the simulated clock:
-/// all modes are output-transparent, the spec schedule is deterministic for
-/// the fixed seed (two runs, bit-identical cycles and guard counts), no
-/// guard ever fails on these stable workloads, and the non-speculative tier
-/// alone cuts aggregate simulated cycles by at least 10% against base.
+/// both modes are output-transparent, every workload gets faster, and the
+/// optimizer cuts aggregate simulated cycles by at least 10% against base.
 ///
-/// Simulated cycles, publication, guard, deopt and trace counts are exact
-/// and diffable across commits; bench_compare.py gates them hard. Host
-/// wall clock only warns.
+/// Simulated cycles, publication and trace counts are exact and diffable
+/// across commits; bench_compare.py gates them hard. Host wall clock only
+/// warns.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +35,6 @@
 #include "core/TraceOpt.h"
 #include "harness/Experiment.h"
 #include "support/OutStream.h"
-#include "support/Profile.h"
 
 #include <chrono>
 #include <cstdlib>
@@ -52,8 +46,7 @@ using namespace rio;
 namespace {
 
 /// Redundant-load heavy: five loads per iteration from two sites, three of
-/// them removable by forwarding, the remaining two foldable to immediates
-/// once the speculative tier pins [a] and [b].
+/// them removable by forwarding.
 std::string redloadSource(int Iters) {
   return R"(
     .entry main
@@ -118,8 +111,7 @@ std::string incdecSource(int Iters) {
 }
 
 /// Dead stores plus a loop-invariant load: two of three same-slot stores
-/// per iteration are dead, and the two [c] loads collapse to one (to an
-/// immediate once speculation pins the site).
+/// per iteration are dead, and the two [c] loads collapse to one.
 std::string deadstoreSource(int Iters) {
   return R"(
     .entry main
@@ -149,11 +141,9 @@ std::string deadstoreSource(int Iters) {
 }
 
 struct Sample {
-  std::string Config;      ///< <workload>_{base,traceopt,spec}
+  std::string Config;      ///< <workload>_{base,traceopt}
   uint64_t Cycles = 0;     ///< simulated, full run — exact, gated
-  uint64_t Guards = 0;     ///< guards emitted (0 outside spec)
   uint64_t Published = 0;  ///< sideline versions published
-  uint64_t Deopts = 0;     ///< guard-failure deoptimizations (must be 0)
   uint64_t Traces = 0;     ///< traces built
   uint64_t HostNs = 0;     ///< host wall clock, warn-only
 };
@@ -169,38 +159,22 @@ void die(const std::string &Msg) {
   std::abort();
 }
 
-enum class Mode { Base, TraceOpt, Spec };
-
-Sample runOnce(const std::string &Name, const Program &Prog, Mode Which,
+Sample runOnce(const std::string &Name, const Program &Prog, bool Optimize,
                const std::string &Expected) {
   Sample Out;
-  Out.Config = Name + (Which == Mode::Base       ? "_base"
-                       : Which == Mode::TraceOpt ? "_traceopt"
-                                                 : "_spec");
+  Out.Config = Name + (Optimize ? "_traceopt" : "_base");
   Machine M;
   if (!loadProgram(M, Prog))
     die(Name + ": program too large");
 
   NullClient Null;
-  TraceOptOptions Opts;
-  Opts.Speculate = Which == Mode::Spec;
-  TraceOptClient TraceOpt(Opts);
-  Client &Inner =
-      Which == Mode::Base ? static_cast<Client &>(Null) : TraceOpt;
+  TraceOptClient TraceOpt;
+  Client &Inner = Optimize ? static_cast<Client &>(TraceOpt) : Null;
 
   SidelineOptimizer Sideline(Inner, SidelineMode::Async);
   RuntimeConfig Config = RuntimeConfig::full();
   Config.SidelinePump = &Sideline;
-  SampleProfile Profiler(200);
-  if (Which == Mode::Spec)
-    Config.Profiler = &Profiler;
   Runtime RT(M, Config, &Sideline);
-  if (Which == Mode::Spec)
-    Profiler.setTraceSampleHook(
-        [&RT, &Sideline, &TraceOpt](uint32_t Tag, uint64_t Samples) {
-          if (TraceOpt.observe(RT, Tag, Samples))
-            Sideline.requestReopt(RT, Tag);
-        });
 
   uint64_t T0 = nowNs();
   RunResult R = runWithSideline(RT, Sideline);
@@ -210,9 +184,7 @@ Sample runOnce(const std::string &Name, const Program &Prog, Mode Which,
   if (M.output() != Expected)
     die(Out.Config + ": transparency violated");
   Out.Cycles = R.Cycles;
-  Out.Guards = TraceOpt.guardsEmitted();
   Out.Published = Sideline.versionsPublished();
-  Out.Deopts = RT.stats().get("deoptimizations");
   Out.Traces = RT.stats().get("traces_built");
   return Out;
 }
@@ -220,9 +192,7 @@ Sample runOnce(const std::string &Name, const Program &Prog, Mode Which,
 BenchRow row(const Sample &S) {
   return {S.Config,
           {{"cycles", S.Cycles},
-           {"guards", S.Guards},
            {"published", S.Published},
-           {"deopts", S.Deopts},
            {"traces", S.Traces}},
           {{"host_ns", S.HostNs}}};
 }
@@ -232,10 +202,9 @@ BenchRow row(const Sample &S) {
 int main(int Argc, char **Argv) {
   const char *OutPath = Argc > 1 ? Argv[1] : "BENCH_traceopt.json";
   OutStream &OS = outs();
-  OS.printf("Speculative trace optimizer (simulated cycles; sideline = "
-            "async in all modes)\n\n");
-  OS.printf("%-10s %12s %12s %12s %7s %7s\n", "workload", "base", "traceopt",
-            "spec", "guards", "deopts");
+  OS.printf("Trace optimizer (simulated cycles; sideline = async in both "
+            "modes)\n\n");
+  OS.printf("%-10s %12s %12s\n", "workload", "base", "traceopt");
 
   struct Spec {
     const char *Name;
@@ -246,7 +215,7 @@ int main(int Argc, char **Argv) {
                         {"deadstore", deadstoreSource(4000)}};
 
   std::vector<BenchRow> Rows;
-  uint64_t BaseTotal = 0, OptTotal = 0, SpecGuards = 0;
+  uint64_t BaseTotal = 0, OptTotal = 0;
   for (const Spec &S : Specs) {
     Program Prog;
     std::string Error;
@@ -256,36 +225,20 @@ int main(int Argc, char **Argv) {
     if (Native.Status != RunStatus::Exited)
       die(std::string(S.Name) + ": native run failed");
 
-    Sample Base = runOnce(S.Name, Prog, Mode::Base, Native.Output);
-    Sample Opt = runOnce(S.Name, Prog, Mode::TraceOpt, Native.Output);
-    Sample Sp = runOnce(S.Name, Prog, Mode::Spec, Native.Output);
-
-    // The profile-driven speculation schedule is seeded: a second spec run
-    // must land on identical cycles, guards, and publications.
-    Sample Again = runOnce(S.Name, Prog, Mode::Spec, Native.Output);
-    if (Again.Cycles != Sp.Cycles || Again.Guards != Sp.Guards ||
-        Again.Published != Sp.Published)
-      die(std::string(S.Name) + ": spec schedule is not deterministic");
+    Sample Base = runOnce(S.Name, Prog, false, Native.Output);
+    Sample Opt = runOnce(S.Name, Prog, true, Native.Output);
 
     if (Base.Published == 0)
       die(std::string(S.Name) + ": base sideline published nothing");
-    if (Opt.Guards != 0)
-      die(std::string(S.Name) + ": non-speculative run emitted guards");
-    if (Sp.Deopts != 0 || Opt.Deopts != 0 || Base.Deopts != 0)
-      die(std::string(S.Name) + ": stable workload deoptimized");
     if (Opt.Cycles >= Base.Cycles)
       die(std::string(S.Name) + ": traceopt did not beat base");
 
     BaseTotal += Base.Cycles;
     OptTotal += Opt.Cycles;
-    SpecGuards += Sp.Guards;
-    OS.printf("%-10s %12llu %12llu %12llu %7llu %7llu\n", S.Name,
-              (unsigned long long)Base.Cycles, (unsigned long long)Opt.Cycles,
-              (unsigned long long)Sp.Cycles, (unsigned long long)Sp.Guards,
-              (unsigned long long)Sp.Deopts);
+    OS.printf("%-10s %12llu %12llu\n", S.Name, (unsigned long long)Base.Cycles,
+              (unsigned long long)Opt.Cycles);
     Rows.push_back(row(Base));
     Rows.push_back(row(Opt));
-    Rows.push_back(row(Sp));
   }
 
   double Reduction = 100.0 * double(BaseTotal - OptTotal) / double(BaseTotal);
@@ -293,12 +246,7 @@ int main(int Argc, char **Argv) {
             (unsigned long long)BaseTotal, (unsigned long long)OptTotal,
             Reduction);
   if (Reduction < 10.0)
-    die("non-speculative tier must cut aggregate cycles by at least 10%");
-
-  // At least one workload's spec run must actually speculate: guards are
-  // the whole point of the tier, and every site here is stable.
-  if (SpecGuards == 0)
-    die("speculative runs emitted no guards at all");
+    die("the optimizer must cut aggregate cycles by at least 10%");
 
   return writeBenchJson(OutPath, Rows) ? 0 : 1;
 }

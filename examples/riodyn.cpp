@@ -33,10 +33,11 @@
 ///     -cache-load <file>     warm-start from a .riocache image (falls back
 ///                            to cold start if the image doesn't validate)
 ///     -cache-save <file>     serialize the warmed caches after the run
-///                            (both need the single-runtime cache mode:
-///                            not -native or -threads; composes with
-///                            -sideline when the client is persist-safe —
-///                            only published fragment versions serialize)
+///                            (both need a code cache of one runtime:
+///                            -native, -threads and -shared refuse them;
+///                            composes with -sideline when the client is
+///                            persist-safe — only published fragment
+///                            versions serialize)
 ///     -tenants <n>           after the run warms the caches, freeze the
 ///                            runtime as a template and serve n forked
 ///                            tenants from it, each on a copy-on-write
@@ -44,12 +45,15 @@
 ///                            refuses -cache-save, -sideline, -native,
 ///                            -threads, and clients)
 ///     -metrics <file>        telemetry snapshots: Prometheus exposition to
-///                            <file>, the JSON export next to it
+///                            <file>, the JSON export next to it (-threads
+///                            and -shared refuse it; under -native only the
+///                            machine's counters)
 ///     -metrics-interval <n>  rewrite the -metrics files every n simulated
 ///                            cycles during the run (default: end only;
 ///                            default mode only, other modes refuse it)
 ///     -flight-record <file>  post-mortem JSON dump on faults and budget
-///                            overruns (events + snapshot + profile)
+///                            overruns (events + snapshot + profile;
+///                            -threads and -shared refuse it)
 ///     -budget <n>            abort (exit 124) once the run exceeds n
 ///                            simulated instructions (default mode and
 ///                            -native; other modes refuse it)
@@ -140,9 +144,6 @@ void printHelp() {
       "  -traceopt[=p,...]      trace optimizer on trace bodies; pass list\n"
       "                         from loads,consts,dse,strength (default "
       "all)\n"
-      "  -traceopt-speculate    guard-based value speculation with deopt "
-      "bail-out\n"
-      "                         (implies -traceopt; needs -sideline)\n"
       "  -ib-inline             adaptive indirect-branch inline caches\n"
       "  -scale <n>             workload scale override\n"
       "  -budget <n>            abort (exit 124) past n simulated "
@@ -152,6 +153,8 @@ void printHelp() {
       "persistence and forking:\n"
       "  -cache-load <file>     warm-start from a .riocache image\n"
       "  -cache-save <file>     serialize the warmed caches after the run\n"
+      "                         (both: not with -native, -threads or "
+      "-shared)\n"
       "  -tenants <n>           serve 1..%d copy-on-write forked tenants "
       "from one warmed\n"
       "                         template (not with -cache-save, -sideline, "
@@ -168,11 +171,13 @@ void printHelp() {
       "1000)\n"
       "  -metrics <file>        telemetry snapshots: Prometheus text to "
       "<file>, JSON beside it\n"
+      "                         (not with -threads or -shared)\n"
       "  -metrics-interval <n>  rewrite the -metrics files every n "
       "simulated cycles (default\n"
       "                         mode only)\n"
       "  -flight-record <file>  post-mortem JSON dump on faults and budget "
       "overruns\n"
+      "                         (not with -threads or -shared)\n"
       "\n"
       "inspection:\n"
       "  -disas <symbol>        disassemble the fragment at a program "
@@ -201,7 +206,7 @@ int main(int argc, char **argv) {
        Stats = false;
   uint64_t SidelineSeed = 0x5eed51deull;
   bool DumpAsm = false, Profile = false, IbInline = false;
-  bool TraceOpt = false, TraceOptSpeculate = false;
+  bool TraceOpt = false;
   TraceOptOptions TraceOptOpts;
   std::string ConfigName = "full", ClientName = "none", Target, DisasSym,
               TraceFile, CacheLoadFile, CacheSaveFile, MetricsFile,
@@ -248,8 +253,6 @@ int main(int argc, char **argv) {
       Number("-sideline-seed", Arg.c_str() + 15, 0, UINT64_MAX, SidelineSeed);
     else if (Arg == "-traceopt")
       TraceOpt = true;
-    else if (Arg == "-traceopt-speculate")
-      TraceOpt = TraceOptSpeculate = true;
     else if (Arg.rfind("-traceopt=", 0) == 0) {
       TraceOpt = true;
       TraceOptOpts.RemoveLoads = TraceOptOpts.FoldConsts = false;
@@ -343,12 +346,6 @@ int main(int argc, char **argv) {
   if (BadNumber || Target.empty())
     return usage();
 
-  // Speculation publishes through the sideline's reopt queue; without a
-  // sideline there is no publication point to revalidate and guard at.
-  if (TraceOptSpeculate && !UseSideline) {
-    OS.printf("error: -traceopt-speculate needs -sideline\n");
-    return usage();
-  }
   if (TraceOpt && Native) {
     OS.printf("error: -traceopt has nothing to optimize under -native\n");
     return usage();
@@ -368,6 +365,28 @@ int main(int argc, char **argv) {
     if (Mode) {
       OS.printf("error: %s cannot be combined with %s\n",
                 MetricsInterval ? "-metrics-interval" : "-budget", Mode);
+      return usage();
+    }
+  }
+
+  // Metrics, flight records and cache images belong to one runtime: the
+  // threaded modes have no single runtime to export, and -native has no
+  // code cache to load or save.
+  {
+    const char *Mode = Shared ? "-shared" : Threads ? "-threads"
+                                          : Native  ? "-native"
+                                                    : nullptr;
+    const char *Flag = nullptr;
+    if (Mode && !CacheLoadFile.empty())
+      Flag = "-cache-load";
+    else if (Mode && !CacheSaveFile.empty())
+      Flag = "-cache-save";
+    else if (Threads && !MetricsFile.empty())
+      Flag = "-metrics";
+    else if (Threads && !FlightRecordFile.empty())
+      Flag = "-flight-record";
+    if (Flag) {
+      OS.printf("error: %s cannot be combined with %s\n", Flag, Mode);
       return usage();
     }
   }
@@ -439,10 +458,7 @@ int main(int argc, char **argv) {
   SampleProfile Profiler(SampleInterval);
   if (!TraceFile.empty())
     Config.Trace = &Trace;
-  // The speculative tier of the trace optimizer feeds on the profiler's
-  // trace-sample stream, so -traceopt-speculate activates sampling even
-  // when the -profile report is not wanted.
-  if (Profile || TraceOptSpeculate)
+  if (Profile)
     Config.Profiler = &Profiler;
 
   // Resolve client.
@@ -472,7 +488,6 @@ int main(int argc, char **argv) {
 
   // The trace optimizer wraps whichever client was chosen (the inner
   // client's hooks run first), so -traceopt composes with -client.
-  TraceOptOpts.Speculate = TraceOptSpeculate;
   TraceOptClient TraceOptC(TraceOptOpts, ClientPtr);
   if (TraceOpt)
     ClientPtr = &TraceOptC;
@@ -596,8 +611,7 @@ int main(int argc, char **argv) {
   // Past the budget: dump the post-mortem and exit 124.
   auto AbortOverBudget = [&]() {
     WriteFlight("budget_overrun");
-    if (RT)
-      WriteMetrics();
+    WriteMetrics();
     OS.printf("budget: exceeded %llu instructions (at %llu); aborting\n",
               (unsigned long long)Budget,
               (unsigned long long)M.instructionsExecuted());
@@ -605,6 +619,14 @@ int main(int argc, char **argv) {
   };
 
   if (Native) {
+    // No runtime: the machine's own counters stand in, so the exports
+    // carry the same schema as under the runtime. A native run never
+    // dispatches.
+    MetricsRegistry::SourceId Src = Reg.addSource("main");
+    Reg.addCounter(Src, "cycles", [&M] { return M.cycles(); });
+    Reg.addCounter(Src, "instructions",
+                   [&M] { return M.instructionsExecuted(); });
+    Reg.addCounter(Src, "dispatches", [] { return uint64_t(0); });
     // The budget is the scheduler's instruction deadline: the run stops
     // there, still running, instead of faulting.
     R = runThreadedNative(M, NativeQuantum, Budget ? Budget : ~0ull);
@@ -634,19 +656,6 @@ int main(int argc, char **argv) {
     WarmStart(*RT);
     RT->registerMetrics(Reg, "main");
     Sideline->registerMetrics(Reg, Reg.addSource("sideline"));
-    // Profile stream -> speculation: each trace sample updates the
-    // optimizer's per-site value observations; a stable plan asks the
-    // sideline for a re-optimization pass whose publication point emits
-    // the guards.
-    if (TraceOptSpeculate) {
-      Runtime *RTP = RT.get();
-      SidelineOptimizer *SP = Sideline.get();
-      Profiler.setTraceSampleHook([RTP, SP, &TraceOptC](uint32_t Tag,
-                                                        uint64_t Samples) {
-        if (TraceOptC.observe(*RTP, Tag, Samples))
-          SP->requestReopt(*RTP, Tag);
-      });
-    }
     R = runWithSideline(*RT, *Sideline);
   } else {
     RT = std::make_unique<Runtime>(M, Config, ClientPtr);
@@ -700,12 +709,6 @@ int main(int argc, char **argv) {
   }
   if (R.Status == RunStatus::Faulted)
     WriteFlight("fault");
-  if (!RT && (!CacheLoadFile.empty() || !CacheSaveFile.empty()))
-    OS.printf("cache: -cache-load/-cache-save need a single-runtime mode; "
-              "ignored\n");
-  if (!RT && (!MetricsFile.empty() || !FlightRecordFile.empty()))
-    OS.printf("metrics: -metrics/-flight-record need a single-runtime mode; "
-              "ignored\n");
 
   OS << M.output();
   OS.printf("--- %s, exit code %d, %llu instructions, %llu cycles ---\n",
@@ -716,7 +719,7 @@ int main(int argc, char **argv) {
             R.ExitCode, (unsigned long long)R.Instructions,
             (unsigned long long)R.Cycles);
 
-  if (!CacheSaveFile.empty() && RT) {
+  if (!CacheSaveFile.empty()) {
     // The image holds the live fragments; numFragments() also counts the
     // retired records still awaiting reclaim.
     size_t Live = 0;
@@ -744,21 +747,13 @@ int main(int argc, char **argv) {
               (unsigned long long)VS.ConstsFolded,
               (unsigned long long)VS.DeadStoresElided,
               (unsigned long long)TraceOptC.incDecReduced());
-    if (TraceOptSpeculate)
-      OS.printf("traceopt: %llu speculations, %llu guards emitted, "
-                "%llu guard failures, %llu blacklisted\n",
-                (unsigned long long)TraceOptC.speculationsApplied(),
-                (unsigned long long)TraceOptC.guardsEmitted(),
-                (unsigned long long)RT->stats().get(
-                    "traceopt_guard_failures"),
-                (unsigned long long)RT->traceoptBlacklist().size());
   }
 
   if (Stats && RT) {
     OS.printf("\nruntime statistics:\n");
     RT->stats().print(OS);
   }
-  if (!MetricsFile.empty() && RT) {
+  if (!MetricsFile.empty()) {
     if (!WriteMetrics())
       return 1;
     OS.printf("metrics: snapshot %llu -> '%s' + '%s'\n",

@@ -403,10 +403,6 @@ bool rio::dr_publish_fragment(void *Context, app_pc Tag, InstrList *Il) {
   return runtimeOf(Context).publishVersion(Tag, *Il);
 }
 
-bool rio::dr_deoptimize_fragment(void *Context, app_pc Tag) {
-  return runtimeOf(Context).deoptimizeFragment(Tag);
-}
-
 int rio::dr_fragment_version(void *Context, app_pc Tag) {
   Fragment *F = runtimeOf(Context).lookupFragment(Tag);
   return F ? int(F->Version) : -1;
@@ -414,25 +410,6 @@ int rio::dr_fragment_version(void *Context, app_pc Tag) {
 
 uint64_t rio::dr_publication_epoch(void *Context) {
   return runtimeOf(Context).publicationEpoch();
-}
-
-uint32_t rio::dr_traceopt_guard_failures(void *Context, app_pc Tag) {
-  return runtimeOf(Context).traceoptGuardFailures(Tag);
-}
-
-bool rio::dr_traceopt_blacklisted(void *Context, app_pc Tag) {
-  return runtimeOf(Context).traceoptBlacklisted(Tag);
-}
-
-uint32_t rio::dr_traceopt_blacklist(void *Context, app_pc *Tags, uint32_t Max) {
-  const std::set<AppPc> &Bl = runtimeOf(Context).traceoptBlacklist();
-  uint32_t N = 0;
-  for (AppPc Tag : Bl) {
-    if (N >= Max)
-      break;
-    Tags[N++] = Tag;
-  }
-  return uint32_t(Bl.size());
 }
 
 void rio::dr_flush_region(void *Context, app_pc Start, uint32_t Size) {

@@ -351,42 +351,13 @@ bool dr_replace_fragment(void *context, app_pc tag, InstrList *il);
 /// Returns false if \p tag has no live fragment.
 bool dr_publish_fragment(void *context, app_pc tag, InstrList *il);
 
-/// Deoptimizes the trace at \p tag: rebuilds its body from the recorded
-/// constituent-block list (un-doing client transformations) and publishes
-/// the rebuilt body as a new version like dr_publish_fragment. Returns
-/// false if \p tag is not a live trace with a recorded block list.
-bool dr_deoptimize_fragment(void *context, app_pc tag);
-
 /// Version number of the live fragment at \p tag (0 for a body that has
 /// never been superseded), or -1 if no fragment exists for \p tag.
 int dr_fragment_version(void *context, app_pc tag);
 
-/// Number of versions published so far (dr_publish_fragment,
-/// dr_deoptimize_fragment, sideline publication). 0 in a runtime that has
-/// never republished.
+/// Number of versions published so far (dr_publish_fragment, sideline
+/// publication). 0 in a runtime that has never republished.
 uint64_t dr_publication_epoch(void *context);
-
-//===----------------------------------------------------------------------===//
-// Speculative trace optimization queries (core/TraceOpt.h)
-//===----------------------------------------------------------------------===//
-
-/// Guard failures recorded against trace tag \p tag: the number of times a
-/// published speculative version of the trace took its bail-out exit
-/// because a guarded value observation no longer held. The counter belongs
-/// to the tag, not any one body — it survives deoptimization and
-/// republication — and persists across dr_cache_save/dr_cache_load.
-uint32_t dr_traceopt_guard_failures(void *context, app_pc tag);
-
-/// True once \p tag has accumulated enough guard failures (the runtime's
-/// TraceOptBlacklistAfter knob, default 3) that the speculative tier
-/// refuses to speculate on it again. Blacklisting is permanent for the
-/// runtime's lifetime and rides cache images and fork templates.
-bool dr_traceopt_blacklisted(void *context, app_pc tag);
-
-/// Copies up to \p max blacklisted trace tags into \p tags (ascending
-/// order) and returns the total blacklist size, which may exceed \p max.
-/// Call with max == 0 to size a buffer.
-uint32_t dr_traceopt_blacklist(void *context, app_pc *tags, uint32_t max);
 
 /// Cache consistency: deletes every fragment built from application code in
 /// [start, start + size) — e.g. after the client observes the application

@@ -104,10 +104,7 @@ public:
   /// thread at a trace's publication point, right after onTrace has
   /// transformed \p IL (with the cycles it charged refunded) and just
   /// before \p IL is installed as the next version of trace \p Tag. It
-  /// may read live Runtime state (fragment versions, machine memory, the
-  /// speculation blacklist), which is what the speculative tier of the
-  /// trace optimizer needs to turn profile observations into guarded
-  /// rewrites (core/TraceOpt.h).
+  /// may read live Runtime state (fragment versions, machine memory).
   virtual void onSidelinePublish(Runtime &RT, AppPc Tag, InstrList &IL) {
     (void)RT;
     (void)Tag;

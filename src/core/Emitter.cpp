@@ -211,7 +211,6 @@ Fragment *Runtime::emitFragment(AppPc Tag, InstrList &IL, Fragment::Kind Kind,
     bool AlwaysThrough;
     bool IsIbArm;       // inline-chain match arm (direct)
     bool IbMiss;        // inline-chain fall-through (indirect)
-    bool IsGuard;       // speculation guard bail-out (direct, never linked)
   };
   std::vector<PendingExit> Pending;
   for (Instr &I : IL) {
@@ -220,8 +219,7 @@ Fragment *Runtime::emitFragment(AppPc Tag, InstrList &IL, Fragment::Kind Kind,
     if (!I.isCti())
       continue;
     if (I.isIndirectCti()) {
-      Pending.push_back(
-          {&I, 0, nullptr, false, false, I.isIbMissCti(), false});
+      Pending.push_back({&I, 0, nullptr, false, false, I.isIbMissCti()});
       continue;
     }
     assert(I.numSrcs() >= 1 && "direct CTI without target operand");
@@ -229,7 +227,7 @@ Fragment *Runtime::emitFragment(AppPc Tag, InstrList &IL, Fragment::Kind Kind,
       continue; // internal branch to a label
     assert(!I.isCall() && "calls must be mangled before emission");
     Pending.push_back({&I, I.getSrc(0).getPc(), nullptr, false,
-                       I.isIbArmCti(), false, I.isGuardCti()});
+                       I.isIbArmCti(), false});
   }
 
   // Attach client custom stubs registered during the hook.
@@ -302,7 +300,6 @@ Fragment *Runtime::emitFragment(AppPc Tag, InstrList &IL, Fragment::Kind Kind,
     }
     Exit.ExitKind = FragmentExit::Kind::Direct;
     Exit.IsIbArm = PE.IsIbArm;
-    Exit.IsGuard = PE.IsGuard;
     Exit.TargetTag = PE.TargetTag;
     Exit.StubOff = StubOffset[Idx];
     Exit.ExitId = uint32_t(ExitRecords.size());
@@ -414,7 +411,7 @@ Fragment *Runtime::emitFragment(AppPc Tag, InstrList &IL, Fragment::Kind Kind,
     for (size_t Idx = 0; Idx != Pending.size(); ++Idx) {
       FragmentExit &Exit = Frag->Exits[Idx];
       if (Exit.ExitKind != FragmentExit::Kind::Direct || Exit.IsIbArm ||
-          Exit.IsGuard || Pending[Idx].Custom)
+          Pending[Idx].Custom)
         continue;
       OsrPoint P;
       P.CtiOff = Exit.CtiOff;
@@ -633,8 +630,6 @@ void Runtime::linkNewFragment(Fragment *Frag) {
   for (FragmentExit &Exit : Frag->Exits) {
     if (Exit.ExitKind != FragmentExit::Kind::Direct)
       continue;
-    if (Exit.IsGuard)
-      continue; // guard bail-outs stay unlinked: failures must dispatch
     Fragment *To = lookupFragment(Exit.TargetTag);
     if (!To)
       continue;
@@ -740,8 +735,6 @@ InstrList *Runtime::decodeFragment(Arena &A, AppPc Tag) {
         R.I->setExitCti(true);
         if (Exit.IsIbArm)
           R.I->setIbArmCti(true);
-        if (Exit.IsGuard)
-          R.I->setGuardCti(true);
         IsExit = true;
         break;
       }
@@ -796,7 +789,6 @@ Fragment *Runtime::supersede(Fragment *Old, InstrList &IL, bool Osr) {
     return nullptr;
   New->IsTraceHead = Old->IsTraceHead;
   New->Version = Old->Version + 1;
-  New->TraceBlocks = Old->TraceBlocks;
 
   // "All links targeting and originating from the old fragment are
   // immediately modified to use the new fragment." Incoming links are
@@ -897,22 +889,4 @@ void Runtime::transferSuspended(Fragment *Old, Fragment *New) {
     Stats.counter("osr_transfers") += 1;
     obsEvent(TraceEventKind::OsrTransfer, Old->Tag, Pc);
   }
-}
-
-bool Runtime::deoptimizeFragment(AppPc Tag) {
-  ensureUnshared();
-  Fragment *Old = lookupFragment(Tag);
-  if (!Old || !Old->isTrace() || Old->TraceBlocks.empty())
-    return false;
-  // Rebuild the pristine trace body from the recorded block list against
-  // current application code, then publish it like any other version.
-  unsigned NumInstrs = 0;
-  InstrList *IL = buildTraceList(Old->TraceBlocks, NumInstrs);
-  if (!IL)
-    return false;
-  mangleForCache(*IL);
-  if (!publishVersion(Tag, *IL))
-    return false;
-  Stats.counter("deoptimizations") += 1;
-  return true;
 }

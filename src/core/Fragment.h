@@ -83,13 +83,6 @@ struct FragmentExit {
   /// Arrivals here count as ib_inline_misses; the site is never rewritten
   /// again through this exit.
   bool IbMiss = false;
-
-  /// Speculation guard bail-out (sideline trace optimizer): the exit
-  /// targets the owning trace's own head tag but is never linked, so every
-  /// guard failure surfaces at the dispatcher, which charges the deopt
-  /// cost, bumps the fragment's failure counter, and deoptimizes the trace
-  /// back to a pristine rebuild before resuming at the head.
-  bool IsGuard = false;
 };
 
 /// One contiguous application byte range [Lo, Hi) whose code backs part of
@@ -218,13 +211,6 @@ struct Fragment {
 
   /// In-place rewrites that led to this body (0 = first body built).
   uint32_t Version = 0;
-
-  /// Traces only: the block tags the NET monitor stitched together
-  /// (recorded at trace build, copied across versions). Rebuilding the
-  /// trace body from these against current application code is how
-  /// deoptimization recovers a pristine version when a speculative
-  /// sideline transformation must be undone (Runtime::deoptimizeFragment).
-  std::vector<AppPc> TraceBlocks;
 
   /// Application pc at which a thread suspended at body/slot offset \p Off
   /// should resume after this fragment is superseded: exit-boundary OSR

@@ -63,9 +63,7 @@ Runtime::FlowStats::FlowStats(StatisticSet &S)
       CacheWarmHits(S.stat("cache_warm_hits")),
       CacheWarmRejects(S.stat("cache_warm_rejects")),
       PersistBytesWritten(S.stat("persist_bytes_written")),
-      ForkCacheUnshares(S.stat("fork_cache_unshares")),
-      TraceoptGuardFails(S.stat("traceopt_guard_failures")),
-      TraceoptBlacklists(S.stat("traceopt_blacklisted")) {}
+      ForkCacheUnshares(S.stat("fork_cache_unshares")) {}
 
 Runtime::Runtime(Machine &M, const RuntimeConfig &Config, Client *TheClient,
                  const RuntimeRegion &Region, HookMode Hooks)
@@ -592,35 +590,6 @@ AppPc Runtime::executeFrom(uint32_t CachePc, uint64_t Deadline) {
              "indirect exits do not use stubs");
       AppPc Target = Exit.TargetTag;
 
-      // A speculation guard failed (core/TraceOpt.h): the guard exit is
-      // never linked, so every misspeculation lands here. Pay the context
-      // switch plus the deoptimization work, count the failure against the
-      // *tag* (the counter outlives the body and feeds the blacklist), and
-      // replace the speculative version with a pristine rebuild. Target is
-      // the trace's own head tag and guards precede every application
-      // instruction of the iteration, so resuming there is always correct.
-      if (RIO_UNLIKELY(Exit.IsGuard)) {
-        TC->LastTransitionBackwardBranch = false;
-        ++S.ContextSwitches;
-        chargeRuntime(M.cost().ContextSwitchCost + M.cost().DeoptCost);
-        ++S.TraceoptGuardFails;
-        AppPc GuardTag = Owner->Tag;
-        uint32_t Fails = ++GuardFailCounts[GuardTag];
-        obsEvent(TraceEventKind::TraceOptGuardFail, GuardTag, Fails);
-        if (Fails >= Config.TraceOptBlacklistAfter &&
-            TraceOptBlacklist.insert(GuardTag).second) {
-          ++S.TraceoptBlacklists;
-          obsEvent(TraceEventKind::TraceOptBlacklist, GuardTag, Fails);
-        }
-        // Only the live version deoptimizes: a thread still finishing on
-        // already-superseded bytes must not tear down the (pristine)
-        // replacement that is published now.
-        if (!Owner->Doomed && lookupFragment(GuardTag) == Owner) {
-          ensureUnshared();
-          deoptimizeFragment(GuardTag);
-        }
-        return Target;
-      }
       TC->LastTransitionBackwardBranch =
           Exit.SourceAppPc != 0 && Target <= Exit.SourceAppPc;
 

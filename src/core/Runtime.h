@@ -43,7 +43,6 @@
 
 #include <array>
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <unordered_map>
@@ -307,37 +306,15 @@ public:
   /// fragment with that tag exists or emission fails.
   bool publishVersion(AppPc Tag, InstrList &IL);
 
-  /// Undoes speculative sideline optimization of the trace with tag \p Tag
-  /// by publishing a pristine version rebuilt from the trace's recorded
-  /// block list against current application code (dr_deoptimize_fragment).
-  /// Returns false if the tag is not a live trace with a recorded block
-  /// list, or emission fails.
-  bool deoptimizeFragment(AppPc Tag);
-
   /// Versions published so far (publishVersion calls that installed a
   /// body).
   uint64_t publicationEpoch() const { return PubEpoch; }
 
-  //===--------------------------------------------------------------------===
-  // Speculative trace optimization (core/TraceOpt.h)
-  //===--------------------------------------------------------------------===
-
-  /// Guard failures recorded against trace tag \p Tag, across all versions
-  /// of the tag (the counter belongs to the tag, not the body).
-  uint32_t traceoptGuardFailures(AppPc Tag) const {
-    auto It = GuardFailCounts.find(Tag);
-    return It == GuardFailCounts.end() ? 0 : It->second;
+  /// Kept only so perfbench compiles; deleted by the benchmark-change PR.
+  const std::set<AppPc> &traceoptBlacklist() const {
+    static const std::set<AppPc> Empty;
+    return Empty;
   }
-
-  /// True once \p Tag accumulated Config.TraceOptBlacklistAfter guard
-  /// failures: the speculative tier must not touch it again.
-  bool traceoptBlacklisted(AppPc Tag) const {
-    return TraceOptBlacklist.count(Tag) != 0;
-  }
-
-  /// The blacklisted tags, ordered (deterministic iteration for persist,
-  /// dr_traceopt_blacklist, and tests).
-  const std::set<AppPc> &traceoptBlacklist() const { return TraceOptBlacklist; }
 
   //===--------------------------------------------------------------------===
   // Custom trace extensions (paper Section 3.5)
@@ -472,12 +449,10 @@ private:
   Fragment *supersede(Fragment *Old, InstrList &IL, bool Osr);
   /// Moves every context suspended inside \p Old onto \p New (on-stack
   /// replacement) where its pc translates; the rest keep Old's bytes
-  /// alive through their guard pcs. Load-bearing for correctness, not
-  /// only a cycle saving: when a guard failure deopts a speculative trace,
-  /// a thread left resuming in the superseded body goes on running code
-  /// specialized to the falsified assumption (skipping this transfer makes
-  /// TraceOptThreads.GuardFailureDeoptTransfersSuspendedThreadsViaOsr print
-  /// 656742 where the native run prints 656820).
+  /// alive through their guard pcs. A published body is a transparent
+  /// rewrite of the same application code as the body it supersedes, so
+  /// a context left on the old bytes still runs correct code: the
+  /// transfer only moves it onto the newer body sooner.
   void transferSuspended(Fragment *Old, Fragment *New);
   void deleteFragment(Fragment *Frag);
   void patchRel32(uint32_t CtiAddr, unsigned CtiLen, uint32_t NewTarget);
@@ -584,8 +559,8 @@ private:
         IndirectBranchesInlined, ThreadContextSwaps, IbInlineHits,
         IbInlineMisses, IbInlineRewrites, IbInlineChainEvictions,
         IbInlineArmRelinks, IbInlineFlagPairsElided, IbInlineSpillsCollapsed,
-        CacheWarmHits, CacheWarmRejects, PersistBytesWritten, ForkCacheUnshares,
-        TraceoptGuardFails, TraceoptBlacklists;
+        CacheWarmHits, CacheWarmRejects, PersistBytesWritten,
+        ForkCacheUnshares;
 
     explicit FlowStats(StatisticSet &S);
   };
@@ -660,13 +635,6 @@ private:
   ThreadContext *TC = nullptr;
   /// Reused buffer for collectGuardPcs().
   std::vector<uint32_t> GuardBuf;
-
-  /// Speculation-guard failure counters and the tags blacklisted from
-  /// further speculation (ordered so persistence and the API iterate
-  /// deterministically). Keyed by tag: counters survive deoptimization
-  /// and republication of the body.
-  std::map<AppPc, uint32_t> GuardFailCounts;
-  std::set<AppPc> TraceOptBlacklist;
 
   /// Adaptive indirect-branch inlining is live for this run (config knob
   /// plus the modes it needs). All hot-path hooks gate on this so the

@@ -103,12 +103,6 @@ struct RuntimeConfig {
   /// Arrivals at one indirect site before a rewrite is considered.
   unsigned IbInlineThreshold = 64;
 
-  /// Guard failures on one trace tag before the speculative trace
-  /// optimizer blacklists it (no further speculation; the pristine rebuild
-  /// stays published). Counted across versions — the counter belongs to
-  /// the tag, not the body (core/TraceOpt.h).
-  unsigned TraceOptBlacklistAfter = 3;
-
   /// No effect (see EvictionPolicy): a full cache always makes room by FIFO
   /// eviction (core/CacheManager.h).
   EvictionPolicy Eviction = EvictionPolicy::Fifo;

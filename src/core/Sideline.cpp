@@ -128,10 +128,9 @@ void SidelineOptimizer::publishJob(Runtime &RT, Job *J) {
   if (Charged)
     M.refundCycles(Charged);
   // Publication-side hook: runs on the application thread, where live
-  // runtime state (fragment versions, machine memory, the speculation
-  // blacklist) is readable — the speculative tier of the trace optimizer
-  // emits its guards here. Host-side list surgery only; it charges no
-  // simulated cycles, so the seeded publication schedule is unaffected.
+  // runtime state (fragment versions, machine memory) is readable.
+  // Host-side list surgery only; it charges no simulated cycles, so the
+  // seeded publication schedule is unaffected.
   Inner.onSidelinePublish(RT, J->Tag, *J->IL);
   if (!RT.publishVersion(J->Tag, *J->IL))
     return;

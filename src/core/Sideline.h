@@ -73,12 +73,12 @@ public:
   /// now (the trace is emitted as-is; the app keeps running).
   void onTrace(Runtime &RT, AppPc Tag, InstrList &Trace) override;
 
-  /// Profile-driven re-optimization request (core/TraceOpt.h): queues the
-  /// live trace at \p Tag for another sideline pass as if onTrace had just
-  /// fired — decoded at the next dispatch boundary, transformed and
-  /// published on the seeded virtual-completion schedule. Requests
-  /// for a tag that already has work queued or in flight are dropped, as
-  /// are tags without a live trace. Returns true iff the tag was queued.
+  /// Re-optimization request: queues the live trace at \p Tag for another
+  /// sideline pass as if onTrace had just fired — decoded at the next
+  /// dispatch boundary, transformed and published on the seeded
+  /// virtual-completion schedule. Requests for a tag that already has work
+  /// queued or in flight are dropped, as are tags without a live trace.
+  /// Returns true iff the tag was queued.
   bool requestReopt(Runtime &RT, AppPc Tag);
 
   /// Publication point, called by the runtime at every dispatch boundary

@@ -152,9 +152,6 @@ void Runtime::finalizeTrace() {
   obsEvent(TraceEventKind::TraceBuilt, Head, uint32_t(Blocks.size()));
   if (Prof)
     Prof->TraceLengths.add(Blocks.size());
-  // Keep the stitched block list on the fragment (and down its version
-  // chain): deoptimizeFragment rebuilds a pristine body from it.
-  Trace->TraceBlocks = std::move(Blocks);
 }
 
 //===----------------------------------------------------------------------===//

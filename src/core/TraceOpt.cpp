@@ -1,4 +1,4 @@
-//===- core/TraceOpt.cpp - Speculative trace optimizer ---------------------===//
+//===- core/TraceOpt.cpp - Trace optimizer --------------------------------===//
 //
 // Part of the RIO-DYN reproduction of "An Infrastructure for Adaptive
 // Dynamic Optimization" (CGO 2003).
@@ -10,9 +10,6 @@
 #include "core/Analysis.h"
 #include "core/Runtime.h"
 #include "isa/Eflags.h"
-#include "support/EventTrace.h"
-
-#include <cassert>
 
 using namespace rio;
 
@@ -54,11 +51,7 @@ bool registersOverlap(Register Written, Register Used) {
 class ValuePass {
 public:
   ValuePass(InstrList &IL, uint32_t RuntimeBase, const ValuePassConfig &Cfg)
-      : IL(IL), RuntimeBase(RuntimeBase), Cfg(Cfg) {
-    for (const MemConstFact &F : Cfg.GuardedFacts)
-      if (isAbs(F.Mem) && F.Mem.sizeBytes() == 4)
-        Consts.push_back({F.Mem, F.Value, /*Guarded=*/true});
-  }
+      : IL(IL), RuntimeBase(RuntimeBase), Cfg(Cfg) {}
 
   ValuePassStats run() {
     for (Instr *I = IL.first(); I;) {
@@ -75,13 +68,10 @@ private:
     Operand Mem;
     Register Reg;
   };
-  /// "Memory operand M currently holds constant V." Guarded facts came in
-  /// through the config (established by an entry guard): they survive
-  /// labels — see MemConstFact — where scan-discovered ones are dropped.
+  /// "Memory operand M currently holds constant V."
   struct MemConst {
     Operand Mem;
     uint32_t Value;
-    bool Guarded;
   };
   /// "The store instruction S to operand M has not been observed yet" —
   /// a later store to the identical operand in the same straight-line run
@@ -271,35 +261,19 @@ private:
       if (Op == OP_mov && Mem.sizeBytes() == 4) {
         auto It = RegConst.find(Src.getReg());
         if (It != RegConst.end())
-          Consts.push_back({Mem, It->second, /*Guarded=*/false});
+          Consts.push_back({Mem, It->second});
       }
     } else if (Src.isImm() && Op == OP_mov && Mem.sizeBytes() == 4) {
-      Consts.push_back({Mem, uint32_t(Src.getImm()), /*Guarded=*/false});
+      Consts.push_back({Mem, uint32_t(Src.getImm())});
     }
     Stores.push_back({Mem, I});
   }
 
   void step(Instr *I) {
-    if (I->isLabel()) {
-      // Internal join point (e.g. the hit label of an inlined check):
-      // control may arrive from elsewhere, so path-dependent facts die.
-      // Guarded constants hold on entry and are only ever killed, so they
-      // hold on every path to here if they survived the linear scan.
-      Bindings.clear();
-      RegConst.clear();
-      Stores.clear();
-      for (size_t Idx = 0; Idx != Consts.size();) {
-        if (!Consts[Idx].Guarded) {
-          Consts[Idx] = Consts.back();
-          Consts.pop_back();
-        } else {
-          ++Idx;
-        }
-      }
-      return;
-    }
-    if (I->isBundle()) {
-      // Unexamined code: assume the worst of everything.
+    if (I->isLabel() || I->isBundle()) {
+      // An internal join point (e.g. the hit label of an inlined check),
+      // where control may arrive from elsewhere, or unexamined code: every
+      // fact dies.
       Bindings.clear();
       RegConst.clear();
       Consts.clear();
@@ -458,184 +432,8 @@ void TraceOptClient::onTrace(Runtime &RT, AppPc Tag, InstrList &Trace) {
   ++TracesOptimized;
 }
 
-bool TraceOptClient::observe(Runtime &RT, AppPc Tag, uint64_t TraceSamples) {
-  (void)TraceSamples;
-  if (!Opts.Speculate || Opts.MaxGuards == 0)
-    return false;
-  if (RT.traceoptBlacklisted(Tag))
-    return false;
-  Fragment *Frag = RT.lookupFragment(Tag);
-  // Deoptimization rebuilds from the recorded block list; a trace without
-  // one could never bail out, so never speculate on it.
-  if (!Frag || !Frag->isTrace() || Frag->TraceBlocks.empty())
-    return false;
-  SpecState &S = Spec[{&RT, Tag}];
-  if (!S.Scanned) {
-    // First sample of this tag: collect its candidate sites — 4-byte loads
-    // from absolute application addresses (runtime-private slots change
-    // under the runtime's feet by design; never speculate on those).
-    S.Scanned = true;
-    Arena A(1u << 14);
-    if (InstrList *IL = RT.decodeFragment(A, Tag)) {
-      uint32_t Base = RT.machine().runtimeBase();
-      for (Instr &I : *IL) {
-        if (I.isLabel() || I.isBundle())
-          continue;
-        if (I.getOpcode() != OP_mov || I.numSrcs() != 1 ||
-            !I.getSrc(0).isMem() || I.numDsts() != 1 || !I.getDst(0).isReg())
-          continue;
-        const Operand &Mem = I.getSrc(0);
-        if (!isGpr32(I.getDst(0).getReg()) || !isAbs(Mem) ||
-            Mem.sizeBytes() != 4)
-          continue;
-        uint32_t Addr = uint32_t(Mem.getDisp());
-        if (Addr >= Base)
-          continue;
-        bool Seen = false;
-        for (const SpecSite &Site : S.Sites)
-          Seen |= Site.Addr == Addr;
-        if (!Seen)
-          S.Sites.push_back({Addr, 0, 0});
-      }
-    }
-  }
-  if (S.Sites.empty())
-    return false;
-  // Update the per-site streaks against live memory.
-  bool AnyReady = false;
-  for (SpecSite &Site : S.Sites) {
-    uint32_t Now = 0;
-    if (!RT.machine().mem().read32(Site.Addr, Now))
-      continue;
-    if (Site.Streak != 0 && Now == Site.LastVal) {
-      ++Site.Streak;
-    } else {
-      Site.LastVal = Now;
-      Site.Streak = 1;
-    }
-    AnyReady |= Site.Streak >= Opts.StableSamples;
-  }
-  if (!AnyReady)
-    return false;
-  if (S.AppliedVersion == int64_t(Frag->Version))
-    return false; // the live body already carries these guards
-  if (S.RequestedVersion == int64_t(Frag->Version))
-    return false; // a reopt request for this body is already in flight
-  S.RequestedVersion = int64_t(Frag->Version);
-  return true;
-}
-
 void TraceOptClient::onSidelinePublish(Runtime &RT, AppPc Tag,
                                        InstrList &IL) {
   if (Inner)
     Inner->onSidelinePublish(RT, Tag, IL);
-  if (!Opts.Speculate || RT.traceoptBlacklisted(Tag))
-    return;
-  auto It = Spec.find({&RT, Tag});
-  if (It == Spec.end())
-    return;
-  SpecState &S = It->second;
-  Fragment *Live = RT.lookupFragment(Tag);
-  if (!Live || !Live->isTrace() || Live->TraceBlocks.empty())
-    return;
-
-  // Re-validate each planned site against machine memory *now* — a guard
-  // on a value that already moved would fail on the first iteration — and
-  // keep only sites the body still loads (the non-speculative tier may
-  // have removed the redundant ones; one load must remain to fold).
-  std::vector<SpecSite> Ready;
-  for (const SpecSite &Site : S.Sites) {
-    if (Site.Streak < Opts.StableSamples)
-      continue;
-    uint32_t Now = 0;
-    if (!RT.machine().mem().read32(Site.Addr, Now) || Now != Site.LastVal)
-      continue;
-    Operand SiteMem = Operand::memAbs(Site.Addr, 4);
-    bool StillLoaded = false;
-    for (Instr &I : IL) {
-      if (I.isLabel() || I.isBundle())
-        continue;
-      if (I.getOpcode() == OP_mov && I.numSrcs() == 1 &&
-          I.getSrc(0) == SiteMem) {
-        StillLoaded = true;
-        break;
-      }
-    }
-    if (!StillLoaded)
-      continue;
-    Ready.push_back(Site);
-    if (Ready.size() >= Opts.MaxGuards)
-      break;
-  }
-  if (Ready.empty())
-    return;
-
-  Arena &A = IL.arena();
-  Operand Ecx = Operand::reg(REG_ECX);
-  // Slot 6: slots 0/1 belong to mangling and trace checks, slot 2 to the
-  // IB-dispatch client, slot 7 to the inline indirect-branch chains.
-  Operand G = Operand::memAbs(RT.slots().SpillSlots + 24, 4);
-
-  // One flag-neutral check per site, the inline-chain idiom: spill ecx,
-  // load the site, lea-subtract the expected value, jecxz over the
-  // bail-out. The bail-out restores ecx and jumps to the trace's own head
-  // tag; setGuardCti keeps that exit permanently unlinked so a failure
-  // always surfaces at the dispatcher (which deoptimizes). Guards precede
-  // every application instruction, so bailing to the head re-runs nothing.
-  InstrList Guards(A);
-  auto add = [&](Instr *I) {
-    assert(I && "failed to create guard instruction");
-    Guards.append(I);
-    return I;
-  };
-  ValuePassConfig Cfg;
-  Cfg.RemoveLoads = Opts.RemoveLoads;
-  Cfg.FoldConsts = true;
-  Cfg.EliminateDeadStores = Opts.EliminateDeadStores;
-  for (const SpecSite &Site : Ready) {
-    Operand SiteMem = Operand::memAbs(Site.Addr, 4);
-    add(Instr::createSynth(A, OP_mov, {G, Ecx}));
-    add(Instr::createSynth(A, OP_mov, {Ecx, SiteMem}));
-    add(Instr::createSynth(
-        A, OP_lea, {Ecx, Operand::mem(REG_ECX, -int32_t(Site.LastVal), 4)}));
-    Instr *Ok = Instr::createLabel(A);
-    Instr *Jecxz = Instr::createSynth(A, OP_jecxz, {Operand::pc(0)});
-    Jecxz->setBranchTargetLabel(Ok);
-    add(Jecxz);
-    add(Instr::createSynth(A, OP_mov, {Ecx, G}));
-    Instr *Bail = add(Instr::createSynth(A, OP_jmp, {Operand::pc(Tag)}));
-    Bail->setGuardCti(true);
-    Guards.append(Ok);
-    add(Instr::createSynth(A, OP_mov, {Ecx, G}));
-    Cfg.GuardedFacts.push_back({SiteMem, Site.LastVal});
-  }
-  unsigned NumGuards = unsigned(Ready.size());
-
-  // Fold everything the guards pin across the body FIRST, while the list
-  // still holds only application instructions. The guards must go in
-  // afterwards: their comparison loads name the guarded sites, and the
-  // pass would fold those to the expected constant too — a guard that
-  // loads its own immediate compares 0 to 0 and can never fail.
-  PublishStats += runValuePass(IL, RT.machine().runtimeBase(), Cfg);
-
-  if (Instr *First = IL.first()) {
-    for (Instr *I = Guards.first(); I;) {
-      Instr *Next = I->next();
-      Guards.remove(I);
-      IL.insertBefore(First, I);
-      I = Next;
-    }
-  } else {
-    IL.splice(Guards);
-  }
-
-  // Collapse the per-guard ecx spill/restore brackets into one.
-  collapseRedundantSpills(IL);
-
-  GuardsEmitted += NumGuards;
-  ++SpeculationsApplied;
-  S.AppliedVersion = int64_t(Live->Version) + 1; // publishVersion's number
-  RT.stats().counter("traceopt_speculations") += 1;
-  RIO_TRACE(RT.eventTrace(), RT.machine().cycles(), RT.activeContext().Tid,
-            TraceEventKind::TraceOptApplied, Tag, NumGuards);
 }

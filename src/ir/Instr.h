@@ -223,13 +223,6 @@ public:
   void setIbMissCti(bool IsMiss) { IbMissCti = IsMiss; }
   bool isIbMissCti() const { return IbMissCti; }
 
-  /// Marks a direct CTI as a speculation guard's bail-out branch: its exit
-  /// targets the owning trace's own head tag but is never linked, so every
-  /// misspeculation surfaces at the dispatcher, which deoptimizes the trace
-  /// before re-entering through the (pristine) live version.
-  void setGuardCti(bool IsGuard) { GuardCti = IsGuard; }
-  bool isGuardCti() const { return GuardCti; }
-
   /// Client annotation slot (paper Section 3.2: "a field in the Instr data
   /// structure that can be used by the client for annotations").
   void setNote(void *N) { Note = N; }
@@ -280,7 +273,6 @@ private:
   bool ExitCti = false;
   bool IbArmCti = false;
   bool IbMissCti = false;
-  bool GuardCti = false;
   void *Note = nullptr;
 
   Arena *TheArena = nullptr; ///< arena that owns this Instr's operand arrays

@@ -12,8 +12,8 @@
 //              generation, saved runtime-region base, base-relative
 //              bb/trace cache bounds
 //            u32 fragment count, then per fragment: identity/geometry,
-//              exit records, app ranges, code map, OSR descriptors, trace
-//              block tags, raw slot bytes (body + stubs)
+//              exit records, app ranges, code map, OSR descriptors, raw
+//              slot bytes (body + stubs)
 //            fragment-table entries, sorted by tag
 //            indirect-branch site histograms, sorted by site pc
 //            shadow-block bindings (tag -> fragment index), sorted by tag:
@@ -24,7 +24,6 @@
 //              run reproduces the saved run's steady-state cycle model — a
 //              reset counter can settle into a different, costlier limit
 //              cycle on a periodic branch pattern
-//            speculation history: guard-failure counters, blacklisted tags
 //
 // Each record's fields are named exactly once, in a CacheCodec::Walk member
 // templated on direction: save() runs the walks over a ByteWriter, parse()
@@ -218,7 +217,6 @@ constexpr std::pair<uint8_t, bool FragmentExit::*> ExitFlags[] = {
     {1u << 1, &FragmentExit::Linked},
     {1u << 2, &FragmentExit::IsIbArm},
     {1u << 3, &FragmentExit::IbMiss},
-    {1u << 4, &FragmentExit::IsGuard},
 };
 
 /// The payload's fixed-size start.
@@ -296,8 +294,6 @@ struct CacheCodec::Image {
   std::vector<std::pair<AppPc, Runtime::IbSiteProfile>> IbSites;
   std::vector<std::pair<AppPc, Fragment *>> Shadows;
   BranchPredictors Pred;
-  std::vector<std::pair<AppPc, uint32_t>> GuardFails;
-  std::vector<AppPc> Blacklist;
 };
 
 //===----------------------------------------------------------------------===//
@@ -438,8 +434,7 @@ struct CacheCodec::Walk {
     };
     // Versioned-publication metadata: the OSR descriptors let a loaded
     // trace's threads transfer out when a sideline publication supersedes
-    // it, and the constituent block list is what deoptimization rebuilds
-    // from. Offsets are slot-relative: the CTI inside the body, the stub
+    // it. Offsets are slot-relative: the CTI inside the body, the stub
     // range inside the stub area, app pcs inside the application region.
     auto Osr = [&](OsrPoint &O, const OsrPoint *) {
       P.u32(O.CtiOff);
@@ -455,17 +450,11 @@ struct CacheCodec::Walk {
         return malformed();
       return true;
     };
-    auto Block = [&](AppPc &B, const AppPc *) {
-      P.u32(B);
-      return got(P) && (B < AppLimit || malformed());
-    };
-    // Both trace-only lists are empty for a basic block.
-    bool Trace = F.isTrace();
+    // A basic block has no OSR descriptors.
     if (!seq(P, F.Exits, MaxExitsPerFragment, 34, Exit) ||
         !seq(P, F.AppRanges, MaxRecordsPerFragment, 8, Range) ||
         !seq(P, F.CodeMap, MaxRecordsPerFragment, 9, Point) ||
-        !seq(P, F.OsrPoints, Trace ? MaxExitsPerFragment : 0, 20, Osr) ||
-        !seq(P, F.TraceBlocks, Trace ? MaxRecordsPerFragment : 0, 4, Block))
+        !seq(P, F.OsrPoints, F.isTrace() ? MaxExitsPerFragment : 0, 20, Osr))
       return false;
 
     Slot.resize(size_t(SlotLen));
@@ -515,12 +504,7 @@ struct CacheCodec::Walk {
           uint64_t(E.StubJmpOff) + E.StubJmpLen > SlotLen ||
           E.StubJmpLen < 5 || E.StubJmpLen > MaxInstrLength)
         return malformed();
-      // Speculation guards are direct exits that the linker must never
-      // touch: a guard flagged linked contradicts the runtime invariant
-      // and would replay a patched-over bail-out path.
-      if (E.IsGuard && E.Linked)
-        return malformed();
-    } else if (E.Linked || E.IsIbArm || E.AlwaysThroughStub || E.IsGuard) {
+    } else if (E.Linked || E.IsIbArm || E.AlwaysThroughStub) {
       return malformed();
     }
     // On save a link into a doomed fragment has no index: not quiescent.
@@ -584,32 +568,12 @@ struct CacheCodec::Walk {
       S.second = Frags[Idx];
       return true;
     };
-    // Speculation history: without it a warm restart would re-speculate
-    // tags the saved run already proved unstable, replaying the whole
-    // deopt storm. A failure count of zero is impossible (the dispatcher
-    // only inserts a counter when it increments it).
-    using GuardFail = std::pair<AppPc, uint32_t>;
-    auto Guard = [&](GuardFail &G, const GuardFail *Prev) {
-      P.u32(G.first);
-      P.u32(G.second);
-      if (!got(P))
-        return false;
-      if (G.second == 0 || (Prev && G.first <= Prev->first))
-        return malformed();
-      return true;
-    };
-    auto Blacklisted = [&](AppPc &Tag, const AppPc *Prev) {
-      P.u32(Tag);
-      return got(P) && (!Prev || Tag > *Prev || malformed());
-    };
     constexpr size_t SiteBytes =
         4 + 8 + 8 + 12 * Runtime::IbSiteProfile::MaxTargets;
     return seq(P, Img.Entries, MaxTableEntries, 13, Entry) &&
            seq(P, Img.IbSites, MaxIbSites, SiteBytes, Site) &&
            seq(P, Img.Shadows, MaxFragments, 8, ShadowBb) &&
-           predictors(P, Img.Pred) &&
-           seq(P, Img.GuardFails, MaxFragments, 8, Guard) &&
-           seq(P, Img.Blacklist, MaxFragments, 4, Blacklisted);
+           predictors(P, Img.Pred);
   }
 
   template <class IO> bool predictors(IO &P, BranchPredictors &Pred) {
@@ -649,16 +613,11 @@ uint64_t CacheCodec::configHash(Runtime &RT) {
   H = fnvU32(H, uint32_t(C.BbLift));
   H = fnvU32(H, C.IbInline);
   H = fnvU32(H, C.IbInlineThreshold);
-  // Two retired knobs keep their former hash words (FIFO eviction was 1,
-  // the always-on code-write monitor was true) so older v3 images load.
-  H = fnvU32(H, 1u);
   H = fnvU32(H, C.BbCacheSize);
   H = fnvU32(H, C.TraceCacheSize);
-  H = fnvU32(H, 1u);
   H = fnvU32(H, uint32_t(C.Sharing));
   H = fnvU32(H, C.MaxThreads);
   H = fnvU64(H, C.ThreadQuantum);
-  H = fnvU32(H, C.TraceOptBlacklistAfter);
   // Cost model: a different model re-weights everything the image's warmed
   // state was shaped by (trace promotion, eviction order).
   H = fnvU32(H, uint32_t(CM.Family));
@@ -684,7 +643,6 @@ uint64_t CacheCodec::configHash(Runtime &RT) {
   H = fnvU32(H, CM.ClientDecodeLevel02);
   H = fnvU32(H, CM.ClientDecodeLevel3);
   H = fnvU32(H, CM.ClientEncodeLevel4);
-  H = fnvU32(H, CM.DeoptCost);
   // Address-space layout. The machine's app-region size fixes where the
   // runtime region starts; the base-relative cache split must also match
   // (absolute bases may differ — that is what relocation is for).
@@ -770,9 +728,6 @@ bool CacheCodec::save(Runtime &RT, std::vector<uint8_t> &Out) {
   Img.Shadows.assign(RT.ShadowBbs.begin(), RT.ShadowBbs.end());
   std::sort(Img.Shadows.begin(), Img.Shadows.end());
   Img.Pred = M.predictors();
-  Img.GuardFails.assign(RT.GuardFailCounts.begin(), RT.GuardFailCounts.end());
-  Img.Blacklist.assign(RT.TraceOptBlacklist.begin(),
-                       RT.TraceOptBlacklist.end());
 
   ByteWriter P;
   if (!W.preamble(P, H) || !W.fragmentCount(P))
@@ -966,18 +921,6 @@ void CacheCodec::apply(Runtime &RT, Image &Img, size_t ImageBytes,
   RT.ShadowBbs.insert(Img.Shadows.begin(), Img.Shadows.end());
   M.predictors() = Img.Pred;
   RT.IbProfiles.insert(Img.IbSites.begin(), Img.IbSites.end());
-
-  // Speculation history: restored on the trusted (fork/unshare) path too —
-  // a tenant that unshares must keep refusing tags its shared ancestry
-  // already blacklisted, not rediscover the instability one deopt storm at
-  // a time. Merge by max: counters are monotone, and an unsharing tenant
-  // may have accumulated failures past the template's freeze-time snapshot
-  // (on a cold load the maps are empty and this is a plain restore).
-  for (const auto &[Tag, Fails] : Img.GuardFails) {
-    uint32_t &Slot = RT.GuardFailCounts[Tag];
-    Slot = std::max(Slot, Fails);
-  }
-  RT.TraceOptBlacklist.insert(Img.Blacklist.begin(), Img.Blacklist.end());
 
   if (Trusted)
     return; // clone restore: the fork engine owns the cursor (pending SMC

@@ -52,7 +52,7 @@ namespace persist {
 /// Image format identity. Bump the version on any layout change: images
 /// from other versions are rejected (never "best-effort" decoded).
 constexpr uint32_t CacheImageMagic = 0x434F4952u; // "RIOC" little-endian
-constexpr uint32_t CacheImageVersion = 3;
+constexpr uint32_t CacheImageVersion = 4;
 
 /// Why a load (or validate) did not restore an image. Ok means the image
 /// was fully applied (or, for validate, would be). The enum value is the

@@ -56,9 +56,9 @@ bool Runtime::freezeTemplate(std::string *Error) {
   };
   if (Tpl)
     return Fail("a forked tenant cannot become a template before it unshares");
-  // Persist-safe clients (pure code transforms, e.g. the trace optimizer's
-  // non-speculative tier) are freezable: their effect is entirely in the
-  // serialized bytes, and tenants run those bytes without the client.
+  // Persist-safe clients (pure code transforms, e.g. the trace optimizer)
+  // are freezable: their effect is entirely in the serialized bytes, and
+  // tenants run those bytes without the client.
   if (TheClient && !TheClient->persistSafe())
     return Fail("cannot freeze a runtime with a non-persist-safe client "
                 "attached");
@@ -122,12 +122,6 @@ std::unique_ptr<Runtime> Runtime::forkFrom(const Runtime &Template,
   for (const auto &[Pc, ExitId] : Template.IbArmPcs)
     RT->addIbArmPc(Pc, ExitId);
   RT->CodeWriteCursor = Template.CodeWriteCursor;
-  // Speculation history rides along: a tenant sharing the template's
-  // optimized bodies must also share its refuse-to-speculate verdicts, or
-  // the first tenant reopt would replay a deopt storm the template already
-  // paid for. (Unshare re-merges these from the frozen image, max-wise.)
-  RT->GuardFailCounts = Template.GuardFailCounts;
-  RT->TraceOptBlacklist = Template.TraceOptBlacklist;
 
   RT->Tpl = &Template;
   RT->UnshareHook = &Runtime::unshareImpl;

@@ -73,12 +73,6 @@ const char *rio::traceEventKindName(TraceEventKind Kind) {
     return "sideline_stale_drop";
   case TraceEventKind::OsrTransfer:
     return "osr_transfer";
-  case TraceEventKind::TraceOptApplied:
-    return "traceopt_applied";
-  case TraceEventKind::TraceOptGuardFail:
-    return "traceopt_guard_fail";
-  case TraceEventKind::TraceOptBlacklist:
-    return "traceopt_blacklist";
   case TraceEventKind::NumKinds:
     break;
   }

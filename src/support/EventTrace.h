@@ -69,9 +69,6 @@ enum class TraceEventKind : uint8_t {
   SidelinePublished, ///< Tag = trace tag, Aux = new version's cache addr
   SidelineStaleDrop, ///< Tag = trace tag, Aux = async job sequence number
   OsrTransfer,       ///< Tag = superseded trace tag, Aux = suspension pc
-  TraceOptApplied,   ///< Tag = trace tag, Aux = guards emitted (0 = none)
-  TraceOptGuardFail, ///< Tag = trace tag, Aux = failures so far on the tag
-  TraceOptBlacklist, ///< Tag = trace tag, Aux = failures at blacklisting
   NumKinds,
 };
 

@@ -76,11 +76,8 @@ public:
 
   /// Continuous consumer of the profile stream: fires on every sample that
   /// lands in a trace, with the tag and its running trace-sample count.
-  /// The speculative trace optimizer hangs its value observer here
-  /// (core/TraceOpt.h), turning the PR 4 profiler into the feed that
-  /// drives sideline re-optimization. Sampling rides the simulated clock,
-  /// so the firing sequence is deterministic; the hook itself must stay
-  /// host-side (charge nothing).
+  /// Sampling rides the simulated clock, so the firing sequence is
+  /// deterministic; the hook itself must stay host-side (charge nothing).
   void setTraceSampleHook(std::function<void(uint32_t, uint64_t)> Hook) {
     TraceSampleHook = std::move(Hook);
   }

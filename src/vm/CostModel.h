@@ -70,13 +70,6 @@ struct CostModel {
   /// the transform itself ran off the critical path — so this is cheaper
   /// than a full synchronous replace. See docs/sideline-cost-model.md.
   unsigned SidelinePublishCost = 500;
-  /// A speculation guard failing (core/TraceOpt.h): the unlinked guard
-  /// exit already pays the ContextSwitchCost like any stub arrival; this
-  /// adds the dispatcher-side deoptimization work — tearing down the
-  /// speculative version and queueing the pristine rebuild. Cheaper than
-  /// FragmentReplaceCost because the rebuild itself is charged separately
-  /// through the ordinary trace-build costs.
-  unsigned DeoptCost = 250;
   unsigned FragmentEvictCost = 120; ///< unlink + slot reclaim for one victim
   unsigned RegionFlushCost = 200;   ///< dr_flush_region / SMC flush overhead
   /// Shared-cache mode only: banking one thread's slot window and restoring

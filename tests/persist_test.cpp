@@ -447,8 +447,8 @@ std::vector<uint8_t> reseal(std::vector<uint8_t> B) {
 // preamble, fragment count at 60. Per fragment: 30 fixed bytes (CodeSize
 // at +10, StubsSize at +14), then exit records of 34 bytes each (StubOff
 // at +14, StubJmpOff at +18, StubJmpLen at +22), app ranges (8), code
-// points (9), OSR descriptors (20), trace block tags (4), and the raw
-// slot bytes. Table entries are 13 bytes, IB sites 116, shadows 8.
+// points (9), OSR descriptors (20), and the raw slot bytes. Table entries
+// are 13 bytes, IB sites 116, shadows 8.
 constexpr size_t FragCountOff = 60;
 constexpr size_t FragFixedBytes = 30;
 constexpr size_t ExitBytes = 34;
@@ -481,10 +481,42 @@ size_t skipFragments(const std::vector<uint8_t> &B,
     Pos += 4 + size_t(rd32(B, Pos)) * 8;  // app ranges
     Pos += 4 + size_t(rd32(B, Pos)) * 9;  // code points
     Pos += 4 + size_t(rd32(B, Pos)) * 20; // OSR descriptors
-    Pos += 4 + size_t(rd32(B, Pos)) * 4;  // trace block tags
     Pos += size_t(CodeSize) + StubsSize;  // slot bytes
   }
   return Pos;
+}
+
+/// Lays image \p B out as format version 3 did: a trace-block-tag list
+/// after each fragment's OSR descriptors and two speculation tables
+/// (guard-failure counters, blacklisted tags) after the predictor state,
+/// all empty here, under version 3 and a valid checksum.
+std::vector<uint8_t> asVersion3(const std::vector<uint8_t> &B) {
+  std::vector<uint8_t> Out;
+  size_t Pos = 0;
+  auto copyTo = [&](size_t End) {
+    Out.insert(Out.end(), B.begin() + Pos, B.begin() + End);
+    Pos = End;
+  };
+  auto emptyList = [&] { Out.insert(Out.end(), 4, 0); };
+  std::vector<size_t> FragOffs;
+  skipFragments(B, nullptr, &FragOffs);
+  for (size_t Off : FragOffs) {
+    uint32_t CodeSize = rd32(B, Off + 10);
+    uint32_t StubsSize = rd32(B, Off + 14);
+    size_t End = Off + FragFixedBytes;
+    End += 4 + size_t(rd32(B, End)) * ExitBytes;
+    End += 4 + size_t(rd32(B, End)) * 8;  // app ranges
+    End += 4 + size_t(rd32(B, End)) * 9;  // code points
+    End += 4 + size_t(rd32(B, End)) * 20; // OSR descriptors
+    copyTo(End);
+    emptyList();
+    copyTo(End + CodeSize + StubsSize);
+  }
+  copyTo(B.size());
+  emptyList();
+  emptyList();
+  wr32(Out, 4, 3);
+  return reseal(Out);
 }
 
 } // namespace
@@ -530,6 +562,39 @@ TEST(Persist, HeaderCorruptionIsRejected) {
   // Payload corruption trips the checksum before any record is parsed.
   EXPECT_EQ(LoadTarget(Prog).load(Mutated(Cold.Image.size() / 2, 0x10)),
             LoadStatus::BadChecksum);
+}
+
+TEST(Persist, VersionThreeImageFallsBackToColdStart) {
+  // A well-formed image of the previous format version is refused as a
+  // version mismatch before any record is read; the runtime stays cold
+  // and runs the program from scratch, cycle for cycle.
+  Program Prog = dispatchProgram(1500);
+  ColdRun Cold = coldRunAndSave(Prog, RuntimeConfig::full());
+  std::vector<uint8_t> V3 = asVersion3(Cold.Image);
+  ASSERT_EQ(V3.size(),
+            Cold.Image.size() + 4 * (rd32(Cold.Image, FragCountOff) + 2));
+
+  LoadTarget T(Prog);
+  EXPECT_EQ(T.load(V3), LoadStatus::BadVersion);
+  EXPECT_EQ(T.RT->numFragments(), 0u);
+  RunResult R = T.RT->run();
+  ASSERT_EQ(R.Status, RunStatus::Exited) << R.FaultReason;
+  EXPECT_EQ(T.M.output(), Cold.Output);
+  EXPECT_EQ(R.Cycles, Cold.Cycles);
+
+  // The file path riodyn -cache-load takes reports the refusal the same
+  // way: no fragments, a cold run that matches.
+  std::string Path = testing::TempDir() + "persist_v3.riocache";
+  std::FILE *F = std::fopen(Path.c_str(), "wb");
+  ASSERT_NE(F, nullptr);
+  ASSERT_EQ(std::fwrite(V3.data(), 1, V3.size(), F), V3.size());
+  std::fclose(F);
+  LoadTarget FromFile(Prog);
+  EXPECT_FALSE(dr_cache_load(FromFile.RT.get(), Path.c_str()));
+  EXPECT_EQ(FromFile.RT->numFragments(), 0u);
+  EXPECT_EQ(FromFile.RT->run().Status, RunStatus::Exited);
+  EXPECT_EQ(FromFile.M.output(), Cold.Output);
+  std::remove(Path.c_str());
 }
 
 TEST(Persist, BitFlipFuzzNeverCrashesAndNeverCorrupts) {
@@ -794,8 +859,8 @@ TEST(PersistGolden, ImageDigestIsPinned) {
   // runs: the dispatch program in three configurations, the three
   // bench_persist workloads, and an image re-saved right after loading at
   // a shifted region base (pins relocation output). Any change to field
-  // order, width or content moves the digest. Never edit the constant: a
-  // layout change must bump CacheImageVersion and add a new pin instead.
+  // order, width or content moves the digest. Never edit a version's pin:
+  // a layout change must bump CacheImageVersion and pin the new version.
   ImageDigest D;
   RuntimeConfig IbOn = RuntimeConfig::full();
   IbOn.IbInline = true;
@@ -827,5 +892,8 @@ TEST(PersistGolden, ImageDigestIsPinned) {
   ASSERT_TRUE(CacheCodec::save(RT2, Resaved));
   D.image(Resaved);
 
-  EXPECT_EQ(D.H, 0x3dd47e53234e53abull);
+  // Version 3, which also carried per-trace block lists and speculation
+  // tables, pinned 0x3dd47e53234e53ab.
+  static_assert(CacheImageVersion == 4, "pin the new format version");
+  EXPECT_EQ(D.H, 0x58445e201ee58e97ull);
 }

@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Tests riodyn's flag handling: numeric values parse strictly, -budget is
 honoured in the default mode and under -native, and every other mode
-refuses -budget and -metrics-interval instead of ignoring them.
+refuses -budget and -metrics-interval instead of ignoring them. -native
+exports metrics and flight records in the checked-in schema; the threaded
+modes refuse metrics, flight records and cache images, and -native refuses
+cache images.
 
 Usage: riodyn_cli_test.py <path to riodyn>
 """
@@ -14,6 +17,8 @@ import tempfile
 import unittest
 
 RIODYN = None
+SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                       "scripts")
 
 # Exits with code 7 after exactly three instructions.
 EXIT7 = "main:\n  mov ebx, 7\n  mov eax, 1\n  int 0x80\n"
@@ -102,6 +107,71 @@ class BudgetTest(unittest.TestCase):
                 self.assertEqual(code, 1, out)
                 self.assertIn(f"error: {flag} cannot be combined with {name}",
                               out)
+
+
+def check_metrics(*args):
+    """Runs scripts/check_metrics.py against the checked-in schema."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "check_metrics.py"),
+         "--schema", os.path.join(SCRIPTS, "metrics_schema.json"), *args],
+        capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout + proc.stderr
+
+
+class ExportsAndCachesTest(unittest.TestCase):
+    def setUp(self):
+        self.tmp = tempfile.TemporaryDirectory()
+
+    def tearDown(self):
+        self.tmp.cleanup()
+
+    def path(self, name):
+        return os.path.join(self.tmp.name, name)
+
+    def test_native_flight_record_passes_the_schema(self):
+        code, out = riodyn("-native", "-budget", "10000", "-flight-record",
+                           "fr.json", "crafty", cwd=self.tmp.name)
+        self.assertEqual(code, 124, out)
+        code, out = check_metrics("--flight", self.path("fr.json"))
+        self.assertEqual(code, 0, out)
+        with open(self.path("fr.json")) as f:
+            fleet = json.load(f)["snapshot"]["fleet"]
+        self.assertEqual(fleet["instructions"]["value"], 10000)
+        self.assertEqual(fleet["dispatches"]["value"], 0)
+
+    def test_native_metrics_pass_the_schema(self):
+        code, out = riodyn("-native", "-metrics", "m.prom", "crafty",
+                           cwd=self.tmp.name)
+        self.assertEqual(code, 0, out)
+        self.assertNotIn("ignored", out)
+        code, out = check_metrics(self.path("m.prom"), self.path("m.json"))
+        self.assertEqual(code, 0, out)
+        with open(self.path("m.json")) as f:
+            fleet = json.load(f)["fleet"]
+        self.assertGreater(fleet["cycles"]["value"], 0)
+        self.assertEqual(fleet["dispatches"]["value"], 0)
+
+    def test_threaded_modes_refuse_exports_and_caches(self):
+        for mode in ("-threads", "-shared"):
+            for flag in ("-metrics", "-flight-record", "-cache-load",
+                         "-cache-save"):
+                with self.subTest(mode=mode, flag=flag):
+                    code, out = riodyn(mode, flag, "x", "crafty",
+                                       cwd=self.tmp.name)
+                    self.assertEqual(code, 1, out)
+                    self.assertIn(
+                        f"error: {flag} cannot be combined with {mode}", out)
+                    self.assertEqual(os.listdir(self.tmp.name), [])
+
+    def test_native_refuses_cache_images(self):
+        for flag in ("-cache-load", "-cache-save"):
+            with self.subTest(flag=flag):
+                code, out = riodyn("-native", flag, "x", "crafty",
+                                   cwd=self.tmp.name)
+                self.assertEqual(code, 1, out)
+                self.assertIn(f"error: {flag} cannot be combined with -native",
+                              out)
+                self.assertEqual(os.listdir(self.tmp.name), [])
 
 
 if __name__ == "__main__":

@@ -306,15 +306,10 @@ TEST(Sideline, PersistRoundTripUnderSideline) {
     ASSERT_EQ(persist::CacheCodec::load(RT, Image.data(), Image.size()),
               persist::LoadStatus::Ok);
     EXPECT_GE(RT.numFragments(), 1u);
-    // The image carries each trace's OSR descriptors and NET block list.
-    unsigned TracesWithBlocks = 0, TracesWithOsr = 0;
-    RT.forEachFragment([&](const Fragment &F) {
-      if (!F.isTrace())
-        return;
-      TracesWithBlocks += !F.TraceBlocks.empty();
-      TracesWithOsr += !F.OsrPoints.empty();
-    });
-    EXPECT_GE(TracesWithBlocks, 1u);
+    // The image carries each trace's OSR descriptors.
+    unsigned TracesWithOsr = 0;
+    RT.forEachFragment(
+        [&](const Fragment &F) { TracesWithOsr += !F.OsrPoints.empty(); });
     EXPECT_GE(TracesWithOsr, 1u);
     RunResult R = runWithSideline(RT, Sideline);
     ASSERT_EQ(R.Status, RunStatus::Exited) << R.FaultReason;

@@ -18,7 +18,6 @@
 #include "clients/Clients.h"
 #include "core/ThreadedRunner.h"
 
-#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -553,10 +552,10 @@ TEST(Threads, FifoEvictionUnderThreads) {
 
 /// sharedFnProgram, plus a private warm-up loop per worker that is hot
 /// enough (> TraceThreshold iterations) to become its own trace. The
-/// deopt hook below skips traces stitched from its own hook block, so
-/// this guarantees at least one eligible trace even in ThreadPrivate
-/// mode, where a runtime only ever sees its own thread's fragments.
-Program deoptProgram(int Workers, int Iters) {
+/// publishing hook below skips the trace it returns into, so this
+/// guarantees at least one eligible trace even in ThreadPrivate mode,
+/// where a runtime only ever sees its own thread's fragments.
+Program republishProgram(int Workers, int Iters) {
   std::string S = R"(
     results: .space 32
     flags:   .space 32
@@ -608,18 +607,19 @@ Program deoptProgram(int Workers, int Iters) {
   return assembleOrDie(S);
 }
 
-/// From worker 0's loop body, periodically deoptimizes every live trace
-/// except the one it is currently executing in. Each deoptimization
-/// publishes a new version and retires the old body under a publication
-/// epoch while the *other* workers are suspended mid-quantum — possibly
-/// inside the retired bytes, where they are either OSR-transferred to the
-/// new version or guard-pinned until they leave on their own.
-class CrossThreadDeoptClient : public Client {
+/// From worker 0's loop body, periodically republishes every live trace
+/// except the one it is currently executing in, decoded from its own
+/// cache bytes. Each publication installs a new version and retires the
+/// old body under a publication epoch while the *other* workers are
+/// suspended mid-quantum — possibly inside the retired bytes, where they
+/// are either OSR-transferred to the new version or guard-pinned until
+/// they leave on their own.
+class CrossThreadPublishClient : public Client {
 public:
   AppPc HookTag = 0;
   int MaxRounds = 12;
   int Rounds = 0;
-  int Deopts = 0;
+  int Publications = 0;
 
   void onBasicBlock(Runtime &RT, AppPc Tag, InstrList &Block) override {
     if (Tag != HookTag)
@@ -629,21 +629,16 @@ public:
         return;
       std::vector<AppPc> Tags;
       Ctx.RT.forEachFragment([&](const Fragment &F) {
-        // Skip the fragment this clean call returns into, and anything
-        // stitched from the hook block (deoptimization rebuilds pristine
-        // bodies, which would drop this instrumentation).
-        if (!F.isTrace() || F.TraceBlocks.empty() || F.Tag == Ctx.FragmentTag)
-          return;
-        if (std::find(F.TraceBlocks.begin(), F.TraceBlocks.end(), HookTag) !=
-            F.TraceBlocks.end())
-          return;
-        Tags.push_back(F.Tag);
+        // Skip the fragment this clean call returns into.
+        if (F.isTrace() && F.Tag != Ctx.FragmentTag)
+          Tags.push_back(F.Tag);
       });
       if (Tags.empty())
         return;
       ++Rounds;
       for (AppPc T : Tags)
-        Deopts += dr_deoptimize_fragment(&Ctx.RT, T);
+        if (InstrList *IL = dr_decode_fragment(&Ctx.RT, T))
+          Publications += dr_publish_fragment(&Ctx.RT, T, IL);
     });
     Instr *Call = Instr::createSynth(Block.arena(), OP_clientcall,
                                      {Operand::imm(int64_t(Id), 4)});
@@ -653,7 +648,7 @@ public:
 };
 
 TEST(Threads, PublicationWhileThreadsSuspendedMidTrace) {
-  Program P = deoptProgram(3, 400);
+  Program P = republishProgram(3, 400);
   Machine Native;
   ASSERT_TRUE(loadProgram(Native, P));
   RunResult NR = runThreadedNative(Native);
@@ -666,15 +661,14 @@ TEST(Threads, PublicationWhileThreadsSuspendedMidTrace) {
     Config.ThreadQuantum = 700; // frequent mid-fragment suspensions
     Machine M;
     ASSERT_TRUE(loadProgram(M, P));
-    CrossThreadDeoptClient C;
+    CrossThreadPublishClient C;
     C.HookTag = P.symbol("wloop0");
     ThreadedRunner Runner(M, Config, &C);
     RunResult R = Runner.run();
     ASSERT_EQ(R.Status, RunStatus::Exited)
         << R.FaultReason << " mode " << int(Sharing);
     EXPECT_EQ(M.output(), Native.output()) << "mode " << int(Sharing);
-    EXPECT_GE(C.Deopts, 1) << "mode " << int(Sharing);
-    EXPECT_GE(sumStat(Runner, "deoptimizations"), 1u);
+    EXPECT_GE(C.Publications, 1) << "mode " << int(Sharing);
     EXPECT_GE(sumStat(Runner, "sideline_versions_published"), 1u);
     if (Sharing == CacheSharing::Shared) {
       // Four contexts share one runtime: with twelve publication rounds
@@ -692,7 +686,7 @@ TEST(Threads, SupersededVersionRetirementWithBoundedCaches) {
   // Superseded versions retire into a bounded FIFO cache mid-quantum: the
   // allocator may only reuse a retired slot once no suspended context's
   // guard pc lies in its bytes.
-  Program P = deoptProgram(3, 400);
+  Program P = republishProgram(3, 400);
   Machine Native;
   ASSERT_TRUE(loadProgram(Native, P));
   RunResult NR = runThreadedNative(Native);
@@ -708,7 +702,7 @@ TEST(Threads, SupersededVersionRetirementWithBoundedCaches) {
     Config.ThreadQuantum = 700;
     Machine M;
     ASSERT_TRUE(loadProgram(M, P));
-    CrossThreadDeoptClient C;
+    CrossThreadPublishClient C;
     C.HookTag = P.symbol("wloop0");
     C.MaxRounds = 6;
     ThreadedRunner Runner(M, Config, &C);
