@@ -33,34 +33,27 @@
 ///     -cache-load <file>     warm-start from a .riocache image (falls back
 ///                            to cold start if the image doesn't validate)
 ///     -cache-save <file>     serialize the warmed caches after the run
-///                            (both need a code cache of one runtime:
-///                            -native, -threads and -shared refuse them;
-///                            composes with -sideline when the client is
-///                            persist-safe — only published fragment
-///                            versions serialize)
+///                            (under -sideline only with a persist-safe
+///                            client: only published versions serialize)
 ///     -tenants <n>           after the run warms the caches, freeze the
 ///                            runtime as a template and serve n forked
 ///                            tenants from it, each on a copy-on-write
-///                            machine fork (composes with -cache-load;
-///                            refuses -cache-save, -sideline, -native,
-///                            -threads, and clients)
+///                            machine fork
 ///     -metrics <file>        telemetry snapshots: Prometheus exposition to
-///                            <file>, the JSON export next to it (-threads
-///                            and -shared refuse it; under -native only the
-///                            machine's counters)
+///                            <file>, the JSON export next to it (under
+///                            -native only the machine's counters)
 ///     -metrics-interval <n>  rewrite the -metrics files every n simulated
-///                            cycles during the run (default: end only;
-///                            default mode only, other modes refuse it)
+///                            cycles during the run (default: end only)
 ///     -flight-record <file>  post-mortem JSON dump on faults and budget
-///                            overruns (events + snapshot + profile;
-///                            -threads and -shared refuse it)
+///                            overruns (events + snapshot + profile)
 ///     -budget <n>            abort (exit 124) once the run exceeds n
-///                            simulated instructions (default mode and
-///                            -native; other modes refuse it)
-///     -help                  list every flag
+///                            simulated instructions
+///     -help                  list every flag and the modes that honour it
 ///
-/// Numeric values are whole numbers, decimal or 0x-prefixed hex; anything
-/// else, or a value outside the flag's range, is a usage error.
+/// The first mode flag given (-native, -shared, -threads, -sideline,
+/// -tenants) picks the mode. A flag the mode cannot honour (FlagRules
+/// below) is a usage error, as is a numeric value that is not a whole
+/// number, decimal or 0x-prefixed hex, inside the flag's range.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,6 +73,7 @@
 #include <climits>
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -123,6 +117,65 @@ bool parseNumber(std::string_view Text, uint64_t Min, uint64_t Max,
   return true;
 }
 
+/// The ways riodyn runs a program, one bit each. The first mode flag
+/// given, in ModeFlags order, picks the mode; with none, the program runs
+/// under one runtime (Default).
+enum ModeBit : unsigned {
+  InNative = 1,
+  InShared = 2,
+  InThreads = 4,
+  InSideline = 8,
+  InTenants = 16,
+  InDefault = 32,
+};
+constexpr const char *ModeFlags[] = {"-native", "-shared", "-threads",
+                                     "-sideline", "-tenants"};
+constexpr unsigned OneRuntime = InSideline | InTenants | InDefault;
+constexpr unsigned AnyRuntime = OneRuntime | InShared | InThreads;
+
+/// The modes that honour each mode-dependent flag, and the flag it needs
+/// beside it. Every other combination is a usage error before the run, so
+/// no flag is ever ignored. -help works everywhere, -scale and -dump-asm
+/// in every mode but only on a workload.
+struct FlagRule {
+  const char *Flag;
+  unsigned Modes;
+  const char *Needs = nullptr;
+};
+constexpr FlagRule FlagRules[] = {
+    {"-native", InNative},
+    {"-shared", InShared},
+    {"-threads", InShared | InThreads},
+    {"-sideline", InSideline},
+    {"-sideline-seed", InSideline, "-sideline"},
+    {"-tenants", InTenants},
+    {"-config", AnyRuntime},
+    // A template with a client attached cannot be frozen.
+    {"-client", AnyRuntime & ~InTenants},
+    {"-traceopt", AnyRuntime},
+    {"-ib-inline", AnyRuntime},
+    // Reports and images of one runtime's state; the threaded modes run
+    // several runtimes, -native none.
+    {"-stats", OneRuntime},
+    {"-disas", OneRuntime},
+    {"-cache-load", OneRuntime},
+    {"-cache-save", InSideline | InDefault},
+    {"-trace", AnyRuntime},
+    {"-profile", AnyRuntime},
+    {"-sample-interval", AnyRuntime, "-profile"},
+    // -native exports the machine's own counters.
+    {"-metrics", InNative | OneRuntime},
+    {"-flight-record", InNative | OneRuntime},
+    // These slice one runtime's run (-native has its own deadline).
+    {"-metrics-interval", InDefault, "-metrics"},
+    {"-budget", InNative | InDefault},
+};
+
+/// Flags without a value; main() reads them back from the flags given.
+constexpr const char *Switches[] = {"-native",    "-threads", "-shared",
+                                    "-sideline",  "-traceopt", "-stats",
+                                    "-profile",   "-dump-asm", "-ib-inline"};
+
 void printHelp() {
   OutStream &OS = outs();
   OS.printf(
@@ -147,19 +200,14 @@ void printHelp() {
       "  -ib-inline             adaptive indirect-branch inline caches\n"
       "  -scale <n>             workload scale override\n"
       "  -budget <n>            abort (exit 124) past n simulated "
-      "instructions (default\n"
-      "                         mode or -native)\n"
+      "instructions\n"
       "\n"
       "persistence and forking:\n"
       "  -cache-load <file>     warm-start from a .riocache image\n"
       "  -cache-save <file>     serialize the warmed caches after the run\n"
-      "                         (both: not with -native, -threads or "
-      "-shared)\n"
       "  -tenants <n>           serve 1..%d copy-on-write forked tenants "
       "from one warmed\n"
-      "                         template (not with -cache-save, -sideline, "
-      "-native,\n"
-      "                         -threads, or -client)\n"
+      "                         template\n"
       "\n"
       "observability:\n"
       "  -stats                 print runtime statistics after the run\n"
@@ -171,13 +219,10 @@ void printHelp() {
       "1000)\n"
       "  -metrics <file>        telemetry snapshots: Prometheus text to "
       "<file>, JSON beside it\n"
-      "                         (not with -threads or -shared)\n"
       "  -metrics-interval <n>  rewrite the -metrics files every n "
-      "simulated cycles (default\n"
-      "                         mode only)\n"
+      "simulated cycles\n"
       "  -flight-record <file>  post-mortem JSON dump on faults and budget "
       "overruns\n"
-      "                         (not with -threads or -shared)\n"
       "\n"
       "inspection:\n"
       "  -disas <symbol>        disassemble the fragment at a program "
@@ -186,8 +231,19 @@ void printHelp() {
       "exit\n"
       "  -help                  print this listing and exit\n"
       "\n"
-      "workloads:",
+      "modes (first given: -native -shared -threads -sideline -tenants, "
+      "else default)\n"
+      "that honour a flag; any other mode refuses it:\n",
       MaxTenants);
+  for (const FlagRule &Rule : FlagRules) {
+    OS.printf("  %-22s", Rule.Flag);
+    for (unsigned K = 0; K != std::size(ModeFlags); ++K)
+      if (Rule.Modes & (1u << K))
+        OS.printf(" %s", ModeFlags[K]);
+    OS.printf("%s%s%s\n", Rule.Modes & InDefault ? " default" : "",
+              Rule.Needs ? ", with " : "", Rule.Needs ? Rule.Needs : "");
+  }
+  OS.printf("\nworkloads:");
   for (const Workload &W : allWorkloads())
     OS.printf(" %s", W.Name);
   OS.printf("\n");
@@ -202,11 +258,7 @@ int usage() {
 
 int main(int argc, char **argv) {
   OutStream &OS = outs();
-  bool Native = false, Threads = false, Shared = false, UseSideline = false,
-       Stats = false;
   uint64_t SidelineSeed = 0x5eed51deull;
-  bool DumpAsm = false, Profile = false, IbInline = false;
-  bool TraceOpt = false;
   TraceOptOptions TraceOptOpts;
   std::string ConfigName = "full", ClientName = "none", Target, DisasSym,
               TraceFile, CacheLoadFile, CacheSaveFile, MetricsFile,
@@ -216,7 +268,7 @@ int main(int argc, char **argv) {
   uint64_t Budget = 0;
   int Scale = 0;
   int Tenants = 0;
-  bool TenantsGiven = false;
+  std::set<std::string> Given; // every flag named, without its "=value"
 
   // A numeric flag's value, as "-flag <n>" or "-flag=<n>"; a bad value
   // ends the parse with a usage error.
@@ -236,28 +288,33 @@ int main(int argc, char **argv) {
 
   for (int I = 1; I < argc && !BadNumber; ++I) {
     std::string Arg = argv[I];
+    if (Arg[0] != '-') {
+      Target = Arg;
+      continue;
+    }
     if (Arg == "-help" || Arg == "-h" || Arg == "--help") {
       printHelp();
       return 0;
-    } else if (Arg == "-native")
-      Native = true;
-    else if (Arg == "-threads")
-      Threads = true;
-    else if (Arg == "-shared")
-      Threads = Shared = true;
-    else if (Arg == "-sideline" || Arg == "-sideline-async")
-      UseSideline = true;
-    else if (Arg == "-sideline-seed" && I + 1 < argc)
-      Number("-sideline-seed", argv[++I], 0, UINT64_MAX, SidelineSeed);
-    else if (Arg.rfind("-sideline-seed=", 0) == 0)
-      Number("-sideline-seed", Arg.c_str() + 15, 0, UINT64_MAX, SidelineSeed);
-    else if (Arg == "-traceopt")
-      TraceOpt = true;
-    else if (Arg.rfind("-traceopt=", 0) == 0) {
-      TraceOpt = true;
+    }
+    // "-switch", "-flag <value>" or "-flag=<value>".
+    size_t Eq = Arg.find('=');
+    std::string Flag =
+        Arg == "-sideline-async" ? "-sideline" : Arg.substr(0, Eq);
+    Given.insert(Flag);
+    bool Switch = std::find(std::begin(Switches), std::end(Switches), Flag) !=
+                  std::end(Switches);
+    if (Switch && Eq == std::string::npos)
+      continue;
+    const char *Value = Eq != std::string::npos ? argv[I] + Eq + 1
+                        : !Switch && I + 1 < argc ? argv[++I]
+                                                  : nullptr;
+    auto Is = [&](const char *Name) { return Value && Flag == Name; };
+    if (Is("-sideline-seed"))
+      Number("-sideline-seed", Value, 0, UINT64_MAX, SidelineSeed);
+    else if (Is("-traceopt")) {
       TraceOptOpts.RemoveLoads = TraceOptOpts.FoldConsts = false;
       TraceOptOpts.EliminateDeadStores = TraceOptOpts.StrengthReduce = false;
-      std::string List = Arg.substr(10), Pass;
+      std::string List = Value, Pass;
       for (size_t Pos = 0; Pos <= List.size();) {
         size_t Comma = List.find(',', Pos);
         if (Comma == std::string::npos)
@@ -279,65 +336,32 @@ int main(int argc, char **argv) {
         }
         Pos = Comma + 1;
       }
-    }
-    else if (Arg == "-stats")
-      Stats = true;
-    else if (Arg == "-dump-asm")
-      DumpAsm = true;
-    else if (Arg == "-config" && I + 1 < argc)
-      ConfigName = argv[++I];
-    else if (Arg == "-client" && I + 1 < argc)
-      ClientName = argv[++I];
-    else if (Arg == "-scale" && I + 1 < argc)
-      Number("-scale", argv[++I], 0, INT_MAX, Scale);
-    else if (Arg == "-disas" && I + 1 < argc)
-      DisasSym = argv[++I];
-    else if (Arg == "-trace" && I + 1 < argc)
-      TraceFile = argv[++I];
-    else if (Arg.rfind("-trace=", 0) == 0)
-      TraceFile = Arg.substr(7);
-    else if (Arg == "-profile")
-      Profile = true;
-    else if (Arg == "-ib-inline")
-      IbInline = true;
-    else if (Arg == "-sample-interval" && I + 1 < argc)
-      Number("-sample-interval", argv[++I], 1, UINT64_MAX, SampleInterval);
-    else if (Arg.rfind("-sample-interval=", 0) == 0)
-      Number("-sample-interval", Arg.c_str() + 17, 1, UINT64_MAX,
-             SampleInterval);
-    else if (Arg == "-cache-load" && I + 1 < argc)
-      CacheLoadFile = argv[++I];
-    else if (Arg.rfind("-cache-load=", 0) == 0)
-      CacheLoadFile = Arg.substr(12);
-    else if (Arg == "-cache-save" && I + 1 < argc)
-      CacheSaveFile = argv[++I];
-    else if (Arg.rfind("-cache-save=", 0) == 0)
-      CacheSaveFile = Arg.substr(12);
-    else if (Arg == "-tenants" && I + 1 < argc) {
-      Number("-tenants", argv[++I], 1, MaxTenants, Tenants);
-      TenantsGiven = true;
-    } else if (Arg.rfind("-tenants=", 0) == 0) {
-      Number("-tenants", Arg.c_str() + 9, 1, MaxTenants, Tenants);
-      TenantsGiven = true;
-    } else if (Arg == "-metrics" && I + 1 < argc)
-      MetricsFile = argv[++I];
-    else if (Arg.rfind("-metrics=", 0) == 0)
-      MetricsFile = Arg.substr(9);
-    else if (Arg == "-metrics-interval" && I + 1 < argc)
-      Number("-metrics-interval", argv[++I], 1, UINT64_MAX, MetricsInterval);
-    else if (Arg.rfind("-metrics-interval=", 0) == 0)
-      Number("-metrics-interval", Arg.c_str() + 18, 1, UINT64_MAX,
-             MetricsInterval);
-    else if (Arg == "-flight-record" && I + 1 < argc)
-      FlightRecordFile = argv[++I];
-    else if (Arg.rfind("-flight-record=", 0) == 0)
-      FlightRecordFile = Arg.substr(15);
-    else if (Arg == "-budget" && I + 1 < argc)
-      Number("-budget", argv[++I], 1, UINT64_MAX, Budget);
-    else if (Arg.rfind("-budget=", 0) == 0)
-      Number("-budget", Arg.c_str() + 8, 1, UINT64_MAX, Budget);
-    else if (Arg[0] != '-')
-      Target = Arg;
+    } else if (Is("-config"))
+      ConfigName = Value;
+    else if (Is("-client"))
+      ClientName = Value;
+    else if (Is("-scale"))
+      Number("-scale", Value, 0, INT_MAX, Scale);
+    else if (Is("-disas"))
+      DisasSym = Value;
+    else if (Is("-trace"))
+      TraceFile = Value;
+    else if (Is("-sample-interval"))
+      Number("-sample-interval", Value, 1, UINT64_MAX, SampleInterval);
+    else if (Is("-cache-load"))
+      CacheLoadFile = Value;
+    else if (Is("-cache-save"))
+      CacheSaveFile = Value;
+    else if (Is("-tenants"))
+      Number("-tenants", Value, 1, MaxTenants, Tenants);
+    else if (Is("-metrics"))
+      MetricsFile = Value;
+    else if (Is("-metrics-interval"))
+      Number("-metrics-interval", Value, 1, UINT64_MAX, MetricsInterval);
+    else if (Is("-flight-record"))
+      FlightRecordFile = Value;
+    else if (Is("-budget"))
+      Number("-budget", Value, 1, UINT64_MAX, Budget);
     else {
       OS.printf("error: unknown flag '%s'\n\n", Arg.c_str());
       return usage();
@@ -346,71 +370,31 @@ int main(int argc, char **argv) {
   if (BadNumber || Target.empty())
     return usage();
 
-  if (TraceOpt && Native) {
-    OS.printf("error: -traceopt has nothing to optimize under -native\n");
+  unsigned Mode = InDefault;
+  const char *ModeName = nullptr;
+  for (unsigned K = 0; K != std::size(ModeFlags) && !ModeName; ++K)
+    if (Given.count(ModeFlags[K])) {
+      Mode = 1u << K;
+      ModeName = ModeFlags[K];
+    }
+  for (const FlagRule &Rule : FlagRules) {
+    if (!Given.count(Rule.Flag))
+      continue;
+    // In the default mode only a flag that needs another is refused.
+    if (!(Rule.Modes & Mode) && ModeName)
+      OS.printf("error: %s cannot be combined with %s\n", Rule.Flag, ModeName);
+    else if (!(Rule.Modes & Mode) || (Rule.Needs && !Given.count(Rule.Needs)))
+      OS.printf("error: %s needs %s\n", Rule.Flag, Rule.Needs);
+    else
+      continue;
     return usage();
   }
-
-  // The budget and the periodic metrics writer slice one runtime's run;
-  // -native honours the budget with its own deadline. Every other mode
-  // runs several runtimes or its own quanta, so it refuses both rather
-  // than ignore them.
-  if (Budget || MetricsInterval) {
-    const char *Mode = Shared                      ? "-shared"
-                       : Threads                   ? "-threads"
-                       : UseSideline               ? "-sideline"
-                       : TenantsGiven              ? "-tenants"
-                       : Native && MetricsInterval ? "-native"
-                                                   : nullptr;
-    if (Mode) {
-      OS.printf("error: %s cannot be combined with %s\n",
-                MetricsInterval ? "-metrics-interval" : "-budget", Mode);
-      return usage();
-    }
-  }
-
-  // Metrics, flight records and cache images belong to one runtime: the
-  // threaded modes have no single runtime to export, and -native has no
-  // code cache to load or save.
-  {
-    const char *Mode = Shared ? "-shared" : Threads ? "-threads"
-                                          : Native  ? "-native"
-                                                    : nullptr;
-    const char *Flag = nullptr;
-    if (Mode && !CacheLoadFile.empty())
-      Flag = "-cache-load";
-    else if (Mode && !CacheSaveFile.empty())
-      Flag = "-cache-save";
-    else if (Threads && !MetricsFile.empty())
-      Flag = "-metrics";
-    else if (Threads && !FlightRecordFile.empty())
-      Flag = "-flight-record";
-    if (Flag) {
-      OS.printf("error: %s cannot be combined with %s\n", Flag, Mode);
-      return usage();
-    }
-  }
-
-  // -tenants wants the single-runtime cache mode with nothing that would
-  // make the template unfreezable (a client, the sideline) or ambiguous
-  // about which runtime to snapshot (-cache-save after N tenants ran).
-  if (TenantsGiven) {
-    if (!CacheSaveFile.empty() || UseSideline) {
-      OS.printf("error: -tenants cannot be combined with -cache-save or "
-                "-sideline\n");
-      return usage();
-    }
-    if (Native || Threads) {
-      OS.printf("error: -tenants needs the single-runtime cache mode "
-                "(not -native or -threads)\n");
-      return usage();
-    }
-    if (ClientName != "none") {
-      OS.printf("error: -tenants cannot serve clients (a template with a "
-                "client attached cannot be frozen)\n");
-      return usage();
-    }
-  }
+  bool Native = Mode == InNative, Shared = Mode == InShared,
+       Threads = Mode & (InShared | InThreads),
+       UseSideline = Mode == InSideline, TenantsGiven = Mode == InTenants,
+       Stats = Given.count("-stats"), Profile = Given.count("-profile"),
+       DumpAsm = Given.count("-dump-asm"), IbInline = Given.count("-ib-inline"),
+       TraceOpt = Given.count("-traceopt");
 
   // Build the program.
   Program Prog;
@@ -427,6 +411,12 @@ int main(int argc, char **argv) {
                 Target.c_str());
       return 1;
     }
+    for (const char *Flag : {"-scale", "-dump-asm"})
+      if (Given.count(Flag)) {
+        OS.printf("error: %s applies to workloads, not to '%s'\n", Flag,
+                  Target.c_str());
+        return usage();
+      }
     if (!assemble(Source, Prog, Error)) {
       OS.printf("assembly error: %s\n", Error.c_str());
       return 1;

@@ -343,11 +343,11 @@ bool dr_replace_fragment(void *context, app_pc tag, InstrList *il);
 /// body is emitted beside the old one, the link graph and fragment table
 /// are swapped to it atomically (from the simulated machine's view), and
 /// the superseded body is retired — its cache bytes are reclaimed only
-/// once no thread's guard pc (resume or clean-call pc) lies inside it.
-/// Threads suspended at an OSR-described side exit of
-/// the old body are transferred on-stack to re-enter through the new
-/// version. Unlike dr_replace_fragment this never stalls the simulated
-/// machine on the old body's eviction; it charges only SidelinePublishCost.
+/// once no thread's guard pc (resume or clean-call pc) lies inside it. A
+/// thread suspended in the old body runs it to its next exit, which no
+/// longer links anywhere, and re-enters through the new version. Unlike
+/// dr_replace_fragment it charges no per-instruction transform cost, only
+/// SidelinePublishCost.
 /// Returns false if \p tag has no live fragment.
 bool dr_publish_fragment(void *context, app_pc tag, InstrList *il);
 

@@ -200,7 +200,7 @@ void Runtime::mangleForCache(InstrList &IL) {
 //===----------------------------------------------------------------------===//
 
 Fragment *Runtime::emitFragment(AppPc Tag, InstrList &IL, Fragment::Kind Kind,
-                                unsigned NumInstrs) {
+                                unsigned NumInstrs, const Fragment *Pred) {
   assert(!Tpl && "forked tenant must unshare before emitting fragments");
   // Identify exits: direct CTIs whose target is an application pc operand
   // (intra-fragment branches are label-bound), plus indirect CTIs.
@@ -401,39 +401,6 @@ Fragment *Runtime::emitFragment(AppPc Tag, InstrList &IL, Fragment::Kind Kind,
     }
   }
 
-  // OSR descriptors (traces only): one per plain direct exit, answering
-  // "where does the application continue from this exit boundary" for a
-  // thread left suspended at the CTI or inside its stub when this version
-  // is superseded (Fragment::osrResumePc). Chain arms and custom-stub
-  // exits are excluded — their stubs do IBL/client work whose mid-stub
-  // state has no application-level equivalent.
-  if (Kind == Fragment::Kind::Trace) {
-    for (size_t Idx = 0; Idx != Pending.size(); ++Idx) {
-      FragmentExit &Exit = Frag->Exits[Idx];
-      if (Exit.ExitKind != FragmentExit::Kind::Direct || Exit.IsIbArm ||
-          Pending[Idx].Custom)
-        continue;
-      OsrPoint P;
-      P.CtiOff = Exit.CtiOff;
-      P.StubOff = Exit.StubOff;
-      P.StubEnd = Exit.StubJmpOff + Exit.StubJmpLen;
-      // Bodies re-emitted from a decodeFragment list (sideline, client
-      // replacement) carry *cache* pcs as instruction app addresses; a
-      // resume pc must be a genuine application tag, so anything outside
-      // the application region degrades to "no transfer at this point".
-      uint32_t AppLimit = M.runtimeBase();
-      P.ResumeApp = Exit.SourceAppPc < AppLimit ? Exit.SourceAppPc : 0;
-      P.TakenApp = Exit.TargetTag < AppLimit ? Exit.TargetTag : 0;
-      if (!P.ResumeApp && !P.TakenApp)
-        continue;
-      Frag->OsrPoints.push_back(P);
-    }
-    std::sort(Frag->OsrPoints.begin(), Frag->OsrPoints.end(),
-              [](const OsrPoint &A, const OsrPoint &B) {
-                return A.CtiOff < B.CtiOff;
-              });
-  }
-
   M.invalidateDecodeRange(Base, Base + BodySize + StubBytes);
 
   // Consistency metadata: which application bytes this body was translated
@@ -463,6 +430,13 @@ Fragment *Runtime::emitFragment(AppPc Tag, InstrList &IL, Fragment::Kind Kind,
     PrevApp = App;
     PrevValid = true;
   }
+  // A successor body keeps its predecessor's ranges too: one re-emitted
+  // from decodeFragment records the old body's cache pcs, not the
+  // application pcs they came from, and a store to that code must still
+  // invalidate it.
+  if (Pred)
+    Frag->AppRanges.insert(Frag->AppRanges.end(), Pred->AppRanges.begin(),
+                           Pred->AppRanges.end());
   std::sort(Frag->AppRanges.begin(), Frag->AppRanges.end(),
             [](const AppRange &A, const AppRange &B) { return A.Lo < B.Lo; });
   std::vector<AppRange> Merged;
@@ -779,12 +753,12 @@ InstrList *Runtime::decodeFragment(Arena &A, AppPc Tag) {
   return IL;
 }
 
-Fragment *Runtime::supersede(Fragment *Old, InstrList &IL, bool Osr) {
+Fragment *Runtime::supersede(Fragment *Old, InstrList &IL) {
   unsigned NumInstrs = 0;
   for (Instr &I : IL)
     if (!I.isLabel())
       ++NumInstrs;
-  Fragment *New = emitFragment(Old->Tag, IL, Old->FragKind, NumInstrs);
+  Fragment *New = emitFragment(Old->Tag, IL, Old->FragKind, NumInstrs, Old);
   if (!New)
     return nullptr;
   New->IsTraceHead = Old->IsTraceHead;
@@ -793,7 +767,9 @@ Fragment *Runtime::supersede(Fragment *Old, InstrList &IL, bool Osr) {
   // "All links targeting and originating from the old fragment are
   // immediately modified to use the new fragment." Incoming links are
   // re-pointed; outgoing links of the old fragment are severed so that
-  // execution still inside it leaves at its next branch.
+  // execution still inside it leaves at its next branch. The old body is
+  // a transparent rewrite of the same application code, so a thread
+  // suspended in it runs correct code until that exit.
   std::vector<uint32_t> Incoming = Old->IncomingLinks;
   for (uint32_t ExitId : Incoming) {
     auto [Owner, ExitIdx] = ExitRecords[ExitId];
@@ -805,8 +781,6 @@ Fragment *Runtime::supersede(Fragment *Old, InstrList &IL, bool Osr) {
   Old->IncomingLinks.clear();
   unlinkOutgoing(Old);
   Table.insert(Old->Tag, New);
-  if (Osr)
-    transferSuspended(Old, New);
 
   // The old bytes stay in place until no guard pc lies in their slot.
   // Emission above may already have evicted Old to make room; only retire
@@ -823,14 +797,14 @@ bool Runtime::replaceFragment(AppPc Tag, InstrList &IL) {
   if (!Old)
     return false;
   chargeRuntime(M.cost().FragmentReplaceCost + clientTransformCost(IL));
-  if (!supersede(Old, IL, /*Osr=*/false))
+  if (!supersede(Old, IL))
     return false;
   ++S.FragmentsReplaced;
   return true;
 }
 
 //===----------------------------------------------------------------------===//
-// Versioned publication + OSR (asynchronous sideline; paper Section 3.4's
+// Versioned publication (asynchronous sideline; paper Section 3.4's
 // "concurrent thread for sideline optimization")
 //===----------------------------------------------------------------------===//
 
@@ -844,49 +818,11 @@ bool Runtime::publishVersion(AppPc Tag, InstrList &IL) {
   // cheaper than a synchronous replace, and charges no per-instruction
   // client transform cost.
   chargeRuntime(M.cost().SidelinePublishCost);
-  Fragment *New = supersede(Old, IL, /*Osr=*/true);
+  Fragment *New = supersede(Old, IL);
   if (!New)
     return false;
   ++PubEpoch;
   Stats.counter("sideline_versions_published") += 1;
   obsEvent(TraceEventKind::SidelinePublished, Tag, New->CacheAddr);
   return true;
-}
-
-void Runtime::transferSuspended(Fragment *Old, Fragment *New) {
-  // OSR: transfer every thread context suspended inside the old body —
-  // including the active one when publication runs between quanta — over
-  // to the new version. The exit-boundary descriptors (or the CodeMap)
-  // translate its suspension pc to an application pc; resuming
-  // AtDispatcher on that tag re-enters through the live version. A context
-  // with no translation stays put — its guard pc keeps the old slot's
-  // bytes alive until it leaves on its own.
-  for (const auto &Ctx : Contexts) {
-    if (Ctx->ResumePoint != ThreadContext::Resume::InCache)
-      continue;
-    uint32_t Pc = Ctx->ResumeCachePc;
-    if (Pc < Old->CacheAddr ||
-        Pc >= Old->CacheAddr + Old->CodeSize + Old->StubsSize)
-      continue;
-    // Preferred: direct in-cache transfer. The new body was emitted from
-    // a decode of the old one, so its code map keys are the old body's
-    // cache pcs — an exact hit lands the thread on the very instruction
-    // it was about to execute, with no dispatcher round trip.
-    uint32_t NewOff = New->offsetOfAppPc(Pc);
-    if (NewOff != UINT32_MAX && NewOff < New->CodeSize) {
-      Ctx->ResumeCachePc = New->CacheAddr + NewOff;
-    } else {
-      AppPc Resume = Old->osrResumePc(Pc - Old->CacheAddr);
-      // The CodeMap fallback can answer with a cache pc for bodies that
-      // were themselves re-emitted from decoded cache instructions — not a
-      // tag.
-      if (!Resume || Resume >= M.runtimeBase())
-        continue;
-      Ctx->ResumePoint = ThreadContext::Resume::AtDispatcher;
-      Ctx->ResumeTag = Resume;
-      Ctx->ResumeCachePc = 0;
-    }
-    Stats.counter("osr_transfers") += 1;
-    obsEvent(TraceEventKind::OsrTransfer, Old->Tag, Pc);
-  }
 }

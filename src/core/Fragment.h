@@ -103,29 +103,6 @@ struct CodePoint {
   bool Linear = false;
 };
 
-/// An on-stack-replacement descriptor, one per trace side exit (emitted at
-/// trace emission). It answers "execution is suspended inside this
-/// fragment at offset X — where does the *application* continue?" with
-/// exit-boundary precision, so a suspended thread can be transferred out
-/// of a superseded version and resume in the re-optimized one:
-///
-///   - suspended exactly at the side-exit CTI (not yet executed): restart
-///     at the CTI's own application pc (ResumeApp) — the branch re-executes
-///     and re-decides;
-///   - suspended inside the exit's stub (the branch *was* taken, control is
-///     mid-way through the exit-id store / dispatcher jump): continue at
-///     the exit's taken application target (TakenApp).
-///
-/// Offsets are slot-relative, like FragmentExit's, so descriptors survive
-/// relocation.
-struct OsrPoint {
-  uint32_t CtiOff = 0;  ///< body offset of the side-exit CTI
-  uint32_t StubOff = 0; ///< slot offset of the exit's stub
-  uint32_t StubEnd = 0; ///< one past the stub's last byte (slot offset)
-  AppPc ResumeApp = 0;  ///< app pc of the CTI itself (0 = synthetic)
-  AppPc TakenApp = 0;   ///< app continuation once the exit is taken
-};
-
 /// A basic block or trace resident in the code cache.
 struct Fragment {
   enum class Kind { BasicBlock, Trace };
@@ -145,7 +122,8 @@ struct Fragment {
 
   std::vector<FragmentExit> Exits;
 
-  /// Merged application ranges backing the body (sorted by Lo).
+  /// Merged application ranges backing the body, and any body it
+  /// superseded (sorted by Lo).
   std::vector<AppRange> AppRanges;
 
   /// Cache-offset -> application-pc map, sorted by Off (built at emission;
@@ -179,26 +157,6 @@ struct Fragment {
     return Best->Linear ? Best->App + (Off - Best->Off) : 0;
   }
 
-  /// Body offset of the instruction whose recorded application address is
-  /// exactly \p App (UINT32_MAX when no instruction carries it). For a
-  /// body re-emitted from a decoded predecessor the recorded addresses
-  /// are the predecessor's *cache* pcs, which makes this the map needed
-  /// to move a thread suspended in the old body onto the corresponding
-  /// instruction of the new one — on-stack replacement without a
-  /// dispatcher round trip.
-  uint32_t offsetOfAppPc(AppPc App) const {
-    if (!App)
-      return UINT32_MAX;
-    for (const CodePoint &P : CodeMap)
-      if (P.App == App)
-        return P.Off;
-    return UINT32_MAX;
-  }
-
-  /// OSR descriptors for this fragment's side exits (traces only; empty
-  /// for basic blocks, which appPcAt covers). Sorted by CtiOff.
-  std::vector<OsrPoint> OsrPoints;
-
   //===--- versioned publication (asynchronous sideline; core/Sideline.h) ---===
   //
   // Each in-place rewrite of a tag (dr_replace_fragment, the IB-inline
@@ -211,21 +169,6 @@ struct Fragment {
 
   /// In-place rewrites that led to this body (0 = first body built).
   uint32_t Version = 0;
-
-  /// Application pc at which a thread suspended at body/slot offset \p Off
-  /// should resume after this fragment is superseded: exit-boundary OSR
-  /// descriptors first (they cover the stubs, where appPcAt has no
-  /// answer), then the instruction-level CodeMap. 0 = no safe transfer
-  /// point (the thread must finish on the old bytes).
-  AppPc osrResumePc(uint32_t Off) const {
-    for (const OsrPoint &P : OsrPoints) {
-      if (P.CtiOff == Off && P.ResumeApp)
-        return P.ResumeApp;
-      if (Off >= P.StubOff && Off < P.StubEnd && P.TakenApp)
-        return P.TakenApp;
-    }
-    return appPcAt(Off);
-  }
 
   /// Exits of *other* fragments currently linked to this fragment
   /// (identified by ExitId); used to unlink incoming on deletion.

@@ -365,16 +365,21 @@ AppPc Runtime::drainCodeWrites(uint32_t CurCachePc) {
   // If the store came from inside one of the victims, translate the
   // about-to-execute cache pc back to its application pc so dispatch can
   // re-translate from the freshly written code. When the pc has no exact
-  // application equivalent (mid-mangle synthetic code), fall back to
-  // running the stale — intact — bytes until the next exit: the fragment
-  // is already unlinked, so control reaches the dispatcher, and the slot
-  // is not reclaimed while execution can still be inside it.
+  // application equivalent (mid-mangle synthetic code, or a body
+  // re-emitted from decodeFragment, whose code map holds its
+  // predecessor's cache pcs), fall back to running the stale — intact —
+  // bytes until the next exit: the fragment is already unlinked, so
+  // control reaches the dispatcher, and the slot is not reclaimed while
+  // execution can still be inside it.
   Fragment *Cur = CM.fragmentAt(CurCachePc);
   AppPc Redirect = 0;
   chargeRuntime(M.cost().RegionFlushCost);
   for (Fragment *Victim : Victims) {
-    if (Victim == Cur)
+    if (Victim == Cur) {
       Redirect = Victim->appPcAt(CurCachePc - Victim->CacheAddr);
+      if (Redirect >= M.runtimeBase())
+        Redirect = 0;
+    }
     ++S.SmcInvalidations;
     obsEvent(TraceEventKind::SmcInvalidated, Victim->Tag, Victim->CacheAddr);
     chargeRuntime(M.cost().FragmentEvictCost);

@@ -287,7 +287,7 @@ public:
   bool replaceFragment(AppPc Tag, InstrList &IL);
 
   //===--------------------------------------------------------------------===
-  // Versioned publication + OSR (asynchronous sideline; core/Sideline.h)
+  // Versioned publication (asynchronous sideline; core/Sideline.h)
   //===--------------------------------------------------------------------===
 
   /// Publishes \p IL as the next *version* of the fragment with tag \p Tag
@@ -295,12 +295,10 @@ public:
   ///   - the new body is emitted and the tag's link graph swapped to it
   ///     atomically with respect to simulated execution (this runs at a
   ///     dispatch boundary, between fragment executions);
-  ///   - every thread context suspended inside the old body is
-  ///     OSR-transferred where its pc translates: onto the same
-  ///     instruction of the new body, or to the equivalent application pc
-  ///     (Fragment::osrResumePc) so it re-enters through the dispatcher;
-  ///   - the old body is retired — its bytes are reclaimed once no guard
-  ///     pc (a context left in it untransferred) lies inside them.
+  ///   - the old body is retired. A thread suspended inside it runs the
+  ///     old bytes — a transparent rewrite of the same application code —
+  ///     to its next (now unlinked) exit, and its guard pc keeps the slot
+  ///     from being reclaimed until it leaves.
   /// Charges SidelinePublishCost (cheaper than a synchronous replace — the
   /// transform itself happened off the critical path). Returns false if no
   /// fragment with that tag exists or emission fails.
@@ -429,8 +427,10 @@ private:
 
   //===--- building and linking (Emitter.cpp) -------------------------------===
   Fragment *buildBasicBlock(AppPc Tag, bool Shadow = false);
+  /// Emits \p IL into the cache and registers it. \p Pred, when set, is
+  /// the body the new one supersedes: its application ranges carry over.
   Fragment *emitFragment(AppPc Tag, InstrList &IL, Fragment::Kind Kind,
-                         unsigned NumInstrs);
+                         unsigned NumInstrs, const Fragment *Pred = nullptr);
   void mangleForCache(InstrList &IL);
   void linkExit(Fragment *From, FragmentExit &Exit, Fragment *To);
   void unlinkExit(Fragment *Owner, FragmentExit &Exit);
@@ -442,18 +442,11 @@ private:
   /// Doomed and notifies the client.
   void retireBody(Fragment *Frag);
   /// The version swap replaceFragment and publishVersion share: emits \p IL
-  /// as \p Old's successor, re-points Old's incoming links at it, severs
-  /// Old's outgoing links, installs it in the table, OSR-transfers threads
-  /// suspended in Old when \p Osr, retires Old and links the new body.
+  /// as \p Old's successor (inheriting Old's application ranges),
+  /// re-points Old's incoming links at it, severs Old's outgoing links,
+  /// installs it in the table, retires Old and links the new body.
   /// Returns the new body, or null if emission failed.
-  Fragment *supersede(Fragment *Old, InstrList &IL, bool Osr);
-  /// Moves every context suspended inside \p Old onto \p New (on-stack
-  /// replacement) where its pc translates; the rest keep Old's bytes
-  /// alive through their guard pcs. A published body is a transparent
-  /// rewrite of the same application code as the body it supersedes, so
-  /// a context left on the old bytes still runs correct code: the
-  /// transfer only moves it onto the newer body sooner.
-  void transferSuspended(Fragment *Old, Fragment *New);
+  Fragment *supersede(Fragment *Old, InstrList &IL);
   void deleteFragment(Fragment *Frag);
   void patchRel32(uint32_t CtiAddr, unsigned CtiLen, uint32_t NewTarget);
   uint32_t allocCache(unsigned Size, Fragment::Kind Kind);

@@ -182,8 +182,9 @@ RunResult rio::runWithSideline(Runtime &RT, SidelineOptimizer &Sideline,
     // The sideline core worked while the application ran on its own;
     // publish whatever came due: a thread stuck in a hot trace never
     // reaches a dispatch boundary, so the quantum boundary is where its
-    // optimized version takes over (via OSR transfer: publishVersion
-    // moves the suspended context, or its guard pc pins the old bytes).
+    // optimized version is installed. The suspended context finishes the
+    // old body (its guard pc pins those bytes) and enters the new version
+    // at its next exit.
     Sideline.pump(RT);
   }
 }

@@ -14,8 +14,9 @@
 /// queued tags into jobs (the fragment body is decoded into a private
 /// per-job arena, stamped with the exact fragment version it captured)
 /// and publishes due jobs as new fragment *versions*
-/// (Runtime::publishVersion): link graph swapped atomically, suspended
-/// threads OSR-transferred out of the old body, the old body retired.
+/// (Runtime::publishVersion): link graph swapped atomically, the old body
+/// retired. A thread suspended in the old body finishes there, leaving at
+/// its next exit; its guard pc keeps the old bytes alive until then.
 ///
 /// Each job's completion is scheduled on simulated time by a seeded
 /// virtual-completion latency (docs/sideline-cost-model.md). The transform

@@ -12,8 +12,8 @@
 //              generation, saved runtime-region base, base-relative
 //              bb/trace cache bounds
 //            u32 fragment count, then per fragment: identity/geometry,
-//              exit records, app ranges, code map, OSR descriptors, raw
-//              slot bytes (body + stubs)
+//              exit records, app ranges, code map, raw slot bytes
+//              (body + stubs)
 //            fragment-table entries, sorted by tag
 //            indirect-branch site histograms, sorted by site pc
 //            shadow-block bindings (tag -> fragment index), sorted by tag:
@@ -432,29 +432,9 @@ struct CacheCodec::Walk {
       C.Linear = Linear != 0;
       return got(P) && (C.Off < F.CodeSize || malformed());
     };
-    // Versioned-publication metadata: the OSR descriptors let a loaded
-    // trace's threads transfer out when a sideline publication supersedes
-    // it. Offsets are slot-relative: the CTI inside the body, the stub
-    // range inside the stub area, app pcs inside the application region.
-    auto Osr = [&](OsrPoint &O, const OsrPoint *) {
-      P.u32(O.CtiOff);
-      P.u32(O.StubOff);
-      P.u32(O.StubEnd);
-      P.u32(O.ResumeApp);
-      P.u32(O.TakenApp);
-      if (!got(P))
-        return false;
-      if (O.CtiOff >= F.CodeSize || O.StubOff < F.CodeSize ||
-          uint64_t(O.StubEnd) > SlotLen || O.StubEnd <= O.StubOff ||
-          O.ResumeApp >= AppLimit || O.TakenApp >= AppLimit)
-        return malformed();
-      return true;
-    };
-    // A basic block has no OSR descriptors.
     if (!seq(P, F.Exits, MaxExitsPerFragment, 34, Exit) ||
         !seq(P, F.AppRanges, MaxRecordsPerFragment, 8, Range) ||
-        !seq(P, F.CodeMap, MaxRecordsPerFragment, 9, Point) ||
-        !seq(P, F.OsrPoints, F.isTrace() ? MaxExitsPerFragment : 0, 20, Osr))
+        !seq(P, F.CodeMap, MaxRecordsPerFragment, 9, Point))
       return false;
 
     Slot.resize(size_t(SlotLen));

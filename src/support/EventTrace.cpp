@@ -71,8 +71,6 @@ const char *rio::traceEventKindName(TraceEventKind Kind) {
     return "sideline_published";
   case TraceEventKind::SidelineStaleDrop:
     return "sideline_stale_drop";
-  case TraceEventKind::OsrTransfer:
-    return "osr_transfer";
   case TraceEventKind::NumKinds:
     break;
   }

@@ -68,7 +68,6 @@ enum class TraceEventKind : uint8_t {
   SidelineEnqueued,  ///< Tag = trace tag, Aux = async job sequence number
   SidelinePublished, ///< Tag = trace tag, Aux = new version's cache addr
   SidelineStaleDrop, ///< Tag = trace tag, Aux = async job sequence number
-  OsrTransfer,       ///< Tag = superseded trace tag, Aux = suspension pc
   NumKinds,
 };
 

@@ -447,8 +447,8 @@ std::vector<uint8_t> reseal(std::vector<uint8_t> B) {
 // preamble, fragment count at 60. Per fragment: 30 fixed bytes (CodeSize
 // at +10, StubsSize at +14), then exit records of 34 bytes each (StubOff
 // at +14, StubJmpOff at +18, StubJmpLen at +22), app ranges (8), code
-// points (9), OSR descriptors (20), and the raw slot bytes. Table entries
-// are 13 bytes, IB sites 116, shadows 8.
+// points (9), and the raw slot bytes. Table entries are 13 bytes, IB sites
+// 116, shadows 8.
 constexpr size_t FragCountOff = 60;
 constexpr size_t FragFixedBytes = 30;
 constexpr size_t ExitBytes = 34;
@@ -479,25 +479,27 @@ size_t skipFragments(const std::vector<uint8_t> &B,
       if (B[Pos] == 0 && FirstDirectExit && !*FirstDirectExit)
         *FirstDirectExit = Pos;
     Pos += 4 + size_t(rd32(B, Pos)) * 8;  // app ranges
-    Pos += 4 + size_t(rd32(B, Pos)) * 9;  // code points
-    Pos += 4 + size_t(rd32(B, Pos)) * 20; // OSR descriptors
-    Pos += size_t(CodeSize) + StubsSize;  // slot bytes
+    Pos += 4 + size_t(rd32(B, Pos)) * 9; // code points
+    Pos += size_t(CodeSize) + StubsSize; // slot bytes
   }
   return Pos;
 }
 
-/// Lays image \p B out as format version 3 did: a trace-block-tag list
-/// after each fragment's OSR descriptors and two speculation tables
-/// (guard-failure counters, blacklisted tags) after the predictor state,
-/// all empty here, under version 3 and a valid checksum.
-std::vector<uint8_t> asVersion3(const std::vector<uint8_t> &B) {
+/// Lays image \p B out as format version \p Version (3 or 4) did, under
+/// that version and a valid checksum. Version 4 carried a per-fragment OSR
+/// descriptor list after the code points; version 3 also carried a
+/// trace-block-tag list after it and two speculation tables (guard-failure
+/// counters, blacklisted tags) after the predictor state. All are empty
+/// here.
+std::vector<uint8_t> asVersion(const std::vector<uint8_t> &B,
+                               uint32_t Version) {
   std::vector<uint8_t> Out;
   size_t Pos = 0;
   auto copyTo = [&](size_t End) {
     Out.insert(Out.end(), B.begin() + Pos, B.begin() + End);
     Pos = End;
   };
-  auto emptyList = [&] { Out.insert(Out.end(), 4, 0); };
+  auto emptyLists = [&](size_t N) { Out.insert(Out.end(), 4 * N, 0); };
   std::vector<size_t> FragOffs;
   skipFragments(B, nullptr, &FragOffs);
   for (size_t Off : FragOffs) {
@@ -505,20 +507,18 @@ std::vector<uint8_t> asVersion3(const std::vector<uint8_t> &B) {
     uint32_t StubsSize = rd32(B, Off + 14);
     size_t End = Off + FragFixedBytes;
     End += 4 + size_t(rd32(B, End)) * ExitBytes;
-    End += 4 + size_t(rd32(B, End)) * 8;  // app ranges
-    End += 4 + size_t(rd32(B, End)) * 9;  // code points
-    End += 4 + size_t(rd32(B, End)) * 20; // OSR descriptors
+    End += 4 + size_t(rd32(B, End)) * 8; // app ranges
+    End += 4 + size_t(rd32(B, End)) * 9; // code points
     copyTo(End);
-    emptyList();
+    emptyLists(Version == 3 ? 2 : 1);
     copyTo(End + CodeSize + StubsSize);
   }
   copyTo(B.size());
-  emptyList();
-  emptyList();
-  wr32(Out, 4, 3);
+  if (Version == 3)
+    emptyLists(2);
+  wr32(Out, 4, Version);
   return reseal(Out);
 }
-
 } // namespace
 
 TEST(Persist, EveryTruncationRejectsCleanly) {
@@ -565,36 +565,40 @@ TEST(Persist, HeaderCorruptionIsRejected) {
 }
 
 TEST(Persist, VersionThreeImageFallsBackToColdStart) {
-  // A well-formed image of the previous format version is refused as a
+  // Well-formed images of the previous format versions are refused as a
   // version mismatch before any record is read; the runtime stays cold
   // and runs the program from scratch, cycle for cycle.
   Program Prog = dispatchProgram(1500);
   ColdRun Cold = coldRunAndSave(Prog, RuntimeConfig::full());
-  std::vector<uint8_t> V3 = asVersion3(Cold.Image);
-  ASSERT_EQ(V3.size(),
-            Cold.Image.size() + 4 * (rd32(Cold.Image, FragCountOff) + 2));
+  uint32_t NumFrags = rd32(Cold.Image, FragCountOff);
+  for (uint32_t Version : {3u, 4u}) {
+    SCOPED_TRACE("version " + std::to_string(Version));
+    std::vector<uint8_t> Old = asVersion(Cold.Image, Version);
+    ASSERT_EQ(Old.size(), Cold.Image.size() +
+                              4 * (Version == 3 ? 2 * NumFrags + 2 : NumFrags));
 
-  LoadTarget T(Prog);
-  EXPECT_EQ(T.load(V3), LoadStatus::BadVersion);
-  EXPECT_EQ(T.RT->numFragments(), 0u);
-  RunResult R = T.RT->run();
-  ASSERT_EQ(R.Status, RunStatus::Exited) << R.FaultReason;
-  EXPECT_EQ(T.M.output(), Cold.Output);
-  EXPECT_EQ(R.Cycles, Cold.Cycles);
+    LoadTarget T(Prog);
+    EXPECT_EQ(T.load(Old), LoadStatus::BadVersion);
+    EXPECT_EQ(T.RT->numFragments(), 0u);
+    RunResult R = T.RT->run();
+    ASSERT_EQ(R.Status, RunStatus::Exited) << R.FaultReason;
+    EXPECT_EQ(T.M.output(), Cold.Output);
+    EXPECT_EQ(R.Cycles, Cold.Cycles);
 
-  // The file path riodyn -cache-load takes reports the refusal the same
-  // way: no fragments, a cold run that matches.
-  std::string Path = testing::TempDir() + "persist_v3.riocache";
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  ASSERT_NE(F, nullptr);
-  ASSERT_EQ(std::fwrite(V3.data(), 1, V3.size(), F), V3.size());
-  std::fclose(F);
-  LoadTarget FromFile(Prog);
-  EXPECT_FALSE(dr_cache_load(FromFile.RT.get(), Path.c_str()));
-  EXPECT_EQ(FromFile.RT->numFragments(), 0u);
-  EXPECT_EQ(FromFile.RT->run().Status, RunStatus::Exited);
-  EXPECT_EQ(FromFile.M.output(), Cold.Output);
-  std::remove(Path.c_str());
+    // The file path riodyn -cache-load takes reports the refusal the same
+    // way: no fragments, a cold run that matches.
+    std::string Path = testing::TempDir() + "persist_old.riocache";
+    std::FILE *F = std::fopen(Path.c_str(), "wb");
+    ASSERT_NE(F, nullptr);
+    ASSERT_EQ(std::fwrite(Old.data(), 1, Old.size(), F), Old.size());
+    std::fclose(F);
+    LoadTarget FromFile(Prog);
+    EXPECT_FALSE(dr_cache_load(FromFile.RT.get(), Path.c_str()));
+    EXPECT_EQ(FromFile.RT->numFragments(), 0u);
+    EXPECT_EQ(FromFile.RT->run().Status, RunStatus::Exited);
+    EXPECT_EQ(FromFile.M.output(), Cold.Output);
+    std::remove(Path.c_str());
+  }
 }
 
 TEST(Persist, BitFlipFuzzNeverCrashesAndNeverCorrupts) {
@@ -893,7 +897,8 @@ TEST(PersistGolden, ImageDigestIsPinned) {
   D.image(Resaved);
 
   // Version 3, which also carried per-trace block lists and speculation
-  // tables, pinned 0x3dd47e53234e53ab.
-  static_assert(CacheImageVersion == 4, "pin the new format version");
-  EXPECT_EQ(D.H, 0x58445e201ee58e97ull);
+  // tables, pinned 0x3dd47e53234e53ab; version 4, which still carried
+  // per-fragment OSR descriptor lists, pinned 0x58445e201ee58e97.
+  static_assert(CacheImageVersion == 5, "pin the new format version");
+  EXPECT_EQ(D.H, 0xee05e971e927bdaeull);
 }

@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""Tests riodyn's flag handling: numeric values parse strictly, -budget is
-honoured in the default mode and under -native, and every other mode
-refuses -budget and -metrics-interval instead of ignoring them. -native
-exports metrics and flight records in the checked-in schema; the threaded
-modes refuse metrics, flight records and cache images, and -native refuses
-cache images.
+"""Tests riodyn's flag handling: numeric values parse strictly, and every
+(mode, flag) pair is either honoured or refused with exit 1 before the run,
+never silently ignored. -budget is honoured in the default mode and under
+-native, and -native exports metrics and flight records in the checked-in
+schema.
 
 Usage: riodyn_cli_test.py <path to riodyn>
 """
@@ -92,22 +91,6 @@ class BudgetTest(unittest.TestCase):
         code, out = riodyn("-budget", "10000", "crafty")
         self.assertEqual(code, 124, out)
 
-    def test_other_modes_refuse_budget_and_metrics_interval(self):
-        cases = [(["-threads"], "-budget", "-threads"),
-                 (["-shared"], "-budget", "-shared"),
-                 (["-sideline"], "-budget", "-sideline"),
-                 (["-tenants", "2"], "-budget", "-tenants"),
-                 (["-threads"], "-metrics-interval", "-threads"),
-                 (["-sideline"], "-metrics-interval", "-sideline"),
-                 (["-tenants", "2"], "-metrics-interval", "-tenants"),
-                 (["-native"], "-metrics-interval", "-native")]
-        for mode, flag, name in cases:
-            with self.subTest(mode=mode, flag=flag):
-                code, out = riodyn(*mode, flag, "100", "crafty")
-                self.assertEqual(code, 1, out)
-                self.assertIn(f"error: {flag} cannot be combined with {name}",
-                              out)
-
 
 def check_metrics(*args):
     """Runs scripts/check_metrics.py against the checked-in schema."""
@@ -151,27 +134,123 @@ class ExportsAndCachesTest(unittest.TestCase):
         self.assertGreater(fleet["cycles"]["value"], 0)
         self.assertEqual(fleet["dispatches"]["value"], 0)
 
-    def test_threaded_modes_refuse_exports_and_caches(self):
-        for mode in ("-threads", "-shared"):
-            for flag in ("-metrics", "-flight-record", "-cache-load",
-                         "-cache-save"):
-                with self.subTest(mode=mode, flag=flag):
-                    code, out = riodyn(mode, flag, "x", "crafty",
-                                       cwd=self.tmp.name)
-                    self.assertEqual(code, 1, out)
-                    self.assertIn(
-                        f"error: {flag} cannot be combined with {mode}", out)
-                    self.assertEqual(os.listdir(self.tmp.name), [])
 
-    def test_native_refuses_cache_images(self):
-        for flag in ("-cache-load", "-cache-save"):
+# The first mode flag given, in this order, picks the mode; with none the
+# program runs under one runtime ("default").
+MODE_ORDER = ["-native", "-shared", "-threads", "-sideline", "-tenants"]
+MODES = MODE_ORDER + ["default"]
+ONE_RUNTIME = {"-sideline", "-tenants", "default"}
+ANY_RUNTIME = ONE_RUNTIME | {"-shared", "-threads"}
+
+# Every mode-dependent flag, in riodyn's rule order: how to give it, the
+# modes that honour it, the flag it needs beside it, and what a run that
+# honours it prints (None: nothing to see beyond exit code 0).
+FLAGS = [
+    ("-native", ["-native"], {"-native"}, None, None),
+    ("-shared", ["-shared"], {"-shared"}, None, None),
+    ("-threads", ["-threads"], {"-shared", "-threads"}, None, None),
+    ("-sideline", ["-sideline"], {"-sideline"}, None, None),
+    ("-sideline-seed", ["-sideline-seed", "7"], {"-sideline"}, "-sideline",
+     None),
+    ("-tenants", ["-tenants", "2"], {"-tenants"}, None,
+     "tenants: template frozen"),
+    ("-config", ["-config", "linkdirect"], ANY_RUNTIME, None, None),
+    ("-client", ["-client", "inscount"], ANY_RUNTIME - {"-tenants"}, None,
+     None),
+    ("-traceopt", ["-traceopt"], ANY_RUNTIME, None, None),
+    ("-ib-inline", ["-ib-inline"], ANY_RUNTIME, None, None),
+    ("-stats", ["-stats"], ONE_RUNTIME, None, "runtime statistics:"),
+    ("-disas", ["-disas", "main"], ONE_RUNTIME, None, "fragment for"),
+    ("-cache-load", ["-cache-load", "missing.riocache"], ONE_RUNTIME, None,
+     "cache: "),
+    ("-cache-save", ["-cache-save", "saved.riocache"],
+     {"-sideline", "default"}, None, "cache: "),
+    ("-trace", ["-trace", "t.json"], ANY_RUNTIME, None, "trace: "),
+    ("-profile", ["-profile"], ANY_RUNTIME, None, "cycle-sampled profile"),
+    ("-sample-interval", ["-sample-interval", "500"], ANY_RUNTIME,
+     "-profile", "interval 500 cycles"),
+    ("-metrics", ["-metrics", "m.prom"], ONE_RUNTIME | {"-native"}, None,
+     "metrics: snapshot"),
+    ("-flight-record", ["-flight-record", "fr.json"],
+     ONE_RUNTIME | {"-native"}, None, None),
+    ("-metrics-interval", ["-metrics-interval", "100000"], {"default"},
+     "-metrics", "metrics: snapshot"),
+    ("-budget", ["-budget", "10000"], {"-native", "default"}, None,
+     "budget: exceeded 10000"),
+]
+RULES = {flag: (args, modes, needs) for flag, args, modes, needs, _ in FLAGS}
+
+
+def refusal(given):
+    """The error riodyn must print for these flags, or None to run."""
+    mode = next((m for m in MODE_ORDER if m in given), "default")
+    for flag, (_, modes, needs) in RULES.items():
+        if flag not in given:
+            continue
+        if mode not in modes and mode != "default":
+            return f"error: {flag} cannot be combined with {mode}"
+        if mode not in modes or (needs and needs not in given):
+            return f"error: {flag} needs {needs}"
+    return None
+
+
+class ModeFlagMatrixTest(unittest.TestCase):
+    def test_every_mode_flag_pair_is_honoured_or_refused(self):
+        for mode in MODES:
+            for flag, args, _, needs, evidence in FLAGS:
+                if flag == mode:
+                    continue
+                given = {flag} | ({mode} if mode != "default" else set())
+                argv = list(args)
+                if mode != "default":
+                    argv = RULES[mode][0] + argv
+                # Also give the flag a needed non-mode flag, so the pair
+                # itself decides.
+                if needs and needs not in MODE_ORDER:
+                    given.add(needs)
+                    argv = RULES[needs][0] + argv
+                expected = refusal(given)
+                with self.subTest(mode=mode, flag=flag), \
+                        tempfile.TemporaryDirectory() as tmp:
+                    code, out = riodyn(*argv, "crafty", cwd=tmp)
+                    if expected:
+                        self.assertEqual(code, 1, out)
+                        self.assertIn(expected, out)
+                        self.assertIn("usage: riodyn", out)
+                        self.assertEqual(os.listdir(tmp), [])
+                        continue
+                    budget = "-budget" in given
+                    self.assertEqual(code, 124 if budget else 0, out)
+                    self.assertNotIn("error:", out)
+                    if evidence:
+                        self.assertIn(evidence, out)
+
+    def test_a_flag_that_needs_another_is_refused_alone(self):
+        for flag, needs in [("-sideline-seed", "-sideline"),
+                            ("-sample-interval", "-profile"),
+                            ("-metrics-interval", "-metrics")]:
             with self.subTest(flag=flag):
-                code, out = riodyn("-native", flag, "x", "crafty",
-                                   cwd=self.tmp.name)
+                code, out = riodyn(*RULES[flag][0], "crafty")
                 self.assertEqual(code, 1, out)
-                self.assertIn(f"error: {flag} cannot be combined with -native",
-                              out)
-                self.assertEqual(os.listdir(self.tmp.name), [])
+                self.assertIn(f"error: {flag} needs {needs}", out)
+
+
+class FileTargetTest(unittest.TestCase):
+    def setUp(self):
+        self.tmp = tempfile.TemporaryDirectory()
+        self.exit7 = os.path.join(self.tmp.name, "exit7.s")
+        with open(self.exit7, "w") as f:
+            f.write(EXIT7)
+
+    def tearDown(self):
+        self.tmp.cleanup()
+
+    def test_workload_flags_are_refused(self):
+        for args in (["-scale", "3"], ["-dump-asm"]):
+            with self.subTest(args=args):
+                code, out = riodyn(*args, self.exit7)
+                self.assertEqual(code, 1, out)
+                self.assertIn(f"error: {args[0]} applies to workloads", out)
 
 
 if __name__ == "__main__":

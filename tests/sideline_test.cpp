@@ -10,10 +10,14 @@
 #include "api/dr_api.h"
 #include "clients/Clients.h"
 #include "core/Sideline.h"
+#include "core/TraceOpt.h"
+#include "harness/Experiment.h"
 #include "persist/CacheImage.h"
 #include "workloads/Workloads.h"
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
 #include <vector>
 
 using namespace rio;
@@ -306,11 +310,6 @@ TEST(Sideline, PersistRoundTripUnderSideline) {
     ASSERT_EQ(persist::CacheCodec::load(RT, Image.data(), Image.size()),
               persist::LoadStatus::Ok);
     EXPECT_GE(RT.numFragments(), 1u);
-    // The image carries each trace's OSR descriptors.
-    unsigned TracesWithOsr = 0;
-    RT.forEachFragment(
-        [&](const Fragment &F) { TracesWithOsr += !F.OsrPoints.empty(); });
-    EXPECT_GE(TracesWithOsr, 1u);
     RunResult R = runWithSideline(RT, Sideline);
     ASSERT_EQ(R.Status, RunStatus::Exited) << R.FaultReason;
     EXPECT_EQ(M.output(), Native.Output);
@@ -332,6 +331,83 @@ TEST(Sideline, QueueDrainsAndSurvivesFlushes) {
   RT.flushCaches();
   Sideline.pump(RT); // every queued tag and captured version is now dead
   EXPECT_EQ(Sideline.versionsPublished(), Published);
+}
+
+//===----------------------------------------------------------------------===//
+// Self-modifying code that rewrites a superseded body's application code
+//===----------------------------------------------------------------------===//
+
+/// Assembles a checked-in program from tests/programs.
+Program programFile(const char *Name) {
+  std::ifstream In(std::string(RIO_TEST_PROGRAMS_DIR) + "/" + Name);
+  std::stringstream Source;
+  Source << In.rdbuf();
+  EXPECT_FALSE(Source.str().empty()) << "cannot read " << Name;
+  return assembleOrDie(Source.str());
+}
+
+/// Both rewrite a function that a hot trace has inlined: smc_rounds.s from
+/// cold code between two runs of the trace, smc_in_trace.s with a store on
+/// the trace's own path. A body re-emitted from decodeFragment records its
+/// predecessor's cache pcs, not application pcs, so it is invalidated only
+/// because it inherits its predecessor's application ranges.
+const char *const SmcPrograms[] = {"smc_rounds.s", "smc_in_trace.s"};
+
+TEST(Supersede, SelfModifyingCodeInvalidatesPublishedVersions) {
+  for (const char *Name : SmcPrograms) {
+    Program P = programFile(Name);
+    NativeRun Native = runNative(P);
+    ASSERT_EQ(Native.Status, RunStatus::Exited) << Name;
+    // Plain publication, then riodyn's -client all4 -ib-inline -sideline
+    // -traceopt.
+    for (bool AllFour : {false, true}) {
+      SCOPED_TRACE(std::string(Name) + (AllFour ? " all4" : " none"));
+      Machine M;
+      ASSERT_TRUE(loadProgram(M, P));
+      ClientBundle Bundle(AllFour ? ClientKind::AllFour : ClientKind::None);
+      TraceOptClient Opt(TraceOptOptions(), Bundle.client());
+      NullClient Null;
+      SidelineOptimizer Sideline(AllFour ? static_cast<Client &>(Opt) : Null);
+      RuntimeConfig Config = pumpedBy(Sideline);
+      Config.IbInline = AllFour;
+      Runtime RT(M, Config, &Sideline);
+      RunResult R = runWithSideline(RT, Sideline);
+      ASSERT_EQ(R.Status, RunStatus::Exited) << R.FaultReason;
+      EXPECT_EQ(M.output(), Native.Output);
+      EXPECT_EQ(R.ExitCode, Native.ExitCode);
+      EXPECT_GE(Sideline.versionsPublished(), 1u);
+    }
+  }
+}
+
+TEST(Supersede, SelfModifyingCodeInvalidatesReplacedBodies) {
+  // Between quanta, every trace not yet replaced is decoded and swapped in
+  // again through dr_replace_fragment, often while the thread is
+  // suspended inside it.
+  for (const char *Name : SmcPrograms) {
+    SCOPED_TRACE(Name);
+    Program P = programFile(Name);
+    NativeRun Native = runNative(P);
+    Machine M;
+    ASSERT_TRUE(loadProgram(M, P));
+    Runtime RT(M, RuntimeConfig::full(), nullptr);
+    unsigned Replaced = 0;
+    RunResult R;
+    while ((R = RT.runFor(500)).QuantumExpired) {
+      std::vector<AppPc> Tags;
+      RT.forEachFragment([&](const Fragment &F) {
+        if (F.isTrace() && F.Version == 0)
+          Tags.push_back(F.Tag);
+      });
+      for (AppPc Tag : Tags)
+        if (InstrList *IL = dr_decode_fragment(&RT, Tag))
+          Replaced += dr_replace_fragment(&RT, Tag, IL);
+    }
+    ASSERT_EQ(R.Status, RunStatus::Exited) << R.FaultReason;
+    EXPECT_EQ(M.output(), Native.Output);
+    EXPECT_EQ(R.ExitCode, Native.ExitCode);
+    EXPECT_GE(Replaced, 1u);
+  }
 }
 
 } // namespace
