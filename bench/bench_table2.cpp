@@ -89,12 +89,15 @@ PassTotals decodeEncodeAll(const Corpus &C, LiftLevel Level, Arena &A) {
   for (const BlockRef &B : C.Blocks) {
     A.reset();
     InstrList IL(A);
+    BlockScan Scan;
     if (!liftBlock(IL, B.M->mem(), B.M->runtimeBase(), B.Tag, B.MaxInstrs,
-                   Level))
+                   Level, Scan))
       continue;
     EmitResult Placement;
-    if (!emitInstrList(IL, B.Tag, Out, sizeof(Out),
-                       /*AllowShortBranches=*/false, Placement))
+    if (!layoutInstrList(IL, B.Tag, /*AllowShortBranches=*/false,
+                         Placement) ||
+        Placement.TotalSize > sizeof(Out) ||
+        !writeInstrList(Placement, B.Tag, Out))
       continue;
     ++T.Blocks;
     T.ArenaBytes += A.bytesUsed() + sizeof(InstrList);

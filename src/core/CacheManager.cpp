@@ -86,7 +86,7 @@ uint32_t CacheManager::allocateEvicting(
     Fragment::Kind Kind, uint32_t Size, const std::vector<uint32_t> &GuardPcs,
     const std::function<void(Fragment *)> &Evict) {
   Cache &C = cacheFor(Kind);
-  if (((Size + 3u) & ~3u) > capacity(Kind))
+  if (!fits(Kind, Size))
     return 0; // no eviction can make room for it
   for (;;) {
     if (uint32_t Addr = allocate(Kind, Size, GuardPcs))

@@ -145,6 +145,11 @@ public:
   }
   uint32_t cacheEnd(Fragment::Kind Kind) const { return cacheFor(Kind).End; }
   uint32_t capacity(Fragment::Kind Kind) const;
+  /// True if a fragment of \p Size bytes fits the empty cache: otherwise
+  /// no eviction can make room for it.
+  bool fits(Fragment::Kind Kind, uint32_t Size) const {
+    return ((Size + 3u) & ~3u) <= capacity(Kind);
+  }
   /// Bytes held by live fragments (pending-reclaim bytes excluded).
   uint32_t usedBytes(Fragment::Kind Kind) const;
   /// usedBytes summed over both caches — the warmed-cache footprint a

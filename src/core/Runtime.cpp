@@ -84,6 +84,7 @@ Runtime::Runtime(Machine &M, const RuntimeConfig &Config, Client *TheClient,
   Slots.ClientTlsSlot = Base + 0x1C;
   Slots.SpillSlots = Base + 0x20;   // 8 x 4 bytes
   Slots.ScratchSlots = Base + 0x40; // 16 x 4 bytes
+  Stubs = ExitStubs(Slots);
 
   // Thread-private basic-block cache in the lower part of the remaining
   // region, trace cache above it. Capacities default to an even split; the

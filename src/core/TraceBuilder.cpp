@@ -13,7 +13,7 @@
 /// mode and stitches the subsequently executed blocks into a trace,
 /// consulting the client's end-trace hook before each extension. Indirect
 /// branches crossed by the trace are inlined behind a compare against the
-/// recorded next block, with a miss path at the bottom of the trace that
+/// recorded next block, with an inline miss path (jecxz is rel8-only) that
 /// hands the real target to the IBL — preserving linear control flow.
 ///
 //===----------------------------------------------------------------------===//
@@ -106,6 +106,13 @@ void Runtime::abortTrace() {
   Table.slot(TC->TraceGenHead).HeadCounter = 0;
 }
 
+void Runtime::demoteHead(AppPc Head) {
+  FragmentEntry &Entry = Table.slot(Head);
+  if (Entry.Frag)
+    Entry.Frag->IsTraceHead = false;
+  Entry.Marked = false;
+}
+
 void Runtime::finalizeTrace() {
   TC->TraceGenActive = false;
   AppPc Head = TC->TraceGenHead;
@@ -113,15 +120,13 @@ void Runtime::finalizeTrace() {
   TC->TraceGenBlocks.clear();
   Table.slot(Head).HeadCounter = 0;
 
+  // The trace's list lives only until it is emitted.
+  Arena BuildArena(1u << 14);
   unsigned NumInstrs = 0;
-  InstrList *IL = buildTraceList(Blocks, NumInstrs);
+  InstrList *IL = buildTraceList(BuildArena, Blocks, NumInstrs);
   if (!IL) {
-    // Could not materialize (application code changed / undecodable):
-    // permanently demote the head so we do not retry forever.
-    FragmentEntry &Entry = Table.slot(Head);
-    if (Entry.Frag)
-      Entry.Frag->IsTraceHead = false;
-    Entry.Marked = false;
+    // Could not materialize (application code changed / undecodable).
+    demoteHead(Head);
     return;
   }
 
@@ -135,11 +140,21 @@ void Runtime::finalizeTrace() {
   }
 
   mangleForCache(*IL);
+  FragmentPlan Plan;
+  if (!planFragment(*IL, Plan))
+    return;
+  if (!CM.fits(Fragment::Kind::Trace, Plan.size())) {
+    // Larger than the whole trace cache: its blocks keep running from the
+    // block cache, head included.
+    Stats.counter("traces_abandoned") += 1;
+    demoteHead(Head);
+    return;
+  }
 
   Fragment *Old = lookupFragment(Head);
   if (Old)
     deleteFragment(Old);
-  Fragment *Trace = emitFragment(Head, *IL, Fragment::Kind::Trace, NumInstrs);
+  Fragment *Trace = emitFragment(Head, Plan, Fragment::Kind::Trace, NumInstrs);
   if (!Trace)
     return;
   Trace->IsTraceHead = false;
@@ -158,12 +173,9 @@ void Runtime::finalizeTrace() {
 // Trace materialization
 //===----------------------------------------------------------------------===//
 
-InstrList *Runtime::buildTraceList(const std::vector<AppPc> &Blocks,
+InstrList *Runtime::buildTraceList(Arena &A, const std::vector<AppPc> &Blocks,
                                    unsigned &NumInstrs) {
-  Arena &A = FragArena;
   auto *IL =
-      new (A.allocate(sizeof(InstrList), alignof(InstrList))) InstrList(A);
-  auto *MissCode =
       new (A.allocate(sizeof(InstrList), alignof(InstrList))) InstrList(A);
 
   uint32_t AppSize = M.runtimeBase();
@@ -183,15 +195,13 @@ InstrList *Runtime::buildTraceList(const std::vector<AppPc> &Blocks,
     bool IsLast = BlockIdx + 1 == Blocks.size();
     AppPc NextTag = IsLast ? 0 : Blocks[BlockIdx + 1];
 
-    BlockScan Scan;
-    if (!scanBlock(M.mem(), AppSize, Tag, Config.MaxBlockInstrs, Scan))
-      return nullptr;
     InstrList BlockIL(A);
+    BlockScan Scan;
     // "When performing optimizations, DynamoRIO fully decodes all
     // instructions in a trace's InstrList, but keeps their raw bit
     // pointers valid (Level 3)."
     if (!liftBlock(BlockIL, M.mem(), AppSize, Tag, Config.MaxBlockInstrs,
-                   LiftLevel::Decoded3))
+                   LiftLevel::Decoded3, Scan))
       return nullptr;
     NumInstrs += Scan.NumInstrs;
 
@@ -265,11 +275,7 @@ InstrList *Runtime::buildTraceList(const std::vector<AppPc> &Blocks,
   }
 
   for (const PendingInline &PI : Inlines)
-    inlineIndirectCheck(*IL, PI.Cti, PI.NextTag, *MissCode);
-
-  // The miss paths of inlined indirect-branch checks live at the bottom of
-  // the trace, below every on-trace path (paper Figure 4).
-  IL->splice(*MissCode);
+    inlineIndirectCheck(*IL, PI.Cti, PI.NextTag);
   return IL;
 }
 
@@ -297,8 +303,7 @@ void Runtime::loadIndirectTarget(Arena &A, Instr &Cti,
 }
 
 void Runtime::inlineIndirectCheck(InstrList &IL, Instr *IndirectCti,
-                                  AppPc NextTag, InstrList &MissCode) {
-  (void)MissCode; // miss code is inline (jecxz is rel8-only)
+                                  AppPc NextTag) {
   Arena &A = IL.arena();
 
   // The check must not touch eflags: the branch may leave the trace to an

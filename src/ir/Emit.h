@@ -12,6 +12,11 @@
 /// paper's level-of-detail design; only Level 4 instructions and relocated
 /// direct CTIs go through the full encoder.
 ///
+/// Emission is one layout, which fixes every offset and pre-encodes all but
+/// the direct CTIs, then one write, which encodes those at their final pcs.
+/// Without short branches no length depends on the base, so the runtime
+/// lays a list out before it has cache space.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RIO_IR_EMIT_H
@@ -20,31 +25,39 @@
 #include "ir/InstrList.h"
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace rio {
 
-/// Placement results of one emission: the total size and the offset of
-/// every Instr relative to the base address.
+/// The layout of one InstrList, indexed by each Instr's position in the
+/// list (labels included).
 struct EmitResult {
   unsigned TotalSize = 0;
-  std::vector<Instr *> Instrs;
-  std::vector<unsigned> Offsets;
+  std::vector<Instr *> Instrs;   ///< the list, by position
+  std::vector<unsigned> Offsets; ///< offset of Instrs[Pos] from the base
+  std::vector<unsigned> Lengths; ///< bytes reserved for Instrs[Pos]
 
-  /// Offset of \p I within the emitted bytes; \p I must be in the list.
-  unsigned offsetOf(const Instr *I) const {
-    for (size_t Idx = 0; Idx != Instrs.size(); ++Idx)
-      if (Instrs[Idx] == I)
-        return Offsets[Idx];
-    return ~0u;
-  }
+  /// The laid-out bytes, with the direct CTIs in Ctis still to be encoded.
+  std::vector<uint8_t> Bytes;
+  /// Positions of the direct CTIs writeInstrList encodes at its base.
+  std::vector<unsigned> Ctis;
+  /// Each label and its position, for resolving label operands.
+  std::vector<std::pair<const Instr *, unsigned>> Labels;
+  bool AllowShortBranches = false;
 };
 
-/// Emits \p IL as if placed at \p BaseAddr. If \p Out is null, performs a
-/// sizing pass only; otherwise writes at most \p OutCap bytes.
-/// \returns true on success (false on encoding failure or overflow).
-bool emitInstrList(InstrList &IL, AppPc BaseAddr, uint8_t *Out, size_t OutCap,
-                   bool AllowShortBranches, EmitResult &Result);
+/// Lays \p IL out as if placed at \p BaseAddr. With \p AllowShortBranches
+/// off, every branch takes its rel32 form (rel8-only jecxz aside) and the
+/// layout is valid at any base above the application code.
+/// \returns false on encoding failure (including a label out of reach).
+bool layoutInstrList(InstrList &IL, AppPc BaseAddr, bool AllowShortBranches,
+                     EmitResult &Layout);
+
+/// Writes \p Layout at \p BaseAddr into \p Out (Layout.TotalSize bytes).
+/// \p BaseAddr must be the layout's base when it allows short branches.
+/// \returns false if a branch cannot reach its target from there.
+bool writeInstrList(const EmitResult &Layout, AppPc BaseAddr, uint8_t *Out);
 
 } // namespace rio
 

@@ -216,16 +216,6 @@ void Instr::setBranchTargetLabel(Instr *Label) {
   TheLevel = Level::Synth;
 }
 
-int Instr::encodedLength(AppPc Pc, bool AllowShortBranches) {
-  if (rawBitsValid())
-    return int(RawLen);
-  EncodeOptions Opts;
-  Opts.AllowShortBranches = AllowShortBranches;
-  uint8_t Scratch[MaxInstrLength];
-  return encodeInstr(Op, Prefixes, Srcs, NumSrcs, Dsts, NumDsts, Pc, Scratch,
-                     Opts);
-}
-
 int Instr::encode(AppPc Pc, uint8_t *Out, bool AllowShortBranches) {
   if (rawBitsValid()) {
     // The fast path the paper's Level 0-3 exist for: a straight byte copy.

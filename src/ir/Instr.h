@@ -232,10 +232,6 @@ public:
   // Encoding
   //===--------------------------------------------------------------------===
 
-  /// Encoded size when placed at \p Pc. Raw-valid Instrs return their raw
-  /// length; Level 4 Instrs run the encoder.
-  int encodedLength(AppPc Pc, bool AllowShortBranches);
-
   /// Encodes into \p Out (>= MaxInstrLength bytes, or rawLength() for
   /// bundles). Returns the byte count, or -1 on failure.
   int encode(AppPc Pc, uint8_t *Out, bool AllowShortBranches);

@@ -7,7 +7,6 @@
 
 #include "ir/InstrList.h"
 
-#include "ir/Emit.h"
 #include "support/Compiler.h"
 
 using namespace rio;
@@ -96,11 +95,4 @@ void InstrList::splice(InstrList &Other) {
     append(I);
     I = Next;
   }
-}
-
-int InstrList::encodedLength(AppPc BaseAddr, bool AllowShortBranches) {
-  EmitResult Result;
-  return emitInstrList(*this, BaseAddr, nullptr, 0, AllowShortBranches, Result)
-             ? int(Result.TotalSize)
-             : -1;
 }

@@ -52,10 +52,6 @@ public:
   /// \p Other empty. Both lists must share an arena.
   void splice(InstrList &Other);
 
-  /// Total encoded size if placed at \p BaseAddr (labels resolve to their
-  /// position). Returns -1 if any instruction fails to encode.
-  int encodedLength(AppPc BaseAddr, bool AllowShortBranches);
-
   /// Iteration support (range-for over Instr&).
   class iterator {
   public:

@@ -757,4 +757,61 @@ TEST(CoreFaults, CacheFaultsReportApplicationContext) {
       << R.FaultReason;
 }
 
+//===----------------------------------------------------------------------===//
+// Exit stub templates
+//===----------------------------------------------------------------------===//
+
+/// The encoder's bytes for \p Op with \p Ops placed at \p Pc.
+std::vector<uint8_t> encoded(Opcode Op, std::initializer_list<Operand> Ops,
+                             uint32_t Pc) {
+  Arena A;
+  uint8_t Buf[MaxInstrLength];
+  int Len = Instr::createSynth(A, Op, Ops)->encode(Pc, Buf, false);
+  EXPECT_GT(Len, 0);
+  return std::vector<uint8_t>(Buf, Buf + std::max(Len, 0));
+}
+
+TEST(ExitStubTemplates, MatchTheEncoder) {
+  // Dispatcher entries at both ends of the runtime region, with stubs
+  // placed above and below them.
+  MachineConfig MC;
+  const uint32_t Lo = MC.AppRegionSize;
+  const uint32_t Hi = MC.AppRegionSize + MC.RuntimeRegionSize - 0x100;
+  for (uint32_t Entry : {Lo, Hi}) {
+    RuntimeSlots Slots{};
+    Slots.DispatcherEntry = Entry;
+    Slots.ExitIdSlot = Entry + 0x10;
+    Slots.IbTargetSlot = Entry + 0x14;
+    ExitStubs Stubs(Slots);
+    for (uint32_t Pc : {Entry + 0x1000, Entry - 0x2345, Lo + 0x40, Hi + 0x80}) {
+      for (uint32_t ExitId : {0u, 1u, 0x00ABCDEFu}) {
+        std::vector<uint8_t> Want = encoded(
+            OP_mov,
+            {Operand::memAbs(Slots.ExitIdSlot, 4),
+             Operand::imm(int64_t(ExitId), 4)},
+            Pc);
+        std::vector<uint8_t> Jmp = encoded(
+            OP_jmp, {Operand::pc(Entry)}, Pc + ExitStubs::MovLen);
+        Want.insert(Want.end(), Jmp.begin(), Jmp.end());
+        std::vector<uint8_t> Got(ExitStubs::ExitLen);
+        Stubs.writeExit(Got.data(), Pc, ExitId);
+        EXPECT_EQ(Got, Want) << std::hex << Entry << " " << Pc << " " << ExitId;
+      }
+    }
+    for (AppPc Tag : {0x1000u, 0x00400123u, 0xFFFFFFF0u}) {
+      std::vector<uint8_t> Want = encoded(
+          OP_mov,
+          {Operand::memAbs(Slots.IbTargetSlot, 4),
+           Operand::imm(int64_t(Tag), 4)},
+          0);
+      std::vector<uint8_t> Jmp =
+          encoded(OP_jmp_ind, {Operand::memAbs(Slots.IbTargetSlot, 4)}, 0);
+      Want.insert(Want.end(), Jmp.begin(), Jmp.end());
+      std::vector<uint8_t> Got(ExitStubs::ArmLen);
+      Stubs.writeArm(Got.data(), Tag);
+      EXPECT_EQ(Got, Want) << std::hex << Entry << " " << Tag;
+    }
+  }
+}
+
 } // namespace

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 #include <vector>
 
@@ -145,16 +146,20 @@ TEST(Emit, LabelsResolveForwardAndBackward) {
 
   uint8_t Out[256];
   EmitResult Res;
-  ASSERT_TRUE(emitInstrList(IL, 0x2000, Out, sizeof(Out), true, Res));
+  ASSERT_TRUE(layoutInstrList(IL, 0x2000, true, Res));
+  ASSERT_LE(Res.TotalSize, sizeof(Out));
+  ASSERT_TRUE(writeInstrList(Res, 0x2000, Out));
 
   // Verify by decoding: the jnz targets 0x2000 and the jmp targets the end.
   DecodedInstr DI;
-  unsigned JnzOff = Res.offsetOf(Jnz);
+  ASSERT_EQ(Res.Instrs[2], Jnz);
+  unsigned JnzOff = Res.Offsets[2];
   ASSERT_TRUE(decodeInstr(Out + JnzOff, Res.TotalSize - JnzOff,
                           0x2000 + JnzOff, DI));
   EXPECT_EQ(DI.Op, OP_jnz);
   EXPECT_EQ(DI.Srcs[0].getPc(), 0x2000u);
-  unsigned JmpOff = Res.offsetOf(Jmp);
+  ASSERT_EQ(Res.Instrs[3], Jmp);
+  unsigned JmpOff = Res.Offsets[3];
   ASSERT_TRUE(decodeInstr(Out + JmpOff, Res.TotalSize - JmpOff,
                           0x2000 + JmpOff, DI));
   EXPECT_EQ(DI.Op, OP_jmp);
@@ -172,8 +177,8 @@ TEST(Emit, ShortBranchPolicy) {
   IL.append(End);
 
   EmitResult Short, Near;
-  ASSERT_TRUE(emitInstrList(IL, 0x1000, nullptr, 0, true, Short));
-  ASSERT_TRUE(emitInstrList(IL, 0x1000, nullptr, 0, false, Near));
+  ASSERT_TRUE(layoutInstrList(IL, 0x1000, true, Short));
+  ASSERT_TRUE(layoutInstrList(IL, 0x1000, false, Near));
   EXPECT_LT(Short.TotalSize, Near.TotalSize); // rel8 vs forced rel32
 }
 
@@ -190,7 +195,9 @@ TEST(Emit, RelocatedRawCtiIsReencoded) {
 
   uint8_t Out[64];
   EmitResult Res;
-  ASSERT_TRUE(emitInstrList(IL, 0x5000, Out, sizeof(Out), false, Res));
+  ASSERT_TRUE(layoutInstrList(IL, 0x5000, false, Res));
+  ASSERT_LE(Res.TotalSize, sizeof(Out));
+  ASSERT_TRUE(writeInstrList(Res, 0x5000, Out));
   DecodedInstr DI2;
   ASSERT_TRUE(decodeInstr(Out, Res.TotalSize, 0x5000, DI2));
   EXPECT_EQ(DI2.Srcs[0].getPc(), 0x1100u) << "target must survive relocation";
@@ -209,7 +216,146 @@ TEST(Emit, JecxzOverLongGapFails) {
         A, OP_mov, {Operand::reg(REG_EAX), Operand::imm(K, 4)}));
   IL.append(End);
   EmitResult Res;
-  EXPECT_FALSE(emitInstrList(IL, 0x1000, nullptr, 0, false, Res));
+  EXPECT_FALSE(layoutInstrList(IL, 0x1000, false, Res));
+}
+
+/// Branch \p Op to \p Label.
+Instr *branchTo(Arena &A, Opcode Op, Instr *Label) {
+  Instr *I = Instr::createSynth(A, Op, {Operand::pc(0)});
+  I->setBranchTargetLabel(Label);
+  return I;
+}
+
+/// Labels reached forward and backward, plus exits to application pcs.
+void labelsList(Arena &A, InstrList &IL) {
+  Instr *Top = Instr::createLabel(A), *End = Instr::createLabel(A);
+  IL.append(Top);
+  IL.append(Instr::createSynth(A, OP_mov,
+                               {Operand::reg(REG_EAX), Operand::imm(7, 4)}));
+  IL.append(Instr::createSynth(A, OP_dec, {Operand::reg(REG_EAX)}));
+  IL.append(branchTo(A, OP_jnz, Top));
+  IL.append(Instr::createSynth(A, OP_jz, {Operand::pc(0x1234)}));
+  IL.append(branchTo(A, OP_jmp, End));
+  IL.append(Instr::createSynth(A, OP_add,
+                               {Operand::reg(REG_EBX), Operand::imm(3, 4)}));
+  IL.append(End);
+  IL.append(Instr::createSynth(A, OP_jmp, {Operand::pc(0x2000)}));
+}
+
+/// A lifted block (bundle + relocated jnz), then the runtime's jecxz
+/// trampoline shape and an inline indirect-branch check.
+void jecxzList(Arena &A, InstrList &IL, uint8_t *Code) {
+  unsigned Off = 0;
+  Off += emit(Code + Off, OP_add, {Operand::reg(REG_EAX), Operand::imm(1, 4)},
+              0x1000 + Off);
+  Off += emit(Code + Off, OP_sub, {Operand::reg(REG_EBX), Operand::imm(2, 4)},
+              0x1000 + Off);
+  Off += emit(Code + Off, OP_jnz, {Operand::pc(0x1000)}, 0x1000 + Off);
+  ASSERT_TRUE(liftBlock(IL, Code, Off, 0x1000, 0x1000, 64,
+                        LiftLevel::Bundle0));
+  Operand Ecx = Operand::reg(REG_ECX), Slot = Operand::memAbs(0x00F00014, 4);
+  Instr *L = Instr::createLabel(A), *F = Instr::createLabel(A),
+        *M = Instr::createLabel(A);
+  IL.append(branchTo(A, OP_jecxz, L));
+  IL.append(branchTo(A, OP_jmp, F));
+  IL.append(L);
+  IL.append(Instr::createSynth(A, OP_jmp, {Operand::pc(0x3000)}));
+  IL.append(F);
+  IL.append(Instr::createSynth(A, OP_mov, {Ecx, Operand::mem(REG_ESI, 4, 4)}));
+  IL.append(Instr::createSynth(A, OP_lea,
+                               {Ecx, Operand::mem(REG_ECX, -0x4000, 4)}));
+  IL.append(branchTo(A, OP_jecxz, M));
+  IL.append(Instr::createSynth(A, OP_lea,
+                               {Ecx, Operand::mem(REG_ECX, 0x4000, 4)}));
+  IL.append(Instr::createSynth(A, OP_mov, {Slot, Ecx}));
+  IL.append(Instr::createSynth(A, OP_jmp_ind, {Slot}));
+  IL.append(M);
+  IL.append(Instr::createSynth(A, OP_mov,
+                               {Ecx, Operand::memAbs(0x00F00024, 4)}));
+  IL.append(Instr::createSynth(A, OP_jmp, {Operand::pc(0x4000)}));
+}
+
+/// A client custom exit stub: counts the exit, then continues.
+void customStubList(Arena &A, InstrList &IL) {
+  IL.append(Instr::createSynth(A, OP_inc, {Operand::memAbs(0x00F00040, 4)}));
+  IL.append(Instr::createSynth(
+      A, OP_mov, {Operand::memAbs(0x00F00044, 4), Operand::reg(REG_EAX)}));
+  IL.append(Instr::createSynth(
+      A, OP_add, {Operand::memAbs(0x00F00048, 4), Operand::imm(5, 4)}));
+}
+
+uint64_t fnv1a(const uint8_t *P, size_t N) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (size_t I = 0; I != N; ++I)
+    H = (H ^ P[I]) * 0x100000001b3ull;
+  return H;
+}
+
+/// What emitting each list at 0xC01234 gave when every emission re-ran the
+/// layout at its base and offsets were found by scanning the list.
+struct RecordedEmission {
+  const char *Name;
+  unsigned Size;
+  uint64_t Hash;
+  std::vector<unsigned> Offsets;
+};
+
+const RecordedEmission Recorded[] = {
+    {"labels", 31, 0x8f7432682afba3eull, {0, 0, 5, 6, 12, 18, 23, 26, 26}},
+    {"jecxz",
+     64,
+     0x2680039651e25332ull,
+     {0, 6, 12, 14, 19, 19, 24, 24, 27, 33, 35, 41, 47, 53, 53, 59}},
+    {"custom", 19, 0xe0f27f492d8b9366ull, {0, 6, 12}},
+};
+
+void buildList(size_t Idx, Arena &A, InstrList &IL, uint8_t *Code) {
+  if (Idx == 0)
+    labelsList(A, IL);
+  else if (Idx == 1)
+    jecxzList(A, IL, Code);
+  else
+    customStubList(A, IL);
+}
+
+TEST(Emit, LayoutAtOneBaseWritesAnotherLikeAFreshLayout) {
+  // The runtime lays a list out before it has cache space and writes it at
+  // the base it gets. Without short branches that must give the bytes a
+  // layout made at the final base gives, and the bytes recorded above.
+  constexpr AppPc Base = 0x00C01234;
+  for (size_t Idx = 0; Idx != std::size(Recorded); ++Idx) {
+    Arena A;
+    InstrList IL(A);
+    uint8_t Code[64];
+    buildList(Idx, A, IL, Code);
+    EmitResult Early, Fresh;
+    ASSERT_TRUE(layoutInstrList(IL, 0x7F000000, false, Early));
+    ASSERT_TRUE(layoutInstrList(IL, Base, false, Fresh));
+    ASSERT_EQ(Early.TotalSize, Recorded[Idx].Size) << Recorded[Idx].Name;
+    ASSERT_EQ(Fresh.TotalSize, Recorded[Idx].Size) << Recorded[Idx].Name;
+    std::vector<uint8_t> A1(Early.TotalSize), A2(Fresh.TotalSize);
+    ASSERT_TRUE(writeInstrList(Early, Base, A1.data()));
+    ASSERT_TRUE(writeInstrList(Fresh, Base, A2.data()));
+    EXPECT_EQ(A1, A2) << Recorded[Idx].Name;
+    EXPECT_EQ(fnv1a(A1.data(), A1.size()), Recorded[Idx].Hash)
+        << Recorded[Idx].Name;
+  }
+}
+
+TEST(Emit, PositionLookupsMatchRecordedOffsets) {
+  for (size_t Idx = 0; Idx != std::size(Recorded); ++Idx) {
+    Arena A;
+    InstrList IL(A);
+    uint8_t Code[64];
+    buildList(Idx, A, IL, Code);
+    EmitResult L;
+    ASSERT_TRUE(layoutInstrList(IL, 0x00C01234, false, L));
+    EXPECT_EQ(L.Offsets, Recorded[Idx].Offsets) << Recorded[Idx].Name;
+    unsigned Pos = 0;
+    for (Instr &I : IL)
+      EXPECT_EQ(L.Instrs[Pos++], &I) << Recorded[Idx].Name;
+    EXPECT_EQ(Pos, L.Instrs.size());
+  }
 }
 
 TEST(Build, BundleZeroShape) {
@@ -348,7 +494,9 @@ TEST(Emit, FixpointStressManyLabels) {
   }
   uint8_t Out[4096];
   EmitResult Res;
-  ASSERT_TRUE(emitInstrList(IL, 0x4000, Out, sizeof(Out), true, Res));
+  ASSERT_TRUE(layoutInstrList(IL, 0x4000, true, Res));
+  ASSERT_LE(Res.TotalSize, sizeof(Out));
+  ASSERT_TRUE(writeInstrList(Res, 0x4000, Out));
 
   // Every emitted instruction decodes, and every branch lands exactly on
   // an instruction boundary.
