@@ -84,6 +84,46 @@ int main(int Argc, char **Argv) {
   }
 
   //===------------------------------------------------------------------===//
+  // 1b. Caches smaller than a client-grown trace.
+  //===------------------------------------------------------------------===//
+
+  // Under all four paper clients, mesa's and ammp's hot traces outgrow a
+  // 1 or 2 KB trace cache. Such a trace is abandoned (its blocks keep
+  // running from the block cache), never a guest fault.
+  OS.printf("\nCaches smaller than a trace: all four clients\n\n");
+  OS.printf("%8s %6s  %12s %9s %8s  %s\n", "program", "cache", "cycles",
+            "abandoned", "traces", "output");
+  for (const char *Name : {"mesa", "ammp"}) {
+    const Workload *W = findWorkload(Name);
+    if (!W) {
+      OS.printf("%s missing from registry\n", Name);
+      return 1;
+    }
+    Program P = buildWorkload(*W, W->DefaultScale);
+    Outcome N = runNativeProgram(P);
+    for (uint32_t Bytes : {1024u, 2048u}) {
+      RuntimeConfig Config = RuntimeConfig::full();
+      Config.BbCacheSize = Config.TraceCacheSize = Bytes;
+      Outcome R = runUnderRuntime(P, Config, ClientKind::AllFour);
+      bool Ok = R.Status == RunStatus::Exited && R.Output == N.Output &&
+                R.ExitCode == N.ExitCode;
+      uint64_t Abandoned = R.Stats.get("traces_abandoned");
+      uint64_t Traces = R.Stats.get("traces_built");
+      OS.printf("%8s %6u  %12llu %9llu %8llu  %s\n", Name, Bytes,
+                (unsigned long long)R.Cycles, (unsigned long long)Abandoned,
+                (unsigned long long)Traces,
+                Ok ? "native" : "TRANSPARENCY FAIL");
+      Rows.push_back({std::string(Name) + "_all4_" + std::to_string(Bytes),
+                      {{"cycles", R.Cycles},
+                       {"traces_abandoned", Abandoned},
+                       {"traces_built", Traces},
+                       {"output_equals_native", Ok}},
+                      {}});
+      Pass = Pass && Ok && Abandoned > 0;
+    }
+  }
+
+  //===------------------------------------------------------------------===//
   // 2. Self-modifying code consistency.
   //===------------------------------------------------------------------===//
 
