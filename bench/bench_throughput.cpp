@@ -17,7 +17,10 @@
 ///
 /// The `native` row is the bare Machine driven through Machine::run() with
 /// no runtime: the gap between it and the cached rows is the runtime's own
-/// host overhead over the interpreter.
+/// host overhead over the interpreter. The `straight-line` row is the bare
+/// Machine on two loops of straight-line code, one of register arithmetic
+/// and one of loads and stores: it tracks the per-instruction cost of the
+/// interpreter's run path (see Machine::run) with no branches in between.
 ///
 /// Emits BENCH_throughput.json (bench/BenchJson.h rows: exact simulated
 /// instructions, host wall_ns) for scripts/bench_compare.py to diff across
@@ -29,6 +32,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchJson.h"
+#include "asm/Assembler.h"
 #include "harness/Experiment.h"
 #include "support/OutStream.h"
 
@@ -44,6 +48,7 @@ struct BenchConfig {
   const char *Name;
   RuntimeConfig Config;
   bool Native = false; ///< run the bare Machine; Config is unused
+  const std::vector<Program> *Programs = nullptr; ///< else the workload mix
 };
 
 struct Sample {
@@ -56,14 +61,67 @@ struct Sample {
 constexpr int Reps = 3;
 constexpr const char *Workloads[] = {"crafty", "vpr", "gap"};
 
+/// The straight-line row's programs: 12-instruction loop bodies, 100000
+/// iterations each. The load/store loop's cells share a 256-byte line with
+/// its code, as `.space` data placed before code does in most small
+/// programs, so its stores also take the write monitor's slow path.
+constexpr const char *StraightLine[] = {
+    R"(
+    main:
+      mov eax, 1
+      mov ebx, 2
+      mov edx, 3
+      mov esi, 4
+      mov ecx, 100000
+    loop:
+      add eax, ebx
+      xor edx, eax
+      sub ebx, 3
+      and esi, edx
+      or eax, 5
+      shl edx, 1
+      add esi, eax
+      mov edi, esi
+      inc ebx
+      imul edi, edi, 3
+      dec ecx
+      jnz loop
+      mov ebx, 0
+      mov eax, 1
+      int 0x80
+    )",
+    R"(
+    cells: .space 64
+    main:
+      mov ecx, 100000
+      mov eax, 7
+    loop:
+      mov [cells], eax
+      mov ebx, [cells]
+      mov [cells+4], ebx
+      mov edx, [cells+4]
+      add edx, eax
+      mov [cells+8], edx
+      mov esi, [cells+8]
+      mov [cells+12], esi
+      push esi
+      pop eax
+      dec ecx
+      jnz loop
+      mov ebx, 0
+      mov eax, 1
+      int 0x80
+    )",
+};
+
 Sample measureConfig(const BenchConfig &BC,
-                     const std::vector<Program> &Programs) {
+                     const std::vector<Program> &Mix) {
   Sample Best;
   Best.Config = BC.Name;
   for (int Rep = 0; Rep != Reps; ++Rep) {
     uint64_t Instructions = 0;
     auto T0 = std::chrono::steady_clock::now();
-    for (const Program &Prog : Programs) {
+    for (const Program &Prog : BC.Programs ? *BC.Programs : Mix) {
       Outcome O = BC.Native
                       ? runNativeProgram(Prog)
                       : runUnderRuntime(Prog, BC.Config, ClientKind::None);
@@ -93,12 +151,24 @@ int main(int Argc, char **Argv) {
   const char *OutPath = Argc > 1 ? Argv[1] : "BENCH_throughput.json";
   OutStream &OS = outs();
 
+  std::vector<Program> Straight;
+  for (const char *Source : StraightLine) {
+    Program P;
+    std::string Error;
+    if (!assemble(Source, P, Error)) {
+      OS.printf("straight-line program: %s\n", Error.c_str());
+      return 1;
+    }
+    Straight.push_back(std::move(P));
+  }
+
   RuntimeConfig Cache = RuntimeConfig::linkIndirect(); // links, no traces
   const BenchConfig Configs[] = {
       {"native", RuntimeConfig(), /*Native=*/true},
       {"emulate", RuntimeConfig::emulate()},
       {"cache", Cache},
       {"cache+traces", RuntimeConfig::full()},
+      {"straight-line", RuntimeConfig(), /*Native=*/true, &Straight},
   };
 
   std::vector<Program> Programs;
@@ -112,7 +182,9 @@ int main(int Argc, char **Argv) {
   }
 
   OS.printf("Host throughput (simulated instructions / host second)\n");
-  OS.printf("workloads: crafty vpr gap; best of %d reps\n\n", Reps);
+  OS.printf("workloads: crafty vpr gap (straight-line: its own two loops); "
+            "best of %d reps\n\n",
+            Reps);
   OS.printf("%-14s %14s %14s %10s\n", "config", "sim instrs", "wall ms",
             "MIPS");
 

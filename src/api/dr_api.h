@@ -222,7 +222,8 @@ void dr_printf(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /// Redirects dr_printf for the current runtime (used by tests).
 void dr_set_client_out(void *context, OutStream *os);
 
-/// Transparent allocation from the runtime's client arena.
+/// Transparent allocation from the runtime's client arena. Like malloc,
+/// the bytes are uninitialized.
 void *dr_global_alloc(void *context, size_t size);
 void *dr_thread_alloc(void *context, size_t size);
 

@@ -204,28 +204,60 @@ void Runtime::mangleForCache(InstrList &IL) {
 // Exit stubs
 //===----------------------------------------------------------------------===//
 
-ExitStubs::ExitStubs(const RuntimeSlots &Slots)
-    : DispatcherEntry(Slots.DispatcherEntry) {
-  Arena Tmp(256);
-  auto encode = [&](uint8_t *Out, unsigned Len, Opcode Op,
-                    std::initializer_list<Operand> Ops) {
-    [[maybe_unused]] int Got =
-        Instr::createSynth(Tmp, Op, Ops)->encode(/*Pc=*/0, Out, false);
-    assert(Got == int(Len) && "unexpected exit stub instruction length");
-  };
-  encode(Exit, MovLen, OP_mov,
-         {Operand::memAbs(Slots.ExitIdSlot, 4), Operand::imm(0, 4)});
-  encode(Exit + MovLen, ExitLen - MovLen, OP_jmp,
-         {Operand::pc(Slots.DispatcherEntry)});
-  encode(Arm, MovLen, OP_mov,
-         {Operand::memAbs(Slots.IbTargetSlot, 4), Operand::imm(0, 4)});
-  encode(Arm + MovLen, ArmLen - MovLen, OP_jmp_ind,
-         {Operand::memAbs(Slots.IbTargetSlot, 4)});
-}
-
 static void put32(uint8_t *Out, uint32_t V) {
   for (unsigned I = 0; I != 4; ++I)
     Out[I] = uint8_t(V >> (8 * I));
+}
+
+namespace {
+
+/// The two stub shapes, encoded once per process around a placeholder slot
+/// address; a runtime's stubs patch in its own slots. The slot is the
+/// absolute displacement of `mov [slot], imm32` (the four bytes before the
+/// immediate) and the last four bytes of `jmp *[slot]`.
+struct StubTemplates {
+  static constexpr unsigned MovSlotOff = ExitStubs::MovLen - 8;
+  static constexpr unsigned ArmJmpSlotOff = ExitStubs::ArmLen - 4;
+  uint8_t Exit[ExitStubs::ExitLen];
+  uint8_t Arm[ExitStubs::ArmLen];
+
+  StubTemplates() {
+    constexpr uint32_t Slot = 0x7A5C3E1Du;
+    Arena Tmp(256);
+    auto encode = [&](uint8_t *Out, unsigned Len, Opcode Op,
+                      std::initializer_list<Operand> Ops) {
+      [[maybe_unused]] int Got =
+          Instr::createSynth(Tmp, Op, Ops)->encode(/*Pc=*/0, Out, false);
+      assert(Got == int(Len) && "unexpected exit stub instruction length");
+    };
+    using ES = ExitStubs;
+    encode(Exit, ES::MovLen, OP_mov,
+           {Operand::memAbs(Slot, 4), Operand::imm(0, 4)});
+    encode(Exit + ES::MovLen, ES::ExitLen - ES::MovLen, OP_jmp,
+           {Operand::pc(0)});
+    encode(Arm, ES::MovLen, OP_mov,
+           {Operand::memAbs(Slot, 4), Operand::imm(0, 4)});
+    encode(Arm + ES::MovLen, ES::ArmLen - ES::MovLen, OP_jmp_ind,
+           {Operand::memAbs(Slot, 4)});
+    [[maybe_unused]] uint8_t Want[4];
+    put32(Want, Slot);
+    assert(std::memcmp(Exit + MovSlotOff, Want, 4) == 0 &&
+           std::memcmp(Arm + MovSlotOff, Want, 4) == 0 &&
+           std::memcmp(Arm + ArmJmpSlotOff, Want, 4) == 0 &&
+           "slot displacement not where the templates patch it");
+  }
+};
+
+} // namespace
+
+ExitStubs::ExitStubs(const RuntimeSlots &Slots)
+    : DispatcherEntry(Slots.DispatcherEntry) {
+  static const StubTemplates T;
+  std::memcpy(Exit, T.Exit, ExitLen);
+  std::memcpy(Arm, T.Arm, ArmLen);
+  put32(Exit + StubTemplates::MovSlotOff, Slots.ExitIdSlot);
+  put32(Arm + StubTemplates::MovSlotOff, Slots.IbTargetSlot);
+  put32(Arm + StubTemplates::ArmJmpSlotOff, Slots.IbTargetSlot);
 }
 
 void ExitStubs::writeExit(uint8_t *Out, uint32_t Pc, uint32_t ExitId) const {

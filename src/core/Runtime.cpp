@@ -720,9 +720,8 @@ AppPc Runtime::handleIndirectArrival(AppPc Target, AppPc SiteCachePc,
   if (TheClient) {
     // Security vetting hook (program shepherding). The transferring
     // instruction sits at SiteCachePc in the cache.
-    const PredecodedInstr *Site = M.fetchDecode(SiteCachePc);
-    int BranchOp = Site ? int(Site->Op) : int(OP_INVALID);
-    if (!TheClient->onIndirectResolved(*this, BranchOp, Target)) {
+    if (!TheClient->onIndirectResolved(*this, int(M.opcodeAt(SiteCachePc)),
+                                       Target)) {
       ++S.SecurityViolations;
       M.fault("security policy violation: indirect transfer to " +
               std::to_string(Target));

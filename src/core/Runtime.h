@@ -69,13 +69,15 @@ struct RuntimeSlots {
   uint32_t ScratchSlots;    ///< 16 scratch words for client use
 };
 
-/// Byte templates of the two fixed exit-stub shapes, encoded once from a
-/// runtime's slots: a dispatcher stub and an inline-chain arm stub, which
-/// re-enters the IBL with its known target:
+/// Byte templates of the two fixed exit-stub shapes, with a runtime's slots:
+/// a dispatcher stub and an inline-chain arm stub, which re-enters the IBL
+/// with its known target:
 ///   mov [ExitIdSlot], $exit_id ; jmp DispatcherEntry     (10 + 5 bytes)
 ///   mov [IbTargetSlot], $target ; jmp *[IbTargetSlot]   (10 + 6 bytes)
-/// Writing a stub copies its template and patches the mov's immediate (its
-/// last four bytes) and a dispatcher stub's rel32: no encoder call per exit.
+/// The shapes are encoded once per process; a runtime's templates patch in
+/// its slot addresses. Writing a stub copies its template and patches the
+/// mov's immediate (its last four bytes) and a dispatcher stub's rel32: no
+/// encoder call per exit or per runtime.
 class ExitStubs {
 public:
   static constexpr unsigned MovLen = 10, ExitLen = 15, ArmLen = 16;

@@ -38,7 +38,8 @@ public:
   Arena(const Arena &) = delete;
   Arena &operator=(const Arena &) = delete;
 
-  /// Allocates \p Size bytes aligned to \p Align. Never returns null.
+  /// Allocates \p Size uninitialized bytes aligned to \p Align. Never
+  /// returns null.
   void *allocate(size_t Size, size_t Align = alignof(std::max_align_t)) {
     size_t Aligned = (CurOffset + Align - 1) & ~(Align - 1);
     if (Slabs.empty() || Aligned + Size > CurSlabSize) {
@@ -87,7 +88,9 @@ public:
 private:
   void newSlab(size_t MinSize) {
     size_t Size = MinSize > SlabSize ? MinSize : SlabSize;
-    Slabs.push_back(std::make_unique<uint8_t[]>(Size));
+    // Uninitialized, like malloc: every caller writes what it allocates
+    // before reading it, so zero-filling the slab is wasted work.
+    Slabs.push_back(std::make_unique_for_overwrite<uint8_t[]>(Size));
     CurSlabSize = Size;
     CurOffset = 0;
   }
