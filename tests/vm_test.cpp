@@ -726,10 +726,74 @@ TEST(VmDecodeCache, StoreIntoStraddlingInstrNextLineInvalidates) {
   EXPECT_EQ(M.output(), "1\n2\n");
 }
 
+/// run() fills no decode line, so only a line filled by fetchDecode marks
+/// its write-watch line: a guest store into the instruction's bytes must
+/// still drop it.
+TEST(VmDecodeCache, GuestStoreDropsAFilledLine) {
+  Arena A(1024);
+  uint8_t Old[MaxInstrLength], New[MaxInstrLength];
+  const uint32_t Pc = 0x400000;
+  int Len = Instr::createSynth(A, OP_mov, {Operand::reg(REG_EAX),
+                                           Operand::imm(1, 4)})
+                ->encode(Pc, Old, false);
+  ASSERT_EQ(Instr::createSynth(A, OP_mov, {Operand::reg(REG_EAX),
+                                           Operand::imm(2, 4)})
+                ->encode(Pc, New, false),
+            Len);
+  int K = 0;
+  while (K != Len && Old[K] == New[K])
+    ++K;
+  ASSERT_LT(K, Len);
+
+  Program P = assembleOrDie("main:\n  mov eax, " + std::to_string(New[K]) +
+                            "\n  movb [" + std::to_string(Pc + K) +
+                            "], al\n  hlt\n");
+  Machine M;
+  ASSERT_TRUE(loadProgram(M, P));
+  ASSERT_TRUE(M.mem().writeBlock(Pc, Old, unsigned(Len)));
+  const PredecodedInstr *D = M.fetchDecode(Pc);
+  ASSERT_NE(D, nullptr);
+  EXPECT_EQ(D->Src[0].Value, 1u);
+  while (M.status() == RunStatus::Running)
+    M.run(StopSet());
+  ASSERT_EQ(M.status(), RunStatus::Exited) << M.faultReason();
+  D = M.fetchDecode(Pc);
+  ASSERT_NE(D, nullptr);
+  EXPECT_EQ(D->Src[0].Value, 2u);
+}
+
 TEST(VmDecodeCache, OutOfRangePcReturnsNull) {
   Machine M;
   EXPECT_EQ(M.fetchDecode(uint32_t(M.mem().size())), nullptr);
   EXPECT_EQ(M.fetchDecode(~0u), nullptr);
+}
+
+/// Pc ~0u plus one wraps to 0, the tag of an empty run-index slot: a jump
+/// there must fault like any other undecodable pc, whether runs were built
+/// before it or not, under step(), the default StopSet (whose StopPc is
+/// ~0u) and a StopSet with another StopPc.
+TEST(VmDecodeCache, JumpToTheLastPcFaults) {
+  Program P = assembleOrDie(R"(
+    main:
+      mov eax, -1
+      jmp eax
+  )");
+  enum Drive { Step, Default, OtherStopPc, FreshAtLastPc };
+  for (Drive D : {Step, Default, OtherStopPc, FreshAtLastPc}) {
+    SCOPED_TRACE(int(D));
+    Machine M;
+    ASSERT_TRUE(loadProgram(M, P));
+    StopSet Stops;
+    if (D == OtherStopPc)
+      Stops.StopPc = 0x1234;
+    if (D == FreshAtLastPc)
+      M.cpu().Pc = ~0u; // no run built yet
+    for (int I = 0; I != 10 && M.status() == RunStatus::Running; ++I)
+      D == Step ? M.step() : M.run(Stops);
+    EXPECT_EQ(M.status(), RunStatus::Faulted);
+    EXPECT_EQ(M.faultReason(), "undecodable instruction at pc");
+    EXPECT_EQ(M.lastPc(), ~0u);
+  }
 }
 
 //===----------------------------------------------------------------------===//
