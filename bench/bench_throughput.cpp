@@ -21,6 +21,10 @@
 /// Machine on two loops of straight-line code, one of register arithmetic
 /// and one of loads and stores: it tracks the per-instruction cost of the
 /// interpreter's run path (see Machine::run) with no branches in between.
+/// The `branchy` row is the bare Machine on a loop whose body holds two
+/// conditional branches that fall through on most iterations: a run goes
+/// on through a branch that falls through, so it tracks the same path
+/// across branches.
 ///
 /// Emits BENCH_throughput.json (bench/BenchJson.h rows: exact simulated
 /// instructions, host wall_ns) for scripts/bench_compare.py to diff across
@@ -114,6 +118,63 @@ constexpr const char *StraightLine[] = {
     )",
 };
 
+/// The branchy row's program: a 15-instruction loop body, 100000
+/// iterations, whose two mid-body branches are taken one iteration in 256
+/// and one in 1024.
+constexpr const char *Branchy[] = {
+    R"(
+    main:
+      mov eax, 1
+      mov ebx, 2
+      mov edx, 3
+      mov esi, 4
+      mov ecx, 100000
+    loop:
+      add eax, ebx
+      xor edx, eax
+      test ecx, 255
+      jz rare_a
+    back_a:
+      sub ebx, 3
+      and esi, edx
+      or eax, 5
+      mov edi, ecx
+      and edi, 1023
+      jz rare_b
+    back_b:
+      shl edx, 1
+      add esi, eax
+      inc ebx
+      dec ecx
+      jnz loop
+      mov ebx, 0
+      mov eax, 1
+      int 0x80
+    rare_a:
+      add esi, 1
+      jmp back_a
+    rare_b:
+      sub esi, 1
+      jmp back_b
+    )",
+};
+
+/// Assembles the programs of the row named \p Row into \p Out.
+template <size_t N>
+bool assembleRow(const char *Row, const char *const (&Sources)[N],
+                 std::vector<Program> &Out) {
+  for (const char *Source : Sources) {
+    Program P;
+    std::string Error;
+    if (!assemble(Source, P, Error)) {
+      outs().printf("%s program: %s\n", Row, Error.c_str());
+      return false;
+    }
+    Out.push_back(std::move(P));
+  }
+  return true;
+}
+
 Sample measureConfig(const BenchConfig &BC,
                      const std::vector<Program> &Mix) {
   Sample Best;
@@ -151,16 +212,10 @@ int main(int Argc, char **Argv) {
   const char *OutPath = Argc > 1 ? Argv[1] : "BENCH_throughput.json";
   OutStream &OS = outs();
 
-  std::vector<Program> Straight;
-  for (const char *Source : StraightLine) {
-    Program P;
-    std::string Error;
-    if (!assemble(Source, P, Error)) {
-      OS.printf("straight-line program: %s\n", Error.c_str());
-      return 1;
-    }
-    Straight.push_back(std::move(P));
-  }
+  std::vector<Program> Straight, Branches;
+  if (!assembleRow("straight-line", StraightLine, Straight) ||
+      !assembleRow("branchy", Branchy, Branches))
+    return 1;
 
   RuntimeConfig Cache = RuntimeConfig::linkIndirect(); // links, no traces
   const BenchConfig Configs[] = {
@@ -169,6 +224,7 @@ int main(int Argc, char **Argv) {
       {"cache", Cache},
       {"cache+traces", RuntimeConfig::full()},
       {"straight-line", RuntimeConfig(), /*Native=*/true, &Straight},
+      {"branchy", RuntimeConfig(), /*Native=*/true, &Branches},
   };
 
   std::vector<Program> Programs;
@@ -182,8 +238,8 @@ int main(int Argc, char **Argv) {
   }
 
   OS.printf("Host throughput (simulated instructions / host second)\n");
-  OS.printf("workloads: crafty vpr gap (straight-line: its own two loops); "
-            "best of %d reps\n\n",
+  OS.printf("workloads: crafty vpr gap (straight-line, branchy: their own "
+            "loops); best of %d reps\n\n",
             Reps);
   OS.printf("%-14s %14s %14s %10s\n", "config", "sim instrs", "wall ms",
             "MIPS");

@@ -359,16 +359,16 @@ Form formOf(const PredecodedInstr &R) {
   return F_Invalid;
 }
 
-/// Whether a record of form \p F ends a run: its handler may leave the
-/// fall-through path (a branch, a system call, a client call, hlt) or it
-/// never executes (an invalid record). Every other handler continues at the
-/// next instruction or faults.
+/// Whether a record of form \p F ends a run: its handler never continues at
+/// the next instruction (an unconditional branch, a call or return, a
+/// system call, a client call, hlt) or it never executes (an invalid
+/// record). A conditional branch does not end a run: it continues at the
+/// next instruction when it falls through, and is a side exit when taken.
+/// Every other handler continues at the next instruction or faults.
 bool endsRun(uint8_t F) {
   switch (F) {
   case F_Invalid:
-  case F_Jcc:
   case F_Jmp:
-  case F_Jecxz:
   case F_JmpInd:
   case F_Call:
   case F_CallInd:
@@ -487,7 +487,7 @@ void Machine::dropDecodeRange(uint32_t Lo, uint32_t Hi) {
 
 const Machine::RunSlot Machine::EmptyRunIndex[Machine::RunIndexEntries] = {};
 
-const Machine::RunSlot *Machine::buildRun(AppPc Pc) {
+const Machine::RunSlot *Machine::buildRun(AppPc Pc, uint32_t MaxRecords) {
   if (!RunPool) {
     RunIndexStore = std::make_unique<RunSlot[]>(RunIndexEntries);
     RunIndex = RunIndexStore.get();
@@ -496,7 +496,7 @@ const Machine::RunSlot *Machine::buildRun(AppPc Pc) {
         RunPoolRecords * sizeof(PredecodedInstr));
     RunPool = reinterpret_cast<PredecodedInstr *>(RunPoolStore.get());
   }
-  if (RunPoolUsed + RunMaxRecords + 1 > RunPoolRecords) {
+  if (RunPoolUsed + MaxRecords + 1 > RunPoolRecords) {
     // Full: drop every run. No record of the pool is live here, since run()
     // builds only between instructions.
     std::fill_n(RunIndex, RunIndexEntries, RunSlot{});
@@ -504,8 +504,11 @@ const Machine::RunSlot *Machine::buildRun(AppPc Pc) {
   }
   const uint32_t First = RunPoolUsed;
   PredecodedInstr *const Out = RunPool + First;
-  uint32_t N = 0, HeadCost = 0, Off = 0, LastOff = 0;
-  while (N != RunMaxRecords) {
+  // HeadCost sums the most cycles each record before the last can charge
+  // on the run's path (its cost, and a mispredict if it is a branch that
+  // falls through); LastMost is the last record's.
+  uint32_t N = 0, HeadCost = 0, LastMost = 0, Off = 0, LastOff = 0;
+  while (N != MaxRecords) {
     // Copy a cached decode, or decode straight into the pool: run() fills
     // no line.
     const AppPc At = Pc + Off;
@@ -517,15 +520,19 @@ const Machine::RunSlot *Machine::buildRun(AppPc Pc) {
       *D = L.R;
     else if (!decodeAt(At, *D))
       break;
-    // A stop-marked pc ends the run before it: run() tests its mark.
-    if (N != 0 && D->Stop)
+    // A stop-marked pc ends the run before it (run() tests its mark), and
+    // so does a record that would reach past RunMaxSpan bytes.
+    if ((N != 0 && D->Stop) || Off + D->Length > RunMaxSpan)
       break;
     ++N;
     LastOff = Off;
     Off += D->Length;
+    HeadCost += LastMost;
+    LastMost = D->Cost;
+    if (D->Form == F_Jcc || D->Form == F_Jecxz)
+      LastMost += Config.Cost.MispredictPenalty;
     if (endsRun(D->Form))
       break;
-    HeadCost += D->Cost;
   }
   if (N == 0)
     return nullptr;
@@ -534,9 +541,8 @@ const Machine::RunSlot *Machine::buildRun(AppPc Pc) {
        A += RunSegmentBytes)
     LineState.mut(A / WriteWatchLine) |= runSegmentBit(A);
   if (!endsRun(Out[N - 1].Form)) {
-    // The last record falls through: the marker sends run() back to its
-    // checks at the next pc. HeadCost counted the last record's cost.
-    HeadCost -= Out[N - 1].Cost;
+    // The last record may fall through: the marker sends run() back to its
+    // checks at the next pc.
     (new (Out + N) PredecodedInstr())->Form = F_RunEnd;
     ++RunPoolUsed;
   }
@@ -552,11 +558,11 @@ const Machine::RunSlot *Machine::buildRun(AppPc Pc) {
 }
 
 void Machine::dropRuns(uint32_t Lo, uint32_t Hi) {
-  if (!RunPool)
+  Hi = std::min<uint64_t>(Hi, Mem.size()); // runs hold no byte past memory
+  if (!RunPool || Lo >= Hi)
     return;
-  // A run's bytes lie within MaxSpan bytes of its entry pc.
-  constexpr uint32_t MaxSpan = RunMaxRecords * MaxInstrLength;
-  const uint32_t From = Lo > MaxSpan ? Lo - MaxSpan : 0;
+  // A run's bytes lie within RunMaxSpan bytes of its entry pc.
+  const uint32_t From = Lo > RunMaxSpan ? Lo - RunMaxSpan : 0;
   auto Drop = [&](RunSlot &S) {
     const uint32_t Entry = S.Tag - 1;
     if (S.Tag != 0 && Entry >= From && Entry < Hi && Entry + S.Span > Lo) {
@@ -565,6 +571,12 @@ void Machine::dropRuns(uint32_t Lo, uint32_t Hi) {
     }
   };
   if (Hi - From < RunIndexEntries) {
+    // A build sets the run-segment bit of every byte it covers, and the
+    // bits are sticky: with none set over the range, no run overlaps it.
+    uint32_t A = Lo & ~(RunSegmentBytes - 1);
+    while (!(LineState[A / WriteWatchLine] & runSegmentBit(A)))
+      if ((A += RunSegmentBytes) >= Hi)
+        return;
     for (uint32_t Pc = From; Pc != Hi; ++Pc)
       Drop(runSlot(Pc));
     return;
@@ -1074,19 +1086,22 @@ StepResult Machine::run(const StopSet &StopsIn) {
   // R is the running record, always a run's. Run is the run found at the
   // pc; see the header comment of run(). Follow counts the records of a run
   // that did not fit at its entry still to run alone, one per pass through
-  // Next.
+  // Next, until a side exit zeroes it.
   const PredecodedInstr *R;
   const RunSlot *Run;
   uint32_t Follow = 0;
   // The caller has just serviced the first pc's stop mark and pc
   // conditions. The run may be entered whole only if Next's other tests
   // hold there too: the log is not already ahead and the pc is not below
-  // LowPc (a run's later pcs ascend from its entry).
-  Run = findRun(Pc);
+  // LowPc (a run's later pcs ascend from its entry). A call that may run
+  // one instruction (step()) runs its record alone, and at a pc that is no
+  // run's entry it decodes no more than that record.
+  const bool OneInstr = InstrStop - Count == 1;
+  Run = findRun(Pc, OneInstr ? 1 : RunMaxRecords);
   if (RIO_UNLIKELY(!Run))
     goto Undecodable;
   R = RunPool + Run->First;
-  if (RIO_LIKELY(!LogAhead && Pc >= Stops.LowPc))
+  if (RIO_LIKELY(!LogAhead && Pc >= Stops.LowPc && !OneInstr))
     goto TryRun;
   Follow = Run->N - 1;
   goto Alone;
@@ -1133,8 +1148,9 @@ Next:
 TryRun:
   // The conditions Next would test before each later record of the run:
   // the deadline leaves room for every record, the cycle count stays below
-  // the limit until the last record starts, and StopPc is none of the
-  // later pcs. (Later records carry no stop mark, the pcs ascend, and the
+  // the limit until the last record starts even if every branch before it
+  // mispredicts, and StopPc is none of the later pcs. (Later records carry
+  // no stop mark, the pcs ascend, a side exit only leaves early, and the
   // log only grows by a store, which sets RunBreak.)
   if (RIO_LIKELY(Count + Run->N <= InstrStop &&
                  Cyc + Run->HeadCost < Stops.CycleLimit &&
@@ -1243,12 +1259,13 @@ H_Jecxz: {
                                         : condHolds(C, condCodeOf(R->Op));
   if (!Pred.predictCond(Pc, Taken))
     Cyc += MispredictCost;
-  if (!Taken) {
-    Pc += R->Length; // a branch ends its run: no record follows it
-    goto Next;
-  }
+  if (!Taken)
+    goto Advance; // the run goes on
+  // A side exit: the run's later records are not on this path, and a run
+  // being followed alone stops being followed here.
   Cyc += TakenCost;
   Pc = S0.Value;
+  Follow = 0;
   goto Next;
 }
 H_Jmp:

@@ -162,20 +162,25 @@ public:
   /// the instruction a step() loop testing every condition before every
   /// instruction would stop on.
   ///
-  /// Straight-line code runs from *runs*: up to RunMaxRecords consecutive
-  /// decode records, all but the last falling through, copied contiguously
-  /// into a pool and found by their entry pc in a direct-mapped index.
-  /// Inside a run the next record is the next array element, and each
-  /// instruction pays only its pc, cycle and count updates and one test of
-  /// RunBreak. The stop conditions move to run entry, where they stay
-  /// exact: a run is entered only if the deadline leaves room for all of
-  /// it, the code-write log is not ahead of the cursor, the cycle count
-  /// stays below the limit through the last record's start, no record
-  /// after the entry is stop-marked (a run ends before a stop-marked pc)
-  /// and StopPc is none of its later pcs. Otherwise its records run alone
-  /// from the pool, each after every test; step() runs only a run's first
-  /// record. Anything that can change a condition or the code mid-run — a
-  /// store into a run's bytes or into a watched line,
+  /// Code runs from *runs* (superblocks): up to RunMaxRecords consecutive
+  /// decode records within RunMaxSpan bytes, copied contiguously into a
+  /// pool and found by their entry pc in a direct-mapped index. A
+  /// conditional branch does not end a run: when it falls through the run
+  /// goes on, and when it is taken it is a side exit to Next. Inside a run
+  /// the next record is the next array element, and each instruction pays
+  /// only its pc, cycle and count updates and one test of RunBreak. The
+  /// stop conditions move to run entry, where they stay exact: a run is
+  /// entered only if the deadline leaves room for all of it, the
+  /// code-write log is not ahead of the cursor, the cycle count stays
+  /// below the limit through the last record's start even if every branch
+  /// before it mispredicts, no record after the entry is stop-marked (a
+  /// run ends before a stop-marked pc) and StopPc is none of its later
+  /// pcs. The pcs of a run ascend, and a side exit only shortens it.
+  /// Otherwise its records run alone from the pool, each after every test,
+  /// until the run ends or a side exit leaves it. step() runs only a run's
+  /// first record, and at a pc that is no run's entry it builds a run of
+  /// one record. Anything that can change a condition or the code mid-run
+  /// — a store into a run's bytes or into a watched line,
   /// invalidateDecodeRange(), setStopPc() — sets RunBreak, so the run
   /// leaves at the next instruction boundary. Every instruction keeps its
   /// own bounds checks, write monitoring and self-modifying-code
@@ -264,9 +269,11 @@ public:
   // Runs (see run())
   //===--------------------------------------------------------------------===
 
-  /// Most records in one run. A run's bytes therefore lie within
-  /// RunMaxRecords * MaxInstrLength bytes of its entry pc.
-  static constexpr uint32_t RunMaxRecords = 12;
+  /// Most bytes one run covers: a run's bytes lie within RunMaxSpan bytes
+  /// of its entry pc.
+  static constexpr uint32_t RunMaxSpan = 255;
+  /// Most records in one run.
+  static constexpr uint32_t RunMaxRecords = 48;
   /// Entries in the direct-mapped run index; entry pcs that hash alike
   /// replace each other.
   static constexpr uint32_t RunIndexEntries = 1u << 10;
@@ -387,36 +394,41 @@ private:
   /// with what run() tests before entering it.
   struct RunSlot {
     uint32_t Tag;
-    uint32_t HeadCost; ///< cost of every record but the last
-    uint16_t First;    ///< pool index of the entry record
-    uint8_t N;         ///< records, the end-of-run marker not counted
-    uint8_t LastOff;   ///< entry pc to the last record's pc, in bytes
-    uint8_t Span;      ///< entry pc to the end of the last record's bytes
+    /// Most cycles every record but the last can charge when each falls
+    /// through: its cost, plus the mispredict penalty for a branch.
+    uint32_t HeadCost;
+    uint16_t First;  ///< pool index of the entry record
+    uint8_t N;       ///< records, the end-of-run marker not counted
+    uint8_t LastOff; ///< entry pc to the last record's pc, in bytes
+    uint8_t Span;    ///< entry pc to the end of the last record's bytes
   };
-  static_assert(RunPoolRecords <= 0x10000 &&
-                    RunMaxRecords * MaxInstrLength <= 0xFF,
-                "RunSlot fields hold every pool index and run span");
+  static_assert(RunPoolRecords <= 0x10000 && RunMaxRecords <= 0xFF &&
+                    RunMaxSpan <= 0xFF,
+                "RunSlot fields hold every pool index, count and run span");
 
   /// The index entry of \p Pc: distinct for the pcs of any aligned
   /// RunIndexEntries-byte window, and windows map to different rotations.
   RIO_ALWAYS_INLINE RunSlot &runSlot(AppPc Pc) {
     return RunIndex[(Pc ^ (Pc >> RunIndexBits)) & (RunIndexEntries - 1)];
   }
-  /// Builds the run that starts at \p Pc; null if \p Pc does not decode.
-  const RunSlot *buildRun(AppPc Pc);
-  /// The run that starts at \p Pc, built on a miss; null if \p Pc is out of
-  /// range or does not decode. The bound comes first: pc ~0u would match
-  /// the empty tag 0.
-  RIO_ALWAYS_INLINE const RunSlot *findRun(AppPc Pc) {
+  /// Builds the run of at most \p MaxRecords records that starts at \p Pc;
+  /// null if \p Pc does not decode.
+  const RunSlot *buildRun(AppPc Pc, uint32_t MaxRecords);
+  /// The run that starts at \p Pc, built on a miss with at most
+  /// \p MaxRecords records; null if \p Pc is out of range or does not
+  /// decode. The bound comes first: pc ~0u would match the empty tag 0.
+  RIO_ALWAYS_INLINE const RunSlot *findRun(AppPc Pc,
+                                           uint32_t MaxRecords = RunMaxRecords) {
     if (RIO_UNLIKELY(Pc >= Mem.size()))
       return nullptr;
     const RunSlot &S = runSlot(Pc);
     if (RIO_LIKELY(S.Tag == Pc + 1))
       return &S;
-    return buildRun(Pc);
+    return buildRun(Pc, MaxRecords);
   }
   /// Drops every run whose bytes overlap [Lo, Hi); sets RunBreak if it
-  /// drops one. (A run executing or being followed is in the index.)
+  /// drops one. (A run executing or being followed is in the index.) A
+  /// range over which no run was ever built costs a few LineState reads.
   void dropRuns(uint32_t Lo, uint32_t Hi);
   /// Frees the run index and pool.
   void releaseRuns();

@@ -666,4 +666,146 @@ TEST(Engine, RelinkingALaterBranchOfTheRunTakesTheNewTarget) {
   EXPECT_EQ(A.output(), "20427\n");
 }
 
+/// A loop whose body holds three forward conditional branches over short
+/// arms: taken on alternate iterations, on alternate pairs of iterations
+/// and on one iteration in four. Its runs fall through some of them and
+/// leave by a side exit at others. Prints what sideExitOutput() computes.
+constexpr const char *SideExitSource = R"(
+    main:
+      mov esi, 0
+      mov edi, 0
+      mov ecx, 300
+    loop:
+      add esi, ecx
+      mov eax, ecx
+      and eax, 1
+      jz even
+      add edi, 3
+      xor esi, 85
+    even:
+      mov edx, ecx
+      add edi, esi
+      and edx, 2
+      jnz pair
+      add edi, 5
+      sub esi, 1
+    pair:
+      mov eax, ecx
+      and eax, 3
+      cmp eax, 3
+      je last
+      add esi, edi
+      and esi, 65535
+    last:
+      dec ecx
+      jnz loop
+      mov ebx, edi
+      xor ebx, esi
+      mov eax, 2
+      int 0x80
+      mov ebx, 0
+      mov eax, 1
+      int 0x80
+  )";
+
+/// What SideExitSource prints.
+std::string sideExitOutput() {
+  uint32_t Esi = 0, Edi = 0;
+  for (uint32_t Ecx = 300; Ecx != 0; --Ecx) {
+    Esi += Ecx;
+    if (Ecx & 1) {
+      Edi += 3;
+      Esi ^= 85;
+    }
+    Edi += Esi;
+    if (!(Ecx & 2)) {
+      Edi += 5;
+      Esi -= 1;
+    }
+    if ((Ecx & 3) != 3)
+      Esi = (Esi + Edi) & 65535;
+  }
+  return std::to_string(int32_t(Edi ^ Esi)) + "\n";
+}
+
+TEST(Engine, SideExitsStopExactlyLikeStep) {
+  // The deadline or the cycle limit lands a few instructions or cycles
+  // ahead at every stop. Runs that do not fit run their records alone and
+  // must stop following at a side exit, and a run entered whole must
+  // reach its last record below the cycle limit even when every branch
+  // before it mispredicts. The budget turns a wrong path into a fault,
+  // not a hang.
+  Program P = assembleOrDie(SideExitSource);
+  MachineConfig MC;
+  MC.MaxInstructions = 100000;
+  Machine A(MC), B(MC);
+  ASSERT_TRUE(loadProgram(A, P));
+  ASSERT_TRUE(loadProgram(B, P));
+  for (unsigned Stop = 0; A.status() == RunStatus::Running; ++Stop) {
+    StopSet S;
+    if (Stop % 2 == 0)
+      S.InstrLimit = A.instructionsExecuted() + 1 + Stop % 53;
+    else
+      S.CycleLimit = A.cycles() + 1 + Stop * 7 % 211;
+    ASSERT_EQ(A.run(S).Kind, runBySteps(B, S).Kind) << "stop " << Stop;
+    ASSERT_NO_FATAL_FAILURE(expectSameState(A, B)) << "stop " << Stop;
+  }
+  EXPECT_EQ(A.output(), sideExitOutput());
+  // Seeded stop sets, stop pcs, low pcs and stop marks as well.
+  Machine C(MC), D(MC);
+  ASSERT_TRUE(loadProgram(C, P));
+  ASSERT_TRUE(loadProgram(D, P));
+  Rng R(31);
+  std::vector<AppPc> Seen;
+  ASSERT_NO_FATAL_FAILURE(driveBoth(C, D, R, Seen));
+  EXPECT_EQ(C.output(), sideExitOutput());
+}
+
+TEST(Engine, StoreIntoTheLastByteOfALongRunDropsIt) {
+  // The loop body from `loop` through `site` is one run exactly RunMaxSpan
+  // bytes long, and each iteration stores its counter into the top byte of
+  // the immediate of `site`, the run's last byte: every store must drop
+  // the run whose entry lies RunMaxSpan - 1 bytes before the written byte.
+  std::string Source = R"(
+    main:
+      mov esi, 0
+      mov edi, 0
+      mov ecx, 20
+    loop:
+  )";
+  for (int I = 0; I != 41; ++I)
+    Source += "  add edi, 1000\n";
+  Source += R"(
+      mov edx, edi
+      inc edx
+    site:
+      add esi, 100000
+      movb [site+5], cl
+      dec ecx
+      jnz loop
+      mov ebx, esi
+      mov eax, 2
+      int 0x80
+      mov ebx, 0
+      mov eax, 1
+      int 0x80
+  )";
+  Program P = assembleOrDie(Source);
+  ASSERT_EQ(P.symbol("site") + 6 - P.symbol("loop"), Machine::RunMaxSpan);
+  MachineConfig MC;
+  MC.MaxInstructions = 100000;
+  Machine A(MC), B(MC);
+  ASSERT_TRUE(loadProgram(A, P));
+  ASSERT_TRUE(loadProgram(B, P));
+  runByRun(A);
+  runByStep(B);
+  // The first iteration adds 100000; each later one adds 100000 with the
+  // counter of the iteration before in its top byte.
+  uint32_t Sum = 100000;
+  for (uint32_t Ecx = 19; Ecx != 0; --Ecx)
+    Sum += 100000 + ((Ecx + 1) << 24);
+  EXPECT_EQ(A.output(), std::to_string(int32_t(Sum)) + "\n");
+  expectSameRun(A, B);
+}
+
 } // namespace
