@@ -437,13 +437,21 @@ RunResult Runtime::finishRun(bool Quantum) {
 
 RunResult Runtime::runEmulated(uint64_t Deadline) {
   // Pure interpretation: the Table 1 baseline. Every application
-  // instruction pays the emulation dispatch overhead.
+  // instruction pays the emulation dispatch overhead, an instruction that
+  // faulted before it ran included. The machine runs whole runs up to the
+  // deadline, and the overhead is charged when it returns: no instruction
+  // reads the cycle clock, so the total is what charging before each
+  // instruction gave.
   const unsigned Overhead = M.cost().EmulateOverhead;
+  StopSet Stops;
+  Stops.InstrLimit = Deadline;
   while (M.status() == RunStatus::Running) {
     if (M.instructionsExecuted() >= Deadline)
       return finishRun(/*Quantum=*/true);
-    chargeRuntime(Overhead);
-    StepResult Step = M.step();
+    const uint64_t Before = M.instructionsExecuted();
+    StepResult Step = M.run(Stops);
+    chargeRuntime(Overhead * (M.instructionsExecuted() - Before +
+                              (M.faultedBeforeInstruction() ? 1 : 0)));
     if (Step.Kind == StepKind::ClientCall)
       M.fault("clientcall executed under emulation");
     if (Step.Kind == StepKind::ThreadExited) {

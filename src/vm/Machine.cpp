@@ -29,7 +29,8 @@ Machine::Machine(const Machine &Template)
     : Config(Template.Config), Mem(Template.Mem), Threads(Template.Threads),
       CurThread(Template.CurThread), Pred(Template.Pred),
       Status(Template.Status), ExitCode(Template.ExitCode),
-      FaultReason(Template.FaultReason), Output(Template.Output),
+      FaultReason(Template.FaultReason), FaultedBefore(Template.FaultedBefore),
+      Output(Template.Output),
       Cycles(Template.Cycles), InstrsExecuted(Template.InstrsExecuted),
       LastPc(Template.LastPc), ResetPc(Template.ResetPc),
       ResetSp(Template.ResetSp), DecodeCache(Template.DecodeCache),
@@ -49,6 +50,7 @@ void Machine::resetForRun() {
   Status = RunStatus::Running;
   ExitCode = 0;
   FaultReason.clear();
+  FaultedBefore = false;
 }
 
 void Machine::fault(const std::string &Reason) {
@@ -382,6 +384,38 @@ bool endsRun(uint8_t F) {
   }
 }
 
+/// Whether the handler of form \p F can store to guest memory. Such a
+/// handler continues through the store tail (Stored in Machine::run),
+/// which leaves the run if the store dropped a run or wrote a watched line;
+/// a call stores its return address and always leaves the run. Every other
+/// handler writes registers only.
+[[maybe_unused]] bool canStore(uint8_t F) {
+  switch (F) {
+  case F_MovMR:
+  case F_MovMI:
+  case F_PushR:
+  case F_PushI:
+  case F_MovsdMX:
+  case F_MovB:
+  case F_Xchg:
+  case F_Push:
+  case F_Pop:
+  case F_AddAdc:
+  case F_SubSbb:
+  case F_Logic:
+  case F_IncDec:
+  case F_Neg:
+  case F_Not:
+  case F_Shift:
+  case F_Savef:
+  case F_Call:
+  case F_CallInd:
+    return true;
+  default:
+    return false;
+  }
+}
+
 /// Builds the record the interpreter runs from \p DI, asserting once the
 /// operand invariants every execution of it relies on.
 void predecode(const DecodedInstr &DI, unsigned Cost, PredecodedInstr &R) {
@@ -396,11 +430,15 @@ void predecode(const DecodedInstr &DI, unsigned Cost, PredecodedInstr &R) {
   R.Op = DI.Op;
   R.Length = DI.Length;
   R.Stop = false;
-  R.Cost = Cost;
+  R.CumCost = Cost;
+  R.Index = 0;
+  R.Off = 0;
   R.Src[0] = predecodeOp(DI.Srcs[0]);
   R.Src[1] = predecodeOp(DI.Srcs[1]);
   R.Dst[0] = predecodeOp(DI.Dsts[0]);
   R.Form = formOf(R);
+  assert((R.Dst[0].K != PredecodedOp::Mem || canStore(R.Form)) &&
+         "a handler that writes memory must end with the store tail");
 }
 
 } // namespace
@@ -506,8 +544,8 @@ const Machine::RunSlot *Machine::buildRun(AppPc Pc, uint32_t MaxRecords) {
   PredecodedInstr *const Out = RunPool + First;
   // HeadCost sums the most cycles each record before the last can charge
   // on the run's path (its cost, and a mispredict if it is a branch that
-  // falls through); LastMost is the last record's.
-  uint32_t N = 0, HeadCost = 0, LastMost = 0, Off = 0, LastOff = 0;
+  // falls through); LastMost is the last record's. Cum sums the costs.
+  uint32_t N = 0, HeadCost = 0, LastMost = 0, Cum = 0, Off = 0, LastOff = 0;
   while (N != MaxRecords) {
     // Copy a cached decode, or decode straight into the pool: run() fills
     // no line.
@@ -524,11 +562,15 @@ const Machine::RunSlot *Machine::buildRun(AppPc Pc, uint32_t MaxRecords) {
     // so does a record that would reach past RunMaxSpan bytes.
     if ((N != 0 && D->Stop) || Off + D->Length > RunMaxSpan)
       break;
+    const uint32_t Cost = D->CumCost; // a lone record's: its own cost
+    D->CumCost = Cum += Cost;
+    D->Index = uint8_t(N);
+    D->Off = uint8_t(Off);
     ++N;
     LastOff = Off;
     Off += D->Length;
     HeadCost += LastMost;
-    LastMost = D->Cost;
+    LastMost = Cost;
     if (D->Form == F_Jcc || D->Form == F_Jecxz)
       LastMost += Config.Cost.MispredictPenalty;
     if (endsRun(D->Form))
@@ -541,9 +583,11 @@ const Machine::RunSlot *Machine::buildRun(AppPc Pc, uint32_t MaxRecords) {
        A += RunSegmentBytes)
     LineState.mut(A / WriteWatchLine) |= runSegmentBit(A);
   if (!endsRun(Out[N - 1].Form)) {
-    // The last record may fall through: the marker sends run() back to its
-    // checks at the next pc.
-    (new (Out + N) PredecodedInstr())->Form = F_RunEnd;
+    // The last record may fall through: the marker settles the run and
+    // sends run() back to its checks at the next pc, Off bytes on.
+    PredecodedInstr *End = new (Out + N) PredecodedInstr();
+    End->Form = F_RunEnd;
+    End->Off = uint8_t(Off);
     ++RunPoolUsed;
   }
   RunPoolUsed += N;
@@ -567,7 +611,7 @@ void Machine::dropRuns(uint32_t Lo, uint32_t Hi) {
     const uint32_t Entry = S.Tag - 1;
     if (S.Tag != 0 && Entry >= From && Entry < Hi && Entry + S.Span > Lo) {
       S.Tag = 0;
-      RunBreak = RunChanged;
+      RunBreak = true;
     }
   };
   if (Hi - From < RunIndexEntries) {
@@ -637,7 +681,7 @@ void Machine::noteWriteSlow(uint32_t Addr, uint32_t Len, uint32_t State) {
   if (State >= LineWatchOne) {
     CodeWrites.push_back({Addr, Addr + Len});
     CodeWritten = true;
-    RunBreak = RunChanged; // run() tests the log's growth at its next pc
+    RunBreak = true; // run() tests the log's growth at its next pc
   }
 }
 
@@ -1041,6 +1085,7 @@ StepResult Machine::run(const StopSet &StopsIn) {
       return Result;
     LastPc = CurCpu->Pc;
     fault("instruction budget exceeded");
+    FaultedBefore = true;
     releaseRuns();
     Result.Kind = StepKind::Faulted;
     return Result;
@@ -1069,27 +1114,47 @@ StepResult Machine::run(const StopSet &StopsIn) {
   uint64_t Count = InstrsExecuted;
 
   // Threaded dispatch: a record's form indexes a table of handler labels,
-  // and every handler ends by jumping to Advance (the following
-  // instruction) or to Next (a branch target) instead of returning to a
-  // loop. The table is constant-initialized, so no guard runs on entry.
+  // and every handler ends by jumping to the next record's handler, or to
+  // Next (a branch target) instead of returning to a loop. The tables are
+  // constant-initialized, so no guard runs on entry.
   static const void *const Handlers[] = {
 #define RIO_FORM_LABEL(Name) &&H_##Name,
       RIO_FORMS(RIO_FORM_LABEL)
 #undef RIO_FORM_LABEL
   };
   static_assert(std::size(Handlers) == NumForms, "one handler per form");
+  // A record running alone dispatches the record after it through this
+  // table: every entry settles the record that ran and goes to Next.
+  static const void *const AloneHandlers[] = {
+#define RIO_FORM_ALONE(Name) &&H_RunEnd,
+      RIO_FORMS(RIO_FORM_ALONE)
+#undef RIO_FORM_ALONE
+  };
+  static_assert(std::size(AloneHandlers) == NumForms, "one entry per form");
   // The operands of the running record.
 #define S0 (R->Src[0])
 #define S1 (R->Src[1])
 #define D0 (R->Dst[0])
 
   // R is the running record, always a run's. Run is the run found at the
-  // pc; see the header comment of run(). Follow counts the records of a run
-  // that did not fit at its entry still to run alone, one per pass through
-  // Next, until a side exit zeroes it.
+  // pc; see the header comment of run(). T is the table that dispatches
+  // the record after R: Handlers inside a run, AloneHandlers while R runs
+  // alone. Follow counts the records of a run that did not fit at its
+  // entry still to run alone, one per pass through Next, until a side exit
+  // zeroes it. FaultWhy names the fault at InstrFault (null: a memory
+  // access).
   const PredecodedInstr *R;
   const RunSlot *Run;
+  const void *const *T = Handlers;
   uint32_t Follow = 0;
+  const char *FaultWhy = nullptr;
+  // While a run executes, Pc stays at its entry pc and the counts stay
+  // where they were at its entry. Every way out of the run settles them
+  // at the record it leaves from: all records from the entry through Rec
+  // have run, and Rec's pc is the entry pc plus its offset. Mispredict and
+  // taken-branch cycles are charged where they happen.
+#define SETTLE(Rec)                                                            \
+  (Cyc += (Rec)->CumCost, Count += (Rec)->Index + 1u, Last = Pc + (Rec)->Off)
   // The caller has just serviced the first pc's stop mark and pc
   // conditions. The run may be entered whole only if Next's other tests
   // hold there too: the log is not already ahead and the pc is not below
@@ -1107,12 +1172,20 @@ StepResult Machine::run(const StopSet &StopsIn) {
   goto Alone;
 
 Advance:
-  Pc += R->Length;
-  // Inside a run the next record is the next element; RunBreak leaves it.
-  if (RIO_UNLIKELY(RunBreak))
-    goto Next;
+  // The record continues at the next one, the next element of its run:
+  // a handler that cannot store needs no test to go on.
   ++R;
-  goto Execute;
+  goto *T[R->Form];
+Stored:
+  // A store may have dropped a run (this one, say) or written a watched
+  // line, and then leaves the run after its instruction.
+  if (RIO_UNLIKELY(RunBreak)) {
+    SETTLE(R);
+    Pc = Last + R->Length;
+    goto Next;
+  }
+  ++R;
+  goto *T[R->Form];
 Next:
   // Before each instruction outside a run: stop if the last one grew the
   // code-write log past the caller's cursor, or if the instruction count,
@@ -1128,11 +1201,11 @@ Next:
                    Cyc >= Stops.CycleLimit))
     goto Done;
   if (RIO_UNLIKELY(Follow != 0)) {
-    // The next record of the run being followed, unless runs were dropped
-    // since the last one ran. Only its entry can carry a stop mark.
-    if (RunBreak == RunAlone) {
+    // The next record of the run being followed, R since the last one fell
+    // through to it, unless runs were dropped since the last one ran. Only
+    // its entry can carry a stop mark.
+    if (!RunBreak) {
       --Follow;
-      ++R;
       goto Alone;
     }
     Follow = 0;
@@ -1155,19 +1228,23 @@ TryRun:
   if (RIO_LIKELY(Count + Run->N <= InstrStop &&
                  Cyc + Run->HeadCost < Stops.CycleLimit &&
                  uint32_t(Stops.StopPc - Pc - 1) >= Run->LastOff)) {
-    RunBreak = RunOn;
-    goto Execute;
+    RunBreak = false;
+    T = Handlers;
+    goto *Handlers[R->Form];
   }
   // Run its records alone, each after Next's tests, without building runs
   // at their pcs.
   Follow = Run->N - 1;
 Alone:
-  // One record, then back to Next.
-  RunBreak = RunAlone;
-Execute:
-  Last = Pc;
-  Cyc += R->Cost;
-  ++Count;
+  // One record, then back to Next through AloneHandlers. Pc and the counts
+  // move back to the run's entry as if the records before R had run, so
+  // settling at R adds R's own cost and one instruction.
+  RunBreak = false;
+  T = AloneHandlers;
+  if (R->Index != 0)
+    Cyc -= R[-1].CumCost;
+  Count -= R->Index;
+  Pc -= R->Off;
   goto *Handlers[R->Form];
 
   //===--- specialized forms -----------------------------------------------===
@@ -1191,7 +1268,7 @@ H_MovMI: {
   if (!Mem.write32(Addr, V))
     goto MemFault;
   noteWrite(Addr, 4);
-  goto Advance;
+  goto Stored;
 }
 H_AddRR:
   Gpr[D0.Reg] = doAdd(C, Gpr[S1.Reg], Gpr[S0.Reg], 0);
@@ -1257,18 +1334,20 @@ H_Jcc:
 H_Jecxz: {
   const bool Taken = R->Form == F_Jecxz ? Gpr[REG_ECX - REG_EAX] == 0
                                         : condHolds(C, condCodeOf(R->Op));
-  if (!Pred.predictCond(Pc, Taken))
+  if (!Pred.predictCond(Pc + R->Off, Taken))
     Cyc += MispredictCost;
   if (!Taken)
     goto Advance; // the run goes on
   // A side exit: the run's later records are not on this path, and a run
   // being followed alone stops being followed here.
+  SETTLE(R);
   Cyc += TakenCost;
   Pc = S0.Value;
   Follow = 0;
   goto Next;
 }
 H_Jmp:
+  SETTLE(R);
   Cyc += TakenCost;
   Pc = S0.Value;
   goto Next;
@@ -1290,7 +1369,7 @@ H_PushI: {
     goto MemFault;
   noteWrite(NewEsp, 4);
   Esp = NewEsp;
-  goto Advance;
+  goto Stored;
 }
 H_PopR: {
   const uint32_t OldEsp = Esp;
@@ -1317,7 +1396,7 @@ H_MovsdMX: {
   if (!Mem.writeF64(Addr, Xmm[S0.Reg]))
     goto MemFault;
   noteWrite(Addr, 8);
-  goto Advance;
+  goto Stored;
 }
 H_AddsdXX:
   Xmm[D0.Reg] = Xmm[S1.Reg] + Xmm[S0.Reg];
@@ -1340,7 +1419,7 @@ H_MovB: {
   uint8_t V;
   if (!read8(S0, V) || !write8(D0, V))
     goto MemFault;
-  goto Advance;
+  goto Stored;
 }
 H_MovzxB: {
   uint8_t V;
@@ -1367,7 +1446,7 @@ H_Xchg: {
   uint32_t A, B;
   if (!read32(S0, A) || !read32(S1, B) || !write32(D0, B) || !write32(S1, A))
     goto MemFault;
-  goto Advance;
+  goto Stored;
 }
 H_Push: {
   uint32_t V;
@@ -1378,7 +1457,7 @@ H_Push: {
     goto MemFault;
   noteWrite(NewEsp, 4);
   Esp = NewEsp;
-  goto Advance;
+  goto Stored;
 }
 H_Pop: {
   const uint32_t OldEsp = Esp;
@@ -1389,7 +1468,7 @@ H_Pop: {
   Esp = OldEsp + 4;
   if (!write32(D0, V))
     goto MemFault;
-  goto Advance;
+  goto Stored;
 }
 
   //===--- generic cases: integer ALU --------------------------------------===
@@ -1400,7 +1479,7 @@ H_AddAdc: {
   const uint32_t Cin = R->Op == OP_adc && C.flag(EFLAGS_CF) ? 1 : 0;
   if (!write32(D0, doAdd(C, A, B, Cin)))
     goto MemFault;
-  goto Advance;
+  goto Stored;
 }
 H_SubSbb: {
   uint32_t A, B;
@@ -1409,7 +1488,7 @@ H_SubSbb: {
   const uint32_t Bin = R->Op == OP_sbb && C.flag(EFLAGS_CF) ? 1 : 0;
   if (!write32(D0, doSub(C, A, B, Bin)))
     goto MemFault;
-  goto Advance;
+  goto Stored;
 }
 H_Cmp: {
   uint32_t A, B;
@@ -1427,7 +1506,7 @@ H_Logic: {
                                       : (A ^ B);
   if (!write32(D0, doLogicFlags(C, V)))
     goto MemFault;
-  goto Advance;
+  goto Stored;
 }
 H_Test: {
   uint32_t A, B;
@@ -1445,19 +1524,19 @@ H_IncDec: {
                          : doSub(C, A, 1, 0, /*WriteCarry=*/false);
   if (!write32(D0, V))
     goto MemFault;
-  goto Advance;
+  goto Stored;
 }
 H_Neg: {
   uint32_t A;
   if (!read32(S0, A) || !write32(D0, doSub(C, 0, A, 0)))
     goto MemFault;
-  goto Advance;
+  goto Stored;
 }
 H_Not: {
   uint32_t A;
   if (!read32(S0, A) || !write32(D0, ~A))
     goto MemFault;
-  goto Advance;
+  goto Stored;
 }
 H_Imul: {
   // Two forms share canonical shape S={x, y}, D={r}.
@@ -1488,23 +1567,20 @@ H_Idiv: {
       (uint64_t(Gpr[REG_EDX - REG_EAX]) << 32) | Gpr[REG_EAX - REG_EAX]);
   const int32_t Divisor = int32_t(Src);
   if (Divisor == 0) {
-    fault("integer divide by zero");
-    Result.Kind = StepKind::Faulted;
-    goto Done;
+    FaultWhy = "integer divide by zero";
+    goto InstrFault;
   }
   // INT64_MIN / -1 overflows the host's division too; its quotient is out
   // of range like every other overflowing one.
   if (Divisor == -1 && Dividend == std::numeric_limits<int64_t>::min()) {
-    fault("integer divide overflow");
-    Result.Kind = StepKind::Faulted;
-    goto Done;
+    FaultWhy = "integer divide overflow";
+    goto InstrFault;
   }
   const int64_t Quot = Dividend / Divisor;
   if (Quot > std::numeric_limits<int32_t>::max() ||
       Quot < std::numeric_limits<int32_t>::min()) {
-    fault("integer divide overflow");
-    Result.Kind = StepKind::Faulted;
-    goto Done;
+    FaultWhy = "integer divide overflow";
+    goto InstrFault;
   }
   Gpr[REG_EAX - REG_EAX] = uint32_t(int32_t(Quot));
   Gpr[REG_EDX - REG_EAX] = uint32_t(int32_t(Dividend % Divisor));
@@ -1522,7 +1598,7 @@ H_Shift: {
   // and unmonitored.
   if ((N &= 31) != 0 && !write32(D0, doShift(C, R->Op, A, N)))
     goto MemFault;
-  goto Advance;
+  goto Stored;
 }
 
   //===--- generic cases: control transfer ---------------------------------===
@@ -1530,21 +1606,23 @@ H_JmpInd: {
   uint32_t Target;
   if (!read32(S0, Target))
     goto MemFault;
+  SETTLE(R);
   Cyc += TakenCost;
-  if (Pc < RuntimeBase && !Pred.predictIndirect(Pc, Target))
+  if (Last < RuntimeBase && !Pred.predictIndirect(Last, Target))
     Cyc += MispredictCost;
   Pc = Target;
   goto Next;
 }
 H_Call: {
-  const AppPc Next = Pc + R->Length;
+  const AppPc Next = Pc + R->Off + R->Length;
   const uint32_t NewEsp = Esp - 4;
   if (!Mem.write32(NewEsp, Next))
     goto MemFault;
   noteWrite(NewEsp, 4);
   Esp = NewEsp;
+  SETTLE(R);
   Cyc += TakenCost;
-  if (Pc < RuntimeBase)
+  if (Last < RuntimeBase)
     Pred.pushReturn(Next);
   Pc = S0.Value;
   goto Next;
@@ -1553,16 +1631,17 @@ H_CallInd: {
   uint32_t Target;
   if (!read32(S0, Target))
     goto MemFault;
-  const AppPc Next = Pc + R->Length;
+  const AppPc Next = Pc + R->Off + R->Length;
   const uint32_t NewEsp = Esp - 4;
   if (!Mem.write32(NewEsp, Next))
     goto MemFault;
   noteWrite(NewEsp, 4);
   Esp = NewEsp;
+  SETTLE(R);
   Cyc += TakenCost;
-  if (Pc < RuntimeBase) {
+  if (Last < RuntimeBase) {
     Pred.pushReturn(Next);
-    if (!Pred.predictIndirect(Pc, Target))
+    if (!Pred.predictIndirect(Last, Target))
       Cyc += MispredictCost;
   }
   Pc = Target;
@@ -1575,11 +1654,12 @@ H_Ret: {
     goto MemFault;
   const uint32_t Extra = R->Op == OP_ret_imm ? S0.Value : 0;
   Esp = OldEsp + 4 + Extra;
+  SETTLE(R);
   Cyc += TakenCost;
   // Natively, `ret` rides the return-address stack. In the code cache the
   // runtime charges BTB-style costs at the IBL instead (the translated
   // return is an indirect jump there — the paper's key penalty).
-  if (Pc < RuntimeBase && !Pred.popReturn(Target))
+  if (Last < RuntimeBase && !Pred.popReturn(Target))
     Cyc += MispredictCost;
   Pc = Target;
   goto Next;
@@ -1587,7 +1667,8 @@ H_Ret: {
 
   //===--- generic cases: system -------------------------------------------===
 H_Int: {
-  Pc += R->Length; // the syscall returns to the following instruction
+  SETTLE(R);
+  Pc = Last + R->Length; // the syscall returns to the following instruction
   const SyscallResult Sys = doSyscall();
   if (Sys == SyscallResult::Fault) {
     Result.Kind = StepKind::Faulted;
@@ -1609,6 +1690,8 @@ H_Int: {
   goto Next;
 }
 H_Hlt:
+  SETTLE(R);
+  Pc = Last;
   Status = RunStatus::Exited;
   ExitCode = 0;
   Result.Kind = StepKind::Exited;
@@ -1664,7 +1747,8 @@ H_Cvttsd2si: {
 
   //===--- generic cases: runtime extensions -------------------------------===
 H_ClientCall:
-  Pc += R->Length;
+  SETTLE(R);
+  Pc = Last + R->Length;
   Result.Kind = StepKind::ClientCall;
   Result.ClientCallId = S0.Value;
   goto Done;
@@ -1673,7 +1757,7 @@ H_Savef: {
   if (!Mem.write32(Addr, C.Eflags))
     goto MemFault;
   noteWrite(Addr, 4);
-  goto Advance;
+  goto Stored;
 }
 H_Restf: {
   uint32_t V;
@@ -1684,29 +1768,38 @@ H_Restf: {
 }
 
 H_RunEnd:
-  // Not an instruction: undo Execute's count and last pc (its cost is 0).
-  --Count;
-  Last = Pc - R[-1].Length;
+  // Not an instruction: the marker after a run's last record, or any
+  // record after one that ran alone. Settle the record before it, which
+  // fell through to this one's pc.
+  SETTLE(R - 1);
+  Pc += R->Off;
   goto Next;
 
 H_Invalid: // OP_label, OP_INVALID, and opcodes whose operands fit no form
-  fault("executed invalid opcode");
+  FaultWhy = "executed invalid opcode";
+  goto InstrFault;
+
+Undecodable:
+  Last = Pc;
+  fault("undecodable instruction at pc");
+  FaultedBefore = true;
   Result.Kind = StepKind::Faulted;
   goto Done;
+MemFault:
+InstrFault:
+  // R faulted: it counts, and the pc stays at it.
+  SETTLE(R);
+  Pc = Last;
+  fault(FaultWhy ? std::string(FaultWhy)
+                 : "memory access out of bounds at pc " + std::to_string(Pc));
+  Result.Kind = StepKind::Faulted;
 
+#undef SETTLE
 #undef D0
 #undef S1
 #undef S0
 #undef RIO_FORMS
 
-Undecodable:
-  Last = Pc;
-  fault("undecodable instruction at pc");
-  Result.Kind = StepKind::Faulted;
-  goto Done;
-MemFault:
-  fault("memory access out of bounds at pc " + std::to_string(Pc));
-  Result.Kind = StepKind::Faulted;
 Done:
   CurCpu->Pc = Pc;
   Cycles = Cyc;

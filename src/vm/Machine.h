@@ -60,6 +60,10 @@ struct StepResult {
   StepKind Kind = StepKind::Ok;
   uint32_t ClientCallId = 0;
 };
+// run() returns this in one register. A larger result went through a
+// stack slot that was written in halves and read whole, a store-forwarding
+// stall that made a step() loop 45% slower.
+static_assert(sizeof(StepResult) == 8, "StepResult fits one register");
 
 /// Where Machine::run() hands control back to its caller. run() returns
 /// before the first instruction at which the deadline or the cycle limit
@@ -105,21 +109,33 @@ struct PredecodedOp {
 };
 
 /// A decode-cache record: the instruction as the interpreter runs it, its
-/// memoized cycle cost, whether the pc is stop-marked (see
-/// Machine::setStopPc), and its form: the id of the handler Machine::run()
-/// jumps to, chosen from the opcode and its operand kinds when the record
-/// fills (see Machine.cpp; 0 is the handler that faults). Operand slots follow the canonical layout of
-/// isa/OperandLayout.h; the interpreter uses at most two sources and one
+/// cycle cost, whether the pc is stop-marked (see Machine::setStopPc), and
+/// its form: the id of the handler Machine::run() jumps to, chosen from the
+/// opcode and its operand kinds when the record fills (see Machine.cpp; 0
+/// is the handler that faults). Operand slots follow the canonical layout
+/// of isa/OperandLayout.h; the interpreter uses at most two sources and one
 /// destination (xchg's second destination is its second source).
+///
+/// A record copied into a run also carries what run() needs to settle the
+/// run when it leaves at this record: its index in the run, its offset in
+/// bytes from the run's entry pc (so its pc is the entry pc plus Off), and
+/// CumCost, the costs summed from the run's entry through this record. A
+/// decode line's record is a run of one: index 0, offset 0, and CumCost is
+/// its own cost. A record's own cost is its CumCost less the previous
+/// record's.
 struct PredecodedInstr {
   Opcode Op = OP_INVALID;
   uint8_t Length = 0;
   bool Stop = false;
-  uint32_t Cost = 0;
+  uint32_t CumCost = 0;
   uint8_t Form = 0;
+  uint8_t Index = 0; ///< in the run; run() counts Index + 1 records at exit
+  uint8_t Off = 0;   ///< from the run's entry pc (RunMaxSpan fits a byte)
   PredecodedOp Src[2];
   PredecodedOp Dst[1];
 };
+static_assert(sizeof(PredecodedInstr) <= 36,
+              "the run fields fit the record's padding");
 
 /// The simulated machine. See file comment.
 class Machine {
@@ -167,9 +183,13 @@ public:
   /// pool and found by their entry pc in a direct-mapped index. A
   /// conditional branch does not end a run: when it falls through the run
   /// goes on, and when it is taken it is a side exit to Next. Inside a run
-  /// the next record is the next array element, and each instruction pays
-  /// only its pc, cycle and count updates and one test of RunBreak. The
-  /// stop conditions move to run entry, where they stay exact: a run is
+  /// the next record is the next array element, and an instruction pays
+  /// no bookkeeping: the pc, cycle and instruction counts and the last pc
+  /// are settled once, from the record the run leaves at (its offset,
+  /// index and cost summed from the entry), at every way out of the run:
+  /// a side exit, a jump, call, return or indirect branch, the end of the
+  /// run, int, clientcall, hlt and every fault. The stop conditions move
+  /// to run entry, where they stay exact: a run is
   /// entered only if the deadline leaves room for all of it, the
   /// code-write log is not ahead of the cursor, the cycle count stays
   /// below the limit through the last record's start even if every branch
@@ -177,14 +197,15 @@ public:
   /// run ends before a stop-marked pc) and StopPc is none of its later
   /// pcs. The pcs of a run ascend, and a side exit only shortens it.
   /// Otherwise its records run alone from the pool, each after every test,
-  /// until the run ends or a side exit leaves it. step() runs only a run's
-  /// first record, and at a pc that is no run's entry it builds a run of
-  /// one record. Anything that can change a condition or the code mid-run
-  /// — a store into a run's bytes or into a watched line,
-  /// invalidateDecodeRange(), setStopPc() — sets RunBreak, so the run
-  /// leaves at the next instruction boundary. Every instruction keeps its
-  /// own bounds checks, write monitoring and self-modifying-code
-  /// invalidation.
+  /// until the run ends or a side exit leaves it; a record running alone
+  /// settles at the next record. step() runs only a run's first record,
+  /// and at a pc that is no run's entry it builds a run of one record.
+  /// Mid-run, only a store can change a condition or the code — by
+  /// writing a run's bytes or a watched line — and it sets RunBreak, which
+  /// the handlers that can store test, so the run leaves after the store.
+  /// (invalidateDecodeRange() and setStopPc() set it between calls.) Every
+  /// instruction keeps its own bounds checks, write monitoring and
+  /// self-modifying-code invalidation.
   StepResult run(const StopSet &Stops);
 
   /// Executes the one instruction at cpu().Pc: a run() bounded to one
@@ -201,6 +222,11 @@ public:
   RunStatus status() const { return Status; }
   int exitCode() const { return ExitCode; }
   const std::string &faultReason() const { return FaultReason; }
+  /// Whether run() faulted before the instruction at the pc ran: its bytes
+  /// did not decode or the instruction budget was spent. That instruction
+  /// is not counted in instructionsExecuted(), as every other faulting
+  /// instruction is.
+  bool faultedBeforeInstruction() const { return FaultedBefore; }
 
   /// All bytes the application wrote via the write/print syscalls. The
   /// transparency tests compare this across execution configurations.
@@ -459,6 +485,7 @@ private:
   RunStatus Status = RunStatus::Running;
   int ExitCode = 0;
   std::string FaultReason;
+  bool FaultedBefore = false; ///< see faultedBeforeInstruction()
   std::string Output;
 
   // run() keeps these and the current thread's pc in locals while it runs
@@ -520,12 +547,13 @@ private:
   uint32_t RunPoolUsed = 0;
   std::unique_ptr<RunSlot[]> RunIndexStore;
   std::unique_ptr<uint8_t[]> RunPoolStore;
-  /// run() tests this after each instruction of a run and leaves the run
-  /// when it is not RunOn: run() sets RunAlone while a record runs alone,
-  /// and whatever may change a stop condition or the code mid-run sets
-  /// RunChanged.
-  enum : uint8_t { RunOn, RunAlone, RunChanged };
-  uint8_t RunBreak = RunOn;
+  /// Set by whatever may change a stop condition or the code mid-run: a
+  /// dropped run or a store into a watched line. Only a store can set it
+  /// while a run executes, so only the handlers that can store test it,
+  /// and leave the run after their instruction when it is set. run()
+  /// clears it on entering a run or a record alone, and follows a run
+  /// alone only while it stays clear.
+  bool RunBreak = false;
 
   CpuState *CurCpu = nullptr; ///< &Threads[CurThread].Cpu, cached
 };

@@ -808,4 +808,216 @@ TEST(Engine, StoreIntoTheLastByteOfALongRunDropsIt) {
   expectSameRun(A, B);
 }
 
+/// Replaces every "@" in \p Text with \p With.
+std::string substitute(std::string Text, const std::string &With) {
+  for (size_t At = Text.find('@'); At != std::string::npos;
+       At = Text.find('@', At + With.size()))
+    Text.replace(At, 1, With);
+  return Text;
+}
+
+/// A loop whose body is one run: a store into @, then more records of the
+/// same run, among them `site: mov eax, imm32`, whose immediate lies at
+/// site+1 and is summed every iteration. The four nops after it let an
+/// 8-byte store at site+1 keep them, since `val` holds 0x90909090 in its
+/// high half. `slot` is data no run covers, alone in its watch line.
+constexpr const char *StoreFormSource = R"(
+    val:  .long 0, 0x90909090
+      .align 256
+    slot: .long 0, 0
+      .align 256
+    main:
+      mov esi, 0
+      mov ecx, 40
+      mov ebp, esp
+    loop:
+      mov [val], ecx
+      mov edx, ecx
+      STORE
+      add esi, 1
+    site:
+      mov eax, 305419896
+      nop
+      nop
+      nop
+      nop
+      add esi, eax
+      dec ecx
+      jnz loop
+      mov esp, ebp
+      mov ebx, esi
+      mov eax, 2
+      int 0x80
+      mov ebx, 0
+      mov eax, 1
+      int 0x80
+  )";
+
+/// StoreFormSource with \p Store, storing to \p Target, in place of STORE.
+Program storeFormProgram(const char *Store, const std::string &Target) {
+  std::string Source = StoreFormSource;
+  Source.replace(Source.find("STORE"), 5, substitute(Store, Target));
+  return assembleOrDie(Source);
+}
+
+TEST(Engine, EveryStoringFormLeavesItsRun) {
+  // Only the handlers that can store test RunBreak, so each must: one
+  // instruction per form whose handler can write memory, storing to @.
+  // Neither movzx/movsx, imul, the scalar-double arithmetic nor the cvt
+  // conversions have an encoding with a memory destination (isa/Forms.cpp;
+  // predecode asserts it), so they cannot store.
+  const struct {
+    const char *Form;
+    const char *Store;
+    unsigned Logged = 40; // stores into slot, one per iteration
+  } Stores[] = {
+      {"MovMR", "mov [@], ecx"},
+      {"MovMI", "mov [@], 7"},
+      {"MovB", "movb [@], cl"},
+      {"MovsdMX", "movsd xmm0, [val]\n movsd [@], xmm0"},
+      {"PushR", "mov esp, @+4\n push ecx\n mov esp, ebp"},
+      {"PushI", "mov esp, @+4\n push 9\n mov esp, ebp"},
+      {"Push", "mov esp, @+4\n push [val]\n mov esp, ebp"},
+      {"Pop", "mov esp, val\n pop [@]\n mov esp, ebp"},
+      {"Xchg", "xchg [@], edx"},
+      {"AddAdc", "add [@], ecx"},
+      {"AddAdc", "adc [@], 3"},
+      {"SubSbb", "sub [@], ecx"},
+      {"SubSbb", "sbb [@], ecx"},
+      {"Logic", "and [@], ecx"},
+      {"Logic", "or [@], ecx"},
+      {"Logic", "xor [@], ecx"},
+      {"IncDec", "inc [@]"},
+      {"IncDec", "dec [@]"},
+      {"Neg", "neg [@]"},
+      {"Not", "not [@]"},
+      {"Shift", "shl [@], 1"},
+      {"Shift", "shr [@], 3"},
+      {"Shift", "sar [@], cl", 39}, // cl = 32 masks to 0: no store
+      {"Savef", "savef [@]"},
+  };
+  MachineConfig MC;
+  MC.MaxInstructions = 100000;
+  for (const auto &S : Stores) {
+    SCOPED_TRACE(S.Store);
+    // Into a later record of its own run: the run must leave after the
+    // store and run the new bytes.
+    {
+      Program P = storeFormProgram(S.Store, "site+1");
+      Machine A(MC), B(MC);
+      ASSERT_TRUE(loadProgram(A, P));
+      ASSERT_TRUE(loadProgram(B, P));
+      runByRun(A);
+      runByStep(B);
+      EXPECT_EQ(A.status(), RunStatus::Exited) << S.Form << A.faultReason();
+      ASSERT_NO_FATAL_FAILURE(expectSameState(A, B)) << S.Form;
+    }
+    // Into a watched line: run() must stop right after the store, as a
+    // step() loop checking the log before every instruction does.
+    {
+      Program P = storeFormProgram(S.Store, "slot");
+      Machine A(MC), B(MC);
+      ASSERT_TRUE(loadProgram(A, P));
+      ASSERT_TRUE(loadProgram(B, P));
+      A.addWriteWatch(P.symbol("slot"), P.symbol("slot") + 8);
+      B.addWriteWatch(P.symbol("slot"), P.symbol("slot") + 8);
+      for (unsigned Stop = 0; A.status() == RunStatus::Running; ++Stop) {
+        StopSet Stops;
+        Stops.CodeWriteCursor = A.codeWriteLog().size();
+        ASSERT_EQ(A.run(Stops).Kind, runBySteps(B, Stops).Kind)
+            << S.Form << " stop " << Stop;
+        ASSERT_NO_FATAL_FAILURE(expectSameState(A, B))
+            << S.Form << " stop " << Stop;
+      }
+      EXPECT_EQ(A.codeWriteLog().size(), S.Logged) << S.Form;
+    }
+  }
+}
+
+/// A run of twenty records, then @, then more: every way out of a run
+/// happens in the middle of a long one.
+constexpr const char *SettleSource = R"(
+    main:
+      mov esi, 1
+      mov edi, 2
+      add esi, edi
+      xor edi, 5
+      add esi, 7
+      sub edi, esi
+      lea esi, [esi+edi*2+3]
+      add esi, edi
+      xor edi, 9
+      add esi, 11
+      sub edi, esi
+      lea esi, [esi+edi*2+3]
+      add esi, edi
+      xor edi, 13
+      add esi, 17
+      sub edi, esi
+      lea esi, [esi+edi*2+3]
+      add esi, edi
+      xor edi, 19
+      add esi, 23
+      EVENT
+      add esi, edi
+      xor edi, 29
+      mov ebx, esi
+      mov eax, 2
+      int 0x80
+      mov ebx, 0
+      mov eax, 1
+      int 0x80
+  )";
+
+TEST(Engine, EveryWayOutOfARunSettlesLikeStep) {
+  // pc, lastPc(), cycles(), instructionsExecuted() and faultReason() after
+  // each exit must be a step() loop's, in a run entered whole and in one
+  // whose records run alone (a deadline or cycle limit inside it). No
+  // byte sequence decodes to the invalid form (see
+  // VmDispatch.EveryHandlerRunsItsInstruction); its handler settles
+  // through the same fault exit as the memory and divide faults.
+  const struct {
+    const char *Name;
+    const char *Event;
+    RunStatus End;
+  } Events[] = {
+      {"memory fault", "mov ebx, 0xFFFFFFF0\n mov eax, [ebx]",
+       RunStatus::Faulted},
+      {"divide by zero", "mov eax, 7\n cdq\n mov ebx, 0\n idiv ebx",
+       RunStatus::Faulted},
+      {"divide overflow", "mov eax, 0\n mov edx, 1\n mov ebx, 1\n idiv ebx",
+       RunStatus::Faulted},
+      {"clientcall", "clientcall 5", RunStatus::Exited},
+      {"int 0x80", "mov ebx, esi\n mov eax, 2\n int 0x80", RunStatus::Exited},
+      {"hlt", "hlt", RunStatus::Exited},
+  };
+  for (const auto &E : Events) {
+    SCOPED_TRACE(E.Name);
+    std::string Source = SettleSource;
+    Source.replace(Source.find("EVENT"), 5, E.Event);
+    Program P = assembleOrDie(Source);
+    for (unsigned Limit = 0; Limit != 60; ++Limit) {
+      SCOPED_TRACE(Limit);
+      Machine A, B;
+      ASSERT_TRUE(loadProgram(A, P));
+      ASSERT_TRUE(loadProgram(B, P));
+      // Limit 0 runs unbounded; then a deadline 1 to 29 instructions or a
+      // cycle limit 1 to 30 cycles ahead of each stop.
+      for (unsigned Stop = 0; A.status() == RunStatus::Running; ++Stop) {
+        StopSet S;
+        if (Limit != 0 && Limit < 30)
+          S.InstrLimit = A.instructionsExecuted() + Limit;
+        else if (Limit >= 30)
+          S.CycleLimit = A.cycles() + Limit - 29;
+        const StepResult RA = A.run(S);
+        const StepResult RB = runBySteps(B, S);
+        ASSERT_EQ(RA.Kind, RB.Kind) << "stop " << Stop;
+        ASSERT_EQ(RA.ClientCallId, RB.ClientCallId) << "stop " << Stop;
+        ASSERT_NO_FATAL_FAILURE(expectSameState(A, B)) << "stop " << Stop;
+      }
+      EXPECT_EQ(A.status(), E.End) << A.faultReason();
+    }
+  }
+}
+
 } // namespace
